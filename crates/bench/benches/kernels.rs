@@ -1,7 +1,7 @@
 //! Microbenchmarks of the functional kernels the coprocessors execute:
-//! DCT, quantization, run-length coding, VLC, motion search, and the
-//! windowed FIFO primitives. These keep the *simulator host speed* honest
-//! — the cycle model is separate.
+//! DCT, quantization, run-length coding, VLC, motion search, the full
+//! software codec, and a shell GetSpace/PutSpace round trip. These keep
+//! the *simulator host speed* honest — the cycle model is separate.
 //!
 //! Runs as a plain `harness = false` binary (`cargo bench --bench
 //! kernels`) on the in-repo harness in [`eclipse_bench::microbench`].
@@ -107,25 +107,6 @@ fn bench_codec() {
     });
 }
 
-fn bench_fifo() {
-    use eclipse_kpn::{Fifo, FifoConfig};
-    let fifo = Fifo::new(FifoConfig {
-        capacity: 4096,
-        consumers: 1,
-    });
-    let data = [0xA5u8; 64];
-    let mut buf = [0u8; 64];
-    bench("kpn_fifo/window_cycle_64B", || {
-        fifo.producer_wait_space(64);
-        fifo.producer_write(0, &data);
-        fifo.producer_put_space(64);
-        fifo.consumer_wait_space(0, 64);
-        fifo.consumer_read(0, 0, &mut buf);
-        fifo.consumer_put_space(0, 64);
-        black_box(buf[0])
-    });
-}
-
 fn bench_shell() {
     use eclipse_mem::{BusConfig, CyclicBuffer, SramConfig};
     use eclipse_shell::stream_table::{AccessPoint, PortDir, RowIdx, StreamRowConfig};
@@ -186,6 +167,5 @@ fn main() {
     bench_vlc();
     bench_motion();
     bench_codec();
-    bench_fifo();
     bench_shell();
 }

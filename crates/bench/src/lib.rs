@@ -18,6 +18,21 @@
 //! | `tab_coherency` | §5.2 coherency mechanism accounting |
 //! | `tab_granularity` | Figure 1/§2.1 granularity of parallelism |
 //!
+//! and the bins for the extensions beyond the paper and for development:
+//!
+//! | bin | what it shows |
+//! |---|---|
+//! | `sweep_fabric` | data-fabric × sync-network design-space sweep |
+//! | `mapping_search` | placement passes scored on every fabric topology |
+//! | `sweep_reconfig` | live map / drain / unmap transition latencies |
+//! | `chaos_soak` | fault class × rate recovery table (`--supervised`, `--replay`) |
+//! | `sweep_scenarios` | supervisor arrival × fault scenarios |
+//! | `snapshot_smoke` | checkpoint fork ≡ uninterrupted run |
+//! | `timing_fingerprint` | byte-exact digest of the canonical runs' timing |
+//! | `trace_decode` | structured event trace of the QCIF decode |
+//! | `profile_qcif` | QCIF decode loop for host profilers |
+//! | `probe_workload` | per-picture-type workload of the QCIF stream |
+//!
 //! This library holds the shared workload generators and reporting
 //! helpers those binaries use.
 

@@ -45,15 +45,18 @@ impl BenchResult {
     }
 }
 
+/// Measured wall time each benchmark aims for.
+const BUDGET: Duration = Duration::from_millis(200);
+
 /// Measure `f`, calibrating the iteration count so the measured run takes
-/// roughly `budget`. Prints the report line and returns the result.
-pub fn bench_with_budget<T>(name: &str, budget: Duration, mut f: impl FnMut() -> T) -> BenchResult {
+/// roughly 200 ms. Prints the report line and returns the result.
+pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> BenchResult {
     // Warm-up + calibration: run once, then scale the iteration count to
     // fill the budget (clamped to a sane range).
     let t0 = Instant::now();
     std::hint::black_box(f());
     let once = t0.elapsed().max(Duration::from_nanos(50));
-    let iters = (budget.as_nanos() / once.as_nanos()).clamp(3, 1_000_000) as u64;
+    let iters = (BUDGET.as_nanos() / once.as_nanos()).clamp(3, 1_000_000) as u64;
 
     let start = Instant::now();
     for _ in 0..iters {
@@ -67,9 +70,4 @@ pub fn bench_with_budget<T>(name: &str, budget: Duration, mut f: impl FnMut() ->
     };
     println!("{}", result.report());
     result
-}
-
-/// [`bench_with_budget`] with the default 200 ms budget.
-pub fn bench<T>(name: &str, f: impl FnMut() -> T) -> BenchResult {
-    bench_with_budget(name, Duration::from_millis(200), f)
 }

@@ -12,10 +12,8 @@
 //!   memory → the MC dominates (and the paper's fix — pipelining the DCT,
 //!   better prefetching — is reproduced as ablations over these knobs).
 
-use serde::{Deserialize, Serialize};
-
 /// VLD cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VldCost {
     /// Fixed cycles per macroblock (control overhead).
     pub per_mb: u64,
@@ -39,7 +37,7 @@ impl Default for VldCost {
 }
 
 /// RLSQ cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RlsqCost {
     /// Fixed cycles per macroblock.
     pub per_mb: u64,
@@ -60,7 +58,7 @@ impl Default for RlsqCost {
 }
 
 /// DCT cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DctCost {
     /// Cycles per 8×8 block transformed. The paper's instance initially
     /// used a non-pipelined unit; pipelining it (their Figure 10
@@ -82,7 +80,7 @@ impl DctCost {
 }
 
 /// MC/ME cost model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct McCost {
     /// Fixed cycles per macroblock (control + address generation).
     pub per_mb: u64,
@@ -104,7 +102,7 @@ impl Default for McCost {
 
 /// DSP-CPU (software) cost model: software pays a multiplier over the
 /// equivalent hardware operation plus a per-primitive OS/driver overhead.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DspCost {
     /// Cycles per byte moved by a software task.
     pub per_byte: u64,

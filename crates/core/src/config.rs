@@ -8,10 +8,9 @@
 use eclipse_mem::{BusConfig, DramConfig, SramConfig};
 use eclipse_shell::ShellConfig;
 use eclipse_sim::{Cycle, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// Full parameter set of an Eclipse instance.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EclipseConfig {
     /// Base coprocessor clock (paper instance: 150 MHz).
     pub clock: Frequency,

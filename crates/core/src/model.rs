@@ -15,8 +15,6 @@
 //! formulas then extrapolate to other template configurations (more
 //! coprocessors, bigger SRAM, wider buses) in the design-space benches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::EclipseConfig;
 
 /// Area model constants (0.18 µm CMOS, from the paper's instance).
@@ -128,7 +126,7 @@ pub fn transport_energy_per_mb_pj(c: &TransportCounts, macroblocks: u64) -> f64 
 }
 
 /// One line of the area/power report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComponentEstimate {
     /// Component name.
     pub name: String,
@@ -139,7 +137,7 @@ pub struct ComponentEstimate {
 }
 
 /// The full instance estimate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InstanceEstimate {
     /// Per-component breakdown.
     pub components: Vec<ComponentEstimate>,

@@ -402,11 +402,7 @@ impl EclipseSystem {
             }
             match self.cal.peek_time() {
                 Some(t) if t <= deadline => {
-                    let (now, ev) = self.cal.pop().expect("peeked event");
-                    self.handle_event(now, ev);
-                    if self.credit_check {
-                        self.verify_credits(now);
-                    }
+                    self.step_event();
                 }
                 // No events left, or the next one is past the deadline:
                 // the in-flight syncs cannot quiesce in time.

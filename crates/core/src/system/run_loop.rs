@@ -41,9 +41,20 @@ impl EclipseSystem {
         }
     }
 
-    /// Process one popped calendar event (shared by [`EclipseSystem::run`],
-    /// [`EclipseSystem::run_until`], and the drain pump).
-    pub(crate) fn handle_event(&mut self, now: Cycle, ev: Event) {
+    /// Pop the next calendar event, process it, and check credit
+    /// conservation — the one place events are handled (shared by
+    /// [`EclipseSystem::run_until`] and the drain pump). The caller has
+    /// peeked a pending event; returns its time.
+    pub(crate) fn step_event(&mut self) -> Cycle {
+        let (now, ev) = self.cal.pop().expect("caller peeked an event");
+        self.handle_event(now, ev);
+        if self.credit_check {
+            self.verify_credits(now);
+        }
+        now
+    }
+
+    fn handle_event(&mut self, now: Cycle, ev: Event) {
         match ev {
             Event::Step(s) => self.do_step(s, now),
             Event::Sync(msg) => {
@@ -89,8 +100,8 @@ impl EclipseSystem {
     /// reached with events still pending — the caller may reconfigure
     /// (map/pause/drain/unmap apps) and resume with another
     /// `run_until` or a final [`EclipseSystem::run`], which also
-    /// produces the summary. Unlike `run`, the event at the stop
-    /// boundary is left in the calendar, not discarded.
+    /// produces the summary. The event past the stop boundary is left
+    /// in the calendar.
     pub fn run_until(&mut self, stop_at: Cycle) -> Option<RunOutcome> {
         self.kickoff();
         loop {
@@ -101,11 +112,7 @@ impl EclipseSystem {
                 None => return Some(RunOutcome::Deadlock(self.blocked_tasks())),
                 Some(t) if t > stop_at => return None,
                 Some(_) => {
-                    let (now, ev) = self.cal.pop().expect("peeked event");
-                    self.handle_event(now, ev);
-                    if self.credit_check {
-                        self.verify_credits(now);
-                    }
+                    let now = self.step_event();
                     if let Some(k) = self.watchdog_cycles {
                         if now.saturating_sub(self.last_progress) > k {
                             return Some(RunOutcome::Deadlock(self.blocked_tasks()));
@@ -116,36 +123,12 @@ impl EclipseSystem {
         }
     }
 
-    /// Run until every task finishes, deadlock, or `max_cycles`.
+    /// Run until every task finishes, deadlock, or `max_cycles`:
+    /// [`EclipseSystem::run_until`]`(max_cycles)` closed out into a
+    /// summary. A run stopped by the limit ends at the first event past
+    /// it (see [`RunOutcome::MaxCycles`]).
     pub fn run(&mut self, max_cycles: Cycle) -> RunSummary {
-        // Kick off: one step event per shell, plus the sampler.
-        self.kickoff();
-
-        let mut outcome = RunOutcome::MaxCycles;
-        while let Some((now, ev)) = self.cal.pop() {
-            if now > max_cycles {
-                outcome = RunOutcome::MaxCycles;
-                break;
-            }
-            self.handle_event(now, ev);
-            if self.credit_check {
-                self.verify_credits(now);
-            }
-            if self.shells.iter().all(|sh| sh.all_tasks_finished()) {
-                outcome = RunOutcome::AllFinished;
-                break;
-            }
-            if self.cal.is_empty() {
-                outcome = RunOutcome::Deadlock(self.blocked_tasks());
-                break;
-            }
-            if let Some(k) = self.watchdog_cycles {
-                if now.saturating_sub(self.last_progress) > k {
-                    outcome = RunOutcome::Deadlock(self.blocked_tasks());
-                    break;
-                }
-            }
-        }
+        let outcome = self.run_until(max_cycles);
         self.finish_run(outcome)
     }
 

@@ -19,7 +19,8 @@ pub enum RunOutcome {
     /// application deadlocked (usually undersized buffers). Each stuck
     /// task is diagnosed (see [`WedgeDiagnosis`]).
     Deadlock(Vec<WedgeDiagnosis>),
-    /// The cycle limit was reached.
+    /// The cycle limit was reached. The first event past the limit was
+    /// discarded and the clock stands at its time.
     MaxCycles,
 }
 
@@ -66,9 +67,17 @@ pub struct RunSummary {
 }
 
 impl EclipseSystem {
-    /// Close out idle accounting, take the final sample, emit the RunEnd
-    /// mark, and derive the observability metrics of a finished run.
-    pub(crate) fn finish_run(&mut self, outcome: RunOutcome) -> RunSummary {
+    /// Close out a run that [`EclipseSystem::run_until`] (or its
+    /// supervised counterpart) ended with `outcome`: idle accounting,
+    /// the final sample, the RunEnd mark, and the observability metrics.
+    /// `None` — the cycle limit stopped the run — pops and discards the
+    /// first event past the limit, advancing the clock to it, and
+    /// reports [`RunOutcome::MaxCycles`].
+    pub(crate) fn finish_run(&mut self, outcome: Option<RunOutcome>) -> RunSummary {
+        let outcome = outcome.unwrap_or_else(|| {
+            let _ = self.cal.pop();
+            RunOutcome::MaxCycles
+        });
         let end = self.cal.now();
         // Close out idle accounting. Idle shells stay marked idle (at
         // `end`) rather than cleared, so a run resumed after live

@@ -444,15 +444,8 @@ impl EclipseSystem {
     /// counterpart of [`EclipseSystem::run`]. Recovery actions taken
     /// along the way land in [`RunSummary::recovery`].
     pub fn run_supervised(&mut self, max_cycles: Cycle, sup: &mut Supervisor) -> RunSummary {
-        match self.run_supervised_until(max_cycles, sup) {
-            Some(outcome) => self.finish_run(outcome),
-            None => {
-                // Mirror `run` exactly: it pops the first event past
-                // the budget (advancing the clock to it) and stops.
-                let _ = self.cal.pop();
-                self.finish_run(RunOutcome::MaxCycles)
-            }
-        }
+        let outcome = self.run_supervised_until(max_cycles, sup);
+        self.finish_run(outcome)
     }
 }
 

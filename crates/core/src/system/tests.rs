@@ -543,8 +543,39 @@ fn run_to_end_with_hashes(sys: &mut EclipseSystem, stride: u64) -> (Vec<u64>, St
         }
     };
     hashes.push(sys.state_hash());
-    let summary = sys.finish_run(outcome);
+    let summary = sys.finish_run(Some(outcome));
     (hashes, format!("{summary:?}"))
+}
+
+#[test]
+fn run_stopped_by_the_limit_is_run_until_plus_one_pop() {
+    const LIMIT: u64 = 20_000;
+    let build = || pipeline_builder(256, 65_536, 64).0.build();
+
+    let mut direct = build();
+    let summary = direct.run(LIMIT);
+    assert_eq!(summary.outcome, RunOutcome::MaxCycles);
+
+    let mut resumed = build();
+    assert!(resumed.run_until(LIMIT).is_none());
+    let first_past = resumed.cal.peek_time().expect("events remain");
+    assert!(first_past > LIMIT);
+    let resumed_summary = resumed.run(LIMIT);
+
+    assert_eq!(summary.cycles, first_past);
+    assert_eq!(format!("{summary:?}"), format!("{resumed_summary:?}"));
+    assert_eq!(direct.state_hash(), resumed.state_hash());
+}
+
+#[test]
+fn run_after_all_finished_does_not_advance_the_clock() {
+    let mut sys = pipeline_builder(256, 4096, 64).0.build();
+    assert_eq!(sys.run_until(10_000_000), Some(RunOutcome::AllFinished));
+    let end = sys.now();
+    let summary = sys.run(10_000_000);
+    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    assert_eq!(summary.cycles, end);
+    assert_eq!(sys.now(), end);
 }
 
 /// The fifteen interconnect combinations the round-trip suite covers:

@@ -9,10 +9,9 @@ use std::collections::HashMap;
 
 use eclipse_sim::snapshot::{FnvState, SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// One named time series of (cycle, value) samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSeries {
     /// Series name, e.g. `"buffer/coef/space"` or `"shell/dct/busy"`.
     pub name: String,
@@ -42,7 +41,7 @@ impl TraceSeries {
 }
 
 /// A bag of named series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     /// All series, in creation order.
     pub series: Vec<TraceSeries>,

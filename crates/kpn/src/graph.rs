@@ -7,21 +7,19 @@
 //! within a task's input/output port lists — the same `port_id` the
 //! coprocessor passes to its shell.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a task (node) within one [`AppGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
 /// Identifies a stream (edge) within one [`AppGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(pub u32);
 
 /// Index of a port within a task's input or output port list.
 pub type PortIndex = u8;
 
 /// One task (node) of the application graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskDecl {
     /// Human-readable instance name, unique within the graph
     /// (e.g. `"vld0"`).
@@ -40,7 +38,7 @@ pub struct TaskDecl {
 }
 
 /// One stream (edge) of the application graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamDecl {
     /// Human-readable name, unique within the graph (e.g. `"coef"`).
     pub name: String,
@@ -53,7 +51,7 @@ pub struct StreamDecl {
 }
 
 /// A validated Kahn application graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppGraph {
     /// Graph name, for reporting.
     pub name: String,

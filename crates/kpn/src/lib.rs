@@ -9,35 +9,13 @@
 //! sequence of bytes on every edge — is independent of the order in which
 //! tasks execute.
 //!
-//! This crate provides:
-//!
-//! * [`graph`] — the application graph description ([`graph::AppGraph`],
-//!   [`graph::GraphBuilder`]): tasks, ports, streams with buffer sizes.
-//!   The same description is consumed by the Eclipse architecture
-//!   simulator (`eclipse-core`) when mapping tasks onto coprocessors, and
-//!   by the host runtime below.
-//! * [`fifo`] — a bounded, windowed FIFO implementing Eclipse's
-//!   GetSpace/Read/Write/PutSpace discipline on host memory with real
-//!   blocking synchronization (std mutex + condvars). Unlike a
-//!   plain channel, synchronization granularity is decoupled from
-//!   transport granularity, exactly as the paper's Section 2.2 prescribes.
-//! * [`runtime`] — a multi-threaded host executor that runs every task of
-//!   a graph on its own OS thread. This is the "all tasks in software"
-//!   reference point: it demonstrates the programming model at host speed
-//!   and underpins the granularity-of-parallelism experiment (E12).
-//! * [`process`] — the [`process::Process`] trait plus reusable
-//!   source/map/sink combinators.
-//!
-//! The central Kahn property — scheduling-independent stream contents — is
-//! verified by property tests that run the same graph under different
-//! thread interleavings and assert bit-identical sink output.
+//! This crate holds the application graph description ([`AppGraph`],
+//! [`GraphBuilder`]): tasks, ports, and streams with buffer sizes. The
+//! Eclipse architecture simulator (`eclipse-core`) consumes it when
+//! mapping tasks onto coprocessors; the streams themselves are carried by
+//! the shells' GetSpace/Read/Write/PutSpace window protocol
+//! (`eclipse-shell`).
 
-pub mod fifo;
 pub mod graph;
-pub mod process;
-pub mod runtime;
 
-pub use fifo::{Fifo, FifoConfig};
 pub use graph::{AppGraph, GraphBuilder, GraphError, PortIndex, StreamId, TaskId};
-pub use process::{Port, Process, ProcessCtx};
-pub use runtime::{HostRuntime, RunReport};

@@ -13,8 +13,6 @@
 //! (predictor + step index) plus 4-bit codes, so a block of `N` samples
 //! occupies `4 + N/2` bytes.
 
-use serde::{Deserialize, Serialize};
-
 /// Samples per coded block (must be even).
 pub const BLOCK_SAMPLES: usize = 256;
 /// Encoded bytes per block: header + 4 bits per sample.
@@ -33,7 +31,7 @@ const STEPS: [i32; 89] = [
 const INDEX_ADJUST: [i32; 8] = [-1, -1, -1, -1, 2, 4, 6, 8];
 
 /// Codec state carried across samples within a block.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct AdpcmState {
     predictor: i32,
     step_index: i32,

@@ -7,15 +7,13 @@
 //! synchronization grain Eclipse chooses for MPEG ("from picture to
 //! macroblock level", Section 2.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of 8x8 blocks per macroblock in 4:2:0 (4 luma + 2 chroma).
 pub const BLOCKS_PER_MB: usize = 6;
 /// Macroblock luma dimension in pixels.
 pub const MB_SIZE: usize = 16;
 
 /// A single image plane of 8-bit samples.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plane {
     /// Width in samples.
     pub width: usize,
@@ -91,7 +89,7 @@ impl Plane {
 }
 
 /// A 4:2:0 video frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Luma width in pixels (multiple of 16).
     pub width: usize,

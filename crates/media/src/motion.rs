@@ -15,11 +15,10 @@
 //! (`(a+b+1)>>1` horizontally/vertically, `(a+b+c+d+2)>>2` diagonally).
 
 use crate::frame::{Frame, Plane, BLOCKS_PER_MB, MB_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// A motion vector in half-pel units (MPEG-2 semantics): `dx = 3` means
 /// 1.5 luma samples to the right.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MotionVector {
     /// Horizontal displacement in half-pels.
     pub dx: i16,
@@ -74,7 +73,7 @@ pub fn sample_half(plane: &Plane, x2: i32, y2: i32) -> i16 {
 }
 
 /// How a macroblock is predicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictionMode {
     /// No prediction (intra coding).
     Intra,

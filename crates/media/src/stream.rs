@@ -16,8 +16,6 @@
 //! block:= intra? dc_diff:sev ; (run,level)* EOB   (via the Huffman code)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::bits::{BitReader, BitWriter, EndOfStream};
 use crate::motion::{MotionVector, PredictionMode};
 use crate::vlc::{get_sev, get_uev, put_sev, put_uev};
@@ -30,7 +28,7 @@ pub const MARKER_PIC: u32 = 0x45434C50;
 pub const MARKER_END: u32 = 0x45434C45;
 
 /// Picture coding types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PictureType {
     /// Intra-coded.
     I,
@@ -65,7 +63,7 @@ impl PictureType {
 /// anchor distance (`m - 1` B pictures between anchors; `m = 1` disables
 /// B pictures). The paper's Figure 10 uses the classic IPBBPBBP pattern
 /// (`n = 12`-ish, `m = 3`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GopConfig {
     /// I-picture period (>= 1).
     pub n: u8,
@@ -153,7 +151,7 @@ impl GopConfig {
 }
 
 /// Sequence-level parameters carried in the sequence header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SequenceHeader {
     /// Luma width (multiple of 16).
     pub width: u16,
@@ -190,7 +188,7 @@ impl SequenceHeader {
 }
 
 /// Picture-level parameters carried in each picture header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PictureHeader {
     /// Coding type.
     pub ptype: PictureType,

@@ -12,7 +12,6 @@
 //! in the streaming hot path.
 
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
 
 use crate::cyclic::CyclicBuffer;
 
@@ -53,7 +52,7 @@ impl std::fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// First-fit allocator over a `[base, base+size)` byte range.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BufferAllocator {
     base: u32,
     size: u32,

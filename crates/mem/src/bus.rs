@@ -17,10 +17,9 @@ use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::stats::RunningStat;
 use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Static bus parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BusConfig {
     /// Data path width in bytes per beat (paper instance: 16 = 128 bits).
     pub width_bytes: u32,
@@ -54,7 +53,7 @@ pub struct Transfer {
 }
 
 /// Cumulative bus statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BusStats {
     /// Total transactions carried.
     pub transactions: u64,

@@ -6,8 +6,6 @@
 //! "infinite tape" of a stream into one or two linear memory segments,
 //! wrapping at the buffer end.
 
-use serde::{Deserialize, Serialize};
-
 /// A linear memory segment: absolute start address and length in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
@@ -19,7 +17,7 @@ pub struct Segment {
 
 /// A fixed-size cyclic buffer at `base` of `size` bytes in a linear
 /// address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CyclicBuffer {
     /// Absolute base address.
     pub base: u32,

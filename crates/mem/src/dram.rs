@@ -16,12 +16,11 @@
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::stats::RunningStat;
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::bus::Transfer;
 
 /// Static DRAM parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DramConfig {
     /// Total capacity in bytes.
     pub size: u32,
@@ -56,7 +55,7 @@ impl Default for DramConfig {
 }
 
 /// Cumulative DRAM statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DramStats {
     /// Total transactions served.
     pub transactions: u64,

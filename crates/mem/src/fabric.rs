@@ -16,7 +16,6 @@
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::bus::{Bus, BusConfig, BusStats, Transfer};
 
@@ -242,7 +241,7 @@ pub trait DataFabric: std::fmt::Debug {
 }
 
 /// Fabric selection, resolved to a backend at system build time.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum DataFabricConfig {
     /// The paper-instance bus pair: one shared read bus, one shared write
     /// bus (the default; timing-identical to the pre-fabric model).

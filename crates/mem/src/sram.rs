@@ -8,10 +8,9 @@
 //! between shells is modeled by the buses in [`crate::bus`], not here.
 
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the on-chip SRAM.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SramConfig {
     /// Total capacity in bytes (paper instance: 32 kB).
     pub size: u32,
@@ -33,7 +32,7 @@ impl Default for SramConfig {
 }
 
 /// Access statistics, kept per port direction.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SramStats {
     /// Number of read transactions.
     pub reads: u64,

@@ -26,7 +26,6 @@ use eclipse_mem::{
 };
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Maximum supported cache line size in bytes (dirty mask is a u64).
 pub const MAX_LINE_BYTES: u32 = 64;
@@ -91,7 +90,7 @@ impl MemSys {
 }
 
 /// Cache parameters (a shell template parameter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of lines; 0 disables the cache (every access goes to the
     /// bus) — one point of the paper's Section 7 cache design-space sweep.
@@ -130,7 +129,7 @@ impl Default for CacheConfig {
 }
 
 /// Cache event counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheStats {
     /// Read accesses that hit.
     pub hits: u64,

@@ -47,10 +47,8 @@ pub use sync_fabric::{
 };
 pub use task_table::{TaskConfig, TaskIdx, TaskStats};
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one shell (and its coprocessor) within an Eclipse instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShellId(pub u16);
 
 /// Port index within a task (the `port_id` argument of the primitives).

@@ -12,7 +12,6 @@ use eclipse_mem::CyclicBuffer;
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheConfig, MemSys, StreamCache};
 use crate::stream_table::{AccessPoint, PortDir, RowIdx, StreamRow, StreamRowConfig};
@@ -20,7 +19,7 @@ use crate::task_table::{select, Choice, SchedState, TaskConfig, TaskIdx, TaskRow
 use crate::{PortId, ShellId};
 
 /// Task-selection policy (experiment E9 ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// The paper's weighted round-robin with the "best guess" eligibility
     /// test (blocked tasks and unmet space hints are skipped).
@@ -34,7 +33,7 @@ pub enum SchedPolicy {
 
 /// Shell template parameters (identical across shells of an instance in
 /// the default configuration; individually overridable per shell).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ShellConfig {
     /// Cycles a `GetSpace` handshake takes.
     pub getspace_cost: u64,
@@ -115,7 +114,7 @@ pub enum GetTaskResult {
 }
 
 /// Aggregate shell counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShellStats {
     /// `putspace` messages sent to remote shells.
     pub messages_sent: u64,

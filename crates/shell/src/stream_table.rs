@@ -19,16 +19,15 @@ use eclipse_mem::CyclicBuffer;
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::stats::TimeWeighted;
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::ShellId;
 
 /// Index of a row within one shell's stream table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowIdx(pub u16);
 
 /// Globally identifies an access point: a (shell, stream-table row) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessPoint {
     /// The shell holding the row.
     pub shell: ShellId,
@@ -37,7 +36,7 @@ pub struct AccessPoint {
 }
 
 /// Direction of an access point relative to the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortDir {
     /// Writes data; `space` counts available *room*.
     Producer,
@@ -60,7 +59,7 @@ pub struct StreamRowConfig {
 
 /// Measurement fields of a row (paper Section 5.4: "measurement data is
 /// accumulated in the stream and task tables").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamRowStats {
     /// Total bytes committed through this access point.
     pub bytes_committed: u64,

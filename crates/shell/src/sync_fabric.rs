@@ -18,7 +18,6 @@
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::ShellId;
 
@@ -85,7 +84,7 @@ impl Snapshot for SyncFabricStats {
 }
 
 /// Sync-network selection, resolved to a backend at system build time.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum SyncFabricConfig {
     /// The paper-instance message network: a flat per-message latency,
     /// no topology, no contention (the default; timing-identical to the

@@ -10,14 +10,13 @@
 
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::stream_table::RowIdx;
 use crate::PortId;
 
 /// Index of a task row within one shell's task table (the `task_id` the
 /// coprocessor receives from `GetTask`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskIdx(pub u8);
 
 /// Configuration of one task-table row.
@@ -40,7 +39,7 @@ pub struct TaskConfig {
 }
 
 /// Measurement fields of a task row (paper Section 5.4).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskStats {
     /// Completed processing steps.
     pub steps: u64,

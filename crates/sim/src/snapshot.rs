@@ -9,10 +9,10 @@
 //! * [`SnapWriter`] / [`SnapReader`] — a tiny, versionless binary codec
 //!   (little-endian fixed-width integers, length-prefixed containers,
 //!   zero-run-length-encoded byte blobs for the large, mostly-zero
-//!   memory arrays). The vendored `serde` shim is a no-op derive, so the
-//!   simulator carries its own codec; this also pins the byte format to
-//!   this workspace alone — checkpoint compatibility can never be broken
-//!   by an upstream dependency bump.
+//!   memory arrays). The workspace has no serialization dependency, so
+//!   the simulator carries its own codec; this also pins the byte format
+//!   to this workspace alone — checkpoint compatibility can never be
+//!   broken by an upstream dependency bump.
 //! * [`Snapshot`] — the save/load trait implemented by every stateful
 //!   struct. Loading is in-place (`&mut self`): a checkpoint captures
 //!   *dynamic* state only and is restored into an identically-built

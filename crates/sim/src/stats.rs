@@ -7,14 +7,12 @@
 //! and time-weighted averages for occupancy-style quantities such as buffer
 //! filling and utilization.
 
-use serde::{Deserialize, Serialize};
-
 use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::Cycle;
 
 /// Running scalar statistics over a sample stream: count, sum, min, max,
 /// mean, and variance via Welford's online algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStat {
     count: u64,
     sum: f64,
@@ -183,7 +181,7 @@ impl HistogramStat {
 ///
 /// The scalar accumulators are exact integers (count/sum/min/max), so the
 /// state a checkpoint records carries no floating-point rounding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -264,7 +262,7 @@ impl Histogram {
 ///
 /// Call [`TimeWeighted::set`] whenever the value changes; the accumulator
 /// integrates value x time between changes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeWeighted {
     first_time: Cycle,
     last_time: Cycle,
@@ -327,7 +325,7 @@ impl TimeWeighted {
 }
 
 /// A simple saturating busy-cycle counter for utilization measurements.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Utilization {
     /// Cycles spent doing useful work.
     pub busy: Cycle,

@@ -6,8 +6,6 @@
 //! faster clock domains (like the SRAM) are expressed as integer
 //! multipliers of the base clock.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in base-clock cycles.
 ///
 /// 64 bits of cycles at 150 MHz covers ~3900 years of simulated time, so
@@ -19,7 +17,7 @@ pub type Cycle = u64;
 /// Used to convert between simulated cycles and wall-clock-style metrics
 /// (frames per second, kHz task-switch rates, GB/s bandwidths) when
 /// reporting results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Frequency(pub u64);
 
 impl Frequency {

@@ -7,8 +7,8 @@
 //! on a single crate:
 //!
 //! * [`sim`] — deterministic discrete-event simulation kernel
-//! * [`kpn`] — Kahn Process Network application model + functional
-//!   multi-threaded host runtime
+//! * [`kpn`] — Kahn Process Network application graphs (tasks, ports,
+//!   streams) and their validation
 //! * [`mem`] — on-chip SRAM / off-chip DRAM / bus interconnect models
 //! * [`shell`] — the coprocessor shell: stream & task tables, distributed
 //!   synchronization, caches with explicit coherency, weighted round-robin
