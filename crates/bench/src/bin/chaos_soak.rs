@@ -249,7 +249,7 @@ fn main() {
     let supervised = std::env::args().any(|a| a == "--supervised");
 
     // Workloads: the sweep-scale tiny stream always; the QCIF workhorse
-    // only in the full soak (CI runs --quick).
+    // only in the full soak.
     let mut workloads: Vec<(&str, StreamSpec)> = vec![(
         "tiny",
         StreamSpec {

@@ -389,7 +389,7 @@ impl SwTask {
                 })
             }
             3 => SwTask::Sink(SinkTask {
-                bytes: r.blob()?,
+                bytes: r.blob(snap::MAX_STREAM_BYTES)?,
                 done: r.bool()?,
             }),
             4 => {

@@ -13,6 +13,14 @@ use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 
 use crate::records::{PicRec, PIC_REC_BYTES};
 
+/// Largest bitstream a task buffer may restore from a checkpoint: the
+/// default off-chip memory's capacity, so any stream that can be staged
+/// for the instance fits.
+pub(crate) const MAX_STREAM_BYTES: usize = 64 << 20;
+
+/// Largest frame side: MPEG-1 codes picture sizes in 12 bits.
+const MAX_FRAME_SIDE: usize = (1 << 12) - 1;
+
 /// Write a motion vector (two i16 components).
 pub(crate) fn save_mv(w: &mut SnapWriter, mv: MotionVector) {
     w.i16(mv.dx);
@@ -117,7 +125,8 @@ pub(crate) fn save_frame(w: &mut SnapWriter, f: &Frame) {
 pub(crate) fn load_frame(r: &mut SnapReader) -> Result<Frame, SnapError> {
     let width = r.usize()?;
     let height = r.usize()?;
-    if width == 0 || height == 0 || !width.is_multiple_of(16) || !height.is_multiple_of(16) {
+    let side_ok = |s: usize| s != 0 && s <= MAX_FRAME_SIDE && s.is_multiple_of(16);
+    if !side_ok(width) || !side_ok(height) {
         return Err(SnapError::Corrupt("frame geometry"));
     }
     let mut f = Frame::new(width, height);

@@ -212,7 +212,10 @@ impl VldTask {
         let cfg = VldTaskConfig {
             source: VldSource::load_state(r)?,
         };
-        let fetched = r.blob()?;
+        let fetched = r.blob(match cfg.source {
+            VldSource::Dram { len, .. } => len as usize,
+            VldSource::Port => snap::MAX_STREAM_BYTES,
+        })?;
         let source_done = r.bool()?;
         let port_token = r.u8()?;
         let port_mv = r.u8()?;

@@ -4,15 +4,21 @@
 //! after live reconfiguration has reshaped the tables relative to the
 //! fresh build receiving the checkpoint.
 
+use std::collections::BTreeMap;
+
 use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig};
+use eclipse_coprocs::cost::{DspCost, VldCost};
+use eclipse_coprocs::dsp::DspCoproc;
 use eclipse_coprocs::instance::{build_decode_system, DecodeSystem, InstanceCosts, MpegBuilder};
-use eclipse_core::{EclipseConfig, RunOutcome};
+use eclipse_coprocs::vld::VldCoproc;
+use eclipse_core::{Coprocessor, EclipseConfig, RunOutcome};
 use eclipse_media::encoder::{Encoder, EncoderConfig};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::stream::GopConfig;
 use eclipse_media::{audio, Decoder};
 use eclipse_mem::{BusConfig, DataFabricConfig};
 use eclipse_shell::SyncFabricConfig;
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 
 fn encode_test_stream(
     width: usize,
@@ -441,4 +447,133 @@ fn live_audio_churn_survives_roundtrip() {
         pcm_a, audio_ref,
         "audio decode must match the software codec"
     );
+}
+
+/// Every byte of off-chip memory, read in 1 MiB chunks.
+fn dram_chunks(dec: &mut DecodeSystem) -> Vec<Vec<u8>> {
+    let dram = dec.system.sys.dram_mut();
+    let size = dram.config().size;
+    let chunk = 1u32 << 20;
+    (0..size)
+        .step_by(chunk as usize)
+        .map(|addr| {
+            let mut buf = vec![0; chunk.min(size - addr) as usize];
+            dram.read(addr, &mut buf);
+            buf
+        })
+        .collect()
+}
+
+#[test]
+fn restore_into_the_running_system_matches_a_fresh_build() {
+    // The supervisor's rollback path: restore an earlier checkpoint into
+    // the system that ran past it, whose DRAM has since been written.
+    // Only a fresh build's untouched memory is known to be zero, so this
+    // is where a stale page would survive a restore.
+    let bs = encode_test_stream(64, 48, 8, GopConfig { n: 12, m: 3 }, 26);
+    let total = {
+        let mut dec = build_decode_system(EclipseConfig::default(), bs.clone());
+        dec.system.run(200_000_000).cycles
+    };
+
+    let mut running = build_decode_system(EclipseConfig::default(), bs.clone());
+    assert!(running.system.sys.run_until(total / 3).is_none());
+    let hash_at_save = running.system.sys.state_hash();
+    let bytes = running.system.sys.save();
+    assert!(running.system.sys.run_until(2 * total / 3).is_none());
+    // A page no decode touches, so the rollback must zero it.
+    running.system.sys.dram_mut().write(48 << 20, &[0xA5; 5000]);
+    assert_ne!(running.system.sys.state_hash(), hash_at_save);
+    running.system.sys.restore(&bytes).unwrap();
+
+    let mut fresh = build_decode_system(EclipseConfig::default(), bs);
+    fresh.system.sys.restore(&bytes).unwrap();
+    assert_eq!(running.system.sys.state_hash(), hash_at_save);
+    assert_eq!(fresh.system.sys.state_hash(), hash_at_save);
+    assert_eq!(running.system.sys.save(), bytes);
+    assert!(
+        dram_chunks(&mut running) == dram_chunks(&mut fresh),
+        "rolled-back DRAM differs from a fresh restore"
+    );
+
+    let (tail_a, digest_a) = finish_with_hashes(&mut running, total / 16);
+    let (tail_b, digest_b) = finish_with_hashes(&mut fresh, total / 16);
+    assert_eq!(tail_a, tail_b, "state-hash tails diverged after rollback");
+    assert_eq!(digest_a, digest_b);
+}
+
+/// Coprocessor state crafted to declare a 1 TiB blob: a length prefix,
+/// then one zero segment spanning it.
+fn huge_blob(w: &mut SnapWriter) {
+    w.usize(1 << 40);
+    w.u8(0);
+    w.usize(1 << 40);
+}
+
+fn assert_corrupt(c: &mut dyn Coprocessor, w: SnapWriter) {
+    let bytes = w.into_bytes();
+    let got = c.load_state(&mut SnapReader::new(&bytes));
+    assert!(matches!(got, Err(SnapError::Corrupt(_))), "{got:?}");
+}
+
+/// VLD state with no task configs and one task, its bitstream fetched
+/// from DRAM (`Some(len)`) or from a port (`None`).
+fn vld_task(dram_len: Option<u32>) -> SnapWriter {
+    let mut w = SnapWriter::new();
+    w.usize(0); // task configs
+    w.usize(1); // tasks
+    w.u8(0); // task index
+    match dram_len {
+        None => w.u8(1),
+        Some(len) => {
+            w.u8(0);
+            w.u32(0);
+            w.u32(len);
+        }
+    }
+    w
+}
+
+#[test]
+fn crafted_vld_fetch_buffer_is_corrupt_not_an_abort() {
+    let vld = || VldCoproc::new(VldCost::default(), BTreeMap::new());
+    for dram_len in [None, Some(100)] {
+        let mut w = vld_task(dram_len);
+        huge_blob(&mut w);
+        assert_corrupt(&mut vld(), w);
+    }
+    // A DRAM-sourced fetch buffer may not outgrow its stream.
+    let mut w = vld_task(Some(100));
+    w.blob(&[7; 101]);
+    assert_corrupt(&mut vld(), w);
+}
+
+/// DSP state with no task configs and one task of the given tag.
+fn dsp_task(tag: u8) -> SnapWriter {
+    let mut w = SnapWriter::new();
+    for _ in 0..5 {
+        w.usize(0); // source, vle, audio, demux configs; names
+    }
+    w.usize(1);
+    w.u8(0);
+    w.u8(tag);
+    w
+}
+
+#[test]
+fn crafted_dsp_sink_and_frames_are_corrupt_not_an_abort() {
+    let mut sink = dsp_task(3);
+    huge_blob(&mut sink);
+    assert_corrupt(&mut DspCoproc::new(DspCost::default()), sink);
+
+    // Display frames: sides must be nonzero multiples of 16 within
+    // MPEG-1's 12-bit picture size.
+    for (width, height) in [(1usize << 40, 16usize), (16, 1 << 40), (4096, 16), (0, 16)] {
+        let mut display = dsp_task(0);
+        display.usize(1); // frames
+        display.bool(true);
+        display.usize(width);
+        display.usize(height);
+        assert_corrupt(&mut DspCoproc::new(DspCost::default()), display);
+    }
 }

@@ -71,11 +71,29 @@ pub struct DramStats {
     pub wait: RunningStat,
 }
 
+/// Granule of the written-page map.
+const PAGE_BYTES: usize = 4096;
+
+/// Set the written-page bits covering `len` bytes at `addr`.
+fn mark_written(written: &mut [u64], addr: usize, len: usize) {
+    if len == 0 {
+        return;
+    }
+    for page in addr / PAGE_BYTES..=(addr + len - 1) / PAGE_BYTES {
+        written[page / 64] |= 1 << (page % 64);
+    }
+}
+
 /// The functional + timed DRAM model.
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,
     data: Vec<u8>,
+    /// One bit per `PAGE_BYTES` page of `data`, set by `write` and by
+    /// restore. A clear bit promises the page is all zero, so checkpoint
+    /// save and restore cost what a run wrote, not the whole capacity:
+    /// a fresh build's untouched pages are never even read.
+    written: Vec<u64>,
     open_rows: Vec<Option<u32>>,
     next_free: Cycle,
     stats: DramStats,
@@ -87,6 +105,7 @@ impl Dram {
         Dram {
             cfg,
             data: vec![0; cfg.size as usize],
+            written: vec![0; (cfg.size as usize).div_ceil(PAGE_BYTES).div_ceil(64)],
             open_rows: vec![None; cfg.banks as usize],
             next_free: 0,
             stats: DramStats::default(),
@@ -151,6 +170,11 @@ impl Dram {
     pub fn write(&mut self, addr: u32, buf: &[u8]) {
         let a = addr as usize;
         self.data[a..a + buf.len()].copy_from_slice(buf);
+        mark_written(&mut self.written, a, buf.len());
+    }
+
+    fn is_written(&self, page: usize) -> bool {
+        self.written[page / 64] >> (page % 64) & 1 == 1
     }
 
     /// Row-hit fraction over all transactions so far.
@@ -186,7 +210,7 @@ impl Snapshot for DramStats {
 
 impl Snapshot for Dram {
     fn save(&self, w: &mut SnapWriter) {
-        w.blob(&self.data);
+        w.blob_paged(&self.data, PAGE_BYTES, |page| self.is_written(page));
         w.usize(self.open_rows.len());
         for row in &self.open_rows {
             match row {
@@ -202,7 +226,19 @@ impl Snapshot for Dram {
     }
 
     fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.blob_into(&mut self.data)?;
+        // Zero what this run wrote; every other page is zero already.
+        for (i, word) in self.written.iter_mut().enumerate() {
+            while *word != 0 {
+                let start = (i * 64 + word.trailing_zeros() as usize) * PAGE_BYTES;
+                let end = (start + PAGE_BYTES).min(self.data.len());
+                self.data[start..end].fill(0);
+                *word &= *word - 1;
+            }
+        }
+        r.blob_literals(self.data.len(), |at, bytes| {
+            self.data[at..at + bytes.len()].copy_from_slice(bytes);
+            mark_written(&mut self.written, at, bytes.len());
+        })?;
         let banks = r.usize()?;
         if banks != self.open_rows.len() {
             return Err(SnapError::Corrupt("dram bank count"));
@@ -285,6 +321,55 @@ mod tests {
         let t2 = d.access(0, 0, 8);
         assert_eq!(t2.start, 10);
         assert_eq!(t2.wait, 10);
+    }
+
+    fn checkpoint(d: &Dram) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        d.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// The page-map invariant: every page with a clear bit is all zero.
+    fn assert_unwritten_pages_zero(d: &Dram) {
+        for (page, bytes) in d.data.chunks(PAGE_BYTES).enumerate() {
+            assert!(
+                d.is_written(page) || bytes.iter().all(|&b| b == 0),
+                "unwritten page {page} holds data"
+            );
+        }
+    }
+
+    #[test]
+    fn paged_save_matches_a_full_scan() {
+        let mut d = dram();
+        d.write(100, &[1; 300]);
+        d.write(4090, &[2; 12]); // straddles a page edge
+        d.write(8192, &[0; 64]); // written, but zero
+        d.write(0, &[]);
+        let mut full = SnapWriter::new();
+        full.blob(&d.data);
+        let paged = checkpoint(&d);
+        assert_eq!(&paged[..full.bytes().len()], full.bytes());
+        assert_unwritten_pages_zero(&d);
+    }
+
+    #[test]
+    fn restore_into_a_dirty_dram_matches_a_fresh_restore() {
+        let mut d = dram();
+        d.write(100, &[1; 300]);
+        d.write(4090, &[2; 12]);
+        let ck = checkpoint(&d);
+        // Run on: write new pages and overwrite saved ones.
+        d.write(3 * 8192, &[3; 5000]);
+        d.write(100, &[4; 10]);
+        d.load(&mut SnapReader::new(&ck)).unwrap();
+        let mut fresh = dram();
+        fresh.load(&mut SnapReader::new(&ck)).unwrap();
+        assert!(d.data == fresh.data, "dirty restore left stale bytes");
+        assert_eq!(d.written, fresh.written);
+        assert_unwritten_pages_zero(&d);
+        assert_eq!(checkpoint(&d), ck);
+        assert_eq!(checkpoint(&fresh), ck);
     }
 
     #[test]

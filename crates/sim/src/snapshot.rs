@@ -119,12 +119,12 @@ impl std::hash::Hasher for FnvHasher {
 /// save).
 const ZERO_RUN_MIN: usize = 32;
 
-/// Length of the zero run at the head of `data`. The blob encoder walks
-/// the entire 64 MiB mostly-zero DRAM on every `save`/`state_hash`, so
-/// this scan dominates the whole checkpoint cost. The first 64 bytes go
-/// a word at a time, which ends the short runs inside literal spans
-/// early; a longer run continues in 64-byte blocks, whose OR-fold the
-/// compiler vectorizes.
+/// Length of the zero run at the head of `data`. The blob encoder scans
+/// every byte it is not told is zero (all of SRAM and the frame planes,
+/// the written pages of DRAM), so this scan is most of the checkpoint
+/// cost. The first 64 bytes go a word at a time, which ends the short
+/// runs inside literal spans early; a longer run continues in 64-byte
+/// blocks, whose OR-fold the compiler vectorizes.
 fn zero_prefix(data: &[u8]) -> usize {
     let word_is_zero = |i: usize| u64::from_le_bytes(data[i..i + 8].try_into().unwrap()) == 0;
     let mut i = 0;
@@ -235,33 +235,68 @@ impl SnapWriter {
     ///
     /// Format: total length, then segments of `[tag][len]` where tag 0
     /// is a zero run and tag 1 a literal span followed by its bytes,
-    /// until the segment lengths sum to the total.
+    /// until the segment lengths sum to the total. Every segment is
+    /// nonempty.
     pub fn blob(&mut self, data: &[u8]) {
+        self.encode_blob(data, |i| {
+            if data[i] != 0 {
+                return 0;
+            }
+            zero_prefix(&data[i..])
+        });
+    }
+
+    /// [`SnapWriter::blob`] of a buffer that tracks which of its pages
+    /// (`page_bytes`, a power of two) were ever written. `written(p) ==
+    /// false` promises that page `p` is all zero, so it counts as zero
+    /// run without being read. The output is byte-identical to
+    /// `blob(data)`.
+    pub fn blob_paged(&mut self, data: &[u8], page_bytes: usize, written: impl Fn(usize) -> bool) {
+        assert!(page_bytes.is_power_of_two(), "page size {page_bytes}");
+        let shift = page_bytes.trailing_zeros();
+        self.encode_blob(data, |i| {
+            if written(i >> shift) && data[i] != 0 {
+                return 0;
+            }
+            let mut at = i;
+            while at < data.len() {
+                let page = at >> shift;
+                let end = ((page + 1) << shift).min(data.len());
+                if written(page) {
+                    let z = zero_prefix(&data[at..end]);
+                    if at + z < end {
+                        return at + z - i;
+                    }
+                }
+                at = end;
+            }
+            at - i
+        });
+    }
+
+    /// The blob encoder, reading `data` only through `zero_run(i)`: the
+    /// length of the zero run starting at byte `i` (0 when it is nonzero).
+    fn encode_blob(&mut self, data: &[u8], zero_run: impl Fn(usize) -> usize) {
         self.usize(data.len());
         let mut i = 0;
         while i < data.len() {
-            if data[i] == 0 {
-                let run = zero_prefix(&data[i..]);
-                if run >= ZERO_RUN_MIN || (i == 0 && i + run == data.len()) {
-                    self.u8(0);
-                    self.usize(run);
-                    i += run;
-                    continue;
-                }
-                // Short zero run: fold it into the following literal.
+            let run = zero_run(i);
+            // An all-zero blob is one zero segment, however short.
+            if run >= ZERO_RUN_MIN || run == data.len() {
+                self.u8(0);
+                self.usize(run);
+                i += run;
+                continue;
             }
+            // Literal span: absorb short zero runs, stop before a long one.
             let start = i;
+            i += run.max(1);
             while i < data.len() {
-                if data[i] == 0 {
-                    // Look ahead: only break the literal for a long run.
-                    let z = zero_prefix(&data[i..]);
-                    if z >= ZERO_RUN_MIN {
-                        break;
-                    }
-                    i += z;
-                } else {
-                    i += 1;
+                let z = zero_run(i);
+                if z >= ZERO_RUN_MIN {
+                    break;
                 }
+                i += z.max(1);
             }
             self.u8(1);
             self.usize(i - start);
@@ -326,8 +361,9 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a usize stored as u64; rejects values beyond the remaining
-    /// input (cheap corruption guard for length prefixes).
+    /// Read a usize stored as u64; rejects only values the host `usize`
+    /// cannot hold. A length prefix read this way is unchecked: bound it
+    /// before allocating (`take` bounds it by the remaining input).
     pub fn usize(&mut self) -> Result<usize, SnapError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapError::Corrupt("usize overflow"))
@@ -368,51 +404,70 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a zero-run-length-encoded blob (the [`SnapWriter::blob`]
-    /// counterpart).
-    pub fn blob(&mut self) -> Result<Vec<u8>, SnapError> {
+    /// counterpart) of at most `max` bytes. The bound is the caller's:
+    /// zero runs cost nine bytes of input each, so the input length alone
+    /// cannot bound the allocation.
+    pub fn blob(&mut self, max: usize) -> Result<Vec<u8>, SnapError> {
         let total = self.usize()?;
-        let mut out = Vec::with_capacity(total.min(1 << 26));
-        while out.len() < total {
-            let tag = self.u8()?;
-            let len = self.usize()?;
-            if len > total - out.len() {
-                return Err(SnapError::Corrupt("blob segment overruns total"));
-            }
-            match tag {
-                0 => out.resize(out.len() + len, 0),
-                1 => out.extend_from_slice(self.take(len)?),
-                _ => return Err(SnapError::Corrupt("blob segment tag")),
-            }
+        if total > max {
+            return Err(SnapError::Corrupt("blob longer than its bound"));
         }
+        let mut out = vec![0; total];
+        self.blob_segments(total, |at, bytes| {
+            out[at..at + bytes.len()].copy_from_slice(bytes)
+        })?;
         Ok(out)
     }
 
     /// Restore a blob directly into an existing buffer whose length must
     /// match (memory arrays never change size after build).
     pub fn blob_into(&mut self, dst: &mut [u8]) -> Result<(), SnapError> {
-        let total = self.usize()?;
-        if total != dst.len() {
+        let mut zeroed = 0;
+        self.blob_literals(dst.len(), |at, bytes| {
+            dst[zeroed..at].fill(0);
+            dst[at..at + bytes.len()].copy_from_slice(bytes);
+            zeroed = at + bytes.len();
+        })?;
+        dst[zeroed..].fill(0);
+        Ok(())
+    }
+
+    /// Decode a blob of exactly `len` bytes by its literal spans alone:
+    /// `literal(offset, bytes)` sees each in order, and the zero runs
+    /// between them are skipped. For a destination the caller knows is
+    /// zero wherever the blob has a zero run, so only literals are
+    /// written.
+    pub fn blob_literals(
+        &mut self,
+        len: usize,
+        literal: impl FnMut(usize, &'a [u8]),
+    ) -> Result<(), SnapError> {
+        if self.usize()? != len {
             return Err(SnapError::Corrupt("blob length mismatch"));
         }
+        self.blob_segments(len, literal)
+    }
+
+    /// Walk the segments of a blob whose `total` was just read. Every
+    /// segment is nonempty and ends within the total.
+    fn blob_segments(
+        &mut self,
+        total: usize,
+        mut literal: impl FnMut(usize, &'a [u8]),
+    ) -> Result<(), SnapError> {
         let mut filled = 0;
         while filled < total {
             let tag = self.u8()?;
             let len = self.usize()?;
+            if len == 0 {
+                return Err(SnapError::Corrupt("empty blob segment"));
+            }
             if len > total - filled {
                 return Err(SnapError::Corrupt("blob segment overruns total"));
             }
             match tag {
-                0 => {
-                    // Skip the write when the span is already zero: a
-                    // fresh build's memory is untouched copy-on-write
-                    // pages, and dirtying 64 MiB of them costs far more
-                    // than this read-only scan.
-                    let span = &mut dst[filled..filled + len];
-                    if zero_prefix(span) != span.len() {
-                        span.fill(0);
-                    }
-                }
-                1 => dst[filled..filled + len].copy_from_slice(self.take(len)?),
+                0 => {}
+                1 => literal(filled, self.take(len)?),
                 _ => return Err(SnapError::Corrupt("blob segment tag")),
             }
             filled += len;
@@ -508,7 +563,7 @@ mod tests {
         );
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.blob().unwrap(), data);
+        assert_eq!(r.blob(usize::MAX).unwrap(), data);
 
         let mut r2 = SnapReader::new(&bytes);
         let mut dst = vec![1u8; data.len()];
@@ -522,12 +577,15 @@ mod tests {
             let mut w = SnapWriter::new();
             w.blob(&data);
             let bytes = w.into_bytes();
-            assert_eq!(SnapReader::new(&bytes).blob().unwrap(), data);
+            assert_eq!(SnapReader::new(&bytes).blob(usize::MAX).unwrap(), data);
         }
         let mut w = SnapWriter::new();
         w.blob(&[]);
         let bytes = w.into_bytes();
-        assert_eq!(SnapReader::new(&bytes).blob().unwrap(), Vec::<u8>::new());
+        assert_eq!(
+            SnapReader::new(&bytes).blob(usize::MAX).unwrap(),
+            Vec::<u8>::new()
+        );
     }
 
     #[test]
@@ -566,7 +624,117 @@ mod tests {
         let bytes = w.into_bytes();
         // total + one literal segment header + payload.
         assert_eq!(bytes.len(), 8 + 1 + 8 + data.len());
-        assert_eq!(SnapReader::new(&bytes).blob().unwrap(), data.to_vec());
+        assert_eq!(
+            SnapReader::new(&bytes).blob(usize::MAX).unwrap(),
+            data.to_vec()
+        );
+    }
+
+    /// A blob header followed by `segments` of `(tag, len, payload)`.
+    fn crafted(total: usize, segments: &[(u8, usize, &[u8])]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.usize(total);
+        for &(tag, len, payload) in segments {
+            w.u8(tag);
+            w.usize(len);
+            w.raw(payload);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn oversized_blob_is_corrupt_not_an_allocation() {
+        // 1 TiB of zeros in 17 bytes: the bound rejects it before any
+        // allocation.
+        let bytes = crafted(1 << 40, &[(0, 1 << 40, &[])]);
+        assert_eq!(
+            SnapReader::new(&bytes).blob(1 << 20),
+            Err(SnapError::Corrupt("blob longer than its bound"))
+        );
+        // Within the bound it decodes.
+        let bytes = crafted(4096, &[(0, 4096, &[])]);
+        assert_eq!(SnapReader::new(&bytes).blob(4096).unwrap(), vec![0; 4096]);
+    }
+
+    #[test]
+    fn empty_and_overrunning_segments_are_corrupt() {
+        let cases = [
+            (
+                crafted(8, &[(1, 0, &[]), (1, 8, &[7; 8])]),
+                "empty blob segment",
+            ),
+            (
+                crafted(8, &[(0, 0, &[]), (0, 8, &[])]),
+                "empty blob segment",
+            ),
+            (
+                crafted(8, &[(1, 9, &[7; 9])]),
+                "blob segment overruns total",
+            ),
+            (
+                crafted(8, &[(0, 4, &[]), (1, usize::MAX, &[])]),
+                "blob segment overruns total",
+            ),
+        ];
+        for (bytes, what) in &cases {
+            let err = Err(SnapError::Corrupt(what));
+            assert_eq!(SnapReader::new(bytes).blob(8).map(|_| ()), err);
+            assert_eq!(SnapReader::new(bytes).blob_into(&mut [0; 8]), err);
+            let mut seen = 0;
+            let visited = SnapReader::new(bytes).blob_literals(8, |_, b| seen += b.len());
+            assert_eq!(visited, err);
+        }
+    }
+
+    #[test]
+    fn blob_literals_visits_only_the_literal_spans() {
+        let mut data = vec![0u8; 300];
+        data[40..45].copy_from_slice(&[1, 2, 3, 4, 5]);
+        data[299] = 9;
+        let mut w = SnapWriter::new();
+        w.blob(&data);
+        let bytes = w.into_bytes();
+        let mut spans = Vec::new();
+        SnapReader::new(&bytes)
+            .blob_literals(300, |at, b| spans.push((at, b.to_vec())))
+            .unwrap();
+        assert_eq!(spans, vec![(40, vec![1, 2, 3, 4, 5]), (299, vec![9])]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `blob_paged` must emit exactly `blob`'s bytes for any data and
+        /// any written-page set covering its nonzero pages. Small pages
+        /// make runs shorter and longer than `ZERO_RUN_MIN` straddle page
+        /// edges, and the length leaves a partial last page.
+        #[test]
+        fn blob_paged_matches_blob(
+            runs in proptest::collection::vec((any::<bool>(), 1usize..100), 0..40),
+            page_shift in 3u32..9,
+            extra_written in any::<u64>(),
+        ) {
+            let mut data = Vec::new();
+            for (literal, len) in runs {
+                let byte = |i: usize| if literal { (i % 255) as u8 + 1 } else { 0 };
+                data.extend((0..len).map(byte));
+            }
+            let page_bytes = 1usize << page_shift;
+            let pages = data.len().div_ceil(page_bytes);
+            let written: Vec<bool> = (0..pages)
+                .map(|p| {
+                    let nonzero = data[p * page_bytes..((p + 1) * page_bytes).min(data.len())]
+                        .iter()
+                        .any(|&b| b != 0);
+                    nonzero || extra_written >> (p % 64) & 1 == 1
+                })
+                .collect();
+            let mut plain = SnapWriter::new();
+            plain.blob(&data);
+            let mut paged = SnapWriter::new();
+            paged.blob_paged(&data, page_bytes, |p| written[p]);
+            prop_assert_eq!(plain.bytes(), paged.bytes());
+        }
     }
 
     #[test]
