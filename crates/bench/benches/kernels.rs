@@ -1,6 +1,7 @@
 //! Microbenchmarks of the functional kernels the coprocessors execute:
-//! DCT, quantization, run-length coding, VLC, motion search, the full
-//! software codec, and a shell GetSpace/PutSpace round trip. These keep
+//! DCT, quantization, run-length coding, VLC, motion search and the
+//! half-pel block kernel, the full software codec, and a shell
+//! GetSpace/PutSpace round trip. These keep
 //! the *simulator host speed* honest — the cycle model is separate.
 //!
 //! Runs as a plain `harness = false` binary (`cargo bench --bench
@@ -11,7 +12,7 @@ use std::hint::black_box;
 use eclipse_bench::microbench::bench;
 use eclipse_media::bits::{BitReader, BitWriter};
 use eclipse_media::dct::{fdct2d, idct2d};
-use eclipse_media::motion::{three_step_search_pred, MotionVector};
+use eclipse_media::motion::{fetch_block_half, sad_16x16, three_step_search_pred, MotionVector};
 use eclipse_media::quant::{dequant_intra, quant_intra};
 use eclipse_media::scan::{rle_decode, rle_encode};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
@@ -81,6 +82,21 @@ fn bench_motion() {
             15,
             &[MotionVector::default()],
         )
+    });
+    // The block kernel's two paths: an interior macroblock with a
+    // diagonal half-pel vector, and the corner macroblock with a vector
+    // pointing out of the frame (every sample clamped).
+    let diag = MotionVector { dx: 3, dy: -5 };
+    bench("motion/sad_16x16_interior", || {
+        sad_16x16(black_box(&f1), black_box(&f0), 5, 4, diag)
+    });
+    bench("motion/sad_16x16_edge", || {
+        sad_16x16(black_box(&f1), black_box(&f0), 0, 0, diag)
+    });
+    bench("motion/fetch_block_half_interior", || {
+        let mut out = [0i16; 64];
+        fetch_block_half(black_box(&f0.y), 5 * 32 + 3, 4 * 32 - 5, &mut out);
+        out
     });
 }
 

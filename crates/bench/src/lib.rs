@@ -45,6 +45,8 @@ pub use sweep::{par_sweep, sweep_threads, threads_flag, trace_annotation, trace_
 use eclipse_media::encoder::{EncodeStats, Encoder, EncoderConfig};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::stream::GopConfig;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A standard test stream: resolution, GOP, content parameters.
 #[derive(Debug, Clone, Copy)]
@@ -106,8 +108,35 @@ impl StreamSpec {
         .frames(self.frames)
     }
 
-    /// Encode the source into an elementary stream.
+    /// Encode the source into an elementary stream. Encoding is a pure
+    /// function of the spec, so each distinct spec is encoded once per
+    /// process; later calls, from any thread, get a copy.
     pub fn encode(&self) -> (Vec<u8>, EncodeStats) {
+        type Cache = Mutex<HashMap<[u64; 9], Arc<OnceLock<(Vec<u8>, EncodeStats)>>>>;
+        static CACHE: OnceLock<Cache> = OnceLock::new();
+        let key = [
+            self.width as u64,
+            self.height as u64,
+            self.frames as u64,
+            self.gop.n as u64,
+            self.gop.m as u64,
+            self.qscale as u64,
+            self.complexity.to_bits(),
+            self.motion.to_bits(),
+            self.seed,
+        ];
+        let cell = Arc::clone(
+            CACHE
+                .get_or_init(Default::default)
+                .lock()
+                .expect("no thread panics while holding the encode cache lock")
+                .entry(key)
+                .or_default(),
+        );
+        cell.get_or_init(|| self.encode_uncached()).clone()
+    }
+
+    fn encode_uncached(&self) -> (Vec<u8>, EncodeStats) {
         let enc = Encoder::new(EncoderConfig {
             width: self.width,
             height: self.height,
@@ -198,5 +227,41 @@ mod tests {
         );
         assert!(t.contains("| name      | value |") || t.contains("| name"));
         assert_eq!(t.lines().count(), 4);
+    }
+
+    /// The software encoder's output bytes, pinned by FNV-1a hash: the
+    /// two workhorse specs, and the time-shift mix's range-8 stream (9
+    /// QCIF frames, GOP n=9 m=3). Any slip in the motion kernels changes
+    /// the chosen vectors and fails here by name.
+    #[test]
+    fn encoder_output_bytes_are_pinned() {
+        use eclipse_sim::snapshot::fnv1a_64;
+        let timeshift = StreamSpec {
+            frames: 9,
+            gop: GopConfig { n: 9, m: 3 },
+            ..StreamSpec::qcif()
+        };
+        let range8 = Encoder::new(EncoderConfig {
+            width: timeshift.width,
+            height: timeshift.height,
+            qscale: timeshift.qscale,
+            gop: timeshift.gop,
+            search_range: 8,
+        })
+        .encode(&timeshift.source_frames())
+        .0;
+        let hashes = [
+            fnv1a_64(&StreamSpec::qcif().encode().0),
+            fnv1a_64(&StreamSpec::tiny().encode().0),
+            fnv1a_64(&range8),
+        ];
+        assert_eq!(
+            hashes,
+            [
+                0xa8de_7a83_1204_0a03,
+                0x8c33_7ae9_b2d9_bfd3,
+                0x1cae_9626_42d2_bcae
+            ]
+        );
     }
 }

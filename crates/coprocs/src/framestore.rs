@@ -9,6 +9,7 @@
 //! B pictures MC-bound in the paper's Figure 10.
 
 use eclipse_core::StepCtx;
+use eclipse_media::motion::SampleGrid;
 
 /// Which plane of a stored frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,7 +191,7 @@ impl FrameStore {
             }
         }
         // Materialize the 9x9 patch once, then interpolate from it.
-        let mut patch = [0i32; 81];
+        let mut patch = [0u8; 81];
         for y in 0..9 {
             let cy = cys[y];
             let trow = (cy / 8 - ty0) as usize * ntx;
@@ -198,27 +199,13 @@ impl FrameStore {
             for x in 0..9 {
                 let cx = cxs[x];
                 let tile = &tiles[trow + (cx / 8 - tx0) as usize];
-                patch[y * 9 + x] = tile[(prow + cx % 8) as usize] as i32;
+                patch[y * 9 + x] = tile[(prow + cx % 8) as usize];
             }
         }
         let mut out = [0i16; 64];
-        for y in 0..8 {
-            for x in 0..8 {
-                let a = patch[y * 9 + x];
-                let v = match (hx, hy) {
-                    (1, 0) => (a + patch[y * 9 + x + 1] + 1) >> 1,
-                    (0, 1) => (a + patch[(y + 1) * 9 + x] + 1) >> 1,
-                    _ => {
-                        (a + patch[y * 9 + x + 1]
-                            + patch[(y + 1) * 9 + x]
-                            + patch[(y + 1) * 9 + x + 1]
-                            + 2)
-                            >> 2
-                    }
-                };
-                out[y * 8 + x] = v as i16;
-            }
-        }
+        SampleGrid::new(&patch, 9, 9).half_rows(hx, hy, 8, 8, |y, row| {
+            out[y * 8..][..8].copy_from_slice(row)
+        });
         out
     }
 

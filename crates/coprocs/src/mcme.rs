@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
-use eclipse_media::motion::MotionVector;
+use eclipse_media::motion::{row_sad, MotionVector, SampleGrid};
 use eclipse_media::stream::PictureType;
 use eclipse_shell::{PortId, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -634,32 +634,22 @@ struct SearchWindow {
 }
 
 impl SearchWindow {
-    #[inline]
-    fn sample(&self, x: i32, y: i32) -> i32 {
-        let cx = (x - self.x0).clamp(0, self.w as i32 - 1) as usize;
-        let cy = (y - self.y0).clamp(0, self.h as i32 - 1) as usize;
-        self.data[cy * self.w + cx] as i32
+    fn grid(&self) -> SampleGrid<'_> {
+        SampleGrid::new(&self.data, self.w, self.h)
     }
+}
 
-    /// Half-pel sampling with the same MPEG rounding as the frame-store
-    /// fetch (the ME's cost estimates match what the MC will produce).
-    #[inline]
-    fn sample_half(&self, x2: i32, y2: i32) -> i32 {
-        let (xi, yi) = (x2 >> 1, y2 >> 1);
-        match (x2 & 1, y2 & 1) {
-            (0, 0) => self.sample(xi, yi),
-            (1, 0) => (self.sample(xi, yi) + self.sample(xi + 1, yi) + 1) >> 1,
-            (0, 1) => (self.sample(xi, yi) + self.sample(xi, yi + 1) + 1) >> 1,
-            _ => {
-                (self.sample(xi, yi)
-                    + self.sample(xi + 1, yi)
-                    + self.sample(xi, yi + 1)
-                    + self.sample(xi + 1, yi + 1)
-                    + 2)
-                    >> 2
-            }
-        }
-    }
+/// The tile-aligned luma rectangle `(x_lo, y_lo, x_hi, y_hi)` covering
+/// the search area of macroblock (mbx, mby) in a `w`×`h` frame, clamped
+/// to the frame.
+fn window_bounds(w: i32, h: i32, mbx: u32, mby: u32, range: i32) -> (i32, i32, i32, i32) {
+    // +2 margin: half-pel refinement reaches range+0.5 and interpolation
+    // needs one more sample.
+    let x_lo = ((mbx as i32 * 16 - range - 2).max(0) / 8) * 8;
+    let y_lo = ((mby as i32 * 16 - range - 2).max(0) / 8) * 8;
+    let x_hi = ((mbx as i32 * 16 + 16 + range + 2).min(w) + 7) / 8 * 8;
+    let y_hi = ((mby as i32 * 16 + 16 + range + 2).min(h) + 7) / 8 * 8;
+    (x_lo, y_lo, x_hi, y_hi)
 }
 
 /// Fetch the tile-aligned luma window covering the search area of
@@ -674,13 +664,8 @@ fn fetch_window(
 ) -> SearchWindow {
     let fs = &t.fs;
     let base = t.cfg.arena_base + slot * fs.slot_bytes();
-    let (w, h) = (t.cfg.width as i32, t.cfg.height as i32);
-    // +2 margin: half-pel refinement reaches range+0.5 and interpolation
-    // needs one more sample.
-    let x_lo = ((mbx as i32 * 16 - range - 2).max(0) / 8) * 8;
-    let y_lo = ((mby as i32 * 16 - range - 2).max(0) / 8) * 8;
-    let x_hi = ((mbx as i32 * 16 + 16 + range + 2).min(w) + 7) / 8 * 8;
-    let y_hi = ((mby as i32 * 16 + 16 + range + 2).min(h) + 7) / 8 * 8;
+    let (x_lo, y_lo, x_hi, y_hi) =
+        window_bounds(t.cfg.width as i32, t.cfg.height as i32, mbx, mby, range);
     let (ww, wh) = ((x_hi - x_lo) as usize, (y_hi - y_lo) as usize);
     let mut data = vec![0u8; ww * wh];
     let mut ty = y_lo;
@@ -716,18 +701,16 @@ fn window_sad(
     mby: u32,
     mv: MotionVector,
 ) -> u32 {
-    let (x20, y20) = (
-        mbx as i32 * 32 + mv.dx as i32,
-        mby as i32 * 32 + mv.dy as i32,
-    );
-    let mut sad = 0u32;
-    for y in 0..16i32 {
-        for x in 0..16i32 {
-            let blk = (y / 8 * 2 + x / 8) as usize;
-            let s = src[blk][((y % 8) * 8 + x % 8) as usize] as i32;
-            sad += (s - win.sample_half(x20 + 2 * x, y20 + 2 * y)).unsigned_abs();
-        }
-    }
+    // Half-pel position of the displaced block relative to the window;
+    // samples outside the window clamp to its border.
+    let x2 = mbx as i32 * 32 + mv.dx as i32 - 2 * win.x0;
+    let y2 = mby as i32 * 32 + mv.dy as i32 - 2 * win.y0;
+    let mut sad = 0;
+    win.grid().half_rows(x2, y2, 16, 16, |y, pred| {
+        let (left, right) = (&src[y / 8 * 2], &src[y / 8 * 2 + 1]);
+        let o = (y % 8) * 8;
+        sad += row_sad(&left[o..o + 8], &pred[..8]) + row_sad(&right[o..o + 8], &pred[8..]);
+    });
     sad
 }
 
@@ -1257,6 +1240,106 @@ impl Coprocessor for McMeCoproc {
             TaskKind::Mc(t) => step_mc(t, &cost, ctx),
             TaskKind::Me(t) => step_me(t, &cost, ctx),
             TaskKind::Recon(t) => step_recon(t, &cost, ctx),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eclipse_media::motion::sample_half;
+    use eclipse_media::Plane;
+    use proptest::prelude::*;
+
+    /// The window `fetch_window` would fetch, copied straight from `plane`.
+    fn window_of(plane: &Plane, mbx: u32, mby: u32, range: i32) -> SearchWindow {
+        let (w, h) = (plane.width as i32, plane.height as i32);
+        let (x_lo, y_lo, x_hi, y_hi) = window_bounds(w, h, mbx, mby, range);
+        let (ww, wh) = ((x_hi - x_lo) as usize, (y_hi - y_lo) as usize);
+        let mut data = Vec::with_capacity(ww * wh);
+        for y in y_lo..y_hi {
+            data.extend_from_slice(
+                &plane.data[y as usize * plane.width..][x_lo as usize..x_hi as usize],
+            );
+        }
+        SearchWindow {
+            x0: x_lo,
+            y0: y_lo,
+            w: ww,
+            h: wh,
+            data,
+        }
+    }
+
+    /// The clamped per-sample SAD: `window_sad` without the fast path.
+    /// Positions outside the window clamp to the window's border.
+    fn clamped_window_sad(
+        src: &[[i16; 64]; 6],
+        win: &SearchWindow,
+        mbx: u32,
+        mby: u32,
+        mv: MotionVector,
+    ) -> u32 {
+        let win_plane = Plane {
+            width: win.w,
+            height: win.h,
+            data: win.data.clone(),
+        };
+        let x2 = mbx as i32 * 32 + mv.dx as i32 - 2 * win.x0;
+        let y2 = mby as i32 * 32 + mv.dy as i32 - 2 * win.y0;
+        let mut sad = 0;
+        for y in 0..16i32 {
+            for x in 0..16i32 {
+                let s = src[(y / 8 * 2 + x / 8) as usize][((y % 8) * 8 + x % 8) as usize] as i32;
+                let r = sample_half(&win_plane, x2 + 2 * x, y2 + 2 * y) as i32;
+                sad += (s - r).unsigned_abs();
+            }
+        }
+        sad
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every macroblock of random frames (sizes: multiples of 16 up to
+        /// 64, or QCIF), its window for a random search range, and random
+        /// vectors out to ±(range + 2) full pels: the block kernel's SAD
+        /// equals the clamped per-sample SAD. Edge macroblocks give
+        /// windows clamped at 0 and at the frame edge; both must occur.
+        #[test]
+        fn window_sad_matches_clamped_path(
+            (w, h) in prop_oneof![
+                (1usize..=4, 1usize..=4).prop_map(|(w, h)| (w * 16, h * 16)),
+                Just((176usize, 144usize)),
+            ],
+            range in 1i32..=16,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = eclipse_sim::rng::SplitMix64::new(seed);
+            let mut next = || rng.next_u64();
+            let mut reference = Plane::new(w, h);
+            reference.data.iter_mut().for_each(|s| *s = next() as u8);
+            let (mut clamped_lo, mut clamped_hi) = (false, false);
+            for mby in 0..(h / 16) as u32 {
+                for mbx in 0..(w / 16) as u32 {
+                    let win = window_of(&reference, mbx, mby, range);
+                    clamped_lo |= win.x0 == 0 && win.y0 == 0;
+                    clamped_hi |= win.x0 + win.w as i32 == w as i32 && win.y0 + win.h as i32 == h as i32;
+                    let mut src = [[0i16; 64]; 6];
+                    src.iter_mut().flatten().for_each(|s| *s = (next() % 256) as i16);
+                    let lim = 2 * (range as u64 + 2);
+                    for _ in 0..8 {
+                        let mut c = || ((next() % (2 * lim + 1)) as i64 - lim as i64) as i16;
+                        let mv = MotionVector { dx: c(), dy: c() };
+                        prop_assert_eq!(
+                            window_sad(&src, &win, mbx, mby, mv),
+                            clamped_window_sad(&src, &win, mbx, mby, mv),
+                            "{}x{} mb ({}, {}) range {} mv {:?}", w, h, mbx, mby, range, mv
+                        );
+                    }
+                }
+            }
+            prop_assert!(clamped_lo && clamped_hi);
         }
     }
 }

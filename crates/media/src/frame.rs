@@ -33,15 +33,6 @@ impl Plane {
         }
     }
 
-    /// Sample at (x, y) with edge clamping (out-of-range coordinates are
-    /// clamped to the border, as MPEG motion compensation requires).
-    #[inline]
-    pub fn get_clamped(&self, x: isize, y: isize) -> u8 {
-        let x = x.clamp(0, self.width as isize - 1) as usize;
-        let y = y.clamp(0, self.height as isize - 1) as usize;
-        self.data[y * self.width + x]
-    }
-
     /// Sample at in-bounds (x, y).
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> u8 {
@@ -73,16 +64,6 @@ impl Plane {
             let row = (y0 + y) * self.width + x0;
             for x in 0..8 {
                 self.data[row + x] = block[y * 8 + x].clamp(0, 255) as u8;
-            }
-        }
-    }
-
-    /// Fetch an 8×8 block at arbitrary (possibly out-of-bounds) position
-    /// with edge clamping — the motion-compensation reference fetch.
-    pub fn get_block8_clamped(&self, x0: isize, y0: isize, out: &mut [i16; 64]) {
-        for y in 0..8 {
-            for x in 0..8 {
-                out[y * 8 + x] = self.get_clamped(x0 + x as isize, y0 + y as isize) as i16;
             }
         }
     }
@@ -242,18 +223,6 @@ mod tests {
         assert_eq!(p.get(0, 0), 0);
         assert_eq!(p.get(1, 0), 255);
         assert_eq!(p.get(2, 0), 128);
-    }
-
-    #[test]
-    fn clamped_fetch_replicates_edges() {
-        let mut p = Plane::new(8, 8);
-        p.set(0, 0, 11);
-        p.set(7, 7, 99);
-        assert_eq!(p.get_clamped(-5, -5), 11);
-        assert_eq!(p.get_clamped(100, 100), 99);
-        let mut block = [0i16; 64];
-        p.get_block8_clamped(-4, -4, &mut block);
-        assert_eq!(block[0], 11);
     }
 
     #[test]

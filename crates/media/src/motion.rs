@@ -45,31 +45,152 @@ impl MotionVector {
 /// sample), with MPEG rounding and edge clamping. This single function
 /// defines the interpolation for the whole codebase — software codec and
 /// coprocessor models alike — so all reconstruction paths agree bit for
-/// bit.
+/// bit. The block kernel [`SampleGrid::half_rows`] is built on the same
+/// rounding step (`interpolate`), and its interior fast path is checked
+/// against this per-sample path.
 #[inline]
 pub fn sample_half(plane: &Plane, x2: i32, y2: i32) -> i16 {
-    let xi = (x2 >> 1) as isize;
-    let yi = (y2 >> 1) as isize;
-    let hx = x2 & 1;
-    let hy = y2 & 1;
-    let a = plane.get_clamped(xi, yi) as i32;
-    match (hx, hy) {
-        (0, 0) => a as i16,
-        (1, 0) => {
-            let b = plane.get_clamped(xi + 1, yi) as i32;
-            ((a + b + 1) >> 1) as i16
-        }
-        (0, 1) => {
-            let c = plane.get_clamped(xi, yi + 1) as i32;
-            ((a + c + 1) >> 1) as i16
-        }
-        _ => {
-            let b = plane.get_clamped(xi + 1, yi) as i32;
-            let c = plane.get_clamped(xi, yi + 1) as i32;
-            let d = plane.get_clamped(xi + 1, yi + 1) as i32;
-            ((a + b + c + d + 2) >> 2) as i16
+    SampleGrid::of(plane).sample_half(x2, y2)
+}
+
+/// MPEG half-pel rounding for the half-sample phase `(HX, HY)`. `at(dx,
+/// dy)` reads the sample `dx` right of and `dy` below the integer part of
+/// the position; only the taps the phase needs are read.
+#[inline(always)]
+fn interpolate<const HX: usize, const HY: usize>(at: impl Fn(usize, usize) -> i32) -> i16 {
+    let v = match (HX, HY) {
+        (0, 0) => at(0, 0),
+        (1, 0) => (at(0, 0) + at(1, 0) + 1) >> 1,
+        (0, 1) => (at(0, 0) + at(0, 1) + 1) >> 1,
+        _ => (at(0, 0) + at(1, 0) + at(0, 1) + at(1, 1) + 2) >> 2,
+    };
+    v as i16
+}
+
+/// A borrowed row-major grid of 8-bit samples read with edge clamping: a
+/// [`Plane`], the ME's fetched search window, or the frame store's
+/// gathered patch. Every motion sampler goes through it.
+#[derive(Debug, Clone, Copy)]
+pub struct SampleGrid<'a> {
+    data: &'a [u8],
+    width: usize,
+    height: usize,
+}
+
+impl<'a> SampleGrid<'a> {
+    /// A `width`×`height` grid over `data` (row-major, non-empty).
+    pub fn new(data: &'a [u8], width: usize, height: usize) -> Self {
+        assert!(width > 0 && height > 0 && data.len() == width * height);
+        SampleGrid {
+            data,
+            width,
+            height,
         }
     }
+
+    /// The grid of `plane`'s samples.
+    pub fn of(plane: &'a Plane) -> Self {
+        SampleGrid::new(&plane.data, plane.width, plane.height)
+    }
+
+    #[inline]
+    fn clamped(&self, x: i32, y: i32) -> i32 {
+        let x = x.clamp(0, self.width as i32 - 1) as usize;
+        let y = y.clamp(0, self.height as i32 - 1) as usize;
+        self.data[y * self.width + x] as i32
+    }
+
+    /// The sample at half-pel `(x2, y2)`, clamped at the edges: the
+    /// per-sample path of [`sample_half`].
+    #[inline]
+    fn sample_half(&self, x2: i32, y2: i32) -> i16 {
+        let (xi, yi) = (x2 >> 1, y2 >> 1);
+        let at = |dx: usize, dy: usize| self.clamped(xi + dx as i32, yi + dy as i32);
+        match (x2 & 1, y2 & 1) {
+            (0, 0) => interpolate::<0, 0>(at),
+            (1, 0) => interpolate::<1, 0>(at),
+            (0, 1) => interpolate::<0, 1>(at),
+            _ => interpolate::<1, 1>(at),
+        }
+    }
+
+    /// Visit the rows of the `w`×`h` block (`w` ≤ 16) whose top-left
+    /// sample sits at half-pel `(x2, y2)`: `row(y, samples)` gets row `y`
+    /// as `w` interpolated samples, the same values [`Self::sample_half`]
+    /// gives each position.
+    ///
+    /// When the block and the one extra column/row its half-pel phase
+    /// reads lie inside the grid, rows are read as direct slices with one
+    /// loop per phase; any other block takes the clamped per-sample path.
+    #[inline]
+    pub fn half_rows(&self, x2: i32, y2: i32, w: usize, h: usize, row: impl FnMut(usize, &[i16])) {
+        assert!(w <= 16, "half_rows handles rows of up to 16 samples");
+        let (xi, yi) = (x2 >> 1, y2 >> 1);
+        let (hx, hy) = ((x2 & 1) as usize, (y2 & 1) as usize);
+        let inside = xi >= 0
+            && yi >= 0
+            && xi as usize + w + hx <= self.width
+            && yi as usize + h + hy <= self.height;
+        if !inside {
+            return self.clamped_rows(x2, y2, w, h, row);
+        }
+        let (x, y) = (xi as usize, yi as usize);
+        match (hx, hy) {
+            (0, 0) => self.interior_rows::<0, 0>(x, y, w, h, row),
+            (1, 0) => self.interior_rows::<1, 0>(x, y, w, h, row),
+            (0, 1) => self.interior_rows::<0, 1>(x, y, w, h, row),
+            _ => self.interior_rows::<1, 1>(x, y, w, h, row),
+        }
+    }
+
+    fn clamped_rows(
+        &self,
+        x2: i32,
+        y2: i32,
+        w: usize,
+        h: usize,
+        mut row: impl FnMut(usize, &[i16]),
+    ) {
+        let mut buf = [0i16; 16];
+        for y in 0..h {
+            for (x, v) in buf[..w].iter_mut().enumerate() {
+                *v = self.sample_half(x2 + 2 * x as i32, y2 + 2 * y as i32);
+            }
+            row(y, &buf[..w]);
+        }
+    }
+
+    #[inline(always)]
+    fn interior_rows<const HX: usize, const HY: usize>(
+        &self,
+        x: usize,
+        y: usize,
+        w: usize,
+        h: usize,
+        mut row: impl FnMut(usize, &[i16]),
+    ) {
+        let mut buf = [0i16; 16];
+        for r in 0..h {
+            let top = &self.data[(y + r) * self.width + x..][..w + HX];
+            let below = &self.data[(y + r + HY) * self.width + x..][..w + HX];
+            for (i, v) in buf[..w].iter_mut().enumerate() {
+                *v = interpolate::<HX, HY>(|dx, dy| {
+                    (if dy == 0 { top } else { below })[i + dx] as i32
+                });
+            }
+            row(r, &buf[..w]);
+        }
+    }
+}
+
+/// Sum of absolute differences between a source row and a row of
+/// predicted samples.
+#[inline]
+pub fn row_sad<T: Copy + Into<i32>>(src: &[T], pred: &[i16]) -> u32 {
+    src.iter()
+        .zip(pred)
+        .map(|(&s, &p)| (s.into() - p as i32).unsigned_abs())
+        .sum()
 }
 
 /// How a macroblock is predicted.
@@ -89,20 +210,16 @@ pub enum PredictionMode {
 /// (mbx, mby) of `cur` and the (possibly out-of-bounds, edge-clamped)
 /// block displaced by `mv` in `reference`.
 pub fn sad_16x16(cur: &Frame, reference: &Frame, mbx: usize, mby: usize, mv: MotionVector) -> u32 {
-    let x0 = (mbx * MB_SIZE) as i32;
-    let y0 = (mby * MB_SIZE) as i32;
-    let mut sad: u32 = 0;
-    for y in 0..MB_SIZE as i32 {
-        for x in 0..MB_SIZE as i32 {
-            let c = cur.y.get((x0 + x) as usize, (y0 + y) as usize) as i32;
-            let r = sample_half(
-                &reference.y,
-                (x0 + x) * 2 + mv.dx as i32,
-                (y0 + y) * 2 + mv.dy as i32,
-            ) as i32;
-            sad += (c - r).unsigned_abs();
-        }
-    }
+    let (x0, y0) = (mbx * MB_SIZE, mby * MB_SIZE);
+    let cur = &cur.y;
+    let mut sad = 0;
+    SampleGrid::of(&reference.y).half_rows(
+        x0 as i32 * 2 + mv.dx as i32,
+        y0 as i32 * 2 + mv.dy as i32,
+        MB_SIZE,
+        MB_SIZE,
+        |y, pred| sad += row_sad(&cur.data[(y0 + y) * cur.width + x0..][..MB_SIZE], pred),
+    );
     sad
 }
 
@@ -282,11 +399,9 @@ fn fetch_pred(
 /// Fetch an 8×8 block whose top-left corner sits at half-pel coordinates
 /// `(x2, y2)` of `plane`, interpolating as needed.
 pub fn fetch_block_half(plane: &Plane, x2: i32, y2: i32, out: &mut [i16; 64]) {
-    for y in 0..8 {
-        for x in 0..8 {
-            out[(y * 8 + x) as usize] = sample_half(plane, x2 + 2 * x, y2 + 2 * y);
-        }
-    }
+    SampleGrid::of(plane).half_rows(x2, y2, 8, 8, |y, row| {
+        out[y * 8..][..8].copy_from_slice(row)
+    });
 }
 
 #[inline]
@@ -424,6 +539,18 @@ mod tests {
     }
 
     #[test]
+    fn clamped_sampling_replicates_edges() {
+        let mut p = Plane::new(8, 8);
+        p.set(0, 0, 11);
+        p.set(7, 7, 99);
+        assert_eq!(sample_half(&p, -10, -10), 11);
+        assert_eq!(sample_half(&p, 200, 200), 99);
+        let mut block = [0i16; 64];
+        fetch_block_half(&p, -8, -8, &mut block);
+        assert_eq!(block[0], 11);
+    }
+
+    #[test]
     fn search_refines_to_half_pel() {
         // Current frame = reference shifted by exactly half a sample
         // (each pixel the average of two neighbours).
@@ -508,5 +635,130 @@ mod tests {
             )),
             768
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Frame sizes: every multiple of 16 up to 64 on each axis, plus QCIF.
+    fn frame_size() -> impl Strategy<Value = (usize, usize)> {
+        prop_oneof![
+            (1usize..=4, 1usize..=4).prop_map(|(w, h)| (w * 16, h * 16)),
+            Just((176, 144)),
+        ]
+    }
+
+    /// SplitMix64 stream for plane contents and vectors.
+    fn rng(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    fn random_frame(width: usize, height: usize, next: &mut impl FnMut() -> u64) -> Frame {
+        let mut f = Frame::new(width, height);
+        for p in [&mut f.y, &mut f.u, &mut f.v] {
+            p.data.iter_mut().for_each(|s| *s = next() as u8);
+        }
+        f
+    }
+
+    /// A half-pel vector with components out to ±(range + 2) full pels.
+    fn random_vector(range: u8, next: &mut impl FnMut() -> u64) -> MotionVector {
+        let lim = 2 * (range as i64 + 2);
+        let mut c = || ((next() % (2 * lim as u64 + 1)) as i64 - lim) as i16;
+        MotionVector { dx: c(), dy: c() }
+    }
+
+    /// The clamped per-sample SAD: `sad_16x16` without the fast path.
+    fn clamped_sad(
+        cur: &Frame,
+        reference: &Frame,
+        mbx: usize,
+        mby: usize,
+        mv: MotionVector,
+    ) -> u32 {
+        let (x0, y0) = ((mbx * MB_SIZE) as i32, (mby * MB_SIZE) as i32);
+        let mut sad = 0;
+        for y in 0..MB_SIZE as i32 {
+            for x in 0..MB_SIZE as i32 {
+                let c = cur.y.get((x0 + x) as usize, (y0 + y) as usize) as i32;
+                let r = sample_half(
+                    &reference.y,
+                    (x0 + x) * 2 + mv.dx as i32,
+                    (y0 + y) * 2 + mv.dy as i32,
+                ) as i32;
+                sad += (c - r).unsigned_abs();
+            }
+        }
+        sad
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every macroblock (so every edge and corner one) of random
+        /// frames, under random vectors: the block kernel's SAD equals the
+        /// clamped per-sample SAD, whichever path it takes.
+        #[test]
+        fn sad_16x16_matches_clamped_path(
+            (w, h) in frame_size(),
+            range in 1u8..=16,
+            seed in any::<u64>(),
+        ) {
+            let mut next = rng(seed);
+            let cur = random_frame(w, h, &mut next);
+            let reference = random_frame(w, h, &mut next);
+            for mby in 0..h / MB_SIZE {
+                for mbx in 0..w / MB_SIZE {
+                    for _ in 0..8 {
+                        let mv = random_vector(range, &mut next);
+                        prop_assert_eq!(
+                            sad_16x16(&cur, &reference, mbx, mby, mv),
+                            clamped_sad(&cur, &reference, mbx, mby, mv),
+                            "{}x{} mb ({}, {}) mv {:?}", w, h, mbx, mby, mv
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Every 8×8 block of each plane, displaced by random vectors:
+        /// `fetch_block_half` equals `sample_half` at each position.
+        #[test]
+        fn fetch_block_half_matches_clamped_path(
+            (w, h) in frame_size(),
+            range in 1u8..=16,
+            seed in any::<u64>(),
+        ) {
+            let mut next = rng(seed);
+            let f = random_frame(w, h, &mut next);
+            for plane in [&f.y, &f.u, &f.v] {
+                for by in 0..plane.height / 8 {
+                    for bx in 0..plane.width / 8 {
+                        for _ in 0..4 {
+                            let mv = random_vector(range, &mut next);
+                            let (x2, y2) = (bx as i32 * 16 + mv.dx as i32, by as i32 * 16 + mv.dy as i32);
+                            let mut out = [0i16; 64];
+                            fetch_block_half(plane, x2, y2, &mut out);
+                            for (i, &v) in out.iter().enumerate() {
+                                let (x, y) = ((i % 8) as i32, (i / 8) as i32);
+                                prop_assert_eq!(
+                                    v,
+                                    sample_half(plane, x2 + 2 * x, y2 + 2 * y),
+                                    "{}x{} block ({}, {}) mv {:?} sample {}", plane.width, plane.height, bx, by, mv, i
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
