@@ -14,7 +14,7 @@ use eclipse_media::bits::{BitReader, BitWriter};
 use eclipse_media::dct::{fdct2d, idct2d};
 use eclipse_media::motion::{fetch_block_half, sad_16x16, three_step_search_pred, MotionVector};
 use eclipse_media::quant::{dequant_intra, quant_intra};
-use eclipse_media::scan::{rle_decode, rle_encode};
+use eclipse_media::scan::{rle_decode, rle_encode, RunLevel};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::vlc::{get_block, put_block};
 
@@ -59,7 +59,9 @@ fn bench_vlc() {
     let bytes = w.finish();
     bench("vlc/decode_block", || {
         let mut r = BitReader::new(black_box(&bytes));
-        get_block(&mut r).unwrap()
+        let mut out = [RunLevel::default(); 64];
+        let (n, _) = get_block(&mut r, &mut out).unwrap();
+        (out, n)
     });
 }
 

@@ -12,6 +12,7 @@
 
 use eclipse_bench::{save_result, table, StreamSpec};
 use eclipse_media::bits::BitReader;
+use eclipse_media::scan::RunLevel;
 use eclipse_media::stream::{
     peek_marker, read_mb_header, read_picture_header, read_sequence_header, MARKER_END,
 };
@@ -43,8 +44,8 @@ fn per_mb_stats(bitstream: &[u8]) -> (RunningStat, RunningStat) {
                     let _ = get_sev(&mut r).unwrap();
                     mb_coefs += 1;
                 }
-                let (symbols, _) = get_block(&mut r).unwrap();
-                mb_coefs += symbols.len() as u64;
+                let (n, _) = get_block(&mut r, &mut [RunLevel::default(); 64]).unwrap();
+                mb_coefs += n as u64;
             }
             bits.record((r.bit_pos() - start) as f64);
             coefs.record(mb_coefs as f64);

@@ -1,0 +1,130 @@
+//! Allocation guard for the event loop. A decode or pipeline step and
+//! its `putspace` routing allocate nothing on the heap, so the
+//! allocations of a run do not grow with the packets it moves.
+//!
+//! A counting global allocator records the allocations and reallocations
+//! made on the calling thread (tests run on parallel threads).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use eclipse_bench::synthetic::PipeCoproc;
+use eclipse_bench::StreamSpec;
+use eclipse_coprocs::build_decode_system;
+use eclipse_core::{EclipseConfig, EclipseSystem, RunOutcome, SystemBuilder};
+use eclipse_kpn::GraphBuilder;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // No destructor and a const initializer: this never allocates, and
+    // `try_with` only fails during thread teardown, when nothing counts.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; counting touches only
+// a thread-local integer.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, which is `System`, with
+        // `layout`; the caller upholds the rest of `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations and reallocations made on this thread while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// A source → filter → sink pipeline moving `packets` 64-byte packets.
+fn pipeline(packets: u32) -> EclipseSystem {
+    let mut g = GraphBuilder::new("pipe");
+    let a = g.stream("a", 256);
+    let b = g.stream("b", 256);
+    g.task("src", "src", 0, &[], &[a]);
+    g.task("mid", "mid", 0, &[a], &[b]);
+    g.task("dst", "dst", 0, &[b], &[]);
+    let mut builder = SystemBuilder::new(EclipseConfig::default());
+    builder.add_coprocessor(Box::new(PipeCoproc::source("src", packets, 64, 40)));
+    builder.add_coprocessor(Box::new(PipeCoproc::filter("mid", packets, 64, 60)));
+    builder.add_coprocessor(Box::new(PipeCoproc::sink("dst", packets, 64, 30)));
+    builder.map_app(&g.build().unwrap()).unwrap();
+    builder.build()
+}
+
+/// `(allocations, cycles)` of one run.
+fn run_allocations(packets: u32) -> (u64, u64) {
+    let mut sys = pipeline(packets);
+    let (n, summary) = allocations_in(|| sys.run(u64::MAX));
+    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    (n, summary.cycles)
+}
+
+/// Allocations the extra 2,000 packets (6,000 steps) may cost: none per
+/// step, so what remains is the sampler's name buffer (one tick every
+/// 2,048 cycles, 75 more ticks here) and amortized growth of the sampled
+/// series; 91 measured. Allocating once per step would cost 6,000.
+const EXTRA_BOUND: u64 = 200;
+
+#[test]
+fn extra_packets_cost_no_allocations_per_step() {
+    const N: u32 = 2_000;
+    let (once, cycles_once) = run_allocations(N);
+    let (twice, cycles_twice) = run_allocations(2 * N);
+    let extra = twice.saturating_sub(once);
+    println!(
+        "allocations per run: {N} packets {once} ({cycles_once} cycles), \
+         {} packets {twice} ({cycles_twice} cycles)",
+        2 * N
+    );
+    assert!(
+        extra <= EXTRA_BOUND,
+        "{N} extra packets cost {extra} allocations (bound {EXTRA_BOUND})"
+    );
+}
+
+/// Allocations the QCIF decode's run may make. No step allocates; what
+/// remains is the calendar's wheel slots, each allocated on first use
+/// (4,096 slots), and the sampler's name buffer and series growth (one
+/// tick every 2,048 cycles); 5,077 measured. One allocation per
+/// macroblock in a single task (1,485) would exceed it.
+const QCIF_BOUND: u64 = 6_000;
+
+#[test]
+fn qcif_decode_steps_allocate_nothing() {
+    let (bitstream, _) = StreamSpec::qcif().encode();
+    let mut sys = build_decode_system(EclipseConfig::default(), bitstream).system;
+    let (n, summary) = allocations_in(|| sys.run(u64::MAX));
+    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    println!("qcif decode: {n} allocations per run");
+    assert!(n <= QCIF_BOUND, "{n} allocations (bound {QCIF_BOUND})");
+}

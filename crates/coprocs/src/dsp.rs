@@ -1179,7 +1179,7 @@ fn step_display(t: &mut DisplayTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
             }
             let mut tagb = [0u8; 1];
             r.read(ctx, &mut tagb);
-            let mut pix = vec![0u8; records::PIX_REC_BYTES as usize];
+            let mut pix = [0u8; records::PIX_REC_BYTES as usize];
             r.read(ctx, &mut pix);
             r.commit(ctx);
             ctx.compute(cost.per_record + records::PIX_REC_BYTES as u64 * cost.per_byte);

@@ -96,10 +96,20 @@ impl StepReader {
     }
 }
 
-/// Staged writer for one output port within one processing step.
+/// Bytes a [`StepWriter`] stages inline before it moves to the heap:
+/// more than any model writes to one port in one step (the largest, a
+/// macroblock token record from the VLD or QRL task, is under 1.2 KiB).
+const STAGE_INLINE: usize = 2048;
+
+/// Staged writer for one output port within one processing step. Stages
+/// into an inline buffer, so a step allocates nothing unless it writes
+/// more than [`STAGE_INLINE`] bytes to one port.
 pub struct StepWriter {
     port: PortId,
-    staged: Vec<u8>,
+    len: usize,
+    inline: [u8; STAGE_INLINE],
+    /// Everything staged, once `len` outgrows `inline`; empty until then.
+    spill: Vec<u8>,
 }
 
 impl StepWriter {
@@ -107,37 +117,57 @@ impl StepWriter {
     pub fn new(port: PortId) -> Self {
         StepWriter {
             port,
-            staged: Vec::new(),
+            len: 0,
+            inline: [0; STAGE_INLINE],
+            spill: Vec::new(),
         }
     }
 
     /// Stage bytes for output (no shell interaction yet).
     pub fn stage(&mut self, data: &[u8]) {
-        self.staged.extend_from_slice(data);
+        let end = self.len + data.len();
+        if end <= STAGE_INLINE {
+            self.inline[self.len..end].copy_from_slice(data);
+        } else {
+            if self.len <= STAGE_INLINE {
+                self.spill.extend_from_slice(&self.inline[..self.len]);
+            }
+            self.spill.extend_from_slice(data);
+        }
+        self.len = end;
+    }
+
+    /// The bytes staged so far.
+    fn staged(&self) -> &[u8] {
+        if self.len <= STAGE_INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
     }
 
     /// Bytes staged so far.
     pub fn staged_len(&self) -> u32 {
-        self.staged.len() as u32
+        self.len as u32
     }
 
     /// Ask for the output window covering everything staged. Returns
     /// false if the room is not available (caller should return
     /// `Blocked`; the staged data is discarded with the helper).
     pub fn reserve(&self, ctx: &mut StepCtx<'_>) -> bool {
-        if self.staged.is_empty() {
+        if self.len == 0 {
             return true;
         }
-        ctx.get_space(self.port, self.staged.len() as u32)
+        ctx.get_space(self.port, self.len as u32)
     }
 
     /// Write and commit the staged bytes. `reserve` must have succeeded.
     pub fn commit(self, ctx: &mut StepCtx<'_>) {
-        if self.staged.is_empty() {
+        if self.len == 0 {
             return;
         }
-        ctx.write(self.port, 0, &self.staged);
-        ctx.put_space(self.port, self.staged.len() as u32);
+        ctx.write(self.port, 0, self.staged());
+        ctx.put_space(self.port, self.len as u32);
     }
 }
 
@@ -246,6 +276,17 @@ mod tests {
             self.received.push(payload);
             StepResult::Done
         }
+    }
+
+    #[test]
+    fn staging_past_the_inline_buffer_keeps_every_byte() {
+        let mut w = StepWriter::new(0);
+        let data: Vec<u8> = (0..STAGE_INLINE as u32 + 300).map(|i| i as u8).collect();
+        for chunk in data.chunks(700) {
+            w.stage(chunk);
+        }
+        assert_eq!(w.staged_len() as usize, data.len());
+        assert_eq!(w.staged(), &data[..]);
     }
 
     #[test]

@@ -261,6 +261,7 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
             let mut coefs: u64 = 0;
             let mut blocks: u64 = 0;
             let mut corrupt = false;
+            let mut symbols = [RunLevel::default(); 64];
             for blk in 0..6 {
                 if cbp & (1 << (5 - blk)) == 0 {
                     continue;
@@ -299,16 +300,16 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
                 if !r.need(ctx, nsym * 3) {
                     return StepResult::Blocked;
                 }
-                let mut symbols = Vec::with_capacity(nsym as usize);
-                for _ in 0..nsym {
+                let symbols = &mut symbols[..nsym as usize];
+                for s in symbols.iter_mut() {
                     let mut sb = [0u8; 3];
                     r.read(ctx, &mut sb);
-                    symbols.push(RunLevel {
+                    *s = RunLevel {
                         run: sb[0],
                         level: i16::from_le_bytes([sb[1], sb[2]]),
-                    });
+                    };
                 }
-                let mut levels = match rle_decode(&symbols) {
+                let mut levels = match rle_decode(symbols) {
                     Ok(levels) => levels,
                     Err(_) => {
                         // Run/level data overflows the block: zero it.

@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::bits::BitReader;
 use eclipse_media::motion::PredictionMode;
+use eclipse_media::scan::RunLevel;
 use eclipse_media::stream::{
     read_mb_header, read_picture_header, read_sequence_header, SequenceHeader, MARKER_END,
     MARKER_PIC, MARKER_SEQ,
@@ -329,9 +330,9 @@ impl VldCoproc {
                 while t.fetched.len() < want {
                     let chunk = (cost.fetch_chunk as usize).min(len as usize - t.fetched.len());
                     let a = addr + t.fetched.len() as u32;
-                    let mut buf = vec![0u8; chunk];
-                    ctx.dram_read(a, &mut buf);
-                    t.fetched.extend_from_slice(&buf);
+                    let start = t.fetched.len();
+                    t.fetched.resize(start + chunk, 0);
+                    ctx.dram_read(a, &mut t.fetched[start..]);
                 }
                 true
             }
@@ -650,6 +651,7 @@ impl Coprocessor for VldCoproc {
 
                 // Parse coefficient data, staging the DC predictor state.
                 let mut dc_pred = t.dc_pred;
+                let mut symbols = [RunLevel::default(); 64];
                 let mut parse_ok = true;
                 'blocks: for blk in 0..6 {
                     if mb.cbp & (1 << (5 - blk)) == 0 {
@@ -674,15 +676,15 @@ impl Coprocessor for VldCoproc {
                         dc_pred[comp] = dc;
                         w_tok.stage(&dc.to_le_bytes());
                     }
-                    let symbols = match get_block(&mut r) {
-                        Ok((s, _)) => s,
+                    let n = match get_block(&mut r, &mut symbols) {
+                        Ok((n, _)) => n,
                         Err(_) => {
                             parse_ok = false;
                             break 'blocks;
                         }
                     };
-                    w_tok.stage(&(symbols.len() as u16).to_le_bytes());
-                    for s in &symbols {
+                    w_tok.stage(&(n as u16).to_le_bytes());
+                    for s in &symbols[..n] {
                         w_tok.stage(&[s.run]);
                         w_tok.stage(&s.level.to_le_bytes());
                     }

@@ -212,6 +212,11 @@ pub struct EclipseSystem {
     /// scheduled; guards resumed runs against double kickoff.
     started: bool,
     cal: Calendar<Event>,
+    /// The `putspace` messages of the step in progress: lent to each
+    /// [`StepCtx`](crate::coproc::StepCtx) and drained by the run loop,
+    /// so steps reuse one buffer. Always empty between events; not
+    /// simulation state.
+    step_msgs: Vec<SyncMsg>,
     idle_since: Vec<Option<Cycle>>,
     utilization: Vec<Utilization>,
     trace: TraceLog,

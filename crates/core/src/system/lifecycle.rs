@@ -400,13 +400,15 @@ impl EclipseSystem {
             if pending == 0 {
                 break;
             }
-            match self.cal.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step_event();
+            match self.cal.pop_at_most(deadline) {
+                Ok((now, ev)) => {
+                    // A task that finishes here is seen by the next
+                    // `run_until`, which scans on entry.
+                    self.step_event(now, ev);
                 }
                 // No events left, or the next one is past the deadline:
                 // the in-flight syncs cannot quiesce in time.
-                _ => {
+                Err(_) => {
                     return Err(ReconfigError::DrainTimeout {
                         app: name.to_string(),
                         waited: self.cal.now().saturating_sub(start),

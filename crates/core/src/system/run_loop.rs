@@ -41,22 +41,22 @@ impl EclipseSystem {
         }
     }
 
-    /// Pop the next calendar event, process it, and check credit
-    /// conservation — the one place events are handled (shared by
-    /// [`EclipseSystem::run_until`] and the drain pump). The caller has
-    /// peeked a pending event; returns its time.
-    pub(crate) fn step_event(&mut self) -> Cycle {
-        let (now, ev) = self.cal.pop().expect("caller peeked an event");
-        self.handle_event(now, ev);
+    /// Process one popped calendar event and check credit conservation
+    /// — the one place events are handled (shared by
+    /// [`EclipseSystem::run_until`] and the drain pump). Returns true when
+    /// the event finished a task, the only way an event can complete the
+    /// run.
+    pub(crate) fn step_event(&mut self, now: Cycle, ev: Event) -> bool {
+        let finished = self.handle_event(now, ev);
         if self.credit_check {
             self.verify_credits(now);
         }
-        now
+        finished
     }
 
-    fn handle_event(&mut self, now: Cycle, ev: Event) {
+    fn handle_event(&mut self, now: Cycle, ev: Event) -> bool {
         match ev {
-            Event::Step(s) => self.do_step(s, now),
+            Event::Step(s) => return self.do_step(s, now),
             Event::Sync(msg) => {
                 let dst = msg.dst.shell.0 as usize;
                 self.pending_syncs.dec(dst, msg.dst.row.0);
@@ -93,6 +93,7 @@ impl EclipseSystem {
                 }
             }
         }
+        false
     }
 
     /// Advance the simulation until `stop_at` (inclusive), every task
@@ -104,15 +105,19 @@ impl EclipseSystem {
     /// in the calendar.
     pub fn run_until(&mut self, stop_at: Cycle) -> Option<RunOutcome> {
         self.kickoff();
+        // Map, unmap, retire and restore all happen between calls, so one
+        // scan on entry covers them; inside the loop only an event that
+        // finished a task can complete the run.
+        let mut scan = true;
         loop {
-            if self.shells.iter().all(|sh| sh.all_tasks_finished()) {
+            if scan && self.shells.iter().all(|sh| sh.all_tasks_finished()) {
                 return Some(RunOutcome::AllFinished);
             }
-            match self.cal.peek_time() {
-                None => return Some(RunOutcome::Deadlock(self.blocked_tasks())),
-                Some(t) if t > stop_at => return None,
-                Some(_) => {
-                    let now = self.step_event();
+            match self.cal.pop_at_most(stop_at) {
+                Err(None) => return Some(RunOutcome::Deadlock(self.blocked_tasks())),
+                Err(Some(_)) => return None,
+                Ok((now, ev)) => {
+                    scan = self.step_event(now, ev);
                     if let Some(k) = self.watchdog_cycles {
                         if now.saturating_sub(self.last_progress) > k {
                             return Some(RunOutcome::Deadlock(self.blocked_tasks()));
@@ -237,12 +242,15 @@ impl EclipseSystem {
         }
     }
 
-    fn do_step(&mut self, s: usize, now: Cycle) {
+    /// Run one processing step on shell `s`; returns true when the task
+    /// finished.
+    fn do_step(&mut self, s: usize, now: Cycle) -> bool {
         match self.shells[s].get_task(now) {
             GetTaskResult::Idle => {
                 if self.idle_since[s].is_none() {
                     self.idle_since[s] = Some(now);
                 }
+                false
             }
             GetTaskResult::Run {
                 task,
@@ -261,13 +269,14 @@ impl EclipseSystem {
                     &mut self.mem,
                     &mut self.dram,
                     &mut self.system_bus,
+                    &mut self.step_msgs,
                     task,
                     now,
                     initial,
                     self.fault.as_mut(),
                 );
                 let result = self.coprocs[s].step(task, info, &mut ctx);
-                let (cost, stall, msgs, put_called) = ctx.finish();
+                let (cost, stall, put_called) = ctx.finish();
                 let mut cost = cost.max(1); // forbid zero-cost livelock
                 let mut stall = stall;
                 // Injected coprocessor stall: the unit freezes mid-step.
@@ -292,10 +301,11 @@ impl EclipseSystem {
                     StepResult::Blocked => cost,
                     _ => stall.min(cost),
                 };
-                if let Some(tr) = self.shells[s].trace_handle() {
-                    let name = self.shells[s].tasks()[task.0 as usize].cfg.name.clone();
+                let shell = &self.shells[s];
+                if let Some(tr) = shell.trace_handle() {
+                    let name = &shell.tasks()[task.0 as usize].cfg.name;
                     tr.emit_with(now, |sink| TraceEventKind::Step {
-                        task: sink.intern(&name),
+                        task: sink.intern(name),
                         busy: cost - step_stall,
                         stall: step_stall,
                     });
@@ -320,9 +330,11 @@ impl EclipseSystem {
                 // Dispatch putspace messages through the sync fabric (or
                 // the CPU in the E10 baseline, reached over the same
                 // network). An active fault injector may drop or delay
-                // individual messages.
+                // individual messages. The buffer is taken out and put
+                // back so its capacity serves every step.
                 let sync_latency = shell_cfg.sync_latency;
-                for mut msg in msgs {
+                let mut msgs = std::mem::take(&mut self.step_msgs);
+                for mut msg in msgs.drain(..) {
                     let mut extra_delay = 0u64;
                     if let Some(inj) = &mut self.fault {
                         // Keyed by the *sender* shell: the dice for a
@@ -387,7 +399,9 @@ impl EclipseSystem {
                         .add(msg.dst.shell.0 as usize, msg.dst.row.0, 1);
                     self.schedule_event(arrive, Event::Sync(msg));
                 }
+                self.step_msgs = msgs;
                 self.schedule_event(now + cost, Event::Step(s));
+                matches!(result, StepResult::Finished)
             }
         }
     }

@@ -840,3 +840,116 @@ fn checkpoints_survive_reconfig_churn_and_faults() {
     again.restore(&bytes).unwrap();
     assert_eq!(churn_after_save(&mut again), tail_a);
 }
+
+// ---- completion check --------------------------------------------------
+//
+// `run_until` scans for completion once on entry and afterwards only
+// after an event that finished a task. These pin the cases where a run
+// completes outside the loop's own events.
+
+/// Producer and consumer coprocessors with no app mapped: apps come
+/// and go live.
+fn live_pair_builder(cfg: EclipseConfig) -> SystemBuilder {
+    let mut b = SystemBuilder::new(cfg);
+    b.add_coprocessor(Box::new(TestProducer {
+        total: 1 << 20,
+        packet: 64,
+        sent: 0,
+        fill: 0,
+    }));
+    b.add_coprocessor(Box::new(TestConsumer {
+        total: 1 << 20,
+        packet: 64,
+        received: 0,
+        fill: 0,
+        errors: 0,
+    }));
+    b
+}
+
+fn live_pipe(name: &str) -> eclipse_kpn::graph::AppGraph {
+    let mut g = GraphBuilder::new(name);
+    let s = g.stream("s", 256);
+    g.task(format!("{name}.p"), "gen", 0, &[], &[s]);
+    g.task(format!("{name}.c"), "collect", 0, &[s], &[]);
+    g.build().unwrap()
+}
+
+#[test]
+fn unmapping_the_last_app_finishes_the_next_run_at_once() {
+    let mut sys = live_pair_builder(EclipseConfig::default()).build();
+    sys.map_app_live(&live_pipe("a")).unwrap();
+    assert_eq!(sys.run_until(20_000), None);
+    sys.drain_app("a", 1_000_000).unwrap();
+    sys.unmap_app("a").unwrap();
+    // Events are still pending, but every task is retired: the run is
+    // complete before any of them is popped.
+    let now = sys.now();
+    assert_eq!(
+        sys.run_until(now + 1_000_000),
+        Some(RunOutcome::AllFinished)
+    );
+    assert_eq!(sys.now(), now);
+}
+
+#[test]
+fn restoring_a_finished_checkpoint_finishes_at_once() {
+    let build = || pipeline_builder(256, 4096, 64).0.build();
+    let mut done = build();
+    assert_eq!(done.run_until(10_000_000), Some(RunOutcome::AllFinished));
+    let bytes = done.save();
+    let mut restored = build();
+    restored.restore(&bytes).unwrap();
+    let now = restored.now();
+    assert_eq!(now, done.now());
+    assert_eq!(
+        restored.run_until(10_000_000),
+        Some(RunOutcome::AllFinished)
+    );
+    assert_eq!(restored.now(), now);
+}
+
+#[test]
+fn a_task_finishing_inside_the_drain_pump_is_seen_by_the_next_run() {
+    // Slow sync messages keep app b's credits in flight long after it is
+    // paused, so draining b pumps events while app a's consumer takes in
+    // its last packet and finishes. Each app gets its own producer and
+    // consumer (the test models keep one count per coprocessor).
+    let mut cfg = EclipseConfig::default();
+    cfg.shell.sync_latency = 20_000;
+    let mut b = SystemBuilder::new(cfg);
+    for total in [256, 1 << 20] {
+        b.add_coprocessor(Box::new(TestProducer {
+            total,
+            packet: 64,
+            sent: 0,
+            fill: 0,
+        }));
+        b.add_coprocessor(Box::new(TestConsumer {
+            total,
+            packet: 64,
+            received: 0,
+            fill: 0,
+            errors: 0,
+        }));
+    }
+    let mut sys = b.build();
+    let on = |app: &str, p: usize| {
+        std::collections::HashMap::from([(format!("{app}.p"), p), (format!("{app}.c"), p + 1)])
+    };
+    sys.map_app_live_with(&live_pipe("a"), &on("a", 0)).unwrap();
+    assert_eq!(sys.run_until(5_000), None);
+    sys.map_app_live_with(&live_pipe("b"), &on("b", 2)).unwrap();
+    assert_eq!(sys.run_until(6_000), None);
+    let consumer_a_finished = |sys: &EclipseSystem| sys.shells()[1].tasks()[0].finished;
+    assert!(!consumer_a_finished(&sys));
+    sys.drain_app("b", 1_000_000).unwrap();
+    assert!(consumer_a_finished(&sys), "a finished during the drain");
+    sys.unmap_app("b").unwrap();
+    let now = sys.now();
+    assert_eq!(
+        sys.run_until(now + 1_000_000),
+        Some(RunOutcome::AllFinished)
+    );
+    assert_eq!(sys.now(), now);
+}

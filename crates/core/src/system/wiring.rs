@@ -364,6 +364,7 @@ impl SystemBuilder {
             in_flight: HashMap::new(),
             credits_lost: HashMap::new(),
             recovery_log: Vec::new(),
+            step_msgs: Vec::new(),
             placement: self.placement,
         }
     }

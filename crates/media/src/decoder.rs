@@ -12,7 +12,7 @@ use crate::bits::BitReader;
 use crate::frame::{Frame, BLOCKS_PER_MB};
 use crate::motion::{predict_macroblock, MotionVector, PredictionMode};
 use crate::recon::reconstruct_mb;
-use crate::scan::rle_decode;
+use crate::scan::{rle_decode, RunLevel};
 use crate::stream::{
     peek_marker, read_mb_header, read_picture_header, read_sequence_header, resync_to_marker,
     PictureHeader, PictureType, SequenceHeader, StreamError, MARKER_END, MARKER_PIC,
@@ -334,6 +334,7 @@ fn decode_one_mb(
         return Err(StreamError::MissingReference);
     }
     let mut levels = [[0i16; 64]; BLOCKS_PER_MB];
+    let mut symbols = [RunLevel::default(); 64];
     for (blk, lv) in levels.iter_mut().enumerate() {
         if mb.cbp & (1 << (5 - blk)) == 0 {
             continue;
@@ -345,15 +346,15 @@ fn decode_one_mb(
             // corrupt diff must not abort in overflow-checked builds.
             let dc = dc_pred[comp].wrapping_add(diff);
             dc_pred[comp] = dc;
-            let (symbols, _) = get_block(r)?;
-            stats.coefficients += symbols.len() as u64 + 1;
-            let mut block = rle_decode(&symbols).map_err(|_| StreamError::BlockOverflow)?;
+            let (n, _) = get_block(r, &mut symbols)?;
+            stats.coefficients += n as u64 + 1;
+            let mut block = rle_decode(&symbols[..n]).map_err(|_| StreamError::BlockOverflow)?;
             block[0] = dc;
             *lv = block;
         } else {
-            let (symbols, _) = get_block(r)?;
-            stats.coefficients += symbols.len() as u64;
-            *lv = rle_decode(&symbols).map_err(|_| StreamError::BlockOverflow)?;
+            let (n, _) = get_block(r, &mut symbols)?;
+            stats.coefficients += n as u64;
+            *lv = rle_decode(&symbols[..n]).map_err(|_| StreamError::BlockOverflow)?;
         }
     }
     let pred = predict_macroblock(mode, fwd_ref, bwd_ref, mbx, mby);

@@ -22,7 +22,7 @@ pub const ZIGZAG: [u8; 64] = [
 ];
 
 /// One run-length symbol: `run` zeros followed by non-zero `level`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunLevel {
     /// Number of zero coefficients preceding the level (0..=62).
     pub run: u8,

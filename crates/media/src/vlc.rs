@@ -355,22 +355,23 @@ pub fn put_block(w: &mut BitWriter, symbols: &[RunLevel]) {
     code.put_eob(w);
 }
 
-/// Decode a block's run/level sequence up to and including EOB. Returns
-/// the symbols and total bits consumed.
-pub fn get_block(r: &mut BitReader) -> Result<(Vec<RunLevel>, u32), EndOfStream> {
+/// Decode a block's run/level sequence up to and including EOB into
+/// `out`. Returns the symbol count (`out[..n]` holds the symbols) and the
+/// total bits consumed.
+pub fn get_block(r: &mut BitReader, out: &mut [RunLevel; 64]) -> Result<(usize, u32), EndOfStream> {
     let code = RunLevelCode::global();
-    let mut out = Vec::with_capacity(16);
+    let mut n = 0;
     let mut bits: u32 = 0;
     loop {
         let (sym, used) = code.get_symbol(r)?;
         bits += used as u32;
         match sym {
-            CoefSymbol::Eob => return Ok((out, bits)),
+            CoefSymbol::Eob => return Ok((n, bits)),
             CoefSymbol::Run(rl) => {
-                out.push(rl);
-                if out.len() > 64 {
-                    return Err(EndOfStream); // corrupt stream guard
-                }
+                // A 65th symbol cannot fit an 8x8 block: corrupt stream.
+                let slot = out.get_mut(n).ok_or(EndOfStream)?;
+                *slot = rl;
+                n += 1;
             }
         }
     }
@@ -515,8 +516,9 @@ mod tests {
         put_block(&mut w, &symbols);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        let (decoded, bits) = get_block(&mut r).unwrap();
-        assert_eq!(decoded, symbols);
+        let mut out = [RunLevel::default(); 64];
+        let (n, bits) = get_block(&mut r, &mut out).unwrap();
+        assert_eq!(out[..n], symbols[..]);
         assert!(bits > 0);
     }
 
@@ -526,8 +528,8 @@ mod tests {
         put_block(&mut w, &[]);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        let (decoded, bits) = get_block(&mut r).unwrap();
-        assert!(decoded.is_empty());
+        let (n, bits) = get_block(&mut r, &mut [RunLevel::default(); 64]).unwrap();
+        assert_eq!(n, 0);
         assert_eq!(bits as u8, RunLevelCode::global().eob_len());
     }
 
@@ -542,7 +544,7 @@ mod tests {
         let mut r = BitReader::new(cut);
         // Either decodes garbage then hits EOS, or errors immediately —
         // must not panic or loop forever.
-        let _ = get_block(&mut r);
+        let _ = get_block(&mut r, &mut [RunLevel::default(); 64]);
     }
 }
 
@@ -564,8 +566,9 @@ mod proptests {
             put_block(&mut w, &symbols);
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
-            let (decoded, _) = get_block(&mut r).unwrap();
-            prop_assert_eq!(decoded, symbols);
+            let mut out = [RunLevel::default(); 64];
+            let (n, _) = get_block(&mut r, &mut out).unwrap();
+            prop_assert_eq!(&out[..n], &symbols[..]);
         }
 
         /// Exp-Golomb round trip for arbitrary u32/i32.

@@ -666,7 +666,7 @@ impl Shell {
     /// `PutSpace`: commit `n_bytes`. For a producer this flushes the
     /// committed interval first (coherency rule 3) and only then releases
     /// the `putspace` messages; the returned messages carry their
-    /// earliest send time.
+    /// earliest send time. A wrapper over [`Shell::put_space_into`].
     pub fn put_space(
         &mut self,
         task: TaskIdx,
@@ -675,6 +675,23 @@ impl Shell {
         now: Cycle,
         mem: &mut MemSys,
     ) -> PutSpaceOutcome {
+        let mut msgs = Vec::new();
+        let done = self.put_space_into(task, port, n_bytes, now, mem, &mut msgs);
+        PutSpaceOutcome { msgs, done }
+    }
+
+    /// [`Shell::put_space`] appending its messages to `out` instead of
+    /// allocating; returns the cycle the local operation (including the
+    /// flush) completed.
+    pub fn put_space_into(
+        &mut self,
+        task: TaskIdx,
+        port: PortId,
+        n_bytes: u32,
+        now: Cycle,
+        mem: &mut MemSys,
+        out: &mut Vec<SyncMsg>,
+    ) -> Cycle {
         let row_idx = self.row_of(task, port);
         let row = &mut self.rows[row_idx.0 as usize];
         let flush_done = if row.dir == PortDir::Producer && !self.disable_flush {
@@ -702,23 +719,20 @@ impl Shell {
             shell: self.id,
             row: row_idx,
         };
-        let msgs: Vec<SyncMsg> = row
-            .remotes
-            .iter()
-            .map(|&dst| SyncMsg {
-                src,
-                dst,
-                bytes: n_bytes,
-                send_at: flush_done,
-                // Placeholder: the sync network stamps the destination
-                // row's real generation at send time (the sending shell
-                // has no view of remote tables).
-                dst_gen: 0,
-            })
-            .collect();
-        self.stats.messages_sent += msgs.len() as u64;
+        out.extend(row.remotes.iter().map(|&dst| SyncMsg {
+            src,
+            dst,
+            bytes: n_bytes,
+            send_at: flush_done,
+            // Placeholder: the sync network stamps the destination row's
+            // real generation at send time (the sending shell has no view
+            // of remote tables).
+            dst_gen: 0,
+        }));
+        let sent = row.remotes.len();
+        self.stats.messages_sent += sent as u64;
         if let Some(tr) = &self.trace {
-            if !msgs.is_empty() {
+            if sent > 0 {
                 tr.emit(
                     now,
                     TraceEventKind::PutSpaceSend {
@@ -729,10 +743,7 @@ impl Shell {
                 );
             }
         }
-        PutSpaceOutcome {
-            msgs,
-            done: flush_done,
-        }
+        flush_done
     }
 
     /// Deliver an incoming `putspace` message to a local row. Returns true

@@ -154,6 +154,15 @@ impl SlotBitmap {
     }
 }
 
+/// Where [`Calendar`]'s next event lives.
+#[derive(Clone, Copy)]
+enum Loc {
+    /// Top of the far heap.
+    Far,
+    /// `(slot, deque index)` in the wheel.
+    Wheel(usize, usize),
+}
+
 /// A discrete-event calendar generic over the event payload `E`.
 ///
 /// The calendar owns the notion of "current time": [`Calendar::pop`]
@@ -258,7 +267,7 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// `(time, key, deque index)` of the next wheel event, if any
+    /// `(time, key, slot, deque index)` of the next wheel event, if any
     /// (time = `now + cyclic slot distance`, valid because all wheel
     /// timestamps lie within one window of `now`; the index addresses the
     /// min-key, first-pushed entry within the slot).
@@ -287,45 +296,72 @@ impl<E> Calendar<E> {
         Some((self.now + dist, best_key, slot, best))
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        let wheel = self.wheel_peek().map(|(t, _, _, _)| t);
-        match (wheel, self.far.peek().map(|e| e.time)) {
-            (Some(w), Some(f)) => Some(w.min(f)),
-            (w, f) => w.or(f),
+    /// The one search both `peek_time` and every pop go through: the
+    /// `(time, key)` of the next event and where it lives.
+    #[inline]
+    fn next(&self) -> Option<(Cycle, u64, Loc)> {
+        let wheel = self.wheel_peek();
+        let far = self.far.peek().map(|e| (e.time, e.key));
+        match (wheel, far) {
+            (None, None) => None,
+            // On a (time, key) tie the far event was scheduled strictly
+            // earlier (smaller seq), so the heap wins.
+            (Some((wt, wk, _, _)), Some((ft, fk))) if (ft, fk) <= (wt, wk) => {
+                Some((ft, fk, Loc::Far))
+            }
+            (None, Some((ft, fk))) => Some((ft, fk, Loc::Far)),
+            (Some((wt, wk, slot, i)), _) => Some((wt, wk, Loc::Wheel(slot, i))),
         }
     }
 
+    /// Remove the event [`Calendar::next`] found at `time`, advancing
+    /// `now` to it.
+    #[inline]
+    fn take(&mut self, time: Cycle, at: Loc) -> E {
+        let event = match at {
+            Loc::Far => self.far.pop().expect("peeked entry present").event,
+            Loc::Wheel(slot, i) => {
+                let (_, event) = self.slots[slot].remove(i).expect("occupied slot");
+                if self.slots[slot].is_empty() {
+                    self.occupied.clear(slot);
+                }
+                self.wheel_len -= 1;
+                event
+            }
+        };
+        self.now = time;
+        event
+    }
+
+    /// Timestamp of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<Cycle> {
+        self.next().map(|(t, _, _)| t)
+    }
+
     /// Pop the earliest event, advancing `now` to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.pop_keyed().map(|(t, _, e)| (t, e))
+        let (time, _, at) = self.next()?;
+        Some((time, self.take(time, at)))
     }
 
     /// [`Calendar::pop`], also returning the event's ordering key.
+    #[inline]
     pub fn pop_keyed(&mut self) -> Option<(Cycle, u64, E)> {
-        let wheel = self.wheel_peek();
-        let far = self.far.peek().map(|e| (e.time, e.key));
-        let from_far = match (wheel, far) {
-            (None, None) => return None,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            // On a (time, key) tie the far event was scheduled strictly
-            // earlier (smaller seq), so the heap wins.
-            (Some((wt, wk, _, _)), Some((ft, fk))) => (ft, fk) <= (wt, wk),
-        };
-        if from_far {
-            let entry = self.far.pop().expect("peeked entry present");
-            self.now = entry.time;
-            Some((entry.time, entry.key, entry.event))
-        } else {
-            let (time, key, slot, i) = wheel.expect("wheel path requires a wheel event");
-            let (_, event) = self.slots[slot].remove(i).expect("occupied slot");
-            if self.slots[slot].is_empty() {
-                self.occupied.clear(slot);
-            }
-            self.wheel_len -= 1;
-            self.now = time;
-            Some((time, key, event))
+        let (time, key, at) = self.next()?;
+        Some((time, key, self.take(time, at)))
+    }
+
+    /// Pop the earliest event if its timestamp is at most `limit`, with
+    /// one search of the wheel and heap. Otherwise leave the calendar
+    /// untouched and return the next event's time (`None` when empty).
+    /// Equivalent to `peek_time() <= limit ? pop() : leave`.
+    #[inline]
+    pub fn pop_at_most(&mut self, limit: Cycle) -> Result<(Cycle, E), Option<Cycle>> {
+        match self.next() {
+            None => Err(None),
+            Some((time, _, _)) if time > limit => Err(Some(time)),
+            Some((time, _, at)) => Ok((time, self.take(time, at))),
         }
     }
 

@@ -4,7 +4,9 @@
 //! `len`/`peek_time` at every step, across `clear` and reuse. The
 //! baseline is the executable specification of the `(time, seq)`
 //! contract; the simulator's bit-reproducibility rests on this
-//! equivalence (DESIGN.md "Host performance").
+//! equivalence (DESIGN.md "Host performance"). The run loop pops
+//! through [`Calendar::pop_at_most`], so it is checked here against the
+//! `peek_time`-then-`pop` pair it replaces.
 
 use eclipse_sim::calendar::WHEEL_SLOTS;
 use eclipse_sim::{BaselineCalendar, Calendar};
@@ -120,6 +122,72 @@ proptest! {
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
+            }
+        }
+    }
+
+    /// `pop_at_most(limit)` is `peek_time() <= limit ? pop() : leave`,
+    /// under keyed schedules with `(time, key)` ties, far-heap events and
+    /// random limits; the events it pops, in order, are the baseline's.
+    #[test]
+    fn pop_at_most_is_peek_then_pop(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                ((0u64..64), (0u64..3)).prop_map(|(d, k)| Some((d, k))),
+                ((0u64..8), (0u64..3)).prop_map(|(d, k)| Some((d, k))),
+                ((WHEEL_SLOTS as u64 - 2..WHEEL_SLOTS as u64 * 3), (0u64..3))
+                    .prop_map(|(d, k)| Some((d, k))),
+                Just(None),
+                Just(None),
+            ],
+            1..400,
+        ),
+        limits in proptest::collection::vec(0u64..WHEEL_SLOTS as u64 * 2, 400..401),
+    ) {
+        let mut wheel: Calendar<u32> = Calendar::new();
+        let mut heap: BaselineCalendar<u32> = BaselineCalendar::new();
+        let mut id = 0u32;
+        for (op, &ahead) in ops.iter().zip(&limits) {
+            match *op {
+                Some((delay, key)) => {
+                    let t = wheel.now() + delay;
+                    wheel.schedule_keyed_at(t, key, id);
+                    heap.schedule_keyed_at(t, key, id);
+                    id += 1;
+                }
+                None => {
+                    // Limits straddle the next event: before it, on it,
+                    // and past it.
+                    let limit = wheel.now() + ahead;
+                    let peeked = wheel.peek_time();
+                    let (len, now) = (wheel.len(), wheel.now());
+                    match wheel.pop_at_most(limit) {
+                        Ok(got) => {
+                            prop_assert!(peeked.is_some_and(|t| t <= limit));
+                            prop_assert_eq!(Some(got), heap.pop());
+                            prop_assert_eq!(wheel.now(), got.0);
+                        }
+                        Err(next) => {
+                            prop_assert_eq!(next, peeked);
+                            prop_assert!(next.is_none_or(|t| t > limit));
+                            prop_assert_eq!((wheel.len(), wheel.now()), (len, now));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+        }
+        // Drain through the bounded pop with an unreachable limit: the
+        // tails match the baseline event for event.
+        loop {
+            match wheel.pop_at_most(u64::MAX) {
+                Ok(got) => prop_assert_eq!(Some(got), heap.pop()),
+                Err(next) => {
+                    prop_assert_eq!(next, None);
+                    prop_assert!(heap.is_empty());
+                    break;
+                }
             }
         }
     }

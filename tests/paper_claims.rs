@@ -23,6 +23,7 @@ fn section6_silicon_envelope() {
 #[test]
 fn section2_load_irregularity_reaches_order_10x() {
     use eclipse::media::bits::BitReader;
+    use eclipse::media::scan::RunLevel;
     use eclipse::media::stream::{
         peek_marker, read_mb_header, read_picture_header, read_sequence_header, MARKER_END,
     };
@@ -52,7 +53,7 @@ fn section2_load_irregularity_reaches_order_10x() {
                 if intra {
                     let _ = get_sev(&mut r).unwrap();
                 }
-                let _ = get_block(&mut r).unwrap();
+                let _ = get_block(&mut r, &mut [RunLevel::default(); 64]).unwrap();
             }
             let bits = (r.bit_pos() - start) as u64;
             max_bits = max_bits.max(bits);
