@@ -12,10 +12,13 @@
 //! delivered to the display).
 //!
 //! Usage:
-//!   cargo run -p eclipse-bench --release --bin chaos_soak           # full sweep
-//!   cargo run -p eclipse-bench --release --bin chaos_soak -- --quick # CI smoke
-//!   cargo run -p eclipse-bench --release --bin chaos_soak -- --supervised # self-healing sweep
-//!   cargo run -p eclipse-bench --release --bin chaos_soak -- --replay <class> <rate>
+//!
+//! ```text
+//! cargo run -p eclipse-bench --release --bin chaos_soak           # full sweep
+//! cargo run -p eclipse-bench --release --bin chaos_soak -- --quick # CI smoke
+//! cargo run -p eclipse-bench --release --bin chaos_soak -- --supervised # self-healing sweep
+//! cargo run -p eclipse-bench --release --bin chaos_soak -- --replay <class> <rate>
+//! ```
 //!
 //! `--supervised` runs the same sweep under the ISSUE 8 supervisor
 //! (watchdog-driven recovery ladder, per-app QoS contracts) and adds

@@ -3,8 +3,9 @@
 //! fixed-size packets with a fixed compute cost.
 
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
+use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// A synthetic stage: consumes packets on port 0 (unless a pure source),
 /// produces packets on its output port (unless a pure sink).
@@ -125,21 +126,15 @@ impl Coprocessor for PipeCoproc {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.done.len());
-        for (task, count) in &self.done {
-            w.u8(task.0);
-            w.u32(*count);
-        }
+        self.done.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.done.clear();
-        for _ in 0..r.usize()? {
-            let task = TaskIdx(r.u8()?);
-            let count = r.u32()?;
-            self.done.insert(task, count);
-        }
-        Ok(())
+        self.done.load(r)
+    }
+
+    fn task_state_fits(&self, task: TaskIdx, _row: &TaskRow, _dram_bytes: u32) -> bool {
+        self.done.contains_key(&task)
     }
 
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {

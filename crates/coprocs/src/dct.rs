@@ -16,8 +16,9 @@ use std::collections::BTreeMap;
 
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::dct::{fdct2d, idct2d};
+use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::DctCost;
 use crate::io::{StepReader, StepWriter};
@@ -31,12 +32,16 @@ pub const INFO_FDCT: u32 = 1;
 /// Whether a task's stream carries bare blocks (decode path: RLSQ → DCT)
 /// or header-framed macroblocks (encode paths, where MB headers travel
 /// with the blocks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Framing {
+    #[default]
     Bare,
     Framed,
 }
 
+eclipse_sim::snap_enum!(Framing { Bare = 0, Framed = 1 });
+
+#[derive(Default)]
 struct DctTask {
     framing: Framing,
     /// For framed streams: coded blocks remaining in the current MB.
@@ -46,27 +51,12 @@ struct DctTask {
     errors_recovered: u64,
 }
 
-impl DctTask {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.bool(self.framing == Framing::Framed);
-        w.u8(self.blocks_left);
-        w.u64(self.blocks_done);
-        w.u64(self.errors_recovered);
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<DctTask, SnapError> {
-        Ok(DctTask {
-            framing: if r.bool()? {
-                Framing::Framed
-            } else {
-                Framing::Bare
-            },
-            blocks_left: r.u8()?,
-            blocks_done: r.u64()?,
-            errors_recovered: r.u64()?,
-        })
-    }
-}
+eclipse_sim::snap_fields!(DctTask {
+    framing,
+    blocks_left,
+    blocks_done,
+    errors_recovered
+});
 
 /// The DCT coprocessor model.
 pub struct DctCoproc {
@@ -75,6 +65,8 @@ pub struct DctCoproc {
     /// of the same system must produce identical bytes.
     tasks: BTreeMap<TaskIdx, DctTask>,
 }
+
+eclipse_sim::snap_fields!(DctCoproc { tasks });
 
 impl DctCoproc {
     /// A new DCT unit.
@@ -146,20 +138,15 @@ impl Coprocessor for DctCoproc {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.tasks.len());
-        for (task, t) in &self.tasks {
-            w.u8(task.0);
-            t.save_state(w);
-        }
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.tasks.clear();
-        for _ in 0..r.usize()? {
-            let task = TaskIdx(r.u8()?);
-            self.tasks.insert(task, DctTask::load_state(r)?);
-        }
-        Ok(())
+        self.load(r)
+    }
+
+    fn task_state_fits(&self, task: TaskIdx, _row: &TaskRow, _dram_bytes: u32) -> bool {
+        self.tasks.contains_key(&task)
     }
 
     fn step(&mut self, task: TaskIdx, info: u32, ctx: &mut StepCtx<'_>) -> StepResult {

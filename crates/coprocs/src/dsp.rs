@@ -29,8 +29,9 @@ use eclipse_media::stream::{
     PictureHeader, SequenceHeader,
 };
 use eclipse_media::vlc::{put_block, put_sev};
+use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::DspCost;
 use crate::io::{StepReader, StepWriter};
@@ -38,13 +39,12 @@ use crate::records::{
     self, decode_mode, mbmv_from_body, pix_from_bytes, pix_to_bytes, PicRec, TAG_EOS, TAG_MB,
     TAG_PIC,
 };
-use crate::snap;
 
 /// Chunk size of the VLE's byte output records.
 pub const BITS_CHUNK: usize = 64;
 
 /// Configuration of a `video_source` task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SourceTaskConfig {
     /// Frames to encode, in display order.
     pub frames: Vec<Frame>,
@@ -55,14 +55,14 @@ pub struct SourceTaskConfig {
 }
 
 /// Configuration of a `vle` task.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct VleTaskConfig {
     /// Sequence header to emit at the start of the bitstream.
     pub seq: SequenceHeader,
 }
 
 /// Where an `audio_dec` task's coded (ADPCM) stream comes from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum AudioSource {
     /// Read from off-chip memory.
     Dram {
@@ -72,11 +72,12 @@ pub enum AudioSource {
         len: u32,
     },
     /// Length-framed chunks on input port 0 (from the demux task).
+    #[default]
     Port,
 }
 
 /// Configuration of an `audio_dec` task.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AudioTaskConfig {
     /// Coded-stream source.
     pub source: AudioSource,
@@ -86,7 +87,7 @@ pub struct AudioTaskConfig {
 /// memory and the packet-id routing table (output port `i` receives the
 /// payloads of `pids[i]`, as length-framed chunks terminated by a
 /// zero-length chunk).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DemuxTaskConfig {
     /// Transport-stream byte address in DRAM.
     pub ts_addr: u32,
@@ -98,6 +99,7 @@ pub struct DemuxTaskConfig {
 
 // ---- task state machines ---------------------------------------------------
 
+#[derive(Default)]
 struct DisplayTask {
     frames: Vec<Option<Frame>>,
     cur: Option<(PicRec, Frame, u32)>,
@@ -116,6 +118,7 @@ struct DisplayTask {
     expected_frames: u16,
 }
 
+#[derive(Default)]
 struct SourceTask {
     cfg: SourceTaskConfig,
     /// (display index, ptype) in coded order.
@@ -125,6 +128,7 @@ struct SourceTask {
     sent_pic_header: bool,
 }
 
+#[derive(Default)]
 struct VleTask {
     cfg: VleTaskConfig,
     writer: BitWriter,
@@ -132,11 +136,13 @@ struct VleTask {
     eos_seen: bool,
 }
 
+#[derive(Default)]
 struct SinkTask {
     bytes: Vec<u8>,
     done: bool,
 }
 
+#[derive(Default)]
 struct AudioTask {
     cfg: AudioTaskConfig,
     /// DRAM mode: byte position. Port mode: unused.
@@ -149,6 +155,7 @@ struct AudioTask {
     out_port: PortId,
 }
 
+#[derive(Default)]
 struct DemuxTask {
     cfg: DemuxTaskConfig,
     pos: u32,
@@ -156,6 +163,7 @@ struct DemuxTask {
     errors_recovered: u64,
 }
 
+#[derive(Default)]
 struct MonitorTask {
     /// FNV-1a checksum over every payload byte observed.
     checksum: u64,
@@ -165,6 +173,7 @@ struct MonitorTask {
     errors_recovered: u64,
 }
 
+#[derive(Default)]
 struct PcmSinkTask {
     samples: Vec<i16>,
     done: bool,
@@ -185,251 +194,111 @@ enum SwTask {
 
 // ---- checkpoint serialization ----------------------------------------------
 
-impl AudioSource {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            AudioSource::Dram { addr, len } => {
-                w.u8(0);
-                w.u32(*addr);
-                w.u32(*len);
-            }
-            AudioSource::Port => w.u8(1),
-        }
-    }
+eclipse_sim::snap_fields!(SourceTaskConfig {
+    frames,
+    gop,
+    qscale
+});
+eclipse_sim::snap_fields!(VleTaskConfig { seq });
+eclipse_sim::snap_enum!(AudioSource { Dram { addr, len } = 0, Port = 1 });
+eclipse_sim::snap_fields!(AudioTaskConfig { source });
+eclipse_sim::snap_fields!(DemuxTaskConfig {
+    ts_addr,
+    ts_len,
+    pids
+});
 
-    fn load_state(r: &mut SnapReader) -> Result<AudioSource, SnapError> {
-        match r.u8()? {
-            0 => Ok(AudioSource::Dram {
-                addr: r.u32()?,
-                len: r.u32()?,
-            }),
-            1 => Ok(AudioSource::Port),
-            _ => Err(SnapError::Corrupt("audio source tag")),
-        }
+eclipse_sim::snap_fields!(DisplayTask {
+    frames,
+    cur,
+    errors_recovered,
+    conceal_missing,
+    frames_concealed,
+    expected_frames,
+} then DisplayTask::check_picture);
+eclipse_sim::snap_fields!(SourceTask {
+    cfg,
+    coded,
+    pic_idx,
+    mb_idx,
+    sent_pic_header,
+} then SourceTask::check_coded);
+eclipse_sim::snap_fields!(VleTask {
+    cfg,
+    writer,
+    pending,
+    eos_seen
+});
+eclipse_sim::snap_fields!(SinkTask {
+    bytes: blob(|_| crate::MAX_STREAM_BYTES),
+    done
+});
+eclipse_sim::snap_fields!(AudioTask {
+    cfg,
+    pos,
+    pending,
+    source_done,
+    out_port
+});
+eclipse_sim::snap_fields!(PcmSinkTask {
+    samples,
+    done,
+    errors_recovered
+});
+eclipse_sim::snap_fields!(DemuxTask {
+    cfg,
+    pos,
+    errors_recovered
+});
+eclipse_sim::snap_fields!(MonitorTask {
+    checksum,
+    records,
+    done,
+    errors_recovered
+});
+eclipse_sim::snap_enum!(SwTask {
+    Display(task) = 0,
+    Source(task) = 1,
+    Vle(task) = 2,
+    Sink(task) = 3,
+    Audio(task) = 4,
+    PcmSink(task) = 5,
+    Demux(task) = 6,
+    Monitor(task) = 7,
+});
+
+impl Default for SwTask {
+    fn default() -> Self {
+        SwTask::Monitor(MonitorTask::default())
     }
 }
 
-impl SourceTaskConfig {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.frames.len());
-        for f in &self.frames {
-            snap::save_frame(w, f);
+impl DisplayTask {
+    /// Reject a picture in progress whose frame slot, frame size or
+    /// macroblock cursor disagrees with its header.
+    fn check_picture(&mut self) -> Result<(), SnapError> {
+        let Some((pic, frame, mb_idx)) = &self.cur else {
+            return Ok(());
+        };
+        if (pic.temporal_ref as usize) >= self.frames.len()
+            || frame.mb_cols() != pic.mb_cols as usize
+            || frame.mb_rows() != pic.mb_rows as usize
+            || *mb_idx >= pic.mb_count()
+        {
+            return Err(SnapError::Corrupt("display picture"));
         }
-        w.u8(self.gop.n);
-        w.u8(self.gop.m);
-        w.u8(self.qscale);
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<SourceTaskConfig, SnapError> {
-        let n = r.usize()?;
-        let mut frames = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            frames.push(snap::load_frame(r)?);
-        }
-        Ok(SourceTaskConfig {
-            frames,
-            gop: GopConfig {
-                n: r.u8()?,
-                m: r.u8()?,
-            },
-            qscale: r.u8()?,
-        })
+        Ok(())
     }
 }
 
-impl DemuxTaskConfig {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(self.ts_addr);
-        w.u32(self.ts_len);
-        w.bytes_slice(&self.pids);
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<DemuxTaskConfig, SnapError> {
-        Ok(DemuxTaskConfig {
-            ts_addr: r.u32()?,
-            ts_len: r.u32()?,
-            pids: r.bytes_vec()?,
-        })
-    }
-}
-
-impl SwTask {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            SwTask::Display(t) => {
-                w.u8(0);
-                w.usize(t.frames.len());
-                for f in &t.frames {
-                    snap::save_frame_opt(w, f);
-                }
-                match &t.cur {
-                    None => w.bool(false),
-                    Some((pic, frame, mb_idx)) => {
-                        w.bool(true);
-                        snap::save_pic(w, pic);
-                        snap::save_frame(w, frame);
-                        w.u32(*mb_idx);
-                    }
-                }
-                w.u64(t.errors_recovered);
-                w.bool(t.conceal_missing);
-                w.u64(t.frames_concealed);
-                w.u16(t.expected_frames);
-            }
-            SwTask::Source(t) => {
-                w.u8(1);
-                t.cfg.save_state(w);
-                w.usize(t.coded.len());
-                for (display_idx, ptype) in &t.coded {
-                    w.u16(*display_idx);
-                    snap::save_ptype(w, *ptype);
-                }
-                w.usize(t.pic_idx);
-                w.u32(t.mb_idx);
-                w.bool(t.sent_pic_header);
-            }
-            SwTask::Vle(t) => {
-                w.u8(2);
-                snap::save_seq(w, &t.cfg.seq);
-                let (bytes, bit_pos) = t.writer.snapshot_parts();
-                w.bytes_slice(bytes);
-                w.u8(bit_pos);
-                w.bytes_slice(&t.pending);
-                w.bool(t.eos_seen);
-            }
-            SwTask::Sink(t) => {
-                w.u8(3);
-                w.blob(&t.bytes);
-                w.bool(t.done);
-            }
-            SwTask::Audio(t) => {
-                w.u8(4);
-                t.cfg.source.save_state(w);
-                w.u32(t.pos);
-                w.bytes_slice(&t.pending);
-                w.bool(t.source_done);
-                w.u8(t.out_port);
-            }
-            SwTask::PcmSink(t) => {
-                w.u8(5);
-                w.usize(t.samples.len());
-                for &s in &t.samples {
-                    w.i16(s);
-                }
-                w.bool(t.done);
-                w.u64(t.errors_recovered);
-            }
-            SwTask::Demux(t) => {
-                w.u8(6);
-                t.cfg.save_state(w);
-                w.u32(t.pos);
-                w.u64(t.errors_recovered);
-            }
-            SwTask::Monitor(t) => {
-                w.u8(7);
-                w.u64(t.checksum);
-                w.u64(t.records);
-                w.bool(t.done);
-                w.u64(t.errors_recovered);
-            }
+impl SourceTask {
+    /// Reject a coded order that names a frame the task does not hold.
+    fn check_coded(&mut self) -> Result<(), SnapError> {
+        let frames = self.cfg.frames.len();
+        if self.coded.iter().any(|&(idx, _)| idx as usize >= frames) {
+            return Err(SnapError::Corrupt("source coded order"));
         }
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<SwTask, SnapError> {
-        Ok(match r.u8()? {
-            0 => {
-                let n = r.usize()?;
-                let mut frames = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    frames.push(snap::load_frame_opt(r)?);
-                }
-                let cur = if r.bool()? {
-                    let pic = snap::load_pic(r)?;
-                    let frame = snap::load_frame(r)?;
-                    Some((pic, frame, r.u32()?))
-                } else {
-                    None
-                };
-                SwTask::Display(DisplayTask {
-                    frames,
-                    cur,
-                    errors_recovered: r.u64()?,
-                    conceal_missing: r.bool()?,
-                    frames_concealed: r.u64()?,
-                    expected_frames: r.u16()?,
-                })
-            }
-            1 => {
-                let cfg = SourceTaskConfig::load_state(r)?;
-                let n = r.usize()?;
-                let mut coded = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    coded.push((r.u16()?, snap::load_ptype(r)?));
-                }
-                SwTask::Source(SourceTask {
-                    cfg,
-                    coded,
-                    pic_idx: r.usize()?,
-                    mb_idx: r.u32()?,
-                    sent_pic_header: r.bool()?,
-                })
-            }
-            2 => {
-                let seq = snap::load_seq(r)?;
-                let bytes = r.bytes_vec()?;
-                let bit_pos = r.u8()?;
-                if bit_pos >= 8 || (bit_pos != 0 && bytes.is_empty()) {
-                    return Err(SnapError::Corrupt("vle writer bit position"));
-                }
-                SwTask::Vle(VleTask {
-                    cfg: VleTaskConfig { seq },
-                    writer: BitWriter::from_parts(bytes, bit_pos),
-                    pending: r.bytes_vec()?,
-                    eos_seen: r.bool()?,
-                })
-            }
-            3 => SwTask::Sink(SinkTask {
-                bytes: r.blob(snap::MAX_STREAM_BYTES)?,
-                done: r.bool()?,
-            }),
-            4 => {
-                let source = AudioSource::load_state(r)?;
-                SwTask::Audio(AudioTask {
-                    cfg: AudioTaskConfig { source },
-                    pos: r.u32()?,
-                    pending: r.bytes_vec()?,
-                    source_done: r.bool()?,
-                    out_port: r.u8()?,
-                })
-            }
-            5 => {
-                let n = r.usize()?;
-                let mut samples = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    samples.push(r.i16()?);
-                }
-                SwTask::PcmSink(PcmSinkTask {
-                    samples,
-                    done: r.bool()?,
-                    errors_recovered: r.u64()?,
-                })
-            }
-            6 => {
-                let cfg = DemuxTaskConfig::load_state(r)?;
-                SwTask::Demux(DemuxTask {
-                    cfg,
-                    pos: r.u32()?,
-                    errors_recovered: r.u64()?,
-                })
-            }
-            7 => SwTask::Monitor(MonitorTask {
-                checksum: r.u64()?,
-                records: r.u64()?,
-                done: r.bool()?,
-                errors_recovered: r.u64()?,
-            }),
-            _ => return Err(SnapError::Corrupt("dsp task tag")),
-        })
+        Ok(())
     }
 }
 
@@ -446,6 +315,15 @@ pub struct DspCoproc {
     tasks: BTreeMap<TaskIdx, SwTask>,
     names: BTreeMap<String, TaskIdx>,
 }
+
+eclipse_sim::snap_fields!(DspCoproc {
+    source_cfgs,
+    vle_cfgs,
+    audio_cfgs,
+    demux_cfgs,
+    names,
+    tasks,
+});
 
 impl DspCoproc {
     /// A DSP with no workloads bound yet.
@@ -762,75 +640,27 @@ impl Coprocessor for DspCoproc {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.source_cfgs.len());
-        for (name, cfg) in &self.source_cfgs {
-            w.str(name);
-            cfg.save_state(w);
-        }
-        w.usize(self.vle_cfgs.len());
-        for (name, cfg) in &self.vle_cfgs {
-            w.str(name);
-            snap::save_seq(w, &cfg.seq);
-        }
-        w.usize(self.audio_cfgs.len());
-        for (name, cfg) in &self.audio_cfgs {
-            w.str(name);
-            cfg.source.save_state(w);
-        }
-        w.usize(self.demux_cfgs.len());
-        for (name, cfg) in &self.demux_cfgs {
-            w.str(name);
-            cfg.save_state(w);
-        }
-        w.usize(self.names.len());
-        for (name, task) in &self.names {
-            w.str(name);
-            w.u8(task.0);
-        }
-        w.usize(self.tasks.len());
-        for (task, t) in &self.tasks {
-            w.u8(task.0);
-            t.save_state(w);
-        }
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.source_cfgs.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let cfg = SourceTaskConfig::load_state(r)?;
-            self.source_cfgs.insert(name, cfg);
+        self.load(r)
+    }
+
+    fn task_state_fits(&self, task: TaskIdx, row: &TaskRow, dram_bytes: u32) -> bool {
+        let inside = |addr: u32, len: u32| addr as u64 + len as u64 <= dram_bytes as u64;
+        match self.tasks.get(&task) {
+            Some(SwTask::Audio(t)) => {
+                let source_ok = match t.cfg.source {
+                    AudioSource::Dram { addr, len } => inside(addr, len),
+                    AudioSource::Port => true,
+                };
+                source_ok && (t.out_port as usize) < row.cfg.ports.len()
+            }
+            Some(SwTask::Demux(t)) => inside(t.cfg.ts_addr, t.cfg.ts_len),
+            Some(_) => true,
+            None => false,
         }
-        self.vle_cfgs.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let seq = snap::load_seq(r)?;
-            self.vle_cfgs.insert(name, VleTaskConfig { seq });
-        }
-        self.audio_cfgs.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let source = AudioSource::load_state(r)?;
-            self.audio_cfgs.insert(name, AudioTaskConfig { source });
-        }
-        self.demux_cfgs.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let cfg = DemuxTaskConfig::load_state(r)?;
-            self.demux_cfgs.insert(name, cfg);
-        }
-        self.names.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let task = TaskIdx(r.u8()?);
-            self.names.insert(name, task);
-        }
-        self.tasks.clear();
-        for _ in 0..r.usize()? {
-            let task = TaskIdx(r.u8()?);
-            self.tasks.insert(task, SwTask::load_state(r)?);
-        }
-        Ok(())
     }
 
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {

@@ -23,7 +23,7 @@ pub enum PlaneSel {
 }
 
 /// Geometry of a tiled frame store (one layout shared by all slots).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FrameStore {
     /// Luma width in pixels (multiple of 16).
     pub width: u32,

@@ -103,7 +103,7 @@ const STAGE_INLINE: usize = 2048;
 
 /// Staged writer for one output port within one processing step. Stages
 /// into an inline buffer, so a step allocates nothing unless it writes
-/// more than [`STAGE_INLINE`] bytes to one port.
+/// more than `STAGE_INLINE` bytes to one port.
 pub struct StepWriter {
     port: PortId,
     len: usize,

@@ -42,7 +42,11 @@ pub mod io;
 pub mod mcme;
 pub mod records;
 pub mod rlsq;
-mod snap;
+
+/// Largest bitstream a task buffer may restore from a checkpoint: the
+/// default off-chip memory's capacity, so any stream that can be staged
+/// for the instance fits.
+pub(crate) const MAX_STREAM_BYTES: usize = 64 << 20;
 pub mod vld;
 
 pub use apps::{

@@ -29,9 +29,10 @@ use std::collections::BTreeMap;
 
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::motion::{row_sad, MotionVector, SampleGrid};
-use eclipse_media::stream::PictureType;
+use eclipse_media::stream::{PictureType, SequenceHeader};
+use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::McCost;
 use crate::framestore::{FrameStore, PlaneSel};
@@ -40,10 +41,9 @@ use crate::records::{
     self, cblk_from_body, cblk_to_bytes, mbmv_from_body, mbmv_to_bytes, PicRec, TAG_EOS, TAG_MB,
     TAG_PIC,
 };
-use crate::snap;
 
 /// Per-task configuration: the frame-store arena this task works in.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct McTaskConfig {
     /// Base address of the frame arena in off-chip memory.
     pub arena_base: u32,
@@ -54,6 +54,13 @@ pub struct McTaskConfig {
     /// Encode-side search range in full pels (ME tasks only).
     pub search_range: u8,
 }
+
+eclipse_sim::snap_fields!(McTaskConfig {
+    arena_base,
+    width,
+    height,
+    search_range
+});
 
 /// Number of frame slots in a decode arena (two anchors + one B scratch +
 /// one display).
@@ -66,7 +73,7 @@ pub fn arena_bytes(width: u32, height: u32, slots: u32) -> u32 {
     FrameStore::new(width, height).slot_bytes() * slots
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SlotState {
     /// Slot holding the most recent anchor.
     last_anchor: Option<u32>,
@@ -77,14 +84,6 @@ struct SlotState {
 }
 
 impl SlotState {
-    fn new() -> Self {
-        SlotState {
-            last_anchor: None,
-            prev_anchor: None,
-            anchor_count: 0,
-        }
-    }
-
     /// Slot the next anchor will occupy.
     fn next_anchor_slot(&self, max_slots: u32) -> u32 {
         self.anchor_count % max_slots.min(2)
@@ -98,6 +97,13 @@ impl SlotState {
     }
 }
 
+eclipse_sim::snap_fields!(SlotState {
+    last_anchor,
+    prev_anchor,
+    anchor_count
+});
+
+#[derive(Default)]
 struct McTask {
     cfg: McTaskConfig,
     fs: FrameStore,
@@ -119,95 +125,69 @@ struct McTask {
     mbs_concealed: u64,
 }
 
-impl McTaskConfig {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(self.arena_base);
-        w.u32(self.width);
-        w.u32(self.height);
-        w.u8(self.search_range);
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<McTaskConfig, SnapError> {
-        Ok(McTaskConfig {
-            arena_base: r.u32()?,
-            width: r.u32()?,
-            height: r.u32()?,
-            search_range: r.u8()?,
-        })
-    }
-}
+eclipse_sim::snap_fields!(
+    /// The frame store is pure geometry (the pixels live in off-chip
+    /// memory); it is rebuilt from the config on load.
+    McTask {
+        cfg,
+        slots,
+        pic,
+        write_slot,
+        mb_index,
+        pic_start,
+        pic_spans,
+        mbs_done,
+        ref_bytes_fetched,
+        errors_recovered,
+        mbs_concealed,
+    } then McTask::rebuild_frame_store
+);
 
 impl McTask {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.cfg.save_state(w);
-        // The frame store is pure geometry (the pixels live in off-chip
-        // memory); it is rebuilt from the config on load.
-        match self.slots.last_anchor {
-            None => w.bool(false),
-            Some(s) => {
-                w.bool(true);
-                w.u32(s);
-            }
+    /// Rebuild the frame store from a loaded config, whose sides must be
+    /// nonzero multiples of 16 within the sequence header's limit, and
+    /// reject a picture, macroblock cursor or slot the task could not
+    /// have reached: the picture is nonempty and fits the frame store (as
+    /// the PIC parser enforces), the cursor stays within it, and slots
+    /// index the arena.
+    fn rebuild_frame_store(&mut self) -> Result<(), SnapError> {
+        let side_ok =
+            |s: u32| s != 0 && s.is_multiple_of(16) && s <= SequenceHeader::MAX_DIM as u32;
+        let pic_ok = self.pic.is_none_or(|p| {
+            p.mb_count() != 0
+                && p.mb_cols as u32 <= self.cfg.width / 16
+                && p.mb_rows as u32 <= self.cfg.height / 16
+                && self.mb_index <= p.mb_count()
+        });
+        if !side_ok(self.cfg.width) || !side_ok(self.cfg.height) || !pic_ok {
+            return Err(SnapError::Corrupt("mc task picture"));
         }
-        match self.slots.prev_anchor {
-            None => w.bool(false),
-            Some(s) => {
-                w.bool(true);
-                w.u32(s);
-            }
+        if self.slots_used() > DECODE_SLOTS {
+            return Err(SnapError::Corrupt("mc task slot"));
         }
-        w.u32(self.slots.anchor_count);
-        snap::save_pic_opt(w, &self.pic);
-        w.u32(self.write_slot);
-        w.u32(self.mb_index);
-        w.u64(self.pic_start);
-        w.usize(self.pic_spans.len());
-        for span in &self.pic_spans {
-            w.u16(span.temporal_ref);
-            snap::save_ptype(w, span.ptype);
-            w.u64(span.start);
-            w.u64(span.end);
-        }
-        w.u64(self.mbs_done);
-        w.u64(self.ref_bytes_fetched);
-        w.u64(self.errors_recovered);
-        w.u64(self.mbs_concealed);
+        self.fs = FrameStore::new(self.cfg.width, self.cfg.height);
+        Ok(())
     }
 
-    fn load_state(r: &mut SnapReader) -> Result<McTask, SnapError> {
-        let cfg = McTaskConfig::load_state(r)?;
-        let mut slots = SlotState::new();
-        slots.last_anchor = if r.bool()? { Some(r.u32()?) } else { None };
-        slots.prev_anchor = if r.bool()? { Some(r.u32()?) } else { None };
-        slots.anchor_count = r.u32()?;
-        let pic = snap::load_pic_opt(r)?;
-        let write_slot = r.u32()?;
-        let mb_index = r.u32()?;
-        let pic_start = r.u64()?;
-        let n_spans = r.usize()?;
-        let mut pic_spans = Vec::with_capacity(n_spans.min(1 << 16));
-        for _ in 0..n_spans {
-            pic_spans.push(records::PicSpan {
-                temporal_ref: r.u16()?,
-                ptype: snap::load_ptype(r)?,
-                start: r.u64()?,
-                end: r.u64()?,
-            });
-        }
-        Ok(McTask {
-            fs: FrameStore::new(cfg.width, cfg.height),
-            cfg,
-            slots,
-            pic,
-            write_slot,
-            mb_index,
-            pic_start,
-            pic_spans,
-            mbs_done: r.u64()?,
-            ref_bytes_fetched: r.u64()?,
-            errors_recovered: r.u64()?,
-            mbs_concealed: r.u64()?,
-        })
+    /// Arena slots the task's state refers to: one past the highest.
+    /// (Reconstruction marks a B picture, which it never stores, with a
+    /// write slot of `u32::MAX`.)
+    fn slots_used(&self) -> u32 {
+        let s = &self.slots;
+        let write = (self.write_slot != u32::MAX).then_some(self.write_slot);
+        let highest = [write, s.last_anchor, s.prev_anchor];
+        highest
+            .into_iter()
+            .flatten()
+            .max()
+            .map_or(0, |slot| slot.saturating_add(1))
+    }
+
+    /// Do the slots the task refers to lie inside off-chip memory?
+    fn arena_fits(&self, dram_bytes: u32) -> bool {
+        let end =
+            self.cfg.arena_base as u64 + self.slots_used() as u64 * self.fs.slot_bytes() as u64;
+        end <= dram_bytes as u64
     }
 }
 
@@ -217,42 +197,24 @@ enum TaskKind {
     Recon(McTask),
 }
 
-impl TaskKind {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            TaskKind::Mc(t) => {
-                w.u8(0);
-                t.save_state(w);
-            }
-            TaskKind::Me(t) => {
-                w.u8(1);
-                t.inner.save_state(w);
-                w.u32(t.anchors_confirmed);
-                w.u64(t.sad_evals);
-                snap::save_mv(w, t.mv_pred.0);
-                snap::save_mv(w, t.mv_pred.1);
-            }
-            TaskKind::Recon(t) => {
-                w.u8(2);
-                t.save_state(w);
-            }
-        }
-    }
+eclipse_sim::snap_fields!(MeTask {
+    inner,
+    anchors_confirmed,
+    sad_evals,
+    mv_pred
+});
 
-    fn load_state(r: &mut SnapReader) -> Result<TaskKind, SnapError> {
-        Ok(match r.u8()? {
-            0 => TaskKind::Mc(McTask::load_state(r)?),
-            1 => TaskKind::Me(MeTask {
-                inner: McTask::load_state(r)?,
-                anchors_confirmed: r.u32()?,
-                sad_evals: r.u64()?,
-                mv_pred: (snap::load_mv(r)?, snap::load_mv(r)?),
-            }),
-            2 => TaskKind::Recon(McTask::load_state(r)?),
-            _ => return Err(SnapError::Corrupt("mcme task kind tag")),
-        })
+impl Default for TaskKind {
+    fn default() -> Self {
+        TaskKind::Mc(McTask::default())
     }
 }
+
+eclipse_sim::snap_enum!(TaskKind {
+    Mc(task) = 0,
+    Me(task) = 1,
+    Recon(task) = 2,
+});
 
 /// The MC/ME coprocessor model.
 pub struct McMeCoproc {
@@ -262,6 +224,8 @@ pub struct McMeCoproc {
     cfgs: BTreeMap<String, McTaskConfig>,
     tasks: BTreeMap<TaskIdx, TaskKind>,
 }
+
+eclipse_sim::snap_fields!(McMeCoproc { cfgs, tasks });
 
 impl McMeCoproc {
     /// A new MC/ME with arena configurations keyed by task instance name.
@@ -544,7 +508,8 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                 if cbp & (1 << (5 - blk)) != 0 {
                     coded_blocks += 1;
                     for i in 0..64 {
-                        recon[blk][i] = (pred[blk][i] + residuals[blk][i]).clamp(0, 255);
+                        recon[blk][i] =
+                            pred[blk][i].saturating_add(residuals[blk][i]).clamp(0, 255);
                     }
                 } else {
                     for i in 0..64 {
@@ -614,6 +579,7 @@ mod me_port {
     pub const OUT_RESID: PortId = 3;
 }
 
+#[derive(Default)]
 struct MeTask {
     inner: McTask,
     /// Anchors whose reconstruction has been confirmed by `recon`.
@@ -1083,7 +1049,7 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
                         } else {
                             0
                         };
-                        recon[blk][i] = (pred[blk][i] + resid).clamp(0, 255);
+                        recon[blk][i] = pred[blk][i].saturating_add(resid).clamp(0, 255);
                     }
                 }
                 // Reserve feedback room before irreversible writes.
@@ -1139,7 +1105,7 @@ impl Coprocessor for McMeCoproc {
         let inner = McTask {
             cfg,
             fs: FrameStore::new(cfg.width, cfg.height),
-            slots: SlotState::new(),
+            slots: SlotState::default(),
             pic: None,
             write_slot: 0,
             mb_index: 0,
@@ -1207,31 +1173,19 @@ impl Coprocessor for McMeCoproc {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.cfgs.len());
-        for (name, cfg) in &self.cfgs {
-            w.str(name);
-            cfg.save_state(w);
-        }
-        w.usize(self.tasks.len());
-        for (task, t) in &self.tasks {
-            w.u8(task.0);
-            t.save_state(w);
-        }
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.cfgs.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let cfg = McTaskConfig::load_state(r)?;
-            self.cfgs.insert(name, cfg);
+        self.load(r)
+    }
+
+    fn task_state_fits(&self, task: TaskIdx, _row: &TaskRow, dram_bytes: u32) -> bool {
+        match self.tasks.get(&task) {
+            Some(TaskKind::Mc(t) | TaskKind::Recon(t)) => t.arena_fits(dram_bytes),
+            Some(TaskKind::Me(t)) => t.inner.arena_fits(dram_bytes),
+            None => false,
         }
-        self.tasks.clear();
-        for _ in 0..r.usize()? {
-            let task = TaskIdx(r.u8()?);
-            self.tasks.insert(task, TaskKind::load_state(r)?);
-        }
-        Ok(())
     }
 
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {

@@ -16,11 +16,12 @@
 
 use eclipse_media::motion::{MotionVector, PredictionMode};
 use eclipse_media::stream::PictureType;
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// The simulated-time interval during which a coprocessor task processed
 /// one picture — the basis for the per-picture-type bottleneck analysis
 /// of the Figure 10 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PicSpan {
     /// Display index of the picture.
     pub temporal_ref: u16,
@@ -31,6 +32,13 @@ pub struct PicSpan {
     /// Cycle at which the task finished the picture.
     pub end: u64,
 }
+
+eclipse_sim::snap_fields!(PicSpan {
+    temporal_ref,
+    ptype,
+    start,
+    end
+});
 
 /// Record tag: picture header.
 pub const TAG_PIC: u8 = 0x01;
@@ -109,6 +117,34 @@ impl PicRec {
     /// Macroblocks in this picture.
     pub fn mb_count(&self) -> u32 {
         self.mb_cols as u32 * self.mb_rows as u32
+    }
+}
+
+/// A placeholder with no macroblocks, for a checkpoint to load into.
+impl Default for PicRec {
+    fn default() -> Self {
+        PicRec {
+            ptype: PictureType::I,
+            qscale: 0,
+            temporal_ref: 0,
+            mb_cols: 0,
+            mb_rows: 0,
+        }
+    }
+}
+
+/// The wire format, tag included; loading rejects an unknown picture
+/// type. A damaged stream can carry any grid, so the tasks that index by
+/// it check it themselves.
+impl Snapshot for PicRec {
+    fn save(&self, w: &mut SnapWriter) {
+        w.raw(&self.to_bytes());
+    }
+
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let bytes = r.raw(PIC_REC_BYTES as usize)?;
+        *self = PicRec::from_body(&bytes[1..]).ok_or(SnapError::Corrupt("picture record"))?;
+        Ok(())
     }
 }
 

@@ -24,18 +24,19 @@ use std::collections::BTreeMap;
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::quant::{dequant_inter, dequant_intra, quant_inter, quant_intra};
 use eclipse_media::scan::{rle_decode, rle_encode, RunLevel};
+use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::RlsqCost;
 use crate::io::{StepReader, StepWriter};
 use crate::records::{self, cblk_from_body, cblk_to_bytes, PicRec, TAG_EOS, TAG_MB, TAG_PIC};
-use crate::snap;
 
 /// Which RLSQ function a task performs (from the task's function name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Function {
     /// Decode: run-length decode + inverse scan + inverse quantize.
+    #[default]
     Decode,
     /// Encode: quantize + zigzag + run-length encode.
     EncodeQrl,
@@ -43,6 +44,9 @@ enum Function {
     Iq,
 }
 
+eclipse_sim::snap_enum!(Function { Decode = 0, EncodeQrl = 1, Iq = 2 });
+
+#[derive(Default)]
 struct RlsqTask {
     function: Function,
     /// Current picture context (qscale, type) from the latest PIC record.
@@ -57,44 +61,14 @@ struct RlsqTask {
     errors_recovered: u64,
 }
 
-impl RlsqTask {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(match self.function {
-            Function::Decode => 0,
-            Function::EncodeQrl => 1,
-            Function::Iq => 2,
-        });
-        snap::save_pic_opt(w, &self.pic);
-        for v in self.dc_pred {
-            w.i16(v);
-        }
-        w.u64(self.coefs_processed);
-        w.u64(self.blocks_processed);
-        w.u64(self.errors_recovered);
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<RlsqTask, SnapError> {
-        let function = match r.u8()? {
-            0 => Function::Decode,
-            1 => Function::EncodeQrl,
-            2 => Function::Iq,
-            _ => return Err(SnapError::Corrupt("rlsq function tag")),
-        };
-        let pic = snap::load_pic_opt(r)?;
-        let mut dc_pred = [0i16; 3];
-        for v in &mut dc_pred {
-            *v = r.i16()?;
-        }
-        Ok(RlsqTask {
-            function,
-            pic,
-            dc_pred,
-            coefs_processed: r.u64()?,
-            blocks_processed: r.u64()?,
-            errors_recovered: r.u64()?,
-        })
-    }
-}
+eclipse_sim::snap_fields!(RlsqTask {
+    function,
+    pic,
+    dc_pred,
+    coefs_processed,
+    blocks_processed,
+    errors_recovered,
+});
 
 /// The RLSQ coprocessor model.
 pub struct RlsqCoproc {
@@ -103,6 +77,8 @@ pub struct RlsqCoproc {
     /// of the same system must produce identical bytes.
     tasks: BTreeMap<TaskIdx, RlsqTask>,
 }
+
+eclipse_sim::snap_fields!(RlsqCoproc { tasks });
 
 impl RlsqCoproc {
     /// A new RLSQ.
@@ -177,20 +153,15 @@ impl Coprocessor for RlsqCoproc {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.tasks.len());
-        for (task, t) in &self.tasks {
-            w.u8(task.0);
-            t.save_state(w);
-        }
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.tasks.clear();
-        for _ in 0..r.usize()? {
-            let task = TaskIdx(r.u8()?);
-            self.tasks.insert(task, RlsqTask::load_state(r)?);
-        }
-        Ok(())
+        self.load(r)
+    }
+
+    fn task_state_fits(&self, task: TaskIdx, _row: &TaskRow, _dram_bytes: u32) -> bool {
+        self.tasks.contains_key(&task)
     }
 
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {

@@ -32,13 +32,13 @@ use eclipse_media::stream::{
     MARKER_PIC, MARKER_SEQ,
 };
 use eclipse_media::vlc::{get_block, get_sev};
+use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::VldCost;
 use crate::io::StepWriter;
 use crate::records::{self, PicRec, TAG_EOS, TAG_MB};
-use crate::snap;
 
 /// Conventional output port of the token stream when the VLD has no
 /// input port (DRAM-sourced tasks).
@@ -47,7 +47,7 @@ pub const PORT_TOKEN: PortId = 0;
 pub const PORT_MV: PortId = 1;
 
 /// Where a VLD task's compressed bitstream comes from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub enum VldSource {
     /// Fetched from off-chip memory over the VLD's system-bus port (the
     /// paper's Figure 8 arrangement).
@@ -59,39 +59,19 @@ pub enum VldSource {
     },
     /// Received as length-framed chunks on the task's input port 0 (fed
     /// by the DSP's software demultiplexer).
+    #[default]
     Port,
 }
 
 /// Per-stream configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct VldTaskConfig {
     /// Bitstream source.
     pub source: VldSource,
 }
 
-impl VldSource {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            VldSource::Dram { addr, len } => {
-                w.u8(0);
-                w.u32(*addr);
-                w.u32(*len);
-            }
-            VldSource::Port => w.u8(1),
-        }
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<VldSource, SnapError> {
-        match r.u8()? {
-            0 => Ok(VldSource::Dram {
-                addr: r.u32()?,
-                len: r.u32()?,
-            }),
-            1 => Ok(VldSource::Port),
-            _ => Err(SnapError::Corrupt("vld source tag")),
-        }
-    }
-}
+eclipse_sim::snap_enum!(VldSource { Dram { addr, len } = 0, Port = 1 });
+eclipse_sim::snap_fields!(VldTaskConfig { source });
 
 impl VldTaskConfig {
     /// Shorthand for the off-chip arrangement.
@@ -109,8 +89,9 @@ impl VldTaskConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum VldState {
+    #[default]
     Seq,
     PicOrEnd,
     Mb,
@@ -122,6 +103,15 @@ enum VldState {
     Eos,
 }
 
+eclipse_sim::snap_enum!(VldState {
+    Seq = 0,
+    PicOrEnd = 1,
+    Mb = 2,
+    Recover = 3,
+    Eos = 4,
+});
+
+#[derive(Default)]
 struct VldTask {
     cfg: VldTaskConfig,
     /// Prefix of the bitstream fetched so far (the coprocessor's local
@@ -159,6 +149,27 @@ struct VldTask {
     conceal_only: bool,
 }
 
+eclipse_sim::snap_fields!(VldTask {
+    cfg,
+    fetched: blob(VldTask::fetch_bound),
+    source_done,
+    port_token,
+    port_mv,
+    bit_pos,
+    seq,
+    state,
+    cur_pic,
+    mb_left,
+    dc_pred,
+    bits_parsed,
+    mbs_decoded,
+    conceal_left,
+    in_recovery,
+    errors_recovered,
+    mbs_concealed,
+    conceal_only,
+} then VldTask::check_parse_position);
+
 impl VldTask {
     /// True when no byte beyond `fetched` can ever arrive.
     fn stream_exhausted(&self) -> bool {
@@ -180,82 +191,21 @@ impl VldTask {
         self.state = VldState::Recover;
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.cfg.source.save_state(w);
-        w.blob(&self.fetched);
-        w.bool(self.source_done);
-        w.u8(self.port_token);
-        w.u8(self.port_mv);
-        w.usize(self.bit_pos);
-        snap::save_seq_opt(w, &self.seq);
-        w.u8(match self.state {
-            VldState::Seq => 0,
-            VldState::PicOrEnd => 1,
-            VldState::Mb => 2,
-            VldState::Recover => 3,
-            VldState::Eos => 4,
-        });
-        snap::save_pic_opt(w, &self.cur_pic);
-        w.u32(self.mb_left);
-        for v in self.dc_pred {
-            w.i16(v);
+    /// The longest fetch buffer a checkpoint may restore: a DRAM-sourced
+    /// buffer may not outgrow its stream.
+    fn fetch_bound(&self) -> usize {
+        match self.cfg.source {
+            VldSource::Dram { len, .. } => len as usize,
+            VldSource::Port => crate::MAX_STREAM_BYTES,
         }
-        w.u64(self.bits_parsed);
-        w.u64(self.mbs_decoded);
-        w.u32(self.conceal_left);
-        w.bool(self.in_recovery);
-        w.u64(self.errors_recovered);
-        w.u64(self.mbs_concealed);
-        w.bool(self.conceal_only);
     }
 
-    fn load_state(r: &mut SnapReader) -> Result<VldTask, SnapError> {
-        let cfg = VldTaskConfig {
-            source: VldSource::load_state(r)?,
-        };
-        let fetched = r.blob(match cfg.source {
-            VldSource::Dram { len, .. } => len as usize,
-            VldSource::Port => snap::MAX_STREAM_BYTES,
-        })?;
-        let source_done = r.bool()?;
-        let port_token = r.u8()?;
-        let port_mv = r.u8()?;
-        let bit_pos = r.usize()?;
-        let seq = snap::load_seq_opt(r)?;
-        let state = match r.u8()? {
-            0 => VldState::Seq,
-            1 => VldState::PicOrEnd,
-            2 => VldState::Mb,
-            3 => VldState::Recover,
-            4 => VldState::Eos,
-            _ => return Err(SnapError::Corrupt("vld state tag")),
-        };
-        let cur_pic = snap::load_pic_opt(r)?;
-        let mb_left = r.u32()?;
-        let mut dc_pred = [0i16; 3];
-        for v in &mut dc_pred {
-            *v = r.i16()?;
+    /// Reject a parse position past the fetched bytes.
+    fn check_parse_position(&mut self) -> Result<(), SnapError> {
+        if self.bit_pos > self.fetched.len() * 8 {
+            return Err(SnapError::Corrupt("vld parse position"));
         }
-        Ok(VldTask {
-            cfg,
-            fetched,
-            source_done,
-            port_token,
-            port_mv,
-            bit_pos,
-            seq,
-            state,
-            cur_pic,
-            mb_left,
-            dc_pred,
-            bits_parsed: r.u64()?,
-            mbs_decoded: r.u64()?,
-            conceal_left: r.u32()?,
-            in_recovery: r.bool()?,
-            errors_recovered: r.u64()?,
-            mbs_concealed: r.u64()?,
-            conceal_only: r.bool()?,
-        })
+        Ok(())
     }
 
     /// Scan the fetched bytes from the committed position for the next
@@ -292,6 +242,8 @@ pub struct VldCoproc {
     cfgs: BTreeMap<String, VldTaskConfig>,
     tasks: BTreeMap<TaskIdx, VldTask>,
 }
+
+eclipse_sim::snap_fields!(VldCoproc { cfgs, tasks });
 
 impl VldCoproc {
     /// A VLD with stream configurations keyed by graph task name.
@@ -458,31 +410,22 @@ impl Coprocessor for VldCoproc {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.cfgs.len());
-        for (name, cfg) in &self.cfgs {
-            w.str(name);
-            cfg.source.save_state(w);
-        }
-        w.usize(self.tasks.len());
-        for (task, t) in &self.tasks {
-            w.u8(task.0);
-            t.save_state(w);
-        }
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.cfgs.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let source = VldSource::load_state(r)?;
-            self.cfgs.insert(name, VldTaskConfig { source });
-        }
-        self.tasks.clear();
-        for _ in 0..r.usize()? {
-            let task = TaskIdx(r.u8()?);
-            self.tasks.insert(task, VldTask::load_state(r)?);
-        }
-        Ok(())
+        self.load(r)
+    }
+
+    fn task_state_fits(&self, task: TaskIdx, row: &TaskRow, dram_bytes: u32) -> bool {
+        self.tasks.get(&task).is_some_and(|t| {
+            let ports = row.cfg.ports.len();
+            let source_ok = match t.cfg.source {
+                VldSource::Dram { addr, len } => addr as u64 + len as u64 <= dram_bytes as u64,
+                VldSource::Port => true,
+            };
+            (t.port_token as usize) < ports && (t.port_mv as usize) < ports && source_ok
+        })
     }
 
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {

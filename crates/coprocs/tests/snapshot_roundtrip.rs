@@ -6,10 +6,11 @@
 
 use std::collections::BTreeMap;
 
-use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig};
-use eclipse_coprocs::cost::{DspCost, VldCost};
+use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig, EncodeAppConfig};
+use eclipse_coprocs::cost::{DspCost, McCost, VldCost};
 use eclipse_coprocs::dsp::DspCoproc;
 use eclipse_coprocs::instance::{build_decode_system, DecodeSystem, InstanceCosts, MpegBuilder};
+use eclipse_coprocs::mcme::McMeCoproc;
 use eclipse_coprocs::vld::VldCoproc;
 use eclipse_core::{Coprocessor, EclipseConfig, RunOutcome};
 use eclipse_media::encoder::{Encoder, EncoderConfig};
@@ -449,6 +450,47 @@ fn live_audio_churn_survives_roundtrip() {
     );
 }
 
+/// Restore must accept every state a run reaches, not only the ones the
+/// other round trips save at: an encode beside a decode (motion
+/// estimation, reconstruction skipping B pictures, the DSP's source and
+/// VLE tasks) is saved at nineteen points through the run, and each
+/// checkpoint restores into a fresh build with its state hash.
+#[test]
+fn timeshift_checkpoints_restore_throughout_the_run() {
+    let gop = GopConfig { n: 4, m: 2 };
+    let bs = encode_test_stream(48, 32, 4, gop, 27);
+    let frames = SyntheticSource::new(SourceConfig {
+        width: 48,
+        height: 32,
+        complexity: 0.35,
+        motion: 2.0,
+        seed: 28,
+    })
+    .frames(4);
+    let mk = || {
+        let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
+        b.add_decode("dec0", bs.clone(), DecodeAppConfig::default());
+        b.add_encode(
+            "enc0",
+            frames.clone(),
+            gop,
+            6,
+            4,
+            EncodeAppConfig::default(),
+        );
+        b.build()
+    };
+    let total = mk().run(200_000_000).cycles;
+    let mut original = mk();
+    for i in 1..20 {
+        assert!(original.sys.run_until(total * i / 20).is_none());
+        let mut fresh = mk();
+        let restored = fresh.sys.restore(&original.sys.save());
+        assert_eq!(restored, Ok(()), "save point {i} of 20");
+        assert_eq!(fresh.sys.state_hash(), original.sys.state_hash());
+    }
+}
+
 /// Every byte of off-chip memory, read in 1 MiB chunks.
 fn dram_chunks(dec: &mut DecodeSystem) -> Vec<Vec<u8>> {
     let dram = dec.system.sys.dram_mut();
@@ -576,4 +618,67 @@ fn crafted_dsp_sink_and_frames_are_corrupt_not_an_abort() {
         display.usize(height);
         assert_corrupt(&mut DspCoproc::new(DspCost::default()), display);
     }
+}
+
+/// A picture record's wire bytes: an I picture of `mb_cols` × 3
+/// macroblocks.
+fn pic_rec(w: &mut SnapWriter, temporal_ref: u16, mb_cols: u16) {
+    w.u8(0x01); // picture tag
+    w.u8(0); // I
+    w.u8(6); // qscale
+    w.u16(temporal_ref);
+    w.u16(mb_cols);
+    w.u16(3);
+}
+
+#[test]
+fn crafted_display_picture_is_corrupt_not_a_panic() {
+    // One frame slot and a 64×48 picture in progress, whose record has
+    // no macroblock columns or names a slot past the one there is.
+    for (temporal_ref, mb_cols) in [(0, 0), (5, 4)] {
+        let mut w = dsp_task(0);
+        w.usize(1); // frames
+        w.bool(false);
+        w.bool(true); // picture in progress
+        pic_rec(&mut w, temporal_ref, mb_cols);
+        w.usize(64);
+        w.usize(48);
+        w.blob(&[0; 64 * 48]);
+        w.blob(&[0; 32 * 24]);
+        w.blob(&[0; 32 * 24]);
+        w.u32(0); // macroblock cursor
+        w.u64(0); // errors
+        w.bool(false); // concealment
+        w.u64(0); // concealed frames
+        w.u16(0); // expected frames
+        assert_corrupt(&mut DspCoproc::new(DspCost::default()), w);
+    }
+}
+
+#[test]
+fn crafted_motion_picture_is_corrupt_not_a_panic() {
+    // An MC task on a 64×48 arena whose picture has no macroblock
+    // columns (its macroblock position is a remainder by them).
+    let mut w = SnapWriter::new();
+    w.usize(0); // arena configs
+    w.usize(1); // tasks
+    w.u8(0); // task index
+    w.u8(0); // motion compensation
+    w.u32(0); // arena base
+    w.u32(64);
+    w.u32(48);
+    w.u8(7); // search range
+    w.bool(false); // anchors
+    w.bool(false);
+    w.u32(0);
+    w.bool(true); // picture in progress
+    pic_rec(&mut w, 0, 0);
+    w.u32(0); // write slot
+    w.u32(0); // macroblock index
+    w.u64(0); // picture start
+    w.usize(0); // picture spans
+    for _ in 0..4 {
+        w.u64(0); // counters
+    }
+    assert_corrupt(&mut McMeCoproc::new(McCost::default(), BTreeMap::new()), w);
 }

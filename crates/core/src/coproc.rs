@@ -25,6 +25,7 @@
 //! paper imposes on hardware designers).
 
 use eclipse_mem::{Bus, Dram};
+use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{MemSys, PortId, Shell, SyncMsg, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use eclipse_sim::{Cycle, FaultInjector};
@@ -328,15 +329,28 @@ pub trait Coprocessor {
         true
     }
 
-    /// Serialize all per-task dynamic state into a checkpoint. The
+    /// The checkpoint hook: save all per-task dynamic state. The
     /// default is a no-op for stateless models; models holding task state
-    /// (parsers, predictors, partial frames) must override both hooks so
-    /// a restored run continues bit-exactly.
+    /// (parsers, predictors, partial frames) forward it, and
+    /// [`Coprocessor::load_state`], to their
+    /// [`Snapshot`](eclipse_sim::Snapshot) impl so a restored run
+    /// continues bit-exactly.
     fn save_state(&self, _w: &mut SnapWriter) {}
 
     /// Restore per-task state written by [`Coprocessor::save_state`] into
     /// a coprocessor built with the same configuration.
     fn load_state(&mut self, _r: &mut SnapReader) -> Result<(), SnapError> {
         Ok(())
+    }
+
+    /// Does this model's restored state for `task` fit the system it was
+    /// restored into? `row` is the task's entry in the shell's task table
+    /// and `dram_bytes` the off-chip memory size. A restore asks this for
+    /// every live task and rejects the checkpoint on a `false`, instead
+    /// of failing mid-run: models with per-task state check that they
+    /// hold the task, and that the ports and off-chip regions it uses
+    /// exist. The default suits models without per-task state.
+    fn task_state_fits(&self, _task: TaskIdx, _row: &TaskRow, _dram_bytes: u32) -> bool {
+        true
     }
 }

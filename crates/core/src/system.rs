@@ -76,10 +76,11 @@ pub struct CpuSyncConfig {
     pub service_cycles: u64,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub(crate) enum Event {
     Step(usize),
     Sync(SyncMsg),
+    #[default]
     Sample,
 }
 
@@ -161,6 +162,11 @@ impl PendingSyncs {
             Some(&n) if n != PS_UNTOUCHED => n,
             _ => 0,
         }
+    }
+
+    /// Shells tracked (the system's shell count).
+    pub(crate) fn shells(&self) -> usize {
+        self.per_shell.len()
     }
 
     pub(crate) fn clear(&mut self) {

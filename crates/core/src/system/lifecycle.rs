@@ -34,9 +34,10 @@ const TASK_CFG_WRITES: u64 = 4;
 /// [`EclipseSystem::resume_app`]; `Running|Paused -> Drained` via
 /// [`EclipseSystem::drain_app`]; a `Drained` app can be reclaimed with
 /// [`EclipseSystem::unmap_app`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AppState {
     /// Tasks enabled and schedulable.
+    #[default]
     Running,
     /// Tasks disabled (preempted) but tables, buffers, and in-flight
     /// state intact; resumable.
@@ -47,7 +48,7 @@ pub enum AppState {
 }
 
 /// Book-keeping for one mapped application.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct AppRecord {
     pub(crate) state: AppState,
     /// (shell index, task slot) of every task.

@@ -2,6 +2,8 @@
 //! through the sync fabric, sampling, deadlock diagnosis, and the
 //! credit-conservation checker.
 
+use std::collections::HashMap;
+
 use eclipse_shell::stream_table::{AccessPoint, PortDir, RowIdx};
 use eclipse_shell::task_table::TaskIdx;
 use eclipse_shell::{GetTaskResult, ShellId};
@@ -140,6 +142,17 @@ impl EclipseSystem {
     /// Assert the credit-conservation invariant on every
     /// producer→consumer link (see [`EclipseSystem::enable_credit_check`]).
     pub(crate) fn verify_credits(&self, now: Cycle) {
+        if let Some(violation) = self.credit_violation() {
+            panic!("credit conservation violated at cycle {now} on {violation}");
+        }
+    }
+
+    /// The first producer→consumer link whose views, in-flight and lost
+    /// credits do not sum to its buffer capacity, described.
+    pub(crate) fn credit_violation(&self) -> Option<String> {
+        let get = |map: &HashMap<(AccessPoint, AccessPoint), u64>, a, b| {
+            map.get(&(a, b)).copied().unwrap_or(0) as u128
+        };
         for (s, shell) in self.shells.iter().enumerate() {
             for (r, row) in shell.rows().iter().enumerate() {
                 if row.dir != PortDir::Producer || row.retired {
@@ -149,34 +162,26 @@ impl EclipseSystem {
                     shell: ShellId(s as u16),
                     row: RowIdx(r as u16),
                 };
-                let cap = row.buffer.size as u64;
-                for (ci, remote) in row.remotes.iter().enumerate() {
+                let cap = row.buffer.size as u128;
+                for (ci, &remote) in row.remotes.iter().enumerate() {
                     let cons = &self.shells[remote.shell.0 as usize].rows()[remote.row.0 as usize];
-                    let p_view = row.space_toward(ci) as u64;
-                    let c_view = cons.space_toward(0) as u64;
-                    let fly = self.in_flight.get(&(*remote, prod)).copied().unwrap_or(0)
-                        + self.in_flight.get(&(prod, *remote)).copied().unwrap_or(0);
-                    let lost = self
-                        .credits_lost
-                        .get(&(*remote, prod))
-                        .copied()
-                        .unwrap_or(0)
-                        + self
-                            .credits_lost
-                            .get(&(prod, *remote))
-                            .copied()
-                            .unwrap_or(0);
-                    assert_eq!(
-                        p_view + c_view + fly + lost,
-                        cap,
-                        "credit conservation violated at cycle {now} on {}: \
-                         producer view {p_view} + consumer view {c_view} + \
-                         in-flight {fly} + lost {lost} != capacity {cap}",
-                        self.row_labels[s][r]
-                    );
+                    let p_view = row.space_toward(ci) as u128;
+                    let c_view = cons.space_toward(0) as u128;
+                    let fly =
+                        get(&self.in_flight, remote, prod) + get(&self.in_flight, prod, remote);
+                    let lost = get(&self.credits_lost, remote, prod)
+                        + get(&self.credits_lost, prod, remote);
+                    if p_view + c_view + fly + lost != cap {
+                        return Some(format!(
+                            "{}: producer view {p_view} + consumer view {c_view} + \
+                             in-flight {fly} + lost {lost} != capacity {cap}",
+                            self.row_labels[s][r]
+                        ));
+                    }
                 }
             }
         }
+        None
     }
 
     pub(crate) fn blocked_tasks(&self) -> Vec<WedgeDiagnosis> {

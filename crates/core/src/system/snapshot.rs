@@ -23,17 +23,26 @@
 //! The trace-sink accounting section rides at the very end of `save`
 //! output but is *excluded* from [`EclipseSystem::state_hash`]: tracing
 //! is observational, and enabling it must never change the hash of the
-//! architectural state.
+//! architectural state. The state hash streams the same bytes into
+//! FNV-1a ([`SnapWriter::hashing`]) without building a checkpoint.
+//!
+//! ## Validation
+//!
+//! A checkpoint is untrusted input. Decoding bounds every allocation
+//! and each component checks its own invariants as it loads; `restore`
+//! then checks every index the run loop later uses unchecked — event
+//! targets, stream-row remotes, buffers against the SRAM, application
+//! records, pending-sync keys, row labels, coprocessor task maps — and
+//! returns [`SnapError::Corrupt`] instead of letting the run panic.
 
-use eclipse_shell::stream_table::{AccessPoint, RowIdx};
 use eclipse_shell::task_table::TaskIdx;
-use eclipse_shell::{ShellId, SyncMsg};
+use eclipse_shell::ShellId;
 use eclipse_sim::snapshot::{fnv1a_64, SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::trace::TraceSink;
-use eclipse_sim::{FaultInjector, FaultPlan};
+use eclipse_sim::Cycle;
 
 use super::lifecycle::AppRecord;
-use super::{event_key, AppState, EclipseSystem, Event};
+use super::{event_key, AppState, EclipseSystem, Event, PendingSyncs};
 
 /// Leading bytes of every Eclipse checkpoint.
 pub const SNAP_MAGIC: &[u8; 8] = b"ECLSNAP1";
@@ -45,109 +54,42 @@ pub const SNAP_MAGIC: &[u8; 8] = b"ECLSNAP1";
 /// `(time, event)` pairs — content keys are recomputed on load.
 pub const SNAP_VERSION: u32 = 3;
 
-fn save_access_point(w: &mut SnapWriter, ap: &AccessPoint) {
-    w.u16(ap.shell.0);
-    w.u16(ap.row.0);
-}
+eclipse_sim::snap_enum!(Event {
+    Step(shell) = 0,
+    Sync(msg) = 1,
+    Sample = 2,
+});
+eclipse_sim::snap_enum!(AppState {
+    Running = 0,
+    Paused = 1,
+    Drained = 2,
+});
+eclipse_sim::snap_fields!(AppRecord {
+    state,
+    tasks,
+    rows,
+    buffers
+});
 
-fn load_access_point(r: &mut SnapReader) -> Result<AccessPoint, SnapError> {
-    Ok(AccessPoint {
-        shell: ShellId(r.u16()?),
-        row: RowIdx(r.u16()?),
-    })
-}
-
-impl Event {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Step(s) => {
-                w.u8(0);
-                w.usize(*s);
-            }
-            Event::Sync(m) => {
-                w.u8(1);
-                save_access_point(w, &m.src);
-                save_access_point(w, &m.dst);
-                w.u32(m.bytes);
-                w.u64(m.send_at);
-                w.u32(m.dst_gen);
-            }
-            Event::Sample => w.u8(2),
-        }
+/// Touched entries in `(shell, row)` order. Loading rejects a shell the
+/// system does not have; `restore` checks the rows.
+impl Snapshot for PendingSyncs {
+    fn save(&self, w: &mut SnapWriter) {
+        self.entries_sorted().save(w);
     }
 
-    fn load_state(r: &mut SnapReader) -> Result<Event, SnapError> {
-        match r.u8()? {
-            0 => Ok(Event::Step(r.usize()?)),
-            1 => Ok(Event::Sync(SyncMsg {
-                src: load_access_point(r)?,
-                dst: load_access_point(r)?,
-                bytes: r.u32()?,
-                send_at: r.u64()?,
-                dst_gen: r.u32()?,
-            })),
-            2 => Ok(Event::Sample),
-            _ => Err(SnapError::Corrupt("event tag")),
-        }
-    }
-}
-
-impl AppRecord {
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(match self.state {
-            AppState::Running => 0,
-            AppState::Paused => 1,
-            AppState::Drained => 2,
-        });
-        w.usize(self.tasks.len());
-        for &(s, t) in &self.tasks {
-            w.usize(s);
-            w.u8(t.0);
-        }
-        w.usize(self.rows.len());
-        for &(s, r) in &self.rows {
-            w.usize(s);
-            w.u16(r.0);
-        }
-        w.usize(self.buffers.len());
-        for b in &self.buffers {
-            w.u32(b.base);
-            w.u32(b.size);
-        }
-    }
-
-    fn load_state(r: &mut SnapReader) -> Result<AppRecord, SnapError> {
-        let state = match r.u8()? {
-            0 => AppState::Running,
-            1 => AppState::Paused,
-            2 => AppState::Drained,
-            _ => return Err(SnapError::Corrupt("app state tag")),
-        };
-        let mut tasks = Vec::new();
-        for _ in 0..r.usize()? {
-            let s = r.usize()?;
-            tasks.push((s, TaskIdx(r.u8()?)));
-        }
-        let mut rows = Vec::new();
-        for _ in 0..r.usize()? {
-            let s = r.usize()?;
-            rows.push((s, RowIdx(r.u16()?)));
-        }
-        let mut buffers = Vec::new();
-        for _ in 0..r.usize()? {
-            let base = r.u32()?;
-            let size = r.u32()?;
-            if size == 0 {
-                return Err(SnapError::Corrupt("zero-size app buffer"));
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let mut entries: Vec<((usize, u16), u32)> = Vec::new();
+        entries.load(r)?;
+        let shells = self.shells();
+        self.clear();
+        for ((shell, row), n) in entries {
+            if shell >= shells {
+                return Err(SnapError::Corrupt("pending sync shell"));
             }
-            buffers.push(eclipse_mem::CyclicBuffer::new(base, size));
+            self.add(shell, row, n);
         }
-        Ok(AppRecord {
-            state,
-            tasks,
-            rows,
-            buffers,
-        })
+        Ok(())
     }
 }
 
@@ -173,9 +115,9 @@ impl EclipseSystem {
     /// that agree on every `state_hash` sample agree on their futures;
     /// the first diverging sample brackets a nondeterminism bug.
     pub fn state_hash(&self) -> u64 {
-        let mut w = SnapWriter::new();
-        self.write_state(&mut w, false);
-        fnv1a_64(w.bytes())
+        let mut w = SnapWriter::hashing();
+        self.write_state(&mut w);
+        w.digest()
     }
 
     /// Serialize the full system to a versioned checkpoint. The system
@@ -186,7 +128,13 @@ impl EclipseSystem {
         w.raw(SNAP_MAGIC);
         w.u32(SNAP_VERSION);
         w.u64(self.config_digest());
-        self.write_state(&mut w, true);
+        self.write_state(&mut w);
+        // Trace-sink accounting last, so the state hash can simply stop
+        // before it.
+        w.bool(self.trace_sink.is_some());
+        if let Some(sink) = &self.trace_sink {
+            sink.borrow().save(&mut w);
+        }
         w.into_bytes()
     }
 
@@ -196,6 +144,9 @@ impl EclipseSystem {
     /// via the config digest). All dynamic state, including applications
     /// mapped live after the original build, is reproduced; the next
     /// `run`/`run_until` continues exactly where the saved run stopped.
+    ///
+    /// A malformed checkpoint returns an error; the system is then in an
+    /// unspecified state and must be restored again or dropped.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes);
         if r.raw(SNAP_MAGIC.len())? != SNAP_MAGIC {
@@ -211,39 +162,32 @@ impl EclipseSystem {
             return Err(SnapError::ConfigMismatch { expected, found });
         }
         self.read_state(&mut r)?;
+        // Trace-sink accounting: load into the installed sink, or parse
+        // into a scratch sink when the restoring run has tracing off (the
+        // section still must be consumed to validate the stream end).
+        if r.bool()? {
+            match &self.trace_sink {
+                Some(sink) => sink.borrow_mut().load(&mut r)?,
+                None => TraceSink::new(0).load(&mut r)?,
+            }
+        }
         if r.remaining() != 0 {
             return Err(SnapError::Corrupt("trailing bytes"));
         }
-        Ok(())
+        self.check_restored()
     }
 
-    /// Append the state section. `with_sink` includes the trace-sink
-    /// accounting (full checkpoints); the state hash passes `false` so
-    /// observational tracing never perturbs the digest.
-    fn write_state(&self, w: &mut SnapWriter, with_sink: bool) {
+    /// Write the architectural state: the checkpoint's state section and
+    /// the input of the state hash.
+    fn write_state(&self, w: &mut SnapWriter) {
         // Calendar: current time plus every pending event in exact pop
         // order (far-heap/wheel distinctions are reconstructed on load).
         w.u64(self.cal.now());
-        let pending = self.cal.pending_in_order();
-        w.usize(pending.len());
-        for (time, ev) in &pending {
-            w.u64(*time);
-            ev.save_state(w);
-        }
-
-        // Shells (stream/task tables, caches, scheduler, generations) and
-        // their run-time-editable row labels.
+        self.cal.pending_in_order().save(w);
+        // Shells and their run-time-editable row labels.
         w.usize(self.shells.len());
-        for shell in &self.shells {
-            shell.save_state(w);
-        }
-        for labels in &self.row_labels {
-            w.usize(labels.len());
-            for label in labels {
-                w.str(label);
-            }
-        }
-
+        self.shells[..].save(w);
+        self.row_labels[..].save(w);
         // Memories, transports, and the SRAM allocator.
         self.mem.save(w);
         self.dram.save(w);
@@ -251,40 +195,14 @@ impl EclipseSystem {
         self.alloc.save(w);
         w.u32(self.dram_next);
         self.sync.save_state(w);
-
-        // Application lifecycle records, sorted by name for stable bytes.
-        let mut app_names: Vec<&String> = self.apps.keys().collect();
-        app_names.sort();
-        w.usize(app_names.len());
-        for name in app_names {
-            w.str(name);
-            self.apps[name].save_state(w);
-        }
-
-        // In-flight sync accounting, sorted by key for stable bytes.
-        let pending_syncs = self.pending_syncs.entries_sorted();
-        w.usize(pending_syncs.len());
-        for ((shell, row), n) in pending_syncs {
-            w.usize(shell);
-            w.u16(row);
-            w.u32(n);
-        }
-
+        // Lifecycle records and in-flight sync accounting, in key order.
+        self.apps.save(w);
+        self.pending_syncs.save(w);
         // Run-loop bookkeeping and accumulators.
         w.bool(self.started);
         w.usize(self.idle_since.len());
-        for since in &self.idle_since {
-            match since {
-                None => w.bool(false),
-                Some(t) => {
-                    w.bool(true);
-                    w.u64(*t);
-                }
-            }
-        }
-        for u in &self.utilization {
-            u.save(w);
-        }
+        self.idle_since[..].save(w);
+        self.utilization[..].save(w);
         self.trace.save(w);
         self.sync_latency.save(w);
         w.u64(self.cpu_next_free);
@@ -293,116 +211,58 @@ impl EclipseSystem {
         w.u64(self.pi_accesses);
         w.u64(self.pi_next_free);
         w.u64(self.pi_busy_cycles);
-        match &self.fault {
-            None => w.bool(false),
-            Some(inj) => {
-                w.bool(true);
-                inj.save(w);
-            }
-        }
-        match self.watchdog_cycles {
-            None => w.bool(false),
-            Some(c) => {
-                w.bool(true);
-                w.u64(c);
-            }
-        }
+        self.fault.save(w);
+        self.watchdog_cycles.save(w);
         w.u64(self.last_progress);
         w.bool(self.credit_check);
-        for map in [&self.in_flight, &self.credits_lost] {
-            let mut entries: Vec<_> = map
-                .iter()
-                .map(|(&(a, b), &v)| ((a.shell.0, a.row.0, b.shell.0, b.row.0), (a, b), v))
-                .collect();
-            entries.sort_by_key(|e| e.0);
-            w.usize(entries.len());
-            for (_, (a, b), v) in entries {
-                save_access_point(w, &a);
-                save_access_point(w, &b);
-                w.u64(v);
-            }
-        }
-
+        self.in_flight.save(w);
+        self.credits_lost.save(w);
         // Coprocessor task state, through the trait hooks.
         w.usize(self.coprocs.len());
         for c in &self.coprocs {
             c.save_state(w);
         }
-
-        // Trace-sink accounting last, so the state hash can simply stop
-        // before it.
-        if with_sink {
-            match &self.trace_sink {
-                None => w.bool(false),
-                Some(sink) => {
-                    w.bool(true);
-                    sink.borrow().save_state(w);
-                }
-            }
-        }
     }
 
-    /// Load the state section written by `write_state(_, true)`.
+    /// Load the state written by [`EclipseSystem::write_state`]. The
+    /// calendar is rebuilt from its events (keys are pure functions of
+    /// event content, recomputed here instead of serialized), so its
+    /// events are checked first: no past event, no unknown target.
     fn read_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let now = r.u64()?;
-        let n_events = r.usize()?;
-        let mut events = Vec::with_capacity(n_events.min(1 << 20));
-        for _ in 0..n_events {
-            let time = r.u64()?;
-            let ev = Event::load_state(r)?;
-            // Keys are pure functions of event content — recomputed here
-            // instead of serialized, so the v2→v3 checkpoint layout of
-            // this section is unchanged.
-            events.push((time, event_key(&ev), ev));
-        }
-        self.cal.restore(now, events);
-
-        if r.usize()? != self.shells.len() {
-            return Err(SnapError::Corrupt("shell count"));
-        }
-        for shell in &mut self.shells {
-            shell.load_state(r)?;
-        }
-        for labels in &mut self.row_labels {
-            let n = r.usize()?;
-            labels.clear();
-            for _ in 0..n {
-                labels.push(r.str()?);
+        let mut events: Vec<(Cycle, Event)> = Vec::new();
+        events.load(r)?;
+        let shells = self.shells.len();
+        let target_ok = |ev: &Event| match ev {
+            Event::Step(s) => *s < shells,
+            Event::Sync(m) => {
+                (m.src.shell.0 as usize) < shells && (m.dst.shell.0 as usize) < shells
             }
+            Event::Sample => true,
+        };
+        if events.iter().any(|(t, ev)| *t < now || !target_ok(ev)) {
+            return Err(SnapError::Corrupt("calendar event"));
         }
+        self.cal.restore(
+            now,
+            events.into_iter().map(|(t, ev)| (t, event_key(&ev), ev)),
+        );
 
+        r.expect_len(self.shells.len(), "shell count")?;
+        self.shells[..].load(r)?;
+        self.row_labels[..].load(r)?;
         self.mem.load(r)?;
         self.dram.load(r)?;
         self.system_bus.load(r)?;
         self.alloc.load(r)?;
         self.dram_next = r.u32()?;
         self.sync.load_state(r)?;
-
-        self.apps.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let record = AppRecord::load_state(r)?;
-            self.apps.insert(name, record);
-        }
-
-        self.pending_syncs.clear();
-        for _ in 0..r.usize()? {
-            let shell = r.usize()?;
-            let row = r.u16()?;
-            let n = r.u32()?;
-            self.pending_syncs.add(shell, row, n);
-        }
-
+        self.apps.load(r)?;
+        self.pending_syncs.load(r)?;
         self.started = r.bool()?;
-        if r.usize()? != self.idle_since.len() {
-            return Err(SnapError::Corrupt("shell count (idle)"));
-        }
-        for since in &mut self.idle_since {
-            *since = if r.bool()? { Some(r.u64()?) } else { None };
-        }
-        for u in &mut self.utilization {
-            u.load(r)?;
-        }
+        r.expect_len(self.idle_since.len(), "shell count (idle)")?;
+        self.idle_since[..].load(r)?;
+        self.utilization[..].load(r)?;
         self.trace.load(r)?;
         self.sync_latency.load(r)?;
         self.cpu_next_free = r.u64()?;
@@ -411,44 +271,76 @@ impl EclipseSystem {
         self.pi_accesses = r.u64()?;
         self.pi_next_free = r.u64()?;
         self.pi_busy_cycles = r.u64()?;
-        self.fault = if r.bool()? {
-            let mut inj = self
-                .fault
-                .take()
-                .unwrap_or_else(|| FaultInjector::new(FaultPlan::default()));
-            inj.load(r)?;
-            Some(inj)
-        } else {
-            None
-        };
-        self.watchdog_cycles = if r.bool()? { Some(r.u64()?) } else { None };
+        self.fault.load(r)?;
+        self.watchdog_cycles.load(r)?;
         self.last_progress = r.u64()?;
         self.credit_check = r.bool()?;
-        for map in [&mut self.in_flight, &mut self.credits_lost] {
-            map.clear();
-            for _ in 0..r.usize()? {
-                let a = load_access_point(r)?;
-                let b = load_access_point(r)?;
-                let v = r.u64()?;
-                map.insert((a, b), v);
+        self.in_flight.load(r)?;
+        self.credits_lost.load(r)?;
+        r.expect_len(self.coprocs.len(), "coprocessor count")?;
+        self.coprocs.iter_mut().try_for_each(|c| c.load_state(r))
+    }
+
+    /// Check every index a restored run would use unchecked: each
+    /// component validated itself while loading; what is left are the
+    /// references between them.
+    fn check_restored(&self) -> Result<(), SnapError> {
+        let rows_of = |s: usize| self.shells.get(s).map(|sh| sh.rows().len());
+        let tasks_of = |s: usize| self.shells.get(s).map(|sh| sh.tasks().len());
+        let sram = self.mem.sram.config().size;
+        let dram = self.dram.config().size;
+        for (s, shell) in self.shells.iter().enumerate() {
+            shell.check_links(|id: ShellId| rows_of(id.0 as usize), sram)?;
+            if self.row_labels[s].len() != shell.rows().len() {
+                return Err(SnapError::Corrupt("row label count"));
+            }
+            let coproc = &self.coprocs[s];
+            let mut live = shell.tasks().iter().enumerate().filter(|(_, t)| !t.retired);
+            if !live.all(|(t, row)| coproc.task_state_fits(TaskIdx(t as u8), row, dram)) {
+                return Err(SnapError::Corrupt("coprocessor task state"));
             }
         }
-
-        if r.usize()? != self.coprocs.len() {
-            return Err(SnapError::Corrupt("coprocessor count"));
-        }
-        for c in &mut self.coprocs {
-            c.load_state(r)?;
-        }
-
-        // Trace-sink accounting: load into the installed sink, or parse
-        // into a scratch sink when the restoring run has tracing off (the
-        // section still must be consumed to validate the stream end).
-        if r.bool()? {
-            match &self.trace_sink {
-                Some(sink) => sink.borrow_mut().load_state(r)?,
-                None => TraceSink::new(0).load_state(r)?,
+        // A sync to a live row (its generation still current) is
+        // delivered, so its source must be one of the row's remotes.
+        for (_, ev) in self.cal.pending_in_order() {
+            if let Event::Sync(m) = ev {
+                let dst = &self.shells[m.dst.shell.0 as usize];
+                let Some(row) = dst.rows().get(m.dst.row.0 as usize) else {
+                    return Err(SnapError::Corrupt("sync destination row"));
+                };
+                if (m.src.row.0 as usize) >= rows_of(m.src.shell.0 as usize).unwrap_or(0)
+                    || (!row.retired
+                        && m.dst_gen == dst.row_generation(m.dst.row)
+                        && !row.remotes.contains(&m.src))
+                {
+                    return Err(SnapError::Corrupt("sync source"));
+                }
             }
+        }
+        for app in self.apps.values() {
+            let tasks_ok = app
+                .tasks
+                .iter()
+                .all(|&(s, t)| tasks_of(s).is_some_and(|n| (t.0 as usize) < n));
+            let rows_ok = app
+                .rows
+                .iter()
+                .all(|&(s, r)| rows_of(s).is_some_and(|n| (r.0 as usize) < n));
+            if !tasks_ok || !rows_ok || app.buffers.iter().any(|b| b.size == 0) {
+                return Err(SnapError::Corrupt("application record"));
+            }
+        }
+        for ((s, row), _) in self.pending_syncs.entries_sorted() {
+            if row as usize >= rows_of(s).unwrap_or(0) {
+                return Err(SnapError::Corrupt("pending sync row"));
+            }
+        }
+        let now = self.cal.now();
+        if self.idle_since.iter().flatten().any(|&t| t > now) {
+            return Err(SnapError::Corrupt("idle time in the future"));
+        }
+        if self.credit_check && self.credit_violation().is_some() {
+            return Err(SnapError::Corrupt("credit conservation"));
         }
         Ok(())
     }

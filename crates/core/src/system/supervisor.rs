@@ -32,8 +32,9 @@
 //!    the shell tables over the PI bus, so each rollback charges
 //!    `rows×4 + tasks×4` register writes.
 //! 3. **Degrade** — force concealment-only decode on the victim
-//!    (every task that accepts [`Coprocessor::set_conceal_only`]
-//!    (crate::coproc::Coprocessor::set_conceal_only)), or — when the
+//!    (every task that accepts
+//!    [`Coprocessor::set_conceal_only`](crate::Coprocessor::set_conceal_only)),
+//!    or — when the
 //!    victim has no degraded mode or is already degraded — evict the
 //!    lowest-priority app via `drain_app`/`unmap_app`, re-balancing
 //!    its budget pro-rata onto the survivors.

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use eclipse_sim::snapshot::{FnvState, SnapError, SnapReader, SnapWriter, Snapshot};
+use eclipse_sim::snapshot::FnvState;
 use eclipse_sim::Cycle;
 
 /// One named time series of (cycle, value) samples.
@@ -56,6 +56,14 @@ impl TraceLog {
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Rebuild the name index after the series were replaced.
+    fn reindex(&mut self) -> Result<(), eclipse_sim::SnapError> {
+        self.by_name = (self.series.iter().enumerate())
+            .map(|(i, s)| (s.name.clone(), i))
+            .collect();
+        Ok(())
     }
 
     /// Append a sample to the named series, creating it if needed.
@@ -112,38 +120,8 @@ impl TraceLog {
     }
 }
 
-impl Snapshot for TraceLog {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.series.len());
-        for s in &self.series {
-            w.str(&s.name);
-            w.usize(s.points.len());
-            for &(t, v) in &s.points {
-                w.u64(t);
-                w.f64(v);
-            }
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.series.clear();
-        self.by_name.clear();
-        for i in 0..n {
-            let name = r.str()?;
-            let m = r.usize()?;
-            let mut points = Vec::with_capacity(m.min(1 << 20));
-            for _ in 0..m {
-                let t = r.u64()?;
-                let v = r.f64()?;
-                points.push((t, v));
-            }
-            self.by_name.insert(name.clone(), i);
-            self.series.push(TraceSeries { name, points });
-        }
-        Ok(())
-    }
-}
+eclipse_sim::snap_fields!(TraceSeries { name, points });
+eclipse_sim::snap_fields!(TraceLog { series } then TraceLog::reindex);
 
 #[cfg(test)]
 mod tests {

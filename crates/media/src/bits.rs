@@ -8,10 +8,23 @@ pub struct BitWriter {
     bit_pos: u8,
 }
 
+eclipse_sim::snap_fields!(
+    /// The accumulated bytes and the bits used in the last byte;
+    /// loading rejects a position no writer can reach.
+    BitWriter { bytes, bit_pos } then BitWriter::check_position
+);
+
 impl BitWriter {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn check_position(&mut self) -> Result<(), eclipse_sim::SnapError> {
+        if self.bit_pos >= 8 || (self.bit_pos != 0 && self.bytes.is_empty()) {
+            return Err(eclipse_sim::SnapError::Corrupt("vle writer bit position"));
+        }
+        Ok(())
     }
 
     /// Total bits written so far.
@@ -21,20 +34,6 @@ impl BitWriter {
         } else {
             (self.bytes.len() - 1) * 8 + self.bit_pos as usize
         }
-    }
-
-    /// The writer's internal state — the accumulated bytes and the number
-    /// of bits used in the last byte — for checkpointing.
-    pub fn snapshot_parts(&self) -> (&[u8], u8) {
-        (&self.bytes, self.bit_pos)
-    }
-
-    /// Rebuild a writer from the parts returned by
-    /// [`BitWriter::snapshot_parts`].
-    pub fn from_parts(bytes: Vec<u8>, bit_pos: u8) -> Self {
-        debug_assert!(bit_pos < 8);
-        debug_assert!(bit_pos == 0 || !bytes.is_empty());
-        BitWriter { bytes, bit_pos }
     }
 
     /// Write the low `n` bits of `v`, MSB first. `n` must be <= 32.
@@ -215,6 +214,29 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
+
+    #[test]
+    fn writer_snapshot_round_trips_and_rejects_bad_positions() {
+        let mut w = BitWriter::new();
+        w.put_bits(0b101, 3);
+        let mut out = SnapWriter::new();
+        w.save(&mut out);
+        let mut back = BitWriter::new();
+        back.load(&mut SnapReader::new(out.bytes())).unwrap();
+        assert_eq!((back.bytes.clone(), back.bit_pos), (w.bytes.clone(), 3));
+        // Bytes then position: no bytes with a partial byte, and a
+        // position past the byte.
+        for (bytes, pos) in [(Vec::<u8>::new(), 1u8), (vec![0xA0], 8)] {
+            let mut crafted = SnapWriter::new();
+            bytes.save(&mut crafted);
+            crafted.u8(pos);
+            assert_eq!(
+                BitWriter::new().load(&mut SnapReader::new(crafted.bytes())),
+                Err(SnapError::Corrupt("vle writer bit position"))
+            );
+        }
+    }
 
     #[test]
     fn write_read_round_trip() {

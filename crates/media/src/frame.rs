@@ -7,6 +7,8 @@
 //! synchronization grain Eclipse chooses for MPEG ("from picture to
 //! macroblock level", Section 2.2).
 
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
+
 /// Number of 8x8 blocks per macroblock in 4:2:0 (4 luma + 2 chroma).
 pub const BLOCKS_PER_MB: usize = 6;
 /// Macroblock luma dimension in pixels.
@@ -82,6 +84,43 @@ pub struct Frame {
     pub u: Plane,
     /// Cr chroma plane (half resolution).
     pub v: Plane,
+}
+
+/// The smallest frame: one black macroblock (a placeholder for a
+/// checkpoint to load into).
+impl Default for Frame {
+    fn default() -> Self {
+        Frame::new(MB_SIZE, MB_SIZE)
+    }
+}
+
+/// Largest frame side a checkpoint may declare: MPEG-1 codes picture
+/// sizes in 12 bits.
+const MAX_SNAP_SIDE: usize = (1 << 12) - 1;
+
+/// The geometry, then the three planes as zero-run-length blobs. Loading
+/// bounds the sides before it allocates the planes.
+impl Snapshot for Frame {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.width);
+        w.usize(self.height);
+        w.blob(&self.y.data);
+        w.blob(&self.u.data);
+        w.blob(&self.v.data);
+    }
+
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let width = r.usize()?;
+        let height = r.usize()?;
+        let side_ok = |s: usize| s != 0 && s <= MAX_SNAP_SIDE && s.is_multiple_of(MB_SIZE);
+        if !side_ok(width) || !side_ok(height) {
+            return Err(SnapError::Corrupt("frame geometry"));
+        }
+        *self = Frame::new(width, height);
+        r.blob_into(&mut self.y.data)?;
+        r.blob_into(&mut self.u.data)?;
+        r.blob_into(&mut self.v.data)
+    }
 }
 
 impl Frame {

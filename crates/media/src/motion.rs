@@ -26,6 +26,8 @@ pub struct MotionVector {
     pub dy: i16,
 }
 
+eclipse_sim::snap_fields!(MotionVector { dx, dy });
+
 impl MotionVector {
     /// A vector from full-pel displacements.
     pub fn full_pel(dx: i16, dy: i16) -> Self {
@@ -116,7 +118,7 @@ impl<'a> SampleGrid<'a> {
 
     /// Visit the rows of the `w`×`h` block (`w` ≤ 16) whose top-left
     /// sample sits at half-pel `(x2, y2)`: `row(y, samples)` gets row `y`
-    /// as `w` interpolated samples, the same values [`Self::sample_half`]
+    /// as `w` interpolated samples, the same values `sample_half`
     /// gives each position.
     ///
     /// When the block and the one extra column/row its half-pel phase

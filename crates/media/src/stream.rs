@@ -28,15 +28,18 @@ pub const MARKER_PIC: u32 = 0x45434C50;
 pub const MARKER_END: u32 = 0x45434C45;
 
 /// Picture coding types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PictureType {
     /// Intra-coded.
+    #[default]
     I,
     /// Forward-predicted.
     P,
     /// Bidirectionally predicted.
     B,
 }
+
+eclipse_sim::snap_enum!(PictureType { I = 0, P = 1, B = 2 });
 
 impl PictureType {
     /// Encode as a header byte.
@@ -76,6 +79,8 @@ impl Default for GopConfig {
         GopConfig { n: 12, m: 3 }
     }
 }
+
+eclipse_sim::snap_fields!(GopConfig { n, m });
 
 /// One planned picture of a sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +156,7 @@ impl GopConfig {
 }
 
 /// Sequence-level parameters carried in the sequence header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SequenceHeader {
     /// Luma width (multiple of 16).
     pub width: u16,
@@ -164,6 +169,14 @@ pub struct SequenceHeader {
     /// Number of coded pictures.
     pub num_frames: u16,
 }
+
+eclipse_sim::snap_fields!(SequenceHeader {
+    width,
+    height,
+    qscale,
+    gop,
+    num_frames
+});
 
 impl SequenceHeader {
     /// Largest dimension the decoder will allocate for — a corrupt header

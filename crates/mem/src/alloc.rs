@@ -188,15 +188,13 @@ impl BufferAllocator {
     }
 }
 
+/// The range, the free list and the counters. Loading rejects a
+/// checkpoint from an allocator over another range.
 impl Snapshot for BufferAllocator {
     fn save(&self, w: &mut SnapWriter) {
         w.u32(self.base);
         w.u32(self.size);
-        w.usize(self.free.len());
-        for &(start, len) in &self.free {
-            w.u32(start);
-            w.u32(len);
-        }
+        self.free.save(w);
         w.u32(self.in_use);
         w.u32(self.high_watermark);
     }
@@ -207,13 +205,7 @@ impl Snapshot for BufferAllocator {
         if base != self.base || size != self.size {
             return Err(SnapError::Corrupt("allocator range"));
         }
-        let n = r.usize()?;
-        self.free.clear();
-        for _ in 0..n {
-            let start = r.u32()?;
-            let len = r.u32()?;
-            self.free.push((start, len));
-        }
+        self.free.load(r)?;
         self.in_use = r.u32()?;
         self.high_watermark = r.u32()?;
         Ok(())
@@ -223,6 +215,23 @@ impl Snapshot for BufferAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_restores_the_free_list_and_rejects_another_range() {
+        let mut a = BufferAllocator::new(64, 1024);
+        a.alloc(256, 16).unwrap();
+        let mut w = SnapWriter::new();
+        a.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut b = BufferAllocator::new(64, 1024);
+        b.load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!((b.free, b.in_use), (a.free, a.in_use));
+        let mut other = BufferAllocator::new(0, 1024);
+        assert_eq!(
+            other.load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt("allocator range"))
+        );
+    }
 
     #[test]
     fn alloc_and_free_round_trip() {

@@ -13,7 +13,6 @@
 //! and how long it waited on arbitration — the wait is the contention the
 //! design-space experiments (E4) measure.
 
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::stats::RunningStat;
 use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
@@ -65,21 +64,12 @@ pub struct BusStats {
     pub wait: RunningStat,
 }
 
-impl Snapshot for BusStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.transactions);
-        w.u64(self.bytes);
-        w.u64(self.busy_cycles);
-        self.wait.save(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.transactions = r.u64()?;
-        self.bytes = r.u64()?;
-        self.busy_cycles = r.u64()?;
-        self.wait.load(r)
-    }
-}
+eclipse_sim::snap_fields!(BusStats {
+    transactions,
+    bytes,
+    busy_cycles,
+    wait
+});
 
 /// A shared bus with in-order arbitration.
 #[derive(Debug, Clone)]
@@ -192,17 +182,7 @@ impl Bus {
     }
 }
 
-impl Snapshot for Bus {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.next_free);
-        self.stats.save(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.next_free = r.u64()?;
-        self.stats.load(r)
-    }
-}
+eclipse_sim::snap_fields!(Bus { next_free, stats });
 
 #[cfg(test)]
 mod tests {

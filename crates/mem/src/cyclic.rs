@@ -16,14 +16,18 @@ pub struct Segment {
 }
 
 /// A fixed-size cyclic buffer at `base` of `size` bytes in a linear
-/// address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// address space. The zero-size default is only a placeholder for a
+/// checkpoint to load into; restore rejects a buffer that is still
+/// zero-size after loading.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CyclicBuffer {
     /// Absolute base address.
     pub base: u32,
     /// Buffer size in bytes. Must be > 0.
     pub size: u32,
 }
+
+eclipse_sim::snap_fields!(CyclicBuffer { base, size });
 
 impl CyclicBuffer {
     /// Create a buffer descriptor. `size` must be non-zero.

@@ -188,39 +188,20 @@ impl Dram {
     }
 }
 
-impl Snapshot for DramStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.transactions);
-        w.u64(self.bytes);
-        w.u64(self.row_hits);
-        w.u64(self.row_misses);
-        w.u64(self.busy_cycles);
-        self.wait.save(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.transactions = r.u64()?;
-        self.bytes = r.u64()?;
-        self.row_hits = r.u64()?;
-        self.row_misses = r.u64()?;
-        self.busy_cycles = r.u64()?;
-        self.wait.load(r)
-    }
-}
+eclipse_sim::snap_fields!(DramStats {
+    transactions,
+    bytes,
+    row_hits,
+    row_misses,
+    busy_cycles,
+    wait,
+});
 
 impl Snapshot for Dram {
     fn save(&self, w: &mut SnapWriter) {
         w.blob_paged(&self.data, PAGE_BYTES, |page| self.is_written(page));
         w.usize(self.open_rows.len());
-        for row in &self.open_rows {
-            match row {
-                None => w.bool(false),
-                Some(v) => {
-                    w.bool(true);
-                    w.u32(*v);
-                }
-            }
-        }
+        self.open_rows[..].save(w);
         w.u64(self.next_free);
         self.stats.save(w);
     }
@@ -239,13 +220,8 @@ impl Snapshot for Dram {
             self.data[at..at + bytes.len()].copy_from_slice(bytes);
             mark_written(&mut self.written, at, bytes.len());
         })?;
-        let banks = r.usize()?;
-        if banks != self.open_rows.len() {
-            return Err(SnapError::Corrupt("dram bank count"));
-        }
-        for row in &mut self.open_rows {
-            *row = if r.bool()? { Some(r.u32()?) } else { None };
-        }
+        r.expect_len(self.open_rows.len(), "dram bank count")?;
+        self.open_rows[..].load(r)?;
         self.next_free = r.u64()?;
         self.stats.load(r)
     }

@@ -225,8 +225,10 @@ pub trait DataFabric: std::fmt::Debug {
         FabricTopology::uniform(self.kind())
     }
 
-    /// Serialize the fabric's dynamic state (arbiter clocks, statistics)
-    /// into a checkpoint. The default is a no-op for stateless fabrics.
+    /// The checkpoint hook: save the fabric's dynamic state (arbiter
+    /// clocks, statistics). Stateful backends forward it, and
+    /// [`DataFabric::load_state`], to their [`Snapshot`] impl; the
+    /// default is a no-op for stateless fabrics.
     fn save_state(&self, _w: &mut SnapWriter) {}
 
     /// Restore dynamic state written by [`DataFabric::save_state`] into a
@@ -388,6 +390,12 @@ pub struct SharedBusFabric {
     contended: u64,
 }
 
+eclipse_sim::snap_fields!(SharedBusFabric {
+    read,
+    write,
+    contended
+});
+
 impl SharedBusFabric {
     /// A new idle bus pair.
     pub fn new(read: BusConfig, write: BusConfig) -> Self {
@@ -445,20 +453,26 @@ impl DataFabric for SharedBusFabric {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        self.read.save(w);
-        self.write.save(w);
-        w.u64(self.contended);
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.read.load(r)?;
-        self.write.load(r)?;
-        self.contended = r.u64()?;
-        Ok(())
+        self.load(r)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
         self
+    }
+}
+
+/// A boxed fabric checkpoints through its hook.
+impl Snapshot for Box<dyn DataFabric> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.save_state(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.load_state(r)
     }
 }
 
@@ -489,6 +503,11 @@ pub struct MultiBankFabric {
     contended: u64,
     trace: Option<TraceHandle>,
 }
+
+eclipse_sim::snap_fields!(MultiBankFabric {
+    banks: fixed,
+    contended
+});
 
 impl MultiBankFabric {
     /// A new idle fabric with `banks` banks of `interleave_bytes` stripe.
@@ -609,23 +628,11 @@ impl DataFabric for MultiBankFabric {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.banks.len());
-        for bank in &self.banks {
-            bank.save(w);
-        }
-        w.u64(self.contended);
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n != self.banks.len() {
-            return Err(SnapError::Corrupt("fabric bank count"));
-        }
-        for bank in &mut self.banks {
-            bank.load(r)?;
-        }
-        self.contended = r.u64()?;
-        Ok(())
+        self.load(r)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -651,6 +658,44 @@ const PORT_WRITE_NAMES: [&str; MAX_PORTS] = [
 struct PrivatePort {
     read: Bus,
     write: Bus,
+}
+
+eclipse_sim::snap_fields!(PrivatePort { read, write });
+
+impl PrivatePort {
+    /// Grow `ports` to `n` pairs, each named after its requester.
+    fn grow(ports: &mut Vec<PrivatePort>, n: usize, cfg: BusConfig) {
+        while ports.len() < n {
+            let i = ports.len();
+            ports.push(PrivatePort {
+                read: Bus::new(PORT_READ_NAMES[i], cfg),
+                write: Bus::new(PORT_WRITE_NAMES[i], cfg),
+            });
+        }
+    }
+
+    /// A port count, then each pair's buses.
+    fn save_ports(ports: &[PrivatePort], w: &mut SnapWriter) {
+        w.usize(ports.len());
+        ports.save(w);
+    }
+
+    /// Rebuild the pairs saved by [`PrivatePort::save_ports`]: a fabric
+    /// creates a requester's pair on its first request, so the count
+    /// need not match this build's. It may not exceed the crossbar.
+    fn load_ports(
+        ports: &mut Vec<PrivatePort>,
+        cfg: BusConfig,
+        r: &mut SnapReader,
+    ) -> Result<(), SnapError> {
+        let n = r.usize()?;
+        if n > MAX_PORTS {
+            return Err(SnapError::Corrupt("fabric port count"));
+        }
+        ports.clear();
+        Self::grow(ports, n, cfg);
+        ports[..].load(r)
+    }
 }
 
 /// Per-requester private ports into the interleaved SRAM banks, through
@@ -702,13 +747,7 @@ impl PrivatePortFabric {
             requester < MAX_PORTS,
             "requester {requester} exceeds the {MAX_PORTS}-port crossbar"
         );
-        while self.ports.len() <= requester {
-            let i = self.ports.len();
-            self.ports.push(PrivatePort {
-                read: Bus::new(PORT_READ_NAMES[i], self.port_cfg),
-                write: Bus::new(PORT_WRITE_NAMES[i], self.port_cfg),
-            });
-        }
+        PrivatePort::grow(&mut self.ports, requester + 1, self.port_cfg);
         &mut self.ports[requester]
     }
 }
@@ -796,29 +835,12 @@ impl DataFabric for PrivatePortFabric {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.ports.len());
-        for p in &self.ports {
-            p.read.save(w);
-            p.write.save(w);
-        }
+        PrivatePort::save_ports(&self.ports, w);
         w.u64(self.contended);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n > MAX_PORTS {
-            return Err(SnapError::Corrupt("fabric port count"));
-        }
-        self.ports.clear();
-        for i in 0..n {
-            self.ports.push(PrivatePort {
-                read: Bus::new(PORT_READ_NAMES[i], self.port_cfg),
-                write: Bus::new(PORT_WRITE_NAMES[i], self.port_cfg),
-            });
-            let p = self.ports.last_mut().expect("just pushed");
-            p.read.load(r)?;
-            p.write.load(r)?;
-        }
+        PrivatePort::load_ports(&mut self.ports, self.port_cfg, r)?;
         self.contended = r.u64()?;
         Ok(())
     }
@@ -839,20 +861,11 @@ pub struct LinkStats {
     pub busy_cycles: u64,
 }
 
-impl Snapshot for LinkStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.traversals);
-        w.u64(self.bytes);
-        w.u64(self.busy_cycles);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.traversals = r.u64()?;
-        self.bytes = r.u64()?;
-        self.busy_cycles = r.u64()?;
-        Ok(())
-    }
-}
+eclipse_sim::snap_fields!(LinkStats {
+    traversals,
+    bytes,
+    busy_cycles
+});
 
 /// A `cols × rows` mesh NoC of SRAM bank nodes with XY routing — the
 /// distributed-memory alternative to the centralized crossbar, after
@@ -961,13 +974,7 @@ impl MeshDataFabric {
             requester < MAX_PORTS,
             "requester {requester} exceeds the {MAX_PORTS}-port mesh"
         );
-        while self.ports.len() <= requester {
-            let i = self.ports.len();
-            self.ports.push(PrivatePort {
-                read: Bus::new(PORT_READ_NAMES[i], self.port_cfg),
-                write: Bus::new(PORT_WRITE_NAMES[i], self.port_cfg),
-            });
-        }
+        PrivatePort::grow(&mut self.ports, requester + 1, self.port_cfg);
         &mut self.ports[requester]
     }
 
@@ -1082,40 +1089,16 @@ impl DataFabric for MeshDataFabric {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.ports.len());
-        for p in &self.ports {
-            p.read.save(w);
-            p.write.save(w);
-        }
+        PrivatePort::save_ports(&self.ports, w);
         w.usize(self.links.len());
-        for l in &self.links {
-            l.save(w);
-        }
+        self.links[..].save(w);
         w.u64(self.contended);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n > MAX_PORTS {
-            return Err(SnapError::Corrupt("fabric port count"));
-        }
-        self.ports.clear();
-        for i in 0..n {
-            self.ports.push(PrivatePort {
-                read: Bus::new(PORT_READ_NAMES[i], self.port_cfg),
-                write: Bus::new(PORT_WRITE_NAMES[i], self.port_cfg),
-            });
-            let p = self.ports.last_mut().expect("just pushed");
-            p.read.load(r)?;
-            p.write.load(r)?;
-        }
-        let nl = r.usize()?;
-        if nl != self.links.len() {
-            return Err(SnapError::Corrupt("mesh link count"));
-        }
-        for l in &mut self.links {
-            l.load(r)?;
-        }
+        PrivatePort::load_ports(&mut self.ports, self.port_cfg, r)?;
+        r.expect_len(self.links.len(), "mesh link count")?;
+        self.links[..].load(r)?;
         self.contended = r.u64()?;
         Ok(())
     }

@@ -7,8 +7,6 @@
 //! latency, one `word_bytes`-wide beat per port per SRAM cycle. Contention
 //! between shells is modeled by the buses in [`crate::bus`], not here.
 
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 /// Configuration of the on-chip SRAM.
 #[derive(Debug, Clone, Copy)]
 pub struct SramConfig {
@@ -123,24 +121,13 @@ impl Sram {
     }
 }
 
-impl Snapshot for Sram {
-    fn save(&self, w: &mut SnapWriter) {
-        w.blob(&self.data);
-        w.u64(self.stats.reads);
-        w.u64(self.stats.writes);
-        w.u64(self.stats.bytes_read);
-        w.u64(self.stats.bytes_written);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.blob_into(&mut self.data)?;
-        self.stats.reads = r.u64()?;
-        self.stats.writes = r.u64()?;
-        self.stats.bytes_read = r.u64()?;
-        self.stats.bytes_written = r.u64()?;
-        Ok(())
-    }
-}
+eclipse_sim::snap_fields!(SramStats {
+    reads,
+    writes,
+    bytes_read,
+    bytes_written
+});
+eclipse_sim::snap_fields!(Sram { data: blob, stats });
 
 #[cfg(test)]
 mod tests {

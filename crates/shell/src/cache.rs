@@ -666,11 +666,30 @@ impl StreamCache {
             self.resident_span = s;
         }
     }
+}
 
-    /// Serialize the cache — its (possibly per-row overridden)
-    /// configuration, every line, and the counters — so a checkpoint can
-    /// recreate caches for rows mapped at run time.
-    pub fn save_state(&self, w: &mut SnapWriter) {
+impl StreamCache {
+    /// Does every valid line lie inside memory, by `inside(tag, bytes)`?
+    pub(crate) fn lines_inside(&self, inside: impl Fn(u32, u32) -> bool) -> bool {
+        self.lines
+            .iter()
+            .all(|l| !l.valid() || inside(l.tag, self.cfg.line_bytes))
+    }
+}
+
+/// A cacheless placeholder, for a checkpoint to load into.
+impl Default for StreamCache {
+    fn default() -> Self {
+        StreamCache::new(CacheConfig::with_lines(0, false))
+    }
+}
+
+/// The cache — its (possibly per-row overridden) configuration, every
+/// line, and the counters — so a checkpoint can recreate caches for rows
+/// mapped at run time. Loading validates the geometry before it rebuilds
+/// the cache from it, and rejects dirty bits past a line's end.
+impl Snapshot for StreamCache {
+    fn save(&self, w: &mut SnapWriter) {
         w.usize(self.cfg.lines);
         w.u32(self.cfg.line_bytes);
         w.bool(self.cfg.prefetch);
@@ -682,16 +701,10 @@ impl StreamCache {
             w.bool(line.fetched);
             w.raw(&line.data[..self.cfg.line_bytes as usize]);
         }
-        w.u64(self.stats.hits);
-        w.u64(self.stats.misses);
-        w.u64(self.stats.prefetches);
-        w.u64(self.stats.writebacks);
-        w.u64(self.stats.invalidations);
-        w.u64(self.stats.stall_cycles);
+        self.stats.save(w);
     }
 
-    /// Reconstruct a cache serialized by [`StreamCache::save_state`].
-    pub fn load_state(r: &mut SnapReader) -> Result<StreamCache, SnapError> {
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let cfg = CacheConfig {
             lines: r.usize()?,
             line_bytes: r.u32()?,
@@ -701,37 +714,42 @@ impl StreamCache {
         if !cfg.line_bytes.is_power_of_two() || cfg.line_bytes > MAX_LINE_BYTES {
             return Err(SnapError::Corrupt("cache line size"));
         }
-        let mut cache = StreamCache::new(cfg);
-        for line in &mut cache.lines {
+        if cfg.prefetch_depth.checked_mul(cfg.line_bytes).is_none() {
+            return Err(SnapError::Corrupt("cache prefetch depth"));
+        }
+        // Each line encodes to its 21-byte header plus its data.
+        if cfg.lines > r.remaining() / (21 + cfg.line_bytes as usize) {
+            return Err(SnapError::Corrupt("cache line count"));
+        }
+        let owner = self.owner;
+        *self = StreamCache::new(cfg);
+        self.owner = owner;
+        let past_end = u64::MAX.checked_shl(cfg.line_bytes).unwrap_or(0);
+        for line in &mut self.lines {
             line.tag = r.u32()?;
             line.ready_at = r.u64()?;
             line.dirty = r.u64()?;
             line.fetched = r.bool()?;
+            if line.dirty & past_end != 0 {
+                return Err(SnapError::Corrupt("cache dirty mask"));
+            }
             let bytes = r.raw(cfg.line_bytes as usize)?;
             line.data[..cfg.line_bytes as usize].copy_from_slice(bytes);
         }
-        cache.dirty_lines = cache.lines.iter().filter(|l| l.dirty != 0).count() as u32;
-        cache.stats.hits = r.u64()?;
-        cache.stats.misses = r.u64()?;
-        cache.stats.prefetches = r.u64()?;
-        cache.stats.writebacks = r.u64()?;
-        cache.stats.invalidations = r.u64()?;
-        cache.stats.stall_cycles = r.u64()?;
-        Ok(cache)
+        self.dirty_lines = self.lines.iter().filter(|l| l.dirty != 0).count() as u32;
+        self.stats.load(r)
     }
 }
 
-impl Snapshot for MemSys {
-    fn save(&self, w: &mut SnapWriter) {
-        self.sram.save(w);
-        self.fabric.save_state(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.sram.load(r)?;
-        self.fabric.load_state(r)
-    }
-}
+eclipse_sim::snap_fields!(CacheStats {
+    hits,
+    misses,
+    prefetches,
+    writebacks,
+    invalidations,
+    stall_cycles,
+});
+eclipse_sim::snap_fields!(MemSys { sram, fabric });
 
 #[cfg(test)]
 mod tests {

@@ -48,8 +48,10 @@ pub use sync_fabric::{
 pub use task_table::{TaskConfig, TaskIdx, TaskStats};
 
 /// Identifies one shell (and its coprocessor) within an Eclipse instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShellId(pub u16);
+
+eclipse_sim::snap_fields!(ShellId { 0 });
 
 /// Port index within a task (the `port_id` argument of the primitives).
 pub type PortId = u8;

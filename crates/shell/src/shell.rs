@@ -9,7 +9,7 @@
 //! cache coherency actions, and `GetTask` runs the local scheduler.
 
 use eclipse_mem::CyclicBuffer;
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
+use eclipse_sim::snapshot::SnapError;
 use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
 
@@ -67,7 +67,7 @@ impl Default for ShellConfig {
 }
 
 /// A `putspace` message in flight between two shells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncMsg {
     /// Sending access point.
     pub src: AccessPoint,
@@ -86,6 +86,14 @@ pub struct SyncMsg {
     /// rows that were never recycled are at generation 0.
     pub dst_gen: u32,
 }
+
+eclipse_sim::snap_fields!(SyncMsg {
+    src,
+    dst,
+    bytes,
+    send_at,
+    dst_gen
+});
 
 /// Result of a `PutSpace` call.
 #[derive(Debug, Clone)]
@@ -819,97 +827,87 @@ impl Shell {
 
     // ---- checkpointing ----------------------------------------------------
 
-    /// Serialize all dynamic shell state: the full stream and task tables
-    /// (including run-time-mapped entries), per-row caches, scheduler
-    /// state, generation counters, free lists, and counters.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.rows.len());
-        for (row, cache) in self.rows.iter().zip(&self.caches) {
-            row.save_state(w);
-            cache.save_state(w);
+    /// After a load: re-attach the caches to this shell's fabric port
+    /// (wiring, not state) and reject tables whose indices disagree —
+    /// generations, free lists, task ports and the scheduler all index
+    /// the row and task tables unchecked.
+    fn relink(&mut self) -> Result<(), SnapError> {
+        for cache in &mut self.caches {
+            cache.owner = self.id.0 as usize;
         }
-        w.usize(self.tasks.len());
-        for task in &self.tasks {
-            task.save_state(w);
+        let (rows, tasks) = (self.rows.len(), self.tasks.len());
+        let ports_ok = self
+            .tasks
+            .iter()
+            .all(|t| t.cfg.ports.iter().all(|p| (p.0 as usize) < rows));
+        let sched_ok =
+            self.sched.current.is_none_or(|t| (t.0 as usize) < tasks) && self.sched.cursor <= tasks;
+        if self.generations.len() != rows
+            || self.free_rows.iter().any(|r| r.0 as usize >= rows)
+            || self.free_tasks.iter().any(|t| t.0 as usize >= tasks)
+            || !ports_ok
+            || !sched_ok
+        {
+            return Err(SnapError::Corrupt("shell tables"));
         }
-        self.sched.save(w);
-        w.usize(self.generations.len());
-        for &g in &self.generations {
-            w.u32(g);
-        }
-        w.usize(self.free_rows.len());
-        for &r in &self.free_rows {
-            w.u16(r.0);
-        }
-        w.usize(self.free_tasks.len());
-        for &t in &self.free_tasks {
-            w.u8(t.0);
-        }
-        w.usize(self.task_capacity);
-        w.u64(self.stats.messages_sent);
-        w.u64(self.stats.messages_received);
-        w.u64(self.stats.bytes_read);
-        w.u64(self.stats.bytes_written);
-        w.u64(self.stats.gettask_calls);
-        w.u64(self.stats.gettask_runs);
-        w.u64(self.stats.stale_syncs_rejected);
-        w.bool(self.disable_invalidate);
-        w.bool(self.disable_flush);
+        Ok(())
     }
 
-    /// Restore state written by [`Shell::save_state`]. The tables are
-    /// rebuilt wholesale — rows and tasks mapped (or retired) after the
-    /// system was built are recreated exactly.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n_rows = r.usize()?;
-        let mut rows = Vec::with_capacity(n_rows);
-        let mut caches = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            rows.push(StreamRow::load_state(r)?);
-            let mut cache = StreamCache::load_state(r)?;
-            cache.owner = self.id.0 as usize;
-            caches.push(cache);
+    /// Check the references a restored shell holds outside itself: every
+    /// row's remotes name a row that exists (`rows_of(shell)` is that
+    /// shell's row count, `None` for no such shell), and every buffer and
+    /// cached line lies inside an SRAM of `sram_bytes`.
+    pub fn check_links(
+        &self,
+        rows_of: impl Fn(ShellId) -> Option<usize>,
+        sram_bytes: u32,
+    ) -> Result<(), SnapError> {
+        let inside = |start: u32, len: u32| start as u64 + len as u64 <= sram_bytes as u64;
+        for (row, cache) in self.rows.iter().zip(&self.caches) {
+            let remotes_ok = row
+                .remotes
+                .iter()
+                .all(|ap| rows_of(ap.shell).is_some_and(|n| (ap.row.0 as usize) < n));
+            if !remotes_ok {
+                return Err(SnapError::Corrupt("stream row remote"));
+            }
+            if !inside(row.buffer.base, row.buffer.size) || !cache.lines_inside(inside) {
+                return Err(SnapError::Corrupt("stream buffer outside SRAM"));
+            }
         }
-        let n_tasks = r.usize()?;
-        let mut tasks = Vec::with_capacity(n_tasks);
-        for _ in 0..n_tasks {
-            tasks.push(TaskRow::load_state(r)?);
-        }
-        self.rows = rows;
-        self.caches = caches;
-        self.tasks = tasks;
-        self.sched.load(r)?;
-        let n_gen = r.usize()?;
-        if n_gen != self.rows.len() {
-            return Err(SnapError::Corrupt("generation count"));
-        }
-        self.generations.clear();
-        for _ in 0..n_gen {
-            self.generations.push(r.u32()?);
-        }
-        let n_free_rows = r.usize()?;
-        self.free_rows.clear();
-        for _ in 0..n_free_rows {
-            self.free_rows.push(RowIdx(r.u16()?));
-        }
-        let n_free_tasks = r.usize()?;
-        self.free_tasks.clear();
-        for _ in 0..n_free_tasks {
-            self.free_tasks.push(TaskIdx(r.u8()?));
-        }
-        self.task_capacity = r.usize()?;
-        self.stats.messages_sent = r.u64()?;
-        self.stats.messages_received = r.u64()?;
-        self.stats.bytes_read = r.u64()?;
-        self.stats.bytes_written = r.u64()?;
-        self.stats.gettask_calls = r.u64()?;
-        self.stats.gettask_runs = r.u64()?;
-        self.stats.stale_syncs_rejected = r.u64()?;
-        self.disable_invalidate = r.bool()?;
-        self.disable_flush = r.bool()?;
         Ok(())
     }
 }
+
+eclipse_sim::snap_fields!(
+    /// All dynamic shell state: the full stream and task tables
+    /// (including run-time-mapped entries) with each row's cache,
+    /// scheduler state, generation counters, free lists, and counters.
+    /// Loading rebuilds the tables wholesale, so rows and tasks mapped
+    /// (or retired) after the system was built are recreated exactly.
+    Shell {
+        (rows, caches),
+        tasks,
+        sched,
+        generations,
+        free_rows,
+        free_tasks,
+        task_capacity,
+        stats,
+        disable_invalidate,
+        disable_flush,
+    } then Shell::relink
+);
+
+eclipse_sim::snap_fields!(ShellStats {
+    messages_sent,
+    messages_received,
+    bytes_read,
+    bytes_written,
+    gettask_calls,
+    gettask_runs,
+    stale_syncs_rejected,
+});
 
 #[cfg(test)]
 mod tests {

@@ -16,18 +16,21 @@
 //! released it.
 
 use eclipse_mem::CyclicBuffer;
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
+use eclipse_sim::snapshot::SnapError;
 use eclipse_sim::stats::TimeWeighted;
 use eclipse_sim::Cycle;
 
 use crate::ShellId;
 
 /// Index of a row within one shell's stream table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RowIdx(pub u16);
 
+eclipse_sim::snap_fields!(RowIdx { 0 });
+
 /// Globally identifies an access point: a (shell, stream-table row) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ordered by shell, then row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AccessPoint {
     /// The shell holding the row.
     pub shell: ShellId,
@@ -35,14 +38,19 @@ pub struct AccessPoint {
     pub row: RowIdx,
 }
 
+eclipse_sim::snap_fields!(AccessPoint { shell, row });
+
 /// Direction of an access point relative to the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PortDir {
     /// Writes data; `space` counts available *room*.
+    #[default]
     Producer,
     /// Reads data; `space` counts available *data*.
     Consumer,
 }
+
+eclipse_sim::snap_enum!(PortDir { Producer = 0, Consumer = 1 });
 
 /// Configuration of one stream-table row (programmed by the CPU over the
 /// PI bus when an application graph is set up).
@@ -76,8 +84,10 @@ pub struct StreamRowStats {
     pub space_trace: TimeWeighted,
 }
 
-/// One stream-table row.
-#[derive(Debug, Clone)]
+/// One stream-table row. A checkpoint carries the full row —
+/// configuration and dynamic state — so a restore can recreate rows that
+/// were mapped at run time.
+#[derive(Debug, Clone, Default)]
 pub struct StreamRow {
     /// Static configuration.
     pub buffer: CyclicBuffer,
@@ -227,91 +237,46 @@ impl StreamRow {
             .abs(self.buffer.wrap_add(self.access_point, offset))
     }
 
-    /// Serialize the full row — configuration and dynamic state — so a
-    /// checkpoint can recreate rows that were mapped at run time.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u32(self.buffer.base);
-        w.u32(self.buffer.size);
-        w.u8(match self.dir {
-            PortDir::Producer => 0,
-            PortDir::Consumer => 1,
-        });
-        w.usize(self.remotes.len());
-        for r in &self.remotes {
-            w.u16(r.shell.0);
-            w.u16(r.row.0);
+    /// Reject a loaded row that breaks an invariant the primitives rely
+    /// on: a nonzero buffer, one space counter per remote (exactly one
+    /// remote for a consumer), and an access point, space values and
+    /// grant inside the buffer.
+    fn check(&mut self) -> Result<(), SnapError> {
+        let size = self.buffer.size;
+        let consumer_ok = self.dir == PortDir::Producer || self.remotes.len() == 1;
+        if size == 0
+            || self.remotes.is_empty()
+            || !consumer_ok
+            || self.space.len() != self.remotes.len()
+            || self.access_point >= size
+            || self.space.iter().any(|&s| s > size)
+            || self.granted > self.effective_space()
+        {
+            return Err(SnapError::Corrupt("stream row"));
         }
-        w.u32(self.access_point);
-        w.usize(self.space.len());
-        for &s in &self.space {
-            w.u32(s);
-        }
-        w.u32(self.granted);
-        w.bool(self.retired);
-        self.stats.save(w);
-    }
-
-    /// Reconstruct a row serialized by [`StreamRow::save_state`].
-    pub fn load_state(r: &mut SnapReader) -> Result<StreamRow, SnapError> {
-        let buffer = CyclicBuffer::new(r.u32()?, r.u32()?);
-        let dir = match r.u8()? {
-            0 => PortDir::Producer,
-            1 => PortDir::Consumer,
-            _ => return Err(SnapError::Corrupt("port direction")),
-        };
-        let n_remotes = r.usize()?;
-        let mut remotes = Vec::with_capacity(n_remotes);
-        for _ in 0..n_remotes {
-            remotes.push(AccessPoint {
-                shell: ShellId(r.u16()?),
-                row: RowIdx(r.u16()?),
-            });
-        }
-        let access_point = r.u32()?;
-        let n_space = r.usize()?;
-        if n_space != n_remotes {
-            return Err(SnapError::Corrupt("row space count"));
-        }
-        let mut space = Vec::with_capacity(n_space);
-        for _ in 0..n_space {
-            space.push(r.u32()?);
-        }
-        let granted = r.u32()?;
-        let retired = r.bool()?;
-        let mut stats = StreamRowStats::default();
-        stats.load(r)?;
-        Ok(StreamRow {
-            buffer,
-            dir,
-            remotes,
-            access_point,
-            space,
-            granted,
-            retired,
-            stats,
-        })
+        Ok(())
     }
 }
 
-impl Snapshot for StreamRowStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.bytes_committed);
-        w.u64(self.putspace_calls);
-        w.u64(self.getspace_calls);
-        w.u64(self.getspace_denied);
-        w.u64(self.messages_received);
-        self.space_trace.save(w);
-    }
+eclipse_sim::snap_fields!(StreamRow {
+    buffer,
+    dir,
+    remotes,
+    access_point,
+    space,
+    granted,
+    retired,
+    stats,
+} then StreamRow::check);
 
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.bytes_committed = r.u64()?;
-        self.putspace_calls = r.u64()?;
-        self.getspace_calls = r.u64()?;
-        self.getspace_denied = r.u64()?;
-        self.messages_received = r.u64()?;
-        self.space_trace.load(r)
-    }
-}
+eclipse_sim::snap_fields!(StreamRowStats {
+    bytes_committed,
+    putspace_calls,
+    getspace_calls,
+    getspace_denied,
+    messages_received,
+    space_trace,
+});
 
 #[cfg(test)]
 mod tests {

@@ -55,8 +55,10 @@ pub trait SyncFabric: std::fmt::Debug {
     /// Downcast support for backend-specific inspection (tests, benches).
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Serialize the network's dynamic state (link clocks, statistics)
-    /// into a checkpoint. The default is a no-op for stateless networks.
+    /// The checkpoint hook: save the network's dynamic state (link
+    /// clocks, statistics). Stateful backends forward it, and
+    /// [`SyncFabric::load_state`], to their [`Snapshot`] impl; the
+    /// default is a no-op for stateless networks.
     fn save_state(&self, _w: &mut SnapWriter) {}
 
     /// Restore dynamic state written by [`SyncFabric::save_state`] into a
@@ -66,22 +68,12 @@ pub trait SyncFabric: std::fmt::Debug {
     }
 }
 
-impl Snapshot for SyncFabricStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.messages);
-        w.u64(self.hops);
-        w.u64(self.contended);
-        w.u64(self.wait_cycles);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.messages = r.u64()?;
-        self.hops = r.u64()?;
-        self.contended = r.u64()?;
-        self.wait_cycles = r.u64()?;
-        Ok(())
-    }
-}
+eclipse_sim::snap_fields!(SyncFabricStats {
+    messages,
+    hops,
+    contended,
+    wait_cycles
+});
 
 /// Sync-network selection, resolved to a backend at system build time.
 #[derive(Debug, Clone, Copy)]
@@ -155,6 +147,8 @@ pub struct DirectSyncFabric {
     stats: SyncFabricStats,
 }
 
+eclipse_sim::snap_fields!(DirectSyncFabric { stats });
+
 impl DirectSyncFabric {
     /// A new idle network.
     pub fn new() -> Self {
@@ -184,11 +178,11 @@ impl SyncFabric for DirectSyncFabric {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        self.stats.save(w);
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.stats.load(r)
+        self.load(r)
     }
 }
 
@@ -202,6 +196,11 @@ pub struct RingSyncFabric {
     stats: SyncFabricStats,
     trace: Option<TraceHandle>,
 }
+
+eclipse_sim::snap_fields!(RingSyncFabric {
+    link_free: fixed,
+    stats
+});
 
 impl RingSyncFabric {
     /// A new idle ring connecting `n_shells` shells.
@@ -276,29 +275,18 @@ impl SyncFabric for RingSyncFabric {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.link_free.len());
-        for &t in &self.link_free {
-            w.u64(t);
-        }
-        self.stats.save(w);
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n != self.link_free.len() {
-            return Err(SnapError::Corrupt("ring link count"));
-        }
-        for t in &mut self.link_free {
-            *t = r.u64()?;
-        }
-        self.stats.load(r)
+        self.load(r)
     }
 }
 
 /// A 2-D mesh `putspace` network with XY routing and credit
 /// piggy-backing.
 ///
-/// The grid mirrors the data-plane mesh (same [`MeshGeometry`] node and
+/// The grid mirrors the data-plane mesh (same [`MeshGeometry`](eclipse_mem::MeshGeometry) node and
 /// link enumeration), so an instance selecting both mesh planes routes
 /// sync messages along the same physical topology its data rides on.
 /// Piggy-backing models the classic NoC optimization of folding credit
@@ -325,6 +313,13 @@ pub struct MeshSyncFabric {
     piggybacked: u64,
     trace: Option<TraceHandle>,
 }
+
+eclipse_sim::snap_fields!(MeshSyncFabric {
+    link_free: fixed,
+    last_grant: each,
+    stats,
+    piggybacked,
+});
 
 impl MeshSyncFabric {
     /// A new idle `cols × rows` mesh.
@@ -438,31 +433,11 @@ impl SyncFabric for MeshSyncFabric {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.link_free.len());
-        for &t in &self.link_free {
-            w.u64(t);
-        }
-        for &t in &self.last_grant {
-            w.u64(t);
-        }
-        self.stats.save(w);
-        w.u64(self.piggybacked);
+        self.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n != self.link_free.len() {
-            return Err(SnapError::Corrupt("mesh sync link count"));
-        }
-        for t in &mut self.link_free {
-            *t = r.u64()?;
-        }
-        for t in &mut self.last_grant {
-            *t = r.u64()?;
-        }
-        self.stats.load(r)?;
-        self.piggybacked = r.u64()?;
-        Ok(())
+        self.load(r)
     }
 }
 

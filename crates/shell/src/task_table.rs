@@ -8,7 +8,7 @@
 //! locally available information: the stream-table space values and
 //! previously denied GetSpace requests.
 
-use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
+use eclipse_sim::snapshot::SnapError;
 use eclipse_sim::Cycle;
 
 use crate::stream_table::RowIdx;
@@ -16,11 +16,13 @@ use crate::PortId;
 
 /// Index of a task row within one shell's task table (the `task_id` the
 /// coprocessor receives from `GetTask`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskIdx(pub u8);
 
+eclipse_sim::snap_fields!(TaskIdx { 0 });
+
 /// Configuration of one task-table row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskConfig {
     /// Human-readable name for reporting.
     pub name: String,
@@ -54,8 +56,10 @@ pub struct TaskStats {
     pub denials: u64,
 }
 
-/// One task-table row.
-#[derive(Debug, Clone)]
+/// One task-table row. A checkpoint carries the full row —
+/// configuration and dynamic state — so a restore can recreate tasks that
+/// were mapped at run time.
+#[derive(Debug, Clone, Default)]
 pub struct TaskRow {
     /// Static configuration.
     pub cfg: TaskConfig,
@@ -96,126 +100,49 @@ impl TaskRow {
         }
     }
 
-    /// Serialize the full row — configuration and dynamic state — so a
-    /// checkpoint can recreate tasks that were mapped at run time.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.str(&self.cfg.name);
-        w.u64(self.cfg.budget);
-        w.u32(self.cfg.task_info);
-        w.usize(self.cfg.ports.len());
-        for p in &self.cfg.ports {
-            w.u16(p.0);
+    /// Reject a loaded row whose hints or blocked port do not match its
+    /// ports.
+    fn check(&mut self) -> Result<(), SnapError> {
+        let ports = self.cfg.ports.len();
+        let blocked_ok = self
+            .blocked_on
+            .is_none_or(|(port, _)| (port as usize) < ports);
+        if self.cfg.space_hints.len() != ports || !blocked_ok {
+            return Err(SnapError::Corrupt("task row"));
         }
-        w.usize(self.cfg.space_hints.len());
-        for &h in &self.cfg.space_hints {
-            w.u32(h);
-        }
-        w.bool(self.enabled);
-        match self.blocked_on {
-            None => w.bool(false),
-            Some((port, bytes)) => {
-                w.bool(true);
-                w.u8(port);
-                w.u32(bytes);
-            }
-        }
-        w.bool(self.finished);
-        w.bool(self.retired);
-        self.stats.save(w);
-    }
-
-    /// Reconstruct a row serialized by [`TaskRow::save_state`].
-    pub fn load_state(r: &mut SnapReader) -> Result<TaskRow, SnapError> {
-        let name = r.str()?;
-        let budget = r.u64()?;
-        let task_info = r.u32()?;
-        let n_ports = r.usize()?;
-        let mut ports = Vec::with_capacity(n_ports);
-        for _ in 0..n_ports {
-            ports.push(RowIdx(r.u16()?));
-        }
-        let n_hints = r.usize()?;
-        if n_hints != n_ports {
-            return Err(SnapError::Corrupt("task hint count"));
-        }
-        let mut space_hints = Vec::with_capacity(n_hints);
-        for _ in 0..n_hints {
-            space_hints.push(r.u32()?);
-        }
-        let enabled = r.bool()?;
-        let blocked_on = if r.bool()? {
-            Some((r.u8()?, r.u32()?))
-        } else {
-            None
-        };
-        let finished = r.bool()?;
-        let retired = r.bool()?;
-        let mut stats = TaskStats::default();
-        stats.load(r)?;
-        Ok(TaskRow {
-            cfg: TaskConfig {
-                name,
-                budget,
-                task_info,
-                ports,
-                space_hints,
-            },
-            enabled,
-            blocked_on,
-            finished,
-            retired,
-            stats,
-        })
-    }
-}
-
-impl Snapshot for TaskStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.steps);
-        w.u64(self.aborted_steps);
-        w.u64(self.busy_cycles);
-        w.u64(self.switches_in);
-        w.u64(self.denials);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.steps = r.u64()?;
-        self.aborted_steps = r.u64()?;
-        self.busy_cycles = r.u64()?;
-        self.switches_in = r.u64()?;
-        self.denials = r.u64()?;
         Ok(())
     }
 }
 
-impl Snapshot for SchedState {
-    fn save(&self, w: &mut SnapWriter) {
-        match self.current {
-            None => w.bool(false),
-            Some(t) => {
-                w.bool(true);
-                w.u8(t.0);
-            }
-        }
-        w.u64(self.budget_left);
-        w.usize(self.cursor);
-        w.u64(self.switches);
-        w.u64(self.decisions);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.current = if r.bool()? {
-            Some(TaskIdx(r.u8()?))
-        } else {
-            None
-        };
-        self.budget_left = r.u64()?;
-        self.cursor = r.usize()?;
-        self.switches = r.u64()?;
-        self.decisions = r.u64()?;
-        Ok(())
-    }
-}
+eclipse_sim::snap_fields!(TaskConfig {
+    name,
+    budget,
+    task_info,
+    ports,
+    space_hints
+});
+eclipse_sim::snap_fields!(TaskRow {
+    cfg,
+    enabled,
+    blocked_on,
+    finished,
+    retired,
+    stats,
+} then TaskRow::check);
+eclipse_sim::snap_fields!(TaskStats {
+    steps,
+    aborted_steps,
+    busy_cycles,
+    switches_in,
+    denials
+});
+eclipse_sim::snap_fields!(SchedState {
+    current,
+    budget_left,
+    cursor,
+    switches,
+    decisions
+});
 
 /// Scheduler state (per shell).
 #[derive(Debug, Clone, Default)]

@@ -32,7 +32,6 @@
 //!   stream, applied host-side by [`corrupt_bytes`] before the run.
 
 use crate::rng::{SplitMix64, Xoshiro256StarStar};
-use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// What faults to inject and how often. All-zero rates (the default)
 /// mean no injection at all.
@@ -154,6 +153,13 @@ struct FaultLane {
     stall: Xoshiro256StarStar,
 }
 
+/// A placeholder lane, overwritten when a checkpoint is loaded into it.
+impl Default for FaultLane {
+    fn default() -> Self {
+        FaultLane::new(0, 0)
+    }
+}
+
 impl FaultLane {
     /// Child seeds are split in a fixed order so each fault class owns an
     /// independent decision stream, and each shell owns an independent
@@ -170,7 +176,7 @@ impl FaultLane {
 }
 
 /// A running injector: the plan plus per-shell, per-class decision
-/// streams ([`FaultLane`]) and the injection counters.
+/// streams (one `FaultLane` per shell) and the injection counters.
 ///
 /// Decision streams are **per shell**: every hook takes the shell index
 /// on whose behalf the decision is made (the *sender* shell for sync
@@ -187,6 +193,13 @@ pub struct FaultInjector {
     stats: FaultStats,
     /// `putspace` messages seen so far (drives `sync_drop_skip`).
     syncs_seen: u64,
+}
+
+/// An injector for the default (inactive) plan.
+impl Default for FaultInjector {
+    fn default() -> Self {
+        FaultInjector::new(FaultPlan::default())
+    }
 }
 
 impl FaultInjector {
@@ -297,89 +310,41 @@ impl FaultInjector {
     }
 }
 
-impl Snapshot for FaultPlan {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.seed);
-        w.f64(self.sync_drop_rate);
-        w.u64(self.sync_drop_skip);
-        w.u64(self.sync_drop_limit);
-        w.f64(self.sync_delay_rate);
-        w.u64(self.sync_delay_max);
-        w.f64(self.bus_error_rate);
-        w.u64(self.bus_retry_cycles);
-        w.f64(self.sram_flip_rate);
-        w.f64(self.stall_rate);
-        w.u64(self.stall_cycles);
-    }
+crate::snap_fields!(FaultPlan {
+    seed,
+    sync_drop_rate,
+    sync_drop_skip,
+    sync_drop_limit,
+    sync_delay_rate,
+    sync_delay_max,
+    bus_error_rate,
+    bus_retry_cycles,
+    sram_flip_rate,
+    stall_rate,
+    stall_cycles,
+});
 
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.seed = r.u64()?;
-        self.sync_drop_rate = r.f64()?;
-        self.sync_drop_skip = r.u64()?;
-        self.sync_drop_limit = r.u64()?;
-        self.sync_delay_rate = r.f64()?;
-        self.sync_delay_max = r.u64()?;
-        self.bus_error_rate = r.f64()?;
-        self.bus_retry_cycles = r.u64()?;
-        self.sram_flip_rate = r.f64()?;
-        self.stall_rate = r.f64()?;
-        self.stall_cycles = r.u64()?;
-        Ok(())
-    }
-}
+crate::snap_fields!(FaultStats {
+    sync_dropped,
+    sync_delayed,
+    credits_lost,
+    bus_errors,
+    sram_flips,
+    coproc_stalls,
+});
 
-impl Snapshot for FaultStats {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.sync_dropped);
-        w.u64(self.sync_delayed);
-        w.u64(self.credits_lost);
-        w.u64(self.bus_errors);
-        w.u64(self.sram_flips);
-        w.u64(self.coproc_stalls);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.sync_dropped = r.u64()?;
-        self.sync_delayed = r.u64()?;
-        self.credits_lost = r.u64()?;
-        self.bus_errors = r.u64()?;
-        self.sram_flips = r.u64()?;
-        self.coproc_stalls = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for FaultInjector {
-    fn save(&self, w: &mut SnapWriter) {
-        self.plan.save(w);
-        w.usize(self.lanes.len());
-        for lane in &self.lanes {
-            lane.sync.save(w);
-            lane.bus.save(w);
-            lane.sram.save(w);
-            lane.stall.save(w);
-        }
-        self.stats.save(w);
-        w.u64(self.syncs_seen);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.plan.load(r)?;
-        let n = r.usize()?;
-        self.lanes.clear();
-        for shell in 0..n {
-            let mut lane = FaultLane::new(self.plan.seed, shell);
-            lane.sync.load(r)?;
-            lane.bus.load(r)?;
-            lane.sram.load(r)?;
-            lane.stall.load(r)?;
-            self.lanes.push(lane);
-        }
-        self.stats.load(r)?;
-        self.syncs_seen = r.u64()?;
-        Ok(())
-    }
-}
+crate::snap_fields!(FaultLane {
+    sync,
+    bus,
+    sram,
+    stall
+});
+crate::snap_fields!(FaultInjector {
+    plan,
+    lanes,
+    stats,
+    syncs_seen
+});
 
 /// Corrupt an elementary stream in place: each byte independently has
 /// one random bit flipped with probability `rate`. Deterministic in

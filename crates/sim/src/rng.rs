@@ -9,8 +9,6 @@
 //! the workhorse generator (period 2^256 − 1, passes BigCrush). Both follow
 //! the reference algorithms by Blackman & Vigna.
 
-use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-
 /// SplitMix64: a tiny 64-bit generator mainly used to expand a single seed
 /// into the larger state of [`Xoshiro256StarStar`] and to "split" child
 /// seeds for independent components.
@@ -19,16 +17,7 @@ pub struct SplitMix64 {
     state: u64,
 }
 
-impl Snapshot for SplitMix64 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.state);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.state = r.u64()?;
-        Ok(())
-    }
-}
+crate::snap_fields!(SplitMix64 { state });
 
 impl SplitMix64 {
     /// Create a generator from a seed.
@@ -59,20 +48,7 @@ pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }
 
-impl Snapshot for Xoshiro256StarStar {
-    fn save(&self, w: &mut SnapWriter) {
-        for &word in &self.s {
-            w.u64(word);
-        }
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for word in &mut self.s {
-            *word = r.u64()?;
-        }
-        Ok(())
-    }
-}
+crate::snap_fields!(Xoshiro256StarStar { s });
 
 impl Xoshiro256StarStar {
     /// Seed via SplitMix64 expansion (the recommended seeding procedure).

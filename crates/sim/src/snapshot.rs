@@ -17,9 +17,26 @@
 //!   struct. Loading is in-place (`&mut self`): a checkpoint captures
 //!   *dynamic* state only and is restored into an identically-built
 //!   system, so private configuration fields never need to be
-//!   reconstructed from bytes.
+//!   reconstructed from bytes. The integers, `bool`, `f64`, `String`,
+//!   `Option`, `Vec`, arrays, slices, tuples and ordered maps implement
+//!   it here; a struct lists its fields once in
+//!   [`snap_fields!`](crate::snap_fields) (an enum its variants in
+//!   [`snap_enum!`](crate::snap_enum)) and gets both halves from that
+//!   one list, so save and load cannot disagree on order.
 //! * [`fnv1a_64`] — the rolling digest behind `EclipseSystem::state_hash`
-//!   and the checkpoint's configuration fingerprint.
+//!   and the checkpoint's configuration fingerprint. A
+//!   [`SnapWriter::hashing`] writer feeds the digest directly instead of
+//!   collecting bytes, so hashing the state never builds a checkpoint.
+//!
+//! ## Bounded decode
+//!
+//! A checkpoint is untrusted input: no length prefix sizes an allocation
+//! before it is checked. A sequence may not claim more elements than
+//! bytes remain ([`SnapReader::count`]) nor preallocate more bytes than
+//! remain, blobs carry the caller's bound, and tables whose size is
+//! fixed at build time must match it ([`SnapReader::expect_len`]).
+//! Structural checks that need the whole system (indices into other
+//! tables) run after decoding, in `EclipseSystem::restore`.
 //!
 //! ## Determinism contract
 //!
@@ -145,19 +162,39 @@ fn zero_prefix(data: &[u8]) -> usize {
     i
 }
 
-/// Append-only binary encoder.
+/// Append-only binary encoder. It either collects the bytes
+/// ([`SnapWriter::new`]) or folds them into an FNV-1a digest as they are
+/// written ([`SnapWriter::hashing`]); both see the identical byte stream.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
+    hash: Option<FnvHasher>,
 }
 
 impl SnapWriter {
-    /// An empty writer.
+    /// An empty writer that collects bytes.
     pub fn new() -> Self {
         SnapWriter::default()
     }
 
-    /// The encoded bytes so far.
+    /// A writer that keeps no bytes, only their FNV-1a digest
+    /// ([`SnapWriter::digest`]).
+    pub fn hashing() -> Self {
+        SnapWriter {
+            buf: Vec::new(),
+            hash: Some(std::hash::BuildHasher::build_hasher(&FnvState)),
+        }
+    }
+
+    /// FNV-1a of everything written so far ([`fnv1a_64`] of the bytes).
+    pub fn digest(&self) -> u64 {
+        match &self.hash {
+            Some(h) => std::hash::Hasher::finish(h),
+            None => fnv1a_64(&self.buf),
+        }
+    }
+
+    /// The encoded bytes so far (empty for a hashing writer).
     pub fn bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -167,29 +204,37 @@ impl SnapWriter {
         self.buf
     }
 
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.hash {
+            None => self.buf.extend_from_slice(bytes),
+            Some(h) => std::hash::Hasher::write(h, bytes),
+        }
+    }
+
     /// Write one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Write a bool as one byte.
     pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+        self.u8(v as u8);
     }
 
     /// Write a little-endian u16.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a little-endian u32.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a little-endian u64.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a usize as a u64 (checkpoints are host-width independent).
@@ -199,12 +244,12 @@ impl SnapWriter {
 
     /// Write a little-endian i16.
     pub fn i16(&mut self, v: i16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write a little-endian i32.
     pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Write an f64 by its IEEE-754 bit pattern (bit-exact round trip).
@@ -215,18 +260,12 @@ impl SnapWriter {
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     /// Write raw bytes with no length prefix (caller encodes the length).
     pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Write a length-prefixed byte slice verbatim.
-    pub fn bytes_slice(&mut self, bytes: &[u8]) {
-        self.usize(bytes.len());
-        self.buf.extend_from_slice(bytes);
+        self.put(bytes);
     }
 
     /// Write a byte blob with zero-run-length encoding: the large memory
@@ -300,7 +339,7 @@ impl SnapWriter {
             }
             self.u8(1);
             self.usize(i - start);
-            self.buf.extend_from_slice(&data[start..i]);
+            self.put(&data[start..i]);
         }
     }
 }
@@ -391,11 +430,24 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Corrupt("utf8"))
     }
 
-    /// Read a length-prefixed byte vector (the [`SnapWriter::bytes_slice`]
-    /// counterpart).
-    pub fn bytes_vec(&mut self) -> Result<Vec<u8>, SnapError> {
+    /// Read the length prefix of a sequence whose every element encodes
+    /// to at least one byte, so it can claim no more elements than bytes
+    /// remain: a corrupt count fails here, before any element decodes.
+    pub fn count(&mut self) -> Result<usize, SnapError> {
         let n = self.usize()?;
-        Ok(self.take(n)?.to_vec())
+        if n > self.remaining() {
+            return Err(SnapError::Corrupt("count exceeds the checkpoint"));
+        }
+        Ok(n)
+    }
+
+    /// Read the length prefix of a table whose size was fixed when the
+    /// system was built; it must equal `len`.
+    pub fn expect_len(&mut self, len: usize, what: &'static str) -> Result<(), SnapError> {
+        if self.usize()? != len {
+            return Err(SnapError::Corrupt(what));
+        }
+        Ok(())
     }
 
     /// Read `n` raw bytes (the [`SnapWriter::raw`] counterpart).
@@ -486,14 +538,319 @@ pub trait Snapshot {
     fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError>;
 }
 
-impl Snapshot for u64 {
+/// `n` fresh values loaded in sequence. The preallocation takes no more
+/// bytes than the input has left; past it the vector grows only as
+/// values decode.
+fn load_fresh<T: Snapshot + Default>(n: usize, r: &mut SnapReader) -> Result<Vec<T>, SnapError> {
+    let mut items = Vec::with_capacity(n.min(r.remaining() / size_of::<T>().max(1)));
+    for _ in 0..n {
+        let mut item = T::default();
+        item.load(r)?;
+        items.push(item);
+    }
+    Ok(items)
+}
+
+macro_rules! snap_scalars {
+    ($($ty:ident),*) => {$(
+        impl Snapshot for $ty {
+            fn save(&self, w: &mut SnapWriter) {
+                w.$ty(*self);
+            }
+            fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+                *self = r.$ty()?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+snap_scalars!(bool, u8, u16, u32, u64, usize, i16, i32, f64);
+
+impl Snapshot for String {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(*self);
+        w.str(self);
     }
     fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        *self = r.u64()?;
+        *self = r.str()?;
         Ok(())
     }
+}
+
+/// A presence flag, then the value. Loading into `Some` reuses the
+/// value in place, so configuration it holds outside the checkpoint
+/// survives.
+impl<T: Snapshot + Default> Snapshot for Option<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        if r.bool()? {
+            self.get_or_insert_with(T::default).load(r)
+        } else {
+            *self = None;
+            Ok(())
+        }
+    }
+}
+
+/// A length prefix, then the elements; loading rebuilds the vector.
+impl<T: Snapshot + Default> Snapshot for Vec<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        self[..].save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let n = r.count()?;
+        *self = load_fresh(n, r)?;
+        Ok(())
+    }
+}
+
+/// The elements back to back with no length prefix, loaded in place:
+/// for tables whose length the receiver already has.
+impl<T: Snapshot> Snapshot for [T] {
+    fn save(&self, w: &mut SnapWriter) {
+        for item in self {
+            item.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.iter_mut().try_for_each(|item| item.load(r))
+    }
+}
+
+impl<T: Snapshot, const N: usize> Snapshot for [T; N] {
+    fn save(&self, w: &mut SnapWriter) {
+        self[..].save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self[..].load(r)
+    }
+}
+
+macro_rules! snap_tuples {
+    ($(($($name:ident $idx:tt),+))*) => {$(
+        impl<$($name: Snapshot),+> Snapshot for ($($name,)+) {
+            fn save(&self, w: &mut SnapWriter) {
+                $(self.$idx.save(w);)+
+            }
+            fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+                $(self.$idx.load(r)?;)+
+                Ok(())
+            }
+        }
+    )*};
+}
+
+snap_tuples!((A 0, B 1) (A 0, B 1, C 2));
+
+/// A length prefix, then `(key, value)` pairs in key order.
+impl<K, V> Snapshot for std::collections::BTreeMap<K, V>
+where
+    K: Snapshot + Default + Ord,
+    V: Snapshot + Default,
+{
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let n = r.count()?;
+        *self = load_fresh::<(K, V)>(n, r)?.into_iter().collect();
+        Ok(())
+    }
+}
+
+/// Saved exactly like the `BTreeMap` of the same entries: in key order,
+/// so the bytes never depend on hash-map iteration order.
+impl<K, V, S> Snapshot for std::collections::HashMap<K, V, S>
+where
+    K: Snapshot + Default + Ord + std::hash::Hash,
+    V: Snapshot + Default,
+    S: std::hash::BuildHasher + Default,
+{
+    fn save(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<_> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.usize(entries.len());
+        for (k, v) in entries {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let n = r.count()?;
+        *self = load_fresh::<(K, V)>(n, r)?.into_iter().collect();
+        Ok(())
+    }
+}
+
+/// Save two parallel vectors as one sequence of pairs: a length prefix,
+/// then `a[i]`, `b[i]` for each `i` (the `(a, b)` entry of
+/// [`snap_fields!`](crate::snap_fields)).
+pub fn save_zip<A: Snapshot, B: Snapshot>(a: &[A], b: &[B], w: &mut SnapWriter) {
+    assert_eq!(a.len(), b.len(), "zipped snapshot fields differ in length");
+    w.usize(a.len());
+    for (x, y) in a.iter().zip(b) {
+        x.save(w);
+        y.save(w);
+    }
+}
+
+/// Load two parallel vectors saved by [`save_zip`].
+pub fn load_zip<A, B>(a: &mut Vec<A>, b: &mut Vec<B>, r: &mut SnapReader) -> Result<(), SnapError>
+where
+    A: Snapshot + Default,
+    B: Snapshot + Default,
+{
+    let n = r.count()?;
+    (*a, *b) = load_fresh::<(A, B)>(n, r)?.into_iter().unzip();
+    Ok(())
+}
+
+/// Implement [`Snapshot`] for a struct from one ordered field list; the
+/// saver and the loader both expand from it, so they cannot disagree.
+///
+/// ```ignore
+/// snap_fields!(Ring { link_free: fixed, stats });
+/// snap_fields!(Shell { (rows, caches), tasks, sched } then Shell::relink);
+/// ```
+///
+/// Each entry is a field (a name, or an index for tuple structs) with
+/// an optional mode:
+///
+/// * `f` — the field's own [`Snapshot`] impl;
+/// * `f: fixed` — a table whose length was fixed at build time: a
+///   length prefix that must match on load, then the elements in place;
+/// * `f: each` — the elements in place with no length prefix;
+/// * `f: blob` — a byte buffer of fixed size as a zero-run-length blob
+///   ([`SnapWriter::blob`]), restored in place;
+/// * `f: blob(bound)` — a `Vec<u8>` as a blob of at most `bound(&self)`
+///   bytes, the bound computed from the fields loaded before it;
+/// * `(a, b)` — two parallel vectors as one sequence of pairs
+///   ([`save_zip`]).
+///
+/// `then hook` calls `hook(&mut self) -> Result<(), SnapError>` after a
+/// load, for types that must validate or rebuild derived state. Doc
+/// comments before the type document the generated impl.
+#[macro_export]
+macro_rules! snap_fields {
+    ($(#[$doc:meta])* $ty:ty { $($f:tt $(: $mode:ident $(($arg:expr))?)?),* $(,)? } $(then $hook:path)?) => {
+        $(#[$doc])*
+        impl $crate::snapshot::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                $($crate::snap_fields!(@save self w $f $($mode $(($arg))?)?);)*
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader,
+            ) -> ::core::result::Result<(), $crate::snapshot::SnapError> {
+                $($crate::snap_fields!(@load self r $f $($mode $(($arg))?)?);)*
+                $($hook(self)?;)?
+                Ok(())
+            }
+        }
+    };
+    (@save $s:ident $w:ident ($a:tt, $b:tt)) => {
+        $crate::snapshot::save_zip(&$s.$a, &$s.$b, $w)
+    };
+    (@load $s:ident $r:ident ($a:tt, $b:tt)) => {
+        $crate::snapshot::load_zip(&mut $s.$a, &mut $s.$b, $r)?
+    };
+    (@save $s:ident $w:ident $f:tt fixed) => {{
+        $w.usize($s.$f.len());
+        $crate::snapshot::Snapshot::save(&$s.$f[..], $w)
+    }};
+    (@load $s:ident $r:ident $f:tt fixed) => {{
+        $r.expect_len($s.$f.len(), concat!(stringify!($f), " length"))?;
+        $crate::snapshot::Snapshot::load(&mut $s.$f[..], $r)?
+    }};
+    (@save $s:ident $w:ident $f:tt each) => {
+        $crate::snapshot::Snapshot::save(&$s.$f[..], $w)
+    };
+    (@load $s:ident $r:ident $f:tt each) => {
+        $crate::snapshot::Snapshot::load(&mut $s.$f[..], $r)?
+    };
+    (@save $s:ident $w:ident $f:tt blob($bound:expr)) => {
+        $w.blob(&$s.$f)
+    };
+    (@load $s:ident $r:ident $f:tt blob($bound:expr)) => {
+        $s.$f = $r.blob(($bound)(&*$s))?
+    };
+    (@save $s:ident $w:ident $f:tt blob) => {
+        $w.blob(&$s.$f)
+    };
+    (@load $s:ident $r:ident $f:tt blob) => {
+        $r.blob_into(&mut $s.$f)?
+    };
+    (@save $s:ident $w:ident $f:tt) => {
+        $crate::snapshot::Snapshot::save(&$s.$f, $w)
+    };
+    (@load $s:ident $r:ident $f:tt) => {
+        $crate::snapshot::Snapshot::load(&mut $s.$f, $r)?
+    };
+}
+
+/// Implement [`Snapshot`] for an enum: a tag byte per variant, then the
+/// variant's fields in the order listed. Tuple and struct variants name
+/// their fields; loading builds each from its default and loads into
+/// it. An unknown tag loads as [`SnapError::Corrupt`].
+///
+/// ```ignore
+/// snap_enum!(PortDir { Producer = 0, Consumer = 1 });
+/// snap_enum!(Source { Dram { addr, len } = 0, Port = 1 });
+/// snap_enum!(Event { Step(shell) = 0, Sync(msg) = 1, Sample = 2 });
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($(#[$doc:meta])* $ty:ty {
+        $($variant:ident $(($($tf:ident),*))? $({$($sf:ident),*})? = $tag:literal),+ $(,)?
+    }) => {
+        $(#[$doc])*
+        impl $crate::snapshot::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::snapshot::SnapWriter) {
+                match self {
+                    $(Self::$variant $(($($tf),*))? $({$($sf),*})? => {
+                        w.u8($tag);
+                        $($($crate::snapshot::Snapshot::save($tf, w);)*)?
+                        $($($crate::snapshot::Snapshot::save($sf, w);)*)?
+                    })+
+                }
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snapshot::SnapReader,
+            ) -> ::core::result::Result<(), $crate::snapshot::SnapError> {
+                *self = match r.u8()? {
+                    $($tag => {
+                        $($(
+                            let mut $tf = ::core::default::Default::default();
+                            $crate::snapshot::Snapshot::load(&mut $tf, r)?;
+                        )*)?
+                        $($(
+                            let mut $sf = ::core::default::Default::default();
+                            $crate::snapshot::Snapshot::load(&mut $sf, r)?;
+                        )*)?
+                        Self::$variant $(($($tf),*))? $({$($sf),*})?
+                    })+
+                    _ => {
+                        return Err($crate::snapshot::SnapError::Corrupt(concat!(
+                            stringify!($ty),
+                            " tag"
+                        )))
+                    }
+                };
+                Ok(())
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -513,7 +870,7 @@ mod tests {
         w.f64(-0.125);
         w.f64(f64::NAN);
         w.str("qcif.vld");
-        w.bytes_slice(&[1, 2, 3]);
+        vec![1u8, 2, 3].save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 0xAB);
@@ -526,7 +883,9 @@ mod tests {
         assert_eq!(r.f64().unwrap(), -0.125);
         assert!(r.f64().unwrap().is_nan());
         assert_eq!(r.str().unwrap(), "qcif.vld");
-        assert_eq!(r.bytes_vec().unwrap(), vec![1, 2, 3]);
+        let mut v: Vec<u8> = Vec::new();
+        v.load(&mut r).unwrap();
+        assert_eq!(v, vec![1, 2, 3]);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -735,6 +1094,144 @@ mod tests {
             paged.blob_paged(&data, page_bytes, |p| written[p]);
             prop_assert_eq!(plain.bytes(), paged.bytes());
         }
+    }
+
+    /// A struct using every `snap_fields!` mode.
+    #[derive(Debug, Default, PartialEq)]
+    struct Sample {
+        id: u16,
+        name: String,
+        fixed: Vec<u32>,
+        each: [i16; 2],
+        blob: Vec<u8>,
+        keys: Vec<u8>,
+        values: Vec<Option<u64>>,
+        dir: Dir,
+        checked: bool,
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    enum Dir {
+        #[default]
+        Up,
+        Down(u32),
+        Side {
+            x: i32,
+            y: i32,
+        },
+    }
+
+    crate::snap_enum!(Dir { Up = 0, Down(n) = 1, Side { x, y } = 2 });
+
+    impl Sample {
+        fn check(&mut self) -> Result<(), SnapError> {
+            self.checked = true;
+            Ok(())
+        }
+    }
+
+    crate::snap_fields!(Sample {
+        id,
+        name,
+        fixed: fixed,
+        each: each,
+        blob: blob(|s: &Sample| s.id as usize),
+        (keys, values),
+        dir,
+    } then Sample::check);
+
+    fn sample() -> Sample {
+        Sample {
+            id: 300,
+            name: "row".into(),
+            fixed: vec![7, 8],
+            each: [-1, 1],
+            blob: vec![0; 300],
+            keys: vec![1, 2],
+            values: vec![None, Some(9)],
+            dir: Dir::Side { x: -4, y: 5 },
+            checked: false,
+        }
+    }
+
+    #[test]
+    fn field_lists_round_trip_and_hash_the_same_bytes() {
+        let original = sample();
+        let mut w = SnapWriter::new();
+        original.save(&mut w);
+        let mut h = SnapWriter::hashing();
+        original.save(&mut h);
+        assert_eq!(h.digest(), fnv1a_64(w.bytes()));
+        assert_eq!(h.digest(), w.digest());
+        assert!(h.bytes().is_empty());
+
+        let bytes = w.into_bytes();
+        let mut loaded = Sample {
+            fixed: vec![0; 2],
+            ..Sample::default()
+        };
+        loaded.load(&mut SnapReader::new(&bytes)).unwrap();
+        assert!(loaded.checked);
+        loaded.checked = false;
+        assert_eq!(loaded, original);
+    }
+
+    #[test]
+    fn field_lists_reject_what_the_receiver_cannot_hold() {
+        let mut w = SnapWriter::new();
+        sample().save(&mut w);
+        let bytes = w.into_bytes();
+        // A fixed table of another length.
+        let mut short = Sample::default();
+        assert!(matches!(
+            short.load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt("fixed length"))
+        ));
+        // A blob past the bound the loaded fields set.
+        let mut over = bytes.clone();
+        over[..2].copy_from_slice(&299u16.to_le_bytes());
+        let mut s = Sample {
+            fixed: vec![0; 2],
+            ..Sample::default()
+        };
+        assert_eq!(
+            s.load(&mut SnapReader::new(&over)),
+            Err(SnapError::Corrupt("blob longer than its bound"))
+        );
+        // An unknown enum tag.
+        let mut r = SnapReader::new(&[3]);
+        assert_eq!(
+            Dir::default().load(&mut r),
+            Err(SnapError::Corrupt("Dir tag"))
+        );
+    }
+
+    #[test]
+    fn counts_past_the_input_are_corrupt_before_allocating() {
+        let mut w = SnapWriter::new();
+        w.usize(1 << 60);
+        let bytes = w.into_bytes();
+        let mut v: Vec<u64> = Vec::new();
+        assert_eq!(
+            v.load(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt("count exceeds the checkpoint"))
+        );
+        let mut m: std::collections::BTreeMap<u8, u8> = Default::default();
+        assert!(m.load(&mut SnapReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn hash_maps_save_in_key_order_like_btree_maps() {
+        let pairs = [(3u16, 30u64), (1, 10), (2, 20)];
+        let hashed: std::collections::HashMap<u16, u64> = pairs.into_iter().collect();
+        let ordered: std::collections::BTreeMap<u16, u64> = pairs.into_iter().collect();
+        let (mut a, mut b) = (SnapWriter::new(), SnapWriter::new());
+        hashed.save(&mut a);
+        ordered.save(&mut b);
+        assert_eq!(a.bytes(), b.bytes());
+        let mut back: std::collections::HashMap<u16, u64> = Default::default();
+        back.load(&mut SnapReader::new(a.bytes())).unwrap();
+        assert_eq!(back, hashed);
     }
 
     #[test]

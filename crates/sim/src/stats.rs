@@ -7,7 +7,6 @@
 //! and time-weighted averages for occupancy-style quantities such as buffer
 //! filling and utilization.
 
-use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::Cycle;
 
 /// Running scalar statistics over a sample stream: count, sum, min, max,
@@ -357,90 +356,34 @@ impl Utilization {
     }
 }
 
-impl Snapshot for RunningStat {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.f64(self.sum);
-        w.f64(self.min);
-        w.f64(self.max);
-        w.f64(self.mean);
-        w.f64(self.m2);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.count = r.u64()?;
-        self.sum = r.f64()?;
-        self.min = r.f64()?;
-        self.max = r.f64()?;
-        self.mean = r.f64()?;
-        self.m2 = r.f64()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for Histogram {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.buckets.len());
-        for &c in &self.buckets {
-            w.u64(c);
-        }
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n != self.buckets.len() {
-            return Err(SnapError::Corrupt("histogram bucket count"));
-        }
-        for c in &mut self.buckets {
-            *c = r.u64()?;
-        }
-        self.count = r.u64()?;
-        self.sum = r.u64()?;
-        self.min = r.u64()?;
-        self.max = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for TimeWeighted {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.first_time);
-        w.u64(self.last_time);
-        w.f64(self.last_value);
-        w.f64(self.integral);
-        w.bool(self.started);
-        w.f64(self.max);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.first_time = r.u64()?;
-        self.last_time = r.u64()?;
-        self.last_value = r.f64()?;
-        self.integral = r.f64()?;
-        self.started = r.bool()?;
-        self.max = r.f64()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for Utilization {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.busy);
-        w.u64(self.stalled);
-        w.u64(self.idle);
-    }
-
-    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.busy = r.u64()?;
-        self.stalled = r.u64()?;
-        self.idle = r.u64()?;
-        Ok(())
-    }
-}
+crate::snap_fields!(RunningStat {
+    count,
+    sum,
+    min,
+    max,
+    mean,
+    m2
+});
+crate::snap_fields!(Histogram {
+    buckets: fixed,
+    count,
+    sum,
+    min,
+    max
+});
+crate::snap_fields!(TimeWeighted {
+    first_time,
+    last_time,
+    last_value,
+    integral,
+    started,
+    max
+});
+crate::snap_fields!(Utilization {
+    busy,
+    stalled,
+    idle
+});
 
 #[cfg(test)]
 mod tests {

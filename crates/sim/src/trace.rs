@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use crate::snapshot::{SnapError, SnapReader, SnapWriter};
+use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::Cycle;
 
 /// Interned-string id; resolves through [`TraceSink::label`].
@@ -539,72 +539,6 @@ impl TraceSink {
         out
     }
 
-    // ---- snapshot -------------------------------------------------------
-
-    /// Checkpoint the sink's accounting state: the enable flag, the
-    /// `emitted`/`dropped` counters, and the interned label table in id
-    /// order. The retained ring events are deliberately *not* included —
-    /// they are observational debris, not architectural state — so a
-    /// restored sink starts with an empty ring but consistent counters
-    /// and label ids ([`LabelId`]s held by attached [`TraceHandle`]s stay
-    /// valid because interning order is deterministic).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.bool(self.enabled);
-        w.u64(self.emitted);
-        w.u64(self.dropped);
-        w.usize(self.labels.len());
-        for label in &self.labels {
-            w.str(label);
-        }
-        match self.policy {
-            SamplePolicy::Ring => w.u8(0),
-            SamplePolicy::KindReservoir { seed } => {
-                w.u8(1);
-                w.u64(seed);
-            }
-        }
-        w.u64(self.seq);
-        w.usize(self.reservoirs.len());
-        for (name, r) in &self.reservoirs {
-            w.str(name);
-            w.u64(r.seen);
-        }
-    }
-
-    /// Restore the accounting state written by [`TraceSink::save_state`]:
-    /// counters are overwritten, the checkpoint's labels are re-interned
-    /// in id order (rebuilding the lookup table), and the event ring is
-    /// cleared.
-    pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.enabled = r.bool()?;
-        self.emitted = r.u64()?;
-        self.dropped = r.u64()?;
-        let n = r.usize()?;
-        for _ in 0..n {
-            let label = r.str()?;
-            self.intern(&label);
-        }
-        self.policy = match r.u8()? {
-            0 => SamplePolicy::Ring,
-            _ => SamplePolicy::KindReservoir { seed: r.u64()? },
-        };
-        self.seq = r.u64()?;
-        self.reservoirs.clear();
-        for _ in 0..r.usize()? {
-            let name = r.str()?;
-            let seen = r.u64()?;
-            self.reservoirs.insert(
-                name,
-                KindReservoir {
-                    seen,
-                    slots: Vec::new(),
-                },
-            );
-        }
-        self.events.clear();
-        Ok(())
-    }
-
     // ---- exporters ------------------------------------------------------
 
     /// Export as Chrome `trace_event` JSON (the array-of-events form;
@@ -830,6 +764,63 @@ impl TraceSink {
             ));
         }
         out
+    }
+}
+
+/// The sink's accounting state: the enable flag, the `emitted`/`dropped`
+/// counters, and the interned label table in id order. The retained
+/// ring events are deliberately *not* included — they are observational
+/// debris, not architectural state — so a restored sink starts with an
+/// empty ring but consistent counters and label ids ([`LabelId`]s held
+/// by attached [`TraceHandle`]s stay valid because interning order is
+/// deterministic). Loading re-interns the labels in id order (rebuilding
+/// the lookup table) and clears the event ring.
+impl Snapshot for TraceSink {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.enabled);
+        w.u64(self.emitted);
+        w.u64(self.dropped);
+        self.labels.save(w);
+        match self.policy {
+            SamplePolicy::Ring => w.u8(0),
+            SamplePolicy::KindReservoir { seed } => {
+                w.u8(1);
+                w.u64(seed);
+            }
+        }
+        w.u64(self.seq);
+        w.usize(self.reservoirs.len());
+        for (name, r) in &self.reservoirs {
+            w.str(name);
+            w.u64(r.seen);
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.enabled = r.bool()?;
+        self.emitted = r.u64()?;
+        self.dropped = r.u64()?;
+        let mut labels: Vec<String> = Vec::new();
+        labels.load(r)?;
+        for label in &labels {
+            self.intern(label);
+        }
+        self.policy = match r.u8()? {
+            0 => SamplePolicy::Ring,
+            _ => SamplePolicy::KindReservoir { seed: r.u64()? },
+        };
+        self.seq = r.u64()?;
+        let mut seen: Vec<(String, u64)> = Vec::new();
+        seen.load(r)?;
+        self.reservoirs = seen
+            .into_iter()
+            .map(|(name, seen)| {
+                let slots = Vec::new();
+                (name, KindReservoir { seen, slots })
+            })
+            .collect();
+        self.events.clear();
+        Ok(())
     }
 }
 
@@ -1291,11 +1282,11 @@ mod tests {
             });
         }
         let mut w = SnapWriter::new();
-        s.save_state(&mut w);
+        s.save(&mut w);
         let bytes = w.into_bytes();
         let mut restored = TraceSink::new(4);
         restored
-            .load_state(&mut SnapReader::new(&bytes))
+            .load(&mut SnapReader::new(&bytes))
             .expect("round-trip");
         assert_eq!(restored.policy(), s.policy());
         assert_eq!(restored.emitted(), s.emitted());
