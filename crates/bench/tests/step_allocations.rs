@@ -90,9 +90,9 @@ fn run_allocations(packets: u32) -> (u64, u64) {
 }
 
 /// Allocations the extra 2,000 packets (6,000 steps) may cost: none per
-/// step, so what remains is the sampler's name buffer (one tick every
-/// 2,048 cycles, 75 more ticks here) and amortized growth of the sampled
-/// series; 91 measured. Allocating once per step would cost 6,000.
+/// step, so what remains is the amortized growth of the sampled series
+/// (one tick every 2,048 cycles, 75 more ticks here); 16 measured.
+/// Allocating once per step would cost 6,000.
 const EXTRA_BOUND: u64 = 200;
 
 #[test]
@@ -113,10 +113,10 @@ fn extra_packets_cost_no_allocations_per_step() {
 }
 
 /// Allocations the QCIF decode's run may make. No step allocates; what
-/// remains is the calendar's wheel slots, each allocated on first use
-/// (4,096 slots), and the sampler's name buffer and series growth (one
-/// tick every 2,048 cycles); 5,077 measured. One allocation per
-/// macroblock in a single task (1,485) would exceed it.
+/// remains is warm-up (the calendar's node pool, the first writers'
+/// stage buffers) and the growth of the sampled series (one tick every
+/// 2,048 cycles); 441 measured. The bound dates from when the wheel's
+/// 4,096 slots each allocated on first use (5,077 measured then).
 const QCIF_BOUND: u64 = 6_000;
 
 #[test]

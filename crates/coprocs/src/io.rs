@@ -14,6 +14,8 @@
 //! retry re-parses from the access point (granted windows survive in the
 //! shell, so the retry's inquiries succeed immediately).
 
+use std::cell::RefCell;
+
 use eclipse_core::StepCtx;
 use eclipse_shell::PortId;
 
@@ -96,78 +98,85 @@ impl StepReader {
     }
 }
 
-/// Bytes a [`StepWriter`] stages inline before it moves to the heap:
-/// more than any model writes to one port in one step (the largest, a
-/// macroblock token record from the VLD or QRL task, is under 1.2 KiB).
-const STAGE_INLINE: usize = 2048;
+/// Capacity a fresh stage buffer starts with: more than any model writes
+/// to one port in one step (the largest, a macroblock token record from
+/// the VLD or QRL task, is under 1.2 KiB).
+const STAGE_CAPACITY: usize = 2048;
 
-/// Staged writer for one output port within one processing step. Stages
-/// into an inline buffer, so a step allocates nothing unless it writes
-/// more than `STAGE_INLINE` bytes to one port.
+/// Stage buffers one thread keeps for reuse: more than any step holds at
+/// once.
+const POOL_MAX: usize = 8;
+
+thread_local! {
+    /// Stage buffers of dropped writers, handed to the next ones: once a
+    /// thread has run a step, a writer neither allocates nor zero-fills
+    /// its stage.
+    static STAGES: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Staged writer for one output port within one processing step. Its
+/// stage buffer comes from, and returns to, a per-thread pool, so steps
+/// do not allocate.
 pub struct StepWriter {
     port: PortId,
-    len: usize,
-    inline: [u8; STAGE_INLINE],
-    /// Everything staged, once `len` outgrows `inline`; empty until then.
-    spill: Vec<u8>,
+    stage: Vec<u8>,
 }
 
 impl StepWriter {
     /// A writer for `port`.
     pub fn new(port: PortId) -> Self {
+        let stage = STAGES
+            .try_with(|pool| pool.borrow_mut().pop())
+            .ok()
+            .flatten();
         StepWriter {
             port,
-            len: 0,
-            inline: [0; STAGE_INLINE],
-            spill: Vec::new(),
+            stage: stage.unwrap_or_else(|| Vec::with_capacity(STAGE_CAPACITY)),
         }
     }
 
     /// Stage bytes for output (no shell interaction yet).
     pub fn stage(&mut self, data: &[u8]) {
-        let end = self.len + data.len();
-        if end <= STAGE_INLINE {
-            self.inline[self.len..end].copy_from_slice(data);
-        } else {
-            if self.len <= STAGE_INLINE {
-                self.spill.extend_from_slice(&self.inline[..self.len]);
-            }
-            self.spill.extend_from_slice(data);
-        }
-        self.len = end;
-    }
-
-    /// The bytes staged so far.
-    fn staged(&self) -> &[u8] {
-        if self.len <= STAGE_INLINE {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
+        self.stage.extend_from_slice(data);
     }
 
     /// Bytes staged so far.
     pub fn staged_len(&self) -> u32 {
-        self.len as u32
+        self.stage.len() as u32
     }
 
     /// Ask for the output window covering everything staged. Returns
     /// false if the room is not available (caller should return
     /// `Blocked`; the staged data is discarded with the helper).
     pub fn reserve(&self, ctx: &mut StepCtx<'_>) -> bool {
-        if self.len == 0 {
+        if self.stage.is_empty() {
             return true;
         }
-        ctx.get_space(self.port, self.len as u32)
+        ctx.get_space(self.port, self.staged_len())
     }
 
     /// Write and commit the staged bytes. `reserve` must have succeeded.
     pub fn commit(self, ctx: &mut StepCtx<'_>) {
-        if self.len == 0 {
+        if self.stage.is_empty() {
             return;
         }
-        ctx.write(self.port, 0, self.staged());
-        ctx.put_space(self.port, self.len as u32);
+        ctx.write(self.port, 0, &self.stage);
+        ctx.put_space(self.port, self.staged_len());
+    }
+}
+
+impl Drop for StepWriter {
+    fn drop(&mut self) {
+        let mut stage = std::mem::take(&mut self.stage);
+        stage.clear();
+        // During thread teardown the pool may be gone; the buffer is then
+        // simply freed.
+        let _ = STAGES.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < POOL_MAX {
+                pool.push(stage);
+            }
+        });
     }
 }
 
@@ -279,14 +288,19 @@ mod tests {
     }
 
     #[test]
-    fn staging_past_the_inline_buffer_keeps_every_byte() {
-        let mut w = StepWriter::new(0);
-        let data: Vec<u8> = (0..STAGE_INLINE as u32 + 300).map(|i| i as u8).collect();
-        for chunk in data.chunks(700) {
-            w.stage(chunk);
+    fn staging_past_the_initial_capacity_keeps_every_byte() {
+        let data: Vec<u8> = (0..STAGE_CAPACITY as u32 + 300).map(|i| i as u8).collect();
+        // The second writer gets the first one's buffer back from the
+        // pool: it must start empty all the same.
+        for _ in 0..2 {
+            let mut w = StepWriter::new(0);
+            assert_eq!(w.staged_len(), 0);
+            for chunk in data.chunks(700) {
+                w.stage(chunk);
+            }
+            assert_eq!(w.staged_len() as usize, data.len());
+            assert_eq!(w.stage, data);
         }
-        assert_eq!(w.staged_len() as usize, data.len());
-        assert_eq!(w.staged(), &data[..]);
     }
 
     #[test]

@@ -123,23 +123,21 @@ impl<'a> StepCtx<'a> {
     }
 
     /// `GetSpace`: inquire for `n_bytes` of data (input port) or room
-    /// (output port). On denial the task is marked blocked in the shell;
-    /// the step implementation should then return [`StepResult::Blocked`]
-    /// (or try another conditional path).
+    /// (output port). A grant on an input port also prefetches the
+    /// window. On denial the task is marked blocked in the shell; the step
+    /// implementation should then return [`StepResult::Blocked`] (or try
+    /// another conditional path).
+    #[inline]
     pub fn get_space(&mut self, port: PortId, n_bytes: u32) -> bool {
         self.cost += self.shell.cfg.getspace_cost;
         let now = self.now();
-        let ok = self.shell.get_space(self.task, port, n_bytes, now);
-        if ok {
-            // GetSpace-triggered prefetch (consumer rows only).
-            self.shell
-                .prefetch_window(self.task, port, n_bytes, now, self.mem);
-        }
-        ok
+        self.shell
+            .get_space_prefetch(self.task, port, n_bytes, now, self.mem)
     }
 
     /// `Read` `buf.len()` bytes at `offset` inside the granted window of
     /// input `port`. Stalls (costs cycles) on cache misses.
+    #[inline]
     pub fn read(&mut self, port: PortId, offset: u32, buf: &mut [u8]) {
         let now = self.now();
         let done = self.shell.read(self.task, port, offset, buf, now, self.mem);
@@ -151,6 +149,7 @@ impl<'a> StepCtx<'a> {
     /// `port`. Absorbed by the shell's write cache. An active fault
     /// injector may flip one bit of the transfer (SRAM corruption as
     /// seen by the consumer).
+    #[inline]
     pub fn write(&mut self, port: PortId, offset: u32, data: &[u8]) {
         let shell_idx = self.shell.id.0 as usize;
         if let Some(inj) = self.fault.as_deref_mut() {
@@ -177,6 +176,7 @@ impl<'a> StepCtx<'a> {
     /// `PutSpace`: commit `n_bytes` on `port`. Producer-side commits
     /// flush the shell cache before the `putspace` message is released
     /// (the message transit is handled by the event loop).
+    #[inline]
     pub fn put_space(&mut self, port: PortId, n_bytes: u32) {
         self.cost += self.shell.cfg.putspace_cost;
         let now = self.now();
@@ -188,6 +188,7 @@ impl<'a> StepCtx<'a> {
     /// Read from off-chip memory through this coprocessor's system-bus
     /// port (VLD bitstream fetch, MC/ME reference access). Stalls for the
     /// full round trip.
+    #[inline]
     pub fn dram_read(&mut self, addr: u32, buf: &mut [u8]) {
         let penalty = self.bus_fault_penalty();
         let now = self.now();
@@ -215,6 +216,7 @@ impl<'a> StepCtx<'a> {
     /// occupancy, not another full round-trip latency. Hardware stream
     /// units issue the whole gather as one burst train; the first tile
     /// pays the latency ([`StepCtx::dram_read`]), the rest ride behind it.
+    #[inline]
     pub fn dram_read_overlapped(&mut self, addr: u32, buf: &mut [u8]) {
         let penalty = self.bus_fault_penalty();
         let now = self.now();
@@ -230,6 +232,7 @@ impl<'a> StepCtx<'a> {
 
     /// Write to off-chip memory through the system-bus port. Posted
     /// (pipelined) — costs the bus occupancy, not the full round trip.
+    #[inline]
     pub fn dram_write(&mut self, addr: u32, data: &[u8]) {
         let penalty = self.bus_fault_penalty();
         let now = self.now();

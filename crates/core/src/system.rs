@@ -226,6 +226,11 @@ pub struct EclipseSystem {
     idle_since: Vec<Option<Cycle>>,
     utilization: Vec<Utilization>,
     trace: TraceLog,
+    /// The `trace` series each sample tick appends to, resolved from the
+    /// row labels and task names once; `None` after anything that maps,
+    /// retires or restores rows or tasks, and rebuilt by the next tick.
+    /// Derived state, never serialized.
+    sample_plan: Option<run_loop::SamplePlan>,
     trace_sink: Option<SharedTraceSink>,
     sys_trace: Option<TraceHandle>,
     sync_latency: Histogram,
@@ -298,6 +303,8 @@ impl EclipseSystem {
     /// Mutable shell access (fault injection in the coherency
     /// experiments; reprogramming budgets between runs).
     pub fn shell_mut(&mut self, idx: usize) -> &mut Shell {
+        // The caller may add or retire rows and tasks.
+        self.sample_plan = None;
         &mut self.shells[idx]
     }
 

@@ -251,6 +251,7 @@ impl EclipseSystem {
             }
         };
 
+        self.sample_plan = None;
         let (handles, rows, tasks) = install_plan(
             &mut self.shells,
             &mut self.row_labels,
@@ -454,6 +455,7 @@ impl EclipseSystem {
         for &(s, t) in &rec.tasks {
             *freed.entry(s).or_insert(0) += self.shells[s].tasks()[t.0 as usize].cfg.budget;
         }
+        self.sample_plan = None;
         for (s, t) in rec.tasks {
             self.shells[s].retire_task(t);
         }

@@ -412,54 +412,41 @@ impl EclipseSystem {
     }
 
     pub(crate) fn sample(&mut self, now: Cycle) {
-        use std::fmt::Write as _;
-        // One scratch buffer for all the series names below: sampling runs
-        // every couple thousand cycles over every row and task, and a
-        // `format!` per record was a measurable share of host allocations.
-        let mut name = String::with_capacity(48);
+        let plan = match self.sample_plan.take() {
+            Some(plan) => plan,
+            None => self.plan_samples(),
+        };
+        let trace = &mut self.trace;
         for (s, shell) in self.shells.iter().enumerate() {
-            for (r, row) in shell.rows().iter().enumerate() {
-                if row.retired {
-                    continue;
-                }
-                let label = &self.row_labels[s][r];
+            let series = &plan.shells[s];
+            for &(r, i) in &series.space {
                 // Only consumer-side rows report "available data" (the
                 // paper's Figure 10 quantity); producer rows report room.
-                name.clear();
-                let _ = write!(name, "space/{label}");
-                self.trace.record(&name, now, row.effective_space() as f64);
+                let space = shell.rows()[r].effective_space();
+                trace.record_at(i, now, space as f64);
                 // Mirror the fill level onto the structured trace spine as
                 // a Chrome counter track (ph:"C"), so chaos runs visualize
                 // backpressure building up behind injected faults.
                 if let Some(t) = &self.sys_trace {
-                    let space = row.effective_space() as u64;
+                    let name = &trace.series[i].name;
                     t.emit_with(now, |sink| TraceEventKind::Counter {
-                        track: sink.intern(&name),
-                        value: space,
+                        track: sink.intern(name),
+                        value: space as u64,
                     });
                 }
             }
             let u = &self.utilization[s];
-            name.clear();
-            let _ = write!(name, "busy/{}", self.shell_names[s]);
-            self.trace.record(&name, now, u.busy as f64);
-            name.clear();
-            let _ = write!(name, "stall/{}", self.shell_names[s]);
-            self.trace.record(&name, now, u.stalled as f64);
+            trace.record_at(series.busy, now, u.busy as f64);
+            trace.record_at(series.stall, now, u.stalled as f64);
             // Per-task views (paper Figure 9's "stall time of tasks"):
             // cumulative busy cycles and GetSpace denials per task.
-            for t in shell.tasks() {
-                if t.retired {
-                    continue;
-                }
-                name.clear();
-                let _ = write!(name, "taskbusy/{}", t.cfg.name);
-                self.trace.record(&name, now, t.stats.busy_cycles as f64);
-                name.clear();
-                let _ = write!(name, "taskdenied/{}", t.cfg.name);
-                self.trace.record(&name, now, t.stats.denials as f64);
+            for &(t, busy, denied) in &series.tasks {
+                let stats = &shell.tasks()[t].stats;
+                trace.record_at(busy, now, stats.busy_cycles as f64);
+                trace.record_at(denied, now, stats.denials as f64);
             }
         }
+        self.sample_plan = Some(plan);
         // Sync-network counter tracks (hops and link waits on the
         // ring/mesh networks). Structured trace only: checkpoints and the
         // state hash record every `TraceLog` series, so a new series would
@@ -478,4 +465,57 @@ impl EclipseSystem {
             }
         }
     }
+
+    /// Resolve the series of every live row and task, creating missing
+    /// ones in the order sampling has always created them.
+    fn plan_samples(&mut self) -> SamplePlan {
+        use std::fmt::Write as _;
+        let mut name = String::with_capacity(48);
+        let mut index = |args: std::fmt::Arguments<'_>| {
+            name.clear();
+            let _ = name.write_fmt(args);
+            self.trace.index_of(&name)
+        };
+        let mut shells = Vec::with_capacity(self.shells.len());
+        for (s, shell) in self.shells.iter().enumerate() {
+            let space = (shell.rows().iter().enumerate())
+                .filter(|(_, row)| !row.retired)
+                .map(|(r, _)| (r, index(format_args!("space/{}", self.row_labels[s][r]))))
+                .collect();
+            let busy = index(format_args!("busy/{}", self.shell_names[s]));
+            let stall = index(format_args!("stall/{}", self.shell_names[s]));
+            let tasks = (shell.tasks().iter().enumerate())
+                .filter(|(_, t)| !t.retired)
+                .map(|(i, t)| {
+                    let busy = index(format_args!("taskbusy/{}", t.cfg.name));
+                    (i, busy, index(format_args!("taskdenied/{}", t.cfg.name)))
+                })
+                .collect();
+            shells.push(ShellSeries {
+                space,
+                busy,
+                stall,
+                tasks,
+            });
+        }
+        SamplePlan { shells }
+    }
+}
+
+/// The `TraceLog` series indices one sample tick appends to (see
+/// [`EclipseSystem::sample`]).
+pub(crate) struct SamplePlan {
+    shells: Vec<ShellSeries>,
+}
+
+/// One shell's sampled series.
+struct ShellSeries {
+    /// `(row, series)` of each live row's `space/…` series.
+    space: Vec<(usize, usize)>,
+    /// `busy/…` series.
+    busy: usize,
+    /// `stall/…` series.
+    stall: usize,
+    /// `(task, taskbusy/…, taskdenied/…)` of each live task.
+    tasks: Vec<(usize, usize, usize)>,
 }

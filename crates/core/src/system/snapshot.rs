@@ -161,6 +161,7 @@ impl EclipseSystem {
         if found != expected {
             return Err(SnapError::ConfigMismatch { expected, found });
         }
+        self.sample_plan = None;
         self.read_state(&mut r)?;
         // Trace-sink accounting: load into the installed sink, or parse
         // into a scratch sink when the restoring run has tracing off (the

@@ -953,3 +953,79 @@ fn a_task_finishing_inside_the_drain_pump_is_seen_by_the_next_run() {
     );
     assert_eq!(sys.now(), now);
 }
+
+// ---- sampling ----------------------------------------------------------
+
+/// Run a live-reconfiguration script (maps, a pause, a drain and unmap, a
+/// restore into the same system) in 1,000-cycle slices, which is shorter
+/// than the sample interval. With `rebuild` the cached sample plan is
+/// dropped before every slice, so each tick re-resolves every series
+/// from the current row labels and task names, as a name-keyed sampler
+/// does. Returns the trace log and the checkpoint after every phase.
+fn sample_script(rebuild: bool) -> Vec<(super::TraceLog, Vec<u8>)> {
+    let mut sys = live_pair_builder(EclipseConfig::default()).build();
+    let mut phases = Vec::new();
+    let mut run = |sys: &mut EclipseSystem, until: u64| {
+        let mut stop = sys.now();
+        while stop < until {
+            if rebuild {
+                sys.sample_plan = None;
+            }
+            stop = (stop + 1_000).min(until);
+            if sys.run_until(stop).is_some() {
+                break;
+            }
+        }
+        phases.push((sys.trace().clone(), sys.save()));
+    };
+    sys.map_app_live(&live_pipe("a")).unwrap();
+    run(&mut sys, 10_000);
+    sys.map_app_live(&live_pipe("b")).unwrap();
+    run(&mut sys, 20_000);
+    let early = sys.save();
+    sys.pause_app("a").unwrap();
+    run(&mut sys, 30_000);
+    sys.drain_app("a", 1_000_000).unwrap();
+    sys.unmap_app("a").unwrap();
+    run(&mut sys, 40_000);
+    // The recycled rows and task slots get new labels and names.
+    sys.map_app_live(&live_pipe("c")).unwrap();
+    run(&mut sys, 50_000);
+    // Back to a checkpoint with different rows than the live system.
+    sys.restore(&early).unwrap();
+    run(&mut sys, 60_000);
+    sys.map_app_live(&live_pipe("d")).unwrap();
+    run(&mut sys, 70_000);
+    phases
+}
+
+#[test]
+fn sample_plan_tracks_map_unmap_and_restore() {
+    let cached = sample_script(false);
+    let rebuilt = sample_script(true);
+    let names = |log: &super::TraceLog| -> Vec<String> {
+        log.series.iter().map(|s| s.name.clone()).collect()
+    };
+    assert_eq!(cached.len(), rebuilt.len());
+    for (phase, ((log, bytes), (want, want_bytes))) in cached.iter().zip(&rebuilt).enumerate() {
+        assert_eq!(names(log), names(want), "phase {phase}");
+        for (a, b) in log.series.iter().zip(&want.series) {
+            assert_eq!(a.points, b.points, "phase {phase}, series {}", a.name);
+        }
+        assert!(
+            bytes == want_bytes,
+            "phase {phase}: checkpoint bytes differ"
+        );
+    }
+    // App c's series were sampled, then dropped by the restore with the
+    // rest of the log after the checkpoint.
+    let sampled = |phase: usize, app: &str| {
+        let busy = format!("taskbusy/{app}.p");
+        cached[phase]
+            .0
+            .get(&busy)
+            .is_some_and(|s| !s.points.is_empty())
+    };
+    assert!(sampled(4, "c") && !sampled(6, "c"));
+    assert!(["a", "b", "d"].iter().all(|app| sampled(6, app)));
+}

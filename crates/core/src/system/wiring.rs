@@ -347,6 +347,7 @@ impl SystemBuilder {
             idle_since: vec![None; n],
             utilization: vec![Utilization::default(); n],
             trace: TraceLog::new(),
+            sample_plan: None,
             trace_sink: None,
             sys_trace: None,
             sync_latency: Histogram::new(24),

@@ -69,11 +69,19 @@ impl TraceLog {
     /// Append a sample to the named series, creating it if needed.
     pub fn record(&mut self, name: &str, time: Cycle, value: f64) {
         let idx = self.index_of(name);
-        self.series[idx].points.push((time, value));
+        self.record_at(idx, time, value);
+    }
+
+    /// Append a sample to the series at `index`, as returned by
+    /// [`TraceLog::index_of`]: a sampler resolves each name once and
+    /// records by index from then on.
+    #[inline]
+    pub fn record_at(&mut self, index: usize, time: Cycle, value: f64) {
+        self.series[index].points.push((time, value));
     }
 
     /// Index of the named series, creating an empty one if needed.
-    fn index_of(&mut self, name: &str) -> usize {
+    pub fn index_of(&mut self, name: &str) -> usize {
         if let Some(&i) = self.by_name.get(name) {
             return i;
         }

@@ -127,6 +127,7 @@ impl Bus {
     }
 
     /// Number of beats a payload of `bytes` occupies.
+    #[inline]
     pub fn beats(&self, bytes: u32) -> u64 {
         match self.width_shift {
             Some(s) => ((bytes as u64) + (self.cfg.width_bytes as u64 - 1)) >> s,
@@ -139,6 +140,7 @@ impl Bus {
     /// Transactions are granted in request order; the data path is
     /// pipelined so the fixed `latency` of a transaction overlaps the beats
     /// of the previous one.
+    #[inline]
     pub fn request(&mut self, now: Cycle, bytes: u32) -> Transfer {
         debug_assert!(bytes > 0, "zero-byte bus transaction");
         let occupancy = self.beats(bytes) * self.cfg.cycles_per_beat;

@@ -66,6 +66,7 @@ impl CyclicBuffer {
     /// into one or two linear segments. `len` must be `<= size` (an access
     /// can never exceed the whole buffer — the shell guarantees this via
     /// the GetSpace window discipline).
+    #[inline]
     pub fn segments(&self, offset: u32, len: u32) -> (Segment, Option<Segment>) {
         debug_assert!(
             len <= self.size,

@@ -75,6 +75,7 @@ pub struct DramStats {
 const PAGE_BYTES: usize = 4096;
 
 /// Set the written-page bits covering `len` bytes at `addr`.
+#[inline]
 fn mark_written(written: &mut [u64], addr: usize, len: usize) {
     if len == 0 {
         return;
@@ -122,10 +123,12 @@ impl Dram {
         &self.stats
     }
 
+    #[inline]
     fn row_of(&self, addr: u32) -> u32 {
         addr / self.cfg.row_bytes
     }
 
+    #[inline]
     fn bank_of(&self, addr: u32) -> usize {
         // Rows interleave across banks.
         (self.row_of(addr) % self.cfg.banks) as usize
@@ -134,6 +137,7 @@ impl Dram {
     /// Timing of an access of `bytes` at `addr` issued at `now`, advancing
     /// the open-row state. Purely the timing half; pair with
     /// [`Dram::read`]/[`Dram::write`] for data.
+    #[inline]
     pub fn access(&mut self, now: Cycle, addr: u32, bytes: u32) -> Transfer {
         debug_assert!(bytes > 0);
         let bank = self.bank_of(addr);
@@ -161,12 +165,14 @@ impl Dram {
     }
 
     /// Read `buf.len()` bytes at `addr` (functional half).
+    #[inline]
     pub fn read(&mut self, addr: u32, buf: &mut [u8]) {
         let a = addr as usize;
         buf.copy_from_slice(&self.data[a..a + buf.len()]);
     }
 
     /// Write `buf` at `addr` (functional half).
+    #[inline]
     pub fn write(&mut self, addr: u32, buf: &[u8]) {
         let a = addr as usize;
         self.data[a..a + buf.len()].copy_from_slice(buf);

@@ -99,6 +99,7 @@ impl Sram {
     }
 
     /// Read `buf.len()` bytes starting at absolute address `addr`.
+    #[inline]
     pub fn read(&mut self, addr: u32, buf: &mut [u8]) {
         let a = addr as usize;
         buf.copy_from_slice(&self.data[a..a + buf.len()]);
@@ -107,6 +108,7 @@ impl Sram {
     }
 
     /// Write `buf` starting at absolute address `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u32, buf: &[u8]) {
         let a = addr as usize;
         self.data[a..a + buf.len()].copy_from_slice(buf);

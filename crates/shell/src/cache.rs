@@ -532,6 +532,20 @@ impl StreamCache {
         now
     }
 
+    /// The tag of the one line a non-wrapping window of `len >= 1` bytes
+    /// at in-buffer `offset` falls inside, if it does — the common
+    /// streaming case, which then needs no [`CyclicBuffer::lines_touched`]
+    /// walk.
+    #[inline]
+    fn one_line(&self, buffer: &CyclicBuffer, offset: u32, len: u32) -> Option<u32> {
+        if offset >= buffer.size || len > buffer.size - offset {
+            return None;
+        }
+        let start = buffer.base + offset;
+        let tag = start & !(self.cfg.line_bytes - 1);
+        (tag == (start + len - 1) & !(self.cfg.line_bytes - 1)).then_some(tag)
+    }
+
     /// Coherency rule 2: invalidate clean cached lines overlapping the
     /// newly granted window `[offset, offset + len)` ahead of the access
     /// point. Dirty lines are kept — their dirty bytes are the
@@ -543,18 +557,31 @@ impl StreamCache {
         }
         self.resident_span = (0, 0);
         let mut invalidated = 0u64;
-        buffer.lines_touched(offset, len, self.cfg.line_bytes, |tag_addr| {
-            let (idx, tag) = self.line_of(tag_addr);
-            let line = &mut self.lines[idx];
-            if line.valid() && line.tag == tag && line.dirty == 0 {
-                *line = Line::empty();
-                invalidated += 1;
-            } else if line.valid() && line.tag == tag {
-                // Keep dirty bytes, but force a re-fetch for the rest.
-                line.fetched = false;
-            }
-        });
+        match self.one_line(buffer, offset, len) {
+            Some(tag) => invalidated += self.invalidate_line(tag) as u64,
+            None => buffer.lines_touched(offset, len, self.cfg.line_bytes, |tag_addr| {
+                invalidated += self.invalidate_line(tag_addr) as u64;
+            }),
+        }
         self.stats.invalidations += invalidated;
+    }
+
+    /// Rule 2 for the line holding `tag_addr`: drop it if clean, else keep
+    /// its dirty bytes but force a re-fetch of the rest. True if dropped.
+    #[inline]
+    fn invalidate_line(&mut self, tag_addr: u32) -> bool {
+        let (idx, tag) = self.line_of(tag_addr);
+        let line = &mut self.lines[idx];
+        if !(line.valid() && line.tag == tag) {
+            return false;
+        }
+        if line.dirty == 0 {
+            *line = Line::empty();
+            true
+        } else {
+            line.fetched = false;
+            false
+        }
     }
 
     /// Coherency rule 3: flush dirty data in `[offset, offset + len)`
@@ -572,39 +599,30 @@ impl StreamCache {
         if self.lines.is_empty() || len == 0 || self.dirty_lines == 0 {
             return now;
         }
-        let line_bytes = self.cfg.line_bytes;
-        let n_lines = self.lines.len();
-        let (line_shift, idx_mask) = (self.line_shift, self.idx_mask);
-        let lines = &mut self.lines;
-        let stats = &mut self.stats;
-        let dirty_lines = &mut self.dirty_lines;
-        let owner = self.owner;
         let mut done = now;
-        buffer.lines_touched(offset, len, line_bytes, |tag_addr| {
-            let tag = tag_addr & !(line_bytes - 1);
-            let n = (tag >> line_shift) as usize;
-            let idx = if idx_mask != usize::MAX {
-                n & idx_mask
-            } else {
-                n % n_lines
-            };
-            let line = &mut lines[idx];
-            if line.valid() && line.tag == tag && line.dirty != 0 {
-                let dirty = line.dirty;
-                line.dirty = 0;
-                *dirty_lines -= 1;
-                done = done.max(Self::write_dirty_runs(
-                    owner,
-                    mem,
-                    now,
-                    tag,
-                    dirty,
-                    &line.data[..line_bytes as usize],
-                ));
-                stats.writebacks += 1;
-            }
-        });
+        match self.one_line(buffer, offset, len) {
+            Some(tag) => done = done.max(self.flush_line(now, mem, tag)),
+            None => buffer.lines_touched(offset, len, self.cfg.line_bytes, |tag_addr| {
+                done = done.max(self.flush_line(now, mem, tag_addr));
+            }),
+        }
         done
+    }
+
+    /// Rule 3 for the line holding `tag_addr`: write its dirty bytes back
+    /// if it holds any; returns when they have landed (`now` if none).
+    #[inline]
+    fn flush_line(&mut self, now: Cycle, mem: &mut MemSys, tag_addr: u32) -> Cycle {
+        let (idx, tag) = self.line_of(tag_addr);
+        let line = &mut self.lines[idx];
+        if !(line.valid() && line.tag == tag && line.dirty != 0) {
+            return now;
+        }
+        let dirty = std::mem::take(&mut line.dirty);
+        self.dirty_lines -= 1;
+        self.stats.writebacks += 1;
+        let data = &line.data[..self.cfg.line_bytes as usize];
+        Self::write_dirty_runs(self.owner, mem, now, tag, dirty, data)
     }
 
     /// GetSpace-triggered prefetch of up to `len` bytes starting at
@@ -624,9 +642,10 @@ impl StreamCache {
         // Fast paths for a non-wrapping span — the overwhelmingly common
         // streaming case, hit on every read-triggered prefetch once the
         // window is warm. A range inside the memoized resident span needs
-        // no work at all; otherwise a per-line scan confirms residency and
-        // extends the span. Either way the full walk below re-checks every
-        // line, so these are purely skips.
+        // no work at all; a one-line range fetches at most that line;
+        // otherwise a per-line scan confirms residency and extends the
+        // span. Either way the full walk below re-checks every line, so
+        // these are purely skips.
         let mut span = None;
         if offset < buffer.size && len <= buffer.size - offset {
             let line_bytes = self.cfg.line_bytes;
@@ -634,6 +653,14 @@ impl StreamCache {
             let first = start & !(line_bytes - 1);
             let last = (start + len - 1) & !(line_bytes - 1);
             if first >= self.resident_span.0 && last + line_bytes <= self.resident_span.1 {
+                return;
+            }
+            if first == last {
+                let (idx, tag) = self.line_of(first);
+                if !(self.lines[idx].valid() && self.lines[idx].tag == tag) {
+                    self.ensure_line(now, mem, idx, tag, false);
+                }
+                self.resident_span = (first, first + line_bytes);
                 return;
             }
             let mut tag_addr = first;

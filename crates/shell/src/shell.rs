@@ -428,6 +428,7 @@ impl Shell {
     /// `GetTask`: run the weighted round-robin scheduler under the
     /// configured policy. `now` stamps the selection event in the trace
     /// (the scheduler itself is time-free).
+    #[inline]
     pub fn get_task(&mut self, now: Cycle) -> GetTaskResult {
         self.stats.gettask_calls += 1;
         let rows = &self.rows;
@@ -482,12 +483,45 @@ impl Shell {
     }
 
     /// `GetSpace`: answer locally from the stream table; on success run
-    /// coherency rule 2 (invalidate the newly granted window) and the
-    /// GetSpace-triggered prefetch; on failure record the denial for the
-    /// best-guess scheduler.
+    /// coherency rule 2 (invalidate the newly granted window); on failure
+    /// record the denial for the best-guess scheduler. The coprocessor
+    /// path, [`Shell::get_space_prefetch`], also prefetches.
+    #[inline]
     pub fn get_space(&mut self, task: TaskIdx, port: PortId, n_bytes: u32, now: Cycle) -> bool {
         let row_idx = self.row_of(task, port);
-        let hint = self.tasks[task.0 as usize].cfg.space_hints[port as usize];
+        self.get_space_at(task, port, row_idx, n_bytes, now)
+    }
+
+    /// [`Shell::get_space`] followed, on success, by the GetSpace-triggered
+    /// prefetch of the granted window's leading bytes (consumer rows only;
+    /// producers have nothing to fetch), resolving the row once.
+    #[inline]
+    pub fn get_space_prefetch(
+        &mut self,
+        task: TaskIdx,
+        port: PortId,
+        n_bytes: u32,
+        now: Cycle,
+        mem: &mut MemSys,
+    ) -> bool {
+        let row_idx = self.row_of(task, port);
+        let ok = self.get_space_at(task, port, row_idx, n_bytes, now);
+        if ok && self.rows[row_idx.0 as usize].dir == PortDir::Consumer {
+            let row = &self.rows[row_idx.0 as usize];
+            let len = n_bytes.min(row.granted);
+            self.prefetch(row_idx, now, mem, row.access_point, len);
+        }
+        ok
+    }
+
+    fn get_space_at(
+        &mut self,
+        task: TaskIdx,
+        port: PortId,
+        row_idx: RowIdx,
+        n_bytes: u32,
+        now: Cycle,
+    ) -> bool {
         let row = &mut self.rows[row_idx.0 as usize];
         let space = row.effective_space();
         let prev_granted = row.granted;
@@ -513,6 +547,7 @@ impl Shell {
                     }
                 }
                 if let Some(tr) = &self.trace {
+                    let hint = self.tasks[task.0 as usize].cfg.space_hints[port as usize];
                     tr.emit(
                         now,
                         TraceEventKind::SpaceGranted {
@@ -526,8 +561,9 @@ impl Shell {
                 true
             }
             None => {
-                self.tasks[task.0 as usize].blocked_on = Some((port, n_bytes));
-                self.tasks[task.0 as usize].stats.denials += 1;
+                let t = &mut self.tasks[task.0 as usize];
+                t.blocked_on = Some((port, n_bytes));
+                t.stats.denials += 1;
                 if let Some(tr) = &self.trace {
                     tr.emit(
                         now,
@@ -535,7 +571,7 @@ impl Shell {
                             port: port as u32,
                             bytes: n_bytes,
                             space,
-                            hint,
+                            hint: t.cfg.space_hints[port as usize],
                         },
                     );
                 }
@@ -544,32 +580,13 @@ impl Shell {
         }
     }
 
-    /// GetSpace-triggered prefetch of the granted window's leading bytes
-    /// (consumer rows only; producers have nothing to fetch). Called by
-    /// the core after a successful `get_space` with access to the memory
-    /// system.
-    pub fn prefetch_window(
-        &mut self,
-        task: TaskIdx,
-        port: PortId,
-        len: u32,
-        now: Cycle,
-        mem: &mut MemSys,
-    ) {
-        let row_idx = self.row_of(task, port);
-        let row = &self.rows[row_idx.0 as usize];
-        if row.dir != PortDir::Consumer {
-            return;
-        }
+    /// Prefetch `len` bytes from in-buffer offset `from` into row
+    /// `row_idx`'s cache, tracing the lines fetched.
+    fn prefetch(&mut self, row_idx: RowIdx, now: Cycle, mem: &mut MemSys, from: u32, len: u32) {
+        let buffer = self.rows[row_idx.0 as usize].buffer;
         let cache = &mut self.caches[row_idx.0 as usize];
         let pf_before = cache.stats.prefetches;
-        cache.prefetch(
-            now,
-            mem,
-            &row.buffer,
-            row.access_point,
-            len.min(row.granted),
-        );
+        cache.prefetch(now, mem, &buffer, from, len);
         let lines = cache.stats.prefetches - pf_before;
         if let Some(tr) = &self.trace {
             if lines > 0 {
@@ -587,6 +604,7 @@ impl Shell {
     /// `Read`: move bytes from the stream buffer (through the row cache)
     /// into `buf`. `offset` is relative to the access point and the range
     /// must lie within the granted window. Returns the completion cycle.
+    #[inline]
     pub fn read(
         &mut self,
         task: TaskIdx,
@@ -608,34 +626,20 @@ impl Shell {
             port
         );
         let start = row.buffer.wrap_add(row.access_point, offset);
-        let buffer = row.buffer;
-        let granted = row.granted;
-        let dir = row.dir;
+        let (buffer, access_point, granted, dir) =
+            (row.buffer, row.access_point, row.granted, row.dir);
         let cache = &mut self.caches[row_idx.0 as usize];
         let done = cache.read(now, mem, &buffer, start, buf);
         // Read-triggered prefetch (paper §5.2), bounded by the granted
         // window: only committed producer data is fetched ahead.
-        if dir == PortDir::Consumer && cache.config().prefetch {
+        let cfg = *cache.config();
+        if dir == PortDir::Consumer && cfg.prefetch {
             let end_off = offset + buf.len() as u32;
             let remaining = granted.saturating_sub(end_off);
-            let depth = cache.config().prefetch_depth * cache.config().line_bytes;
-            let len = remaining.min(depth);
+            let len = remaining.min(cfg.prefetch_depth * cfg.line_bytes);
             if len > 0 {
-                let from = buffer.wrap_add(row.access_point, end_off);
-                let pf_before = cache.stats.prefetches;
-                cache.prefetch(now, mem, &buffer, from, len);
-                let lines = cache.stats.prefetches - pf_before;
-                if let Some(tr) = &self.trace {
-                    if lines > 0 {
-                        tr.emit(
-                            now,
-                            TraceEventKind::CachePrefetch {
-                                row: row_idx.0 as u32,
-                                lines,
-                            },
-                        );
-                    }
-                }
+                let from = buffer.wrap_add(access_point, end_off);
+                self.prefetch(row_idx, now, mem, from, len);
             }
         }
         self.stats.bytes_read += buf.len() as u64;
@@ -644,6 +648,7 @@ impl Shell {
 
     /// `Write`: move bytes from the coprocessor into the stream buffer
     /// (absorbed by the row cache). Same window rules as [`Shell::read`].
+    #[inline]
     pub fn write(
         &mut self,
         task: TaskIdx,
@@ -691,6 +696,7 @@ impl Shell {
     /// [`Shell::put_space`] appending its messages to `out` instead of
     /// allocating; returns the cycle the local operation (including the
     /// flush) completed.
+    #[inline]
     pub fn put_space_into(
         &mut self,
         task: TaskIdx,
@@ -727,16 +733,18 @@ impl Shell {
             shell: self.id,
             row: row_idx,
         };
-        out.extend(row.remotes.iter().map(|&dst| SyncMsg {
-            src,
-            dst,
-            bytes: n_bytes,
-            send_at: flush_done,
-            // Placeholder: the sync network stamps the destination row's
-            // real generation at send time (the sending shell has no view
-            // of remote tables).
-            dst_gen: 0,
-        }));
+        for &dst in &row.remotes {
+            out.push(SyncMsg {
+                src,
+                dst,
+                bytes: n_bytes,
+                send_at: flush_done,
+                // Placeholder: the sync network stamps the destination
+                // row's real generation at send time (the sending shell
+                // has no view of remote tables).
+                dst_gen: 0,
+            });
+        }
         let sent = row.remotes.len();
         self.stats.messages_sent += sent as u64;
         if let Some(tr) = &self.trace {
@@ -758,6 +766,7 @@ impl Shell {
     /// if the message unblocked at least one task (the coprocessor should
     /// be woken if idle). A message addressed to a retired or recycled
     /// row (generation mismatch) is rejected as stale and dropped.
+    #[inline]
     pub fn deliver_putspace(&mut self, msg: &SyncMsg, now: Cycle) -> bool {
         let row_idx = msg.dst.row;
         if self.rows[row_idx.0 as usize].retired
@@ -804,12 +813,14 @@ impl Shell {
     // ---- accounting -------------------------------------------------------
 
     /// Charge `cycles` of execution to `task` (budget + busy time).
+    #[inline]
     pub fn charge(&mut self, task: TaskIdx, cycles: u64) {
         self.sched.budget_left = self.sched.budget_left.saturating_sub(cycles);
         self.tasks[task.0 as usize].stats.busy_cycles += cycles;
     }
 
     /// Record a completed processing step for `task`.
+    #[inline]
     pub fn note_step(&mut self, task: TaskIdx, aborted: bool) {
         let s = &mut self.tasks[task.0 as usize].stats;
         if aborted {

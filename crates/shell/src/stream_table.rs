@@ -101,6 +101,10 @@ pub struct StreamRow {
     /// Producers start with a full buffer of room per consumer; consumers
     /// start with zero data.
     space: Vec<u32>,
+    /// The minimum of `space`, kept in step with it so the scheduler and
+    /// the primitives read one field. Derived state: never serialized,
+    /// recomputed on load.
+    effective: u32,
     /// Currently granted window (the largest `GetSpace` grant not yet
     /// released by `PutSpace`). Reads/writes must stay inside it.
     pub granted: u32,
@@ -137,6 +141,7 @@ impl StreamRow {
             remotes: cfg.remotes.clone(),
             access_point: 0,
             space: vec![initial; cfg.remotes.len()],
+            effective: initial,
             granted: 0,
             retired: false,
             stats: StreamRowStats::default(),
@@ -146,7 +151,7 @@ impl StreamRow {
     /// The effective space: minimum over all remote links.
     #[inline]
     pub fn effective_space(&self) -> u32 {
-        *self.space.iter().min().expect("row has remotes")
+        self.effective
     }
 
     /// The locally known space toward remote link `idx` (on a forked
@@ -201,6 +206,7 @@ impl StreamRow {
             debug_assert!(*s >= n);
             *s -= n;
         }
+        self.effective -= n;
         self.access_point = self.buffer.wrap_add(self.access_point, n);
         self.stats.bytes_committed += n as u64;
         self.stats.putspace_calls += 1;
@@ -218,6 +224,7 @@ impl StreamRow {
             .position(|r| *r == src)
             .unwrap_or_else(|| panic!("putspace from unknown remote {src:?}"));
         self.space[idx] += bytes;
+        self.effective = *self.space.iter().min().expect("row has remotes");
         debug_assert!(
             self.space[idx] <= self.buffer.size,
             "space overflow: {} > buffer {}",
@@ -242,6 +249,7 @@ impl StreamRow {
     /// remote for a consumer), and an access point, space values and
     /// grant inside the buffer.
     fn check(&mut self) -> Result<(), SnapError> {
+        self.effective = self.space.iter().copied().min().unwrap_or(0);
         let size = self.buffer.size;
         let consumer_ok = self.dir == PortDir::Producer || self.remotes.len() == 1;
         if size == 0

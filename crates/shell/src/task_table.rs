@@ -202,14 +202,18 @@ pub fn select(
             };
         }
     }
-    // Round-robin scan for the next eligible task.
+    // Round-robin scan for the next eligible task. The cursor is at most
+    // `n` (a restore checks it), so one subtraction wraps every index.
     let n = tasks.len();
     for i in 0..n {
-        let idx = (sched.cursor + i) % n;
+        let mut idx = sched.cursor + i;
+        if idx >= n {
+            idx -= n;
+        }
         if eligible(&tasks[idx]) {
             let task = TaskIdx(idx as u8);
             let switched = sched.current != Some(task);
-            sched.cursor = (idx + 1) % n;
+            sched.cursor = if idx + 1 == n { 0 } else { idx + 1 };
             sched.budget_left = tasks[idx].cfg.budget;
             if switched {
                 sched.switches += 1;

@@ -7,11 +7,14 @@
 //! * [`Calendar`] — the production hybrid: a near-future **bucket wheel**
 //!   (one slot per cycle over a sliding [`WHEEL_SLOTS`]-cycle window, with
 //!   a two-level occupancy bitmap for O(1) next-event search) backed by a
-//!   far-future binary heap. The simulator's schedule pattern is dense and
-//!   short-delay (step costs, bus grants, and sync latencies are almost
-//!   always well under a few thousand cycles), so nearly every event takes
-//!   the O(1) wheel path; only rare long-delay events (deep sample
-//!   intervals, far-off timeouts) pay the heap's O(log n).
+//!   far-future binary heap. Each slot is a key-sorted list threaded
+//!   through one shared node pool, so the next event is a slot's head and
+//!   popped nodes are reused while still in cache. The simulator's
+//!   schedule pattern is dense and short-delay (step costs, bus grants,
+//!   and sync latencies are almost always well under a few thousand
+//!   cycles), so nearly every event takes the O(1) wheel path; only rare
+//!   long-delay events (deep sample intervals, far-off timeouts) pay the
+//!   heap's O(log n).
 //! * [`BaselineCalendar`] — the original pure `BinaryHeap` implementation,
 //!   kept as the executable specification. The differential tests in
 //!   `tests/calendar_equivalence.rs` drive both with identical schedule
@@ -40,7 +43,7 @@
 //! is bit-identical regardless of which one drives it.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
@@ -159,8 +162,19 @@ impl SlotBitmap {
 enum Loc {
     /// Top of the far heap.
     Far,
-    /// `(slot, deque index)` in the wheel.
-    Wheel(usize, usize),
+    /// Head of this wheel slot's list.
+    Wheel(usize),
+}
+
+/// End of a slot's list, or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One wheel event in the node pool, linked into its slot's list (or,
+/// once popped, into the free list with `event` taken).
+struct Node<E> {
+    key: u64,
+    next: u32,
+    event: Option<E>,
 }
 
 /// A discrete-event calendar generic over the event payload `E`.
@@ -186,14 +200,19 @@ enum Loc {
 ///
 /// Every wheel-resident event has a timestamp in `[now, now + WHEEL_SLOTS)`,
 /// so `time & WHEEL_MASK` addresses a unique slot and all events in one
-/// slot share one timestamp (their deque order is push order, which is seq
-/// order; within a slot the pop rule takes the smallest key, first-pushed
-/// on key ties). Far-heap events were scheduled at least `WHEEL_SLOTS`
-/// cycles ahead; when a far event ties a wheel event on `(time, key)`, the
-/// far event necessarily has the smaller sequence number (it was scheduled
-/// at a strictly earlier `now`), so ties break toward the heap.
+/// slot share one timestamp. A slot is a singly linked list of nodes in
+/// one shared pool, kept sorted by key with equal keys in push (= seq)
+/// order, so its head is always the slot's next event. Far-heap events
+/// were scheduled at least `WHEEL_SLOTS` cycles ahead; when a far event
+/// ties a wheel event on `(time, key)`, the far event necessarily has the
+/// smaller sequence number (it was scheduled at a strictly earlier `now`),
+/// so ties break toward the heap.
 pub struct Calendar<E> {
-    slots: Vec<VecDeque<(u64, E)>>,
+    /// `(head, tail)` node of each slot's list; `NIL` when empty.
+    slots: Box<[(u32, u32)]>,
+    nodes: Vec<Node<E>>,
+    /// Head of the list of popped nodes, reused before the pool grows.
+    free: u32,
     occupied: SlotBitmap,
     wheel_len: usize,
     far: BinaryHeap<Entry<E>>,
@@ -205,7 +224,9 @@ impl<E> Calendar<E> {
     /// An empty calendar at cycle 0.
     pub fn new() -> Self {
         Calendar {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            slots: vec![(NIL, NIL); WHEEL_SLOTS].into_boxed_slice(),
+            nodes: Vec::new(),
+            free: NIL,
             occupied: SlotBitmap::new(),
             wheel_len: 0,
             far: BinaryHeap::new(),
@@ -244,6 +265,7 @@ impl<E> Calendar<E> {
 
     /// Schedule `event` at absolute time `time` (must be `>= now`) with an
     /// explicit ordering key: events pop in `(time, key, seq)` order.
+    #[inline]
     pub fn schedule_keyed_at(&mut self, time: Cycle, key: u64, event: E) {
         debug_assert!(
             time >= self.now,
@@ -253,10 +275,7 @@ impl<E> Calendar<E> {
         );
         self.seq += 1;
         if time - self.now < WHEEL_SLOTS as Cycle {
-            let slot = (time & WHEEL_MASK) as usize;
-            self.slots[slot].push_back((key, event));
-            self.occupied.set(slot);
-            self.wheel_len += 1;
+            self.push_slot((time & WHEEL_MASK) as usize, key, event);
         } else {
             self.far.push(Entry {
                 time,
@@ -267,12 +286,55 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// `(time, key, slot, deque index)` of the next wheel event, if any
-    /// (time = `now + cyclic slot distance`, valid because all wheel
-    /// timestamps lie within one window of `now`; the index addresses the
-    /// min-key, first-pushed entry within the slot).
+    /// Link a new node into `slot`'s list behind every node whose key is
+    /// at most `key`. An empty slot or a key no smaller than the tail's —
+    /// nearly every push — links in O(1); only a smaller key walks.
     #[inline]
-    fn wheel_peek(&self) -> Option<(Cycle, u64, usize, usize)> {
+    fn push_slot(&mut self, slot: usize, key: u64, event: E) {
+        let node = Node {
+            key,
+            next: NIL,
+            event: Some(event),
+        };
+        let n = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
+            n
+        };
+        self.wheel_len += 1;
+        let (head, tail) = self.slots[slot];
+        if head == NIL {
+            self.slots[slot] = (n, n);
+            self.occupied.set(slot);
+        } else if self.nodes[tail as usize].key <= key {
+            self.nodes[tail as usize].next = n;
+            self.slots[slot].1 = n;
+        } else if key < self.nodes[head as usize].key {
+            self.nodes[n as usize].next = head;
+            self.slots[slot].0 = n;
+        } else {
+            // head.key <= key < tail.key: the walk ends before the tail.
+            let mut prev = head;
+            loop {
+                let next = self.nodes[prev as usize].next;
+                if self.nodes[next as usize].key > key {
+                    break;
+                }
+                prev = next;
+            }
+            self.nodes[n as usize].next = self.nodes[prev as usize].next;
+            self.nodes[prev as usize].next = n;
+        }
+    }
+
+    /// `(time, key, slot)` of the next wheel event, if any (time = `now +
+    /// cyclic slot distance`, valid because all wheel timestamps lie
+    /// within one window of `now`; the event is the head of the slot).
+    #[inline]
+    fn wheel_peek(&self) -> Option<(Cycle, u64, usize)> {
         if self.wheel_len == 0 {
             return None;
         }
@@ -282,18 +344,8 @@ impl<E> Calendar<E> {
             .find_cyclic(start)
             .expect("wheel_len > 0 implies an occupied slot");
         let dist = (slot as u64).wrapping_sub(self.now) & WHEEL_MASK;
-        let dq = &self.slots[slot];
-        // Pick the smallest key; `>` (not `>=`) keeps the first-pushed
-        // entry on key ties, preserving FIFO within equal keys.
-        let mut best = 0usize;
-        let mut best_key = dq[0].0;
-        for (i, (k, _)) in dq.iter().enumerate().skip(1) {
-            if best_key > *k {
-                best_key = *k;
-                best = i;
-            }
-        }
-        Some((self.now + dist, best_key, slot, best))
+        let key = self.nodes[self.slots[slot].0 as usize].key;
+        Some((self.now + dist, key, slot))
     }
 
     /// The one search both `peek_time` and every pop go through: the
@@ -306,11 +358,9 @@ impl<E> Calendar<E> {
             (None, None) => None,
             // On a (time, key) tie the far event was scheduled strictly
             // earlier (smaller seq), so the heap wins.
-            (Some((wt, wk, _, _)), Some((ft, fk))) if (ft, fk) <= (wt, wk) => {
-                Some((ft, fk, Loc::Far))
-            }
+            (Some((wt, wk, _)), Some((ft, fk))) if (ft, fk) <= (wt, wk) => Some((ft, fk, Loc::Far)),
             (None, Some((ft, fk))) => Some((ft, fk, Loc::Far)),
-            (Some((wt, wk, slot, i)), _) => Some((wt, wk, Loc::Wheel(slot, i))),
+            (Some((wt, wk, slot)), _) => Some((wt, wk, Loc::Wheel(slot))),
         }
     }
 
@@ -320,10 +370,17 @@ impl<E> Calendar<E> {
     fn take(&mut self, time: Cycle, at: Loc) -> E {
         let event = match at {
             Loc::Far => self.far.pop().expect("peeked entry present").event,
-            Loc::Wheel(slot, i) => {
-                let (_, event) = self.slots[slot].remove(i).expect("occupied slot");
-                if self.slots[slot].is_empty() {
+            Loc::Wheel(slot) => {
+                let head = self.slots[slot].0;
+                let node = &mut self.nodes[head as usize];
+                let event = node.event.take().expect("linked node holds its event");
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = head;
+                if next == NIL {
+                    self.slots[slot] = (NIL, NIL);
                     self.occupied.clear(slot);
+                } else {
+                    self.slots[slot].0 = next;
                 }
                 self.wheel_len -= 1;
                 event
@@ -367,11 +424,9 @@ impl<E> Calendar<E> {
 
     /// Discard all pending events, keeping `now`.
     pub fn clear(&mut self) {
-        if self.wheel_len > 0 {
-            for slot in &mut self.slots {
-                slot.clear();
-            }
-        }
+        self.slots.fill((NIL, NIL));
+        self.nodes.clear();
+        self.free = NIL;
         self.occupied.clear_all();
         self.wheel_len = 0;
         self.far.clear();
@@ -392,40 +447,33 @@ impl<E> Calendar<E> {
     /// [`Calendar::pending_in_order`] with each event's ordering key.
     ///
     /// The pop order is reconstructed from the structure invariants:
-    /// every wheel slot holds events of a single timestamp in push
-    /// (= seq) order — a stable sort by key yields `(key, seq)` order —
-    /// far-heap entries carry explicit `(time, key, seq)` triples, and on
-    /// a `(time, key)` tie the far event was scheduled strictly earlier
-    /// than any wheel event, so far sorts first.
+    /// every wheel slot lists events of a single timestamp in `(key,
+    /// seq)` order, far-heap entries carry explicit `(time, key, seq)`
+    /// triples, and on a `(time, key)` tie the far event was scheduled
+    /// strictly earlier than any wheel event, so far sorts first.
     pub fn pending_in_order_keyed(&self) -> Vec<(Cycle, u64, E)>
     where
         E: Clone,
     {
         let mut far: Vec<&Entry<E>> = self.far.iter().collect();
         far.sort_by_key(|e| (e.time, e.key, e.seq));
-        let mut wheel: Vec<(Cycle, Vec<(u64, E)>)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, dq)| !dq.is_empty())
-            .map(|(slot, dq)| {
-                let dist = (slot as u64).wrapping_sub(self.now) & WHEEL_MASK;
-                let mut entries: Vec<(u64, E)> = dq.iter().map(|(k, e)| (*k, e.clone())).collect();
-                entries.sort_by_key(|&(k, _)| k); // stable: FIFO within key
-                (self.now + dist, entries)
-            })
-            .collect();
-        wheel.sort_by_key(|&(t, _)| t);
-
+        let start = (self.now & WHEEL_MASK) as usize;
         let mut out = Vec::with_capacity(self.len());
         let mut fi = 0;
-        for (t, entries) in wheel {
-            for (k, e) in entries {
+        // Slots in time order: cyclically from the one `now` maps to.
+        for slot in (start..WHEEL_SLOTS).chain(0..start) {
+            let t = self.now + ((slot as u64).wrapping_sub(self.now) & WHEEL_MASK);
+            let mut n = self.slots[slot].0;
+            while n != NIL {
+                let node = &self.nodes[n as usize];
+                let k = node.key;
                 while fi < far.len() && (far[fi].time, far[fi].key) <= (t, k) {
                     out.push((far[fi].time, far[fi].key, far[fi].event.clone()));
                     fi += 1;
                 }
-                out.push((t, k, e));
+                let event = node.event.clone().expect("linked node holds its event");
+                out.push((t, k, event));
+                n = node.next;
             }
         }
         for f in &far[fi..] {

@@ -28,6 +28,7 @@ impl RunningStat {
     }
 
     /// Record one sample.
+    #[inline]
     pub fn record(&mut self, x: f64) {
         if self.count == 0 {
             self.min = x;
@@ -203,6 +204,7 @@ impl Histogram {
     }
 
     /// Record one sample.
+    #[inline]
     pub fn record(&mut self, x: u64) {
         let idx = if x == 0 {
             0
@@ -282,6 +284,7 @@ impl TimeWeighted {
     /// Out-of-order timestamps (possible when a step-atomic simulation
     /// model timestamps intra-step events ahead of the calendar) are
     /// clamped to the last recorded time.
+    #[inline]
     pub fn set(&mut self, now: Cycle, value: f64) {
         if self.started {
             let now = now.max(self.last_time);

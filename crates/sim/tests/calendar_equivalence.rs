@@ -6,7 +6,9 @@
 //! contract; the simulator's bit-reproducibility rests on this
 //! equivalence (DESIGN.md "Host performance"). The run loop pops
 //! through [`Calendar::pop_at_most`], so it is checked here against the
-//! `peek_time`-then-`pop` pair it replaces.
+//! `peek_time`-then-`pop` pair it replaces. Slots crowded with mixed
+//! keys are checked on their own, since every wheel slot is a key-sorted
+//! list that pushes insert into.
 
 use eclipse_sim::calendar::WHEEL_SLOTS;
 use eclipse_sim::{BaselineCalendar, Calendar};
@@ -45,6 +47,26 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Clear),
+    ]
+}
+
+/// A crowded-slot operation: `Burst(delay, count, seed)` schedules `count`
+/// events at `now + delay` with keys drawn from a handful of values by
+/// `seed`, so one slot holds many interleaved keys; `Pop` takes the
+/// earliest, which is often in the middle of what the slot was pushed.
+#[derive(Debug, Clone)]
+enum Crowd {
+    Burst(u64, u8, u64),
+    Pop,
+}
+
+fn crowd_strategy() -> impl Strategy<Value = Crowd> {
+    prop_oneof![
+        ((0u64..3), (1u8..12), (1u64..u64::MAX)).prop_map(|(d, n, s)| Crowd::Burst(d, n, s)),
+        ((0u64..3), (1u8..4), (1u64..u64::MAX)).prop_map(|(d, n, s)| Crowd::Burst(d, n, s)),
+        Just(Crowd::Pop),
+        Just(Crowd::Pop),
+        Just(Crowd::Pop),
     ]
 }
 
@@ -190,5 +212,58 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Many mixed-key events in one slot, pops from the middle of what a
+    /// slot was pushed, and pushes into the same slot again, starting just
+    /// before the wheel wraps so slots are reused across windows: the
+    /// keyed pop order is the baseline's throughout.
+    #[test]
+    fn crowded_slots_with_mixed_keys_match(
+        start in prop_oneof![
+            WHEEL_SLOTS as u64 - 6..WHEEL_SLOTS as u64 + 2,
+            3 * WHEEL_SLOTS as u64 - 6..3 * WHEEL_SLOTS as u64 + 2,
+            0u64..64,
+        ],
+        ops in proptest::collection::vec(crowd_strategy(), 1..300),
+    ) {
+        let mut wheel: Calendar<u32> = Calendar::new();
+        let mut heap: BaselineCalendar<u32> = BaselineCalendar::new();
+        // Advance both to `start`, next to a window edge.
+        wheel.schedule_at(start, u32::MAX);
+        heap.schedule_at(start, u32::MAX);
+        prop_assert_eq!(wheel.pop(), heap.pop());
+        let mut id = 0u32;
+        for op in &ops {
+            match *op {
+                Crowd::Burst(delay, count, mut x) => {
+                    let t = wheel.now() + delay;
+                    for _ in 0..count {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let key = (x >> 40) % 5;
+                        wheel.schedule_keyed_at(t, key, id);
+                        heap.schedule_keyed_at(t, key, id);
+                        id += 1;
+                    }
+                }
+                Crowd::Pop => {
+                    prop_assert_eq!(wheel.pop(), heap.pop());
+                    prop_assert_eq!(wheel.now(), heap.now());
+                }
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+        }
+        // The checkpoint view agrees with the order the pops then take.
+        let pending = wheel.pending_in_order();
+        let mut drained = Vec::new();
+        while let Some(got) = wheel.pop() {
+            prop_assert_eq!(Some(got), heap.pop());
+            drained.push(got);
+        }
+        prop_assert!(heap.is_empty());
+        prop_assert_eq!(pending, drained);
     }
 }
