@@ -31,7 +31,6 @@
 //! | `timing_fingerprint` | byte-exact digest of the canonical runs' timing |
 //! | `trace_decode` | structured event trace of the QCIF decode |
 //! | `profile_qcif` | QCIF decode loop for host profilers |
-//! | `probe_workload` | per-picture-type workload of the QCIF stream |
 //!
 //! This library holds the shared workload generators and reporting
 //! helpers those binaries use.

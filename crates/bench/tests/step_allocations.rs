@@ -112,12 +112,12 @@ fn extra_packets_cost_no_allocations_per_step() {
     );
 }
 
-/// Allocations the QCIF decode's run may make. No step allocates; what
-/// remains is warm-up (the calendar's node pool, the first writers'
-/// stage buffers) and the growth of the sampled series (one tick every
-/// 2,048 cycles); 441 measured. The bound dates from when the wheel's
-/// 4,096 slots each allocated on first use (5,077 measured then).
-const QCIF_BOUND: u64 = 6_000;
+/// Allocations the QCIF decode's run may make. No step allocates (the
+/// kernels' patches and accumulators live on the stack); what remains is
+/// warm-up (the calendar's node pool, the first writers' stage buffers)
+/// and the growth of the sampled series (one tick every 2,048 cycles);
+/// 441 measured.
+const QCIF_BOUND: u64 = 1_000;
 
 #[test]
 fn qcif_decode_steps_allocate_nothing() {

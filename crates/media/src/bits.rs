@@ -150,54 +150,48 @@ impl<'a> BitReader<'a> {
         Ok(bit != 0)
     }
 
-    /// Read `n` bits (<= 32), MSB first.
+    /// Read `n` bits (<= 32), MSB first: one [`BitReader::peek_bits`]
+    /// and a seek past the bits.
+    #[inline]
     pub fn get_bits(&mut self, n: u8) -> Result<u32, EndOfStream> {
         debug_assert!(n <= 32);
         if self.remaining_bits() < n as usize {
             return Err(EndOfStream);
         }
-        let mut v: u32 = 0;
-        // Fast path byte-at-a-time when aligned.
-        let mut left = n;
-        while left >= 8 && self.pos.is_multiple_of(8) {
-            v = (v << 8) | self.data[self.pos / 8] as u32;
-            self.pos += 8;
-            left -= 8;
-        }
-        for _ in 0..left {
-            let byte = self.data[self.pos / 8];
-            let bit = (byte >> (7 - (self.pos % 8))) & 1;
-            v = (v << 1) | bit as u32;
-            self.pos += 1;
-        }
+        let v = self.peek_bits(n);
+        self.pos += n as usize;
         Ok(v)
     }
 
-    /// Peek at up to `n` bits without consuming; missing bits beyond the
-    /// end are returned as zeros (callers must bound their use via code
-    /// lengths).
+    /// Peek at up to `n` bits (<= 32) without consuming; missing bits
+    /// beyond the end are returned as zeros (callers must bound their use
+    /// via code lengths).
+    #[inline]
     pub fn peek_bits(&self, n: u8) -> u32 {
         debug_assert!(n <= 32);
         if n == 0 {
             return 0;
         }
-        if n <= 25 {
-            // Fast path: the bits live in at most 4 consecutive bytes
-            // (n + bit offset <= 25 + 7 = 32). Bytes past the end read as
-            // zero, preserving the zero-fill contract.
-            let byte = self.pos / 8;
-            let off = (self.pos % 8) as u32;
-            let mut window: u32 = 0;
-            for i in 0..4 {
-                let b = self.data.get(byte + i).copied().unwrap_or(0);
-                window = (window << 8) | b as u32;
+        // The bits live in the eight bytes from the read head's byte
+        // (n + bit offset <= 32 + 7 < 64).
+        ((self.window() << (self.pos % 8)) >> (64 - n as u32)) as u32
+    }
+
+    /// The eight bytes from the one holding the read head, big-endian;
+    /// bytes past the end read as zero (the zero-fill contract of
+    /// [`BitReader::peek_bits`]).
+    #[inline]
+    fn window(&self) -> u64 {
+        let byte = self.pos / 8;
+        match self.data.get(byte..byte + 8) {
+            Some(w) => u64::from_be_bytes(w.try_into().expect("an 8-byte slice")),
+            None => {
+                let tail = self.data.get(byte..).unwrap_or_default();
+                let mut w = [0u8; 8];
+                w[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(w)
             }
-            return (window << off) >> (32 - n as u32);
         }
-        let mut clone = self.clone();
-        let avail = clone.remaining_bits().min(n as usize) as u8;
-        let v = clone.get_bits(avail).unwrap_or(0);
-        v << (n - avail)
     }
 
     /// Skip to the next byte boundary.
@@ -327,6 +321,53 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for (i, &b) in pattern.iter().enumerate() {
             assert_eq!(r.get_bit().unwrap(), b, "bit {i}");
+        }
+    }
+}
+
+/// The reader is checked bit for bit against a bitwise one, at every
+/// position of short streams: tails, byte edges and the end.
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use eclipse_sim::rng::SplitMix64;
+
+    /// Bit `pos` of `data` MSB first, zero past the end.
+    fn bit(data: &[u8], pos: usize) -> u32 {
+        data.get(pos / 8)
+            .map_or(0, |b| (b >> (7 - pos % 8)) as u32 & 1)
+    }
+
+    fn peek_bitwise(data: &[u8], pos: usize, n: u8) -> u32 {
+        (0..n as usize).fold(0, |v, i| (v << 1) | bit(data, pos + i))
+    }
+
+    #[test]
+    fn get_and_peek_match_bitwise_reads() {
+        let mut rng = SplitMix64::new(0xB175);
+        for len in 0..14 {
+            for _ in 0..8 {
+                let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                for pos in 0..=len * 8 {
+                    for n in 0..=32u8 {
+                        let mut r = BitReader::new(&data);
+                        r.seek(pos);
+                        assert_eq!(
+                            r.peek_bits(n),
+                            peek_bitwise(&data, pos, n),
+                            "peek {n} at {pos}"
+                        );
+                        let got = r.get_bits(n);
+                        if pos + n as usize <= len * 8 {
+                            assert_eq!(got, Ok(peek_bitwise(&data, pos, n)), "get {n} at {pos}");
+                            assert_eq!(r.bit_pos(), pos + n as usize);
+                        } else {
+                            assert_eq!(got, Err(EndOfStream), "get {n} at {pos}");
+                            assert_eq!(r.bit_pos(), pos);
+                        }
+                    }
+                }
+            }
         }
     }
 }

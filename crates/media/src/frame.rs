@@ -62,11 +62,15 @@ impl Plane {
     /// Write an 8×8 block of samples (clamped to 0..=255) at (x0, y0).
     pub fn set_block8(&mut self, x0: usize, y0: usize, block: &[i16; 64]) {
         debug_assert!(x0 + 8 <= self.width && y0 + 8 <= self.height);
-        for y in 0..8 {
+        // Clamp the whole block first (one vectorizable loop), then copy
+        // its rows.
+        let mut pixels = [0u8; 64];
+        for (p, &v) in pixels.iter_mut().zip(block) {
+            *p = v.clamp(0, 255) as u8;
+        }
+        for (y, src) in pixels.chunks_exact(8).enumerate() {
             let row = (y0 + y) * self.width + x0;
-            for x in 0..8 {
-                self.data[row + x] = block[y * 8 + x].clamp(0, 255) as u8;
-            }
+            self.data[row..row + 8].copy_from_slice(src);
         }
     }
 }

@@ -145,21 +145,23 @@ impl<'a> SampleGrid<'a> {
         }
     }
 
-    fn clamped_rows(
-        &self,
-        x2: i32,
-        y2: i32,
-        w: usize,
-        h: usize,
-        mut row: impl FnMut(usize, &[i16]),
-    ) {
-        let mut buf = [0i16; 16];
-        for y in 0..h {
-            for (x, v) in buf[..w].iter_mut().enumerate() {
-                *v = self.sample_half(x2 + 2 * x as i32, y2 + 2 * y as i32);
+    /// The block of [`SampleGrid::half_rows`] when it leaves the grid:
+    /// the clamped `(w + hx)`×`(h + hy)` samples it reads are gathered
+    /// once, which the interior path then interpolates — the values
+    /// `sample_half` gives, with each sample clamped once instead of per
+    /// tap.
+    fn clamped_rows(&self, x2: i32, y2: i32, w: usize, h: usize, row: impl FnMut(usize, &[i16])) {
+        let (xi, yi) = (x2 >> 1, y2 >> 1);
+        let (pw, ph) = (w + (x2 & 1) as usize, h + (y2 & 1) as usize);
+        let mut patch = [0u8; 17 * 17];
+        for (r, dst) in patch.chunks_exact_mut(pw).take(ph).enumerate() {
+            let sy = (yi + r as i32).clamp(0, self.height as i32 - 1) as usize;
+            let src = &self.data[sy * self.width..][..self.width];
+            for (c, d) in dst.iter_mut().enumerate() {
+                *d = src[(xi + c as i32).clamp(0, self.width as i32 - 1) as usize];
             }
-            row(y, &buf[..w]);
         }
+        SampleGrid::new(&patch[..pw * ph], pw, ph).half_rows(x2 & 1, y2 & 1, w, h, row)
     }
 
     #[inline(always)]

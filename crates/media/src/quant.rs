@@ -82,19 +82,17 @@ pub fn quant_inter(coefs: &Block, qscale: u8) -> Block {
 /// Inverse-quantize an inter block (with the MPEG-style half-step
 /// reconstruction offset away from zero).
 pub fn dequant_inter(levels: &Block, qscale: u8) -> Block {
-    let q = qscale.max(1) as u32;
+    let q = qscale.max(1) as i32;
     let mut out = [0i16; 64];
     for i in 0..64 {
         let l = levels[i] as i32;
-        if l == 0 {
-            continue;
-        }
-        // The numerator is positive, so the unsigned division is the same
-        // truncation as the former signed `/ 32` (which ran before the
-        // sign was applied) — but lowers to a shift.
-        let w = INTER_MATRIX[i] as u32;
-        let mag = ((2 * l.unsigned_abs() + 1) * w * q / 32) as i32;
-        out[i] = sat12(if l < 0 { -mag } else { mag });
+        // Branch-free (selects, which vectorize): the numerator is
+        // positive, so `>> 5` is the truncating `/ 32`. At most
+        // `(2 * 32,768 + 1) * 16 * 255 < 2^31`.
+        let w = INTER_MATRIX[i] as i32;
+        let mag = ((2 * l.abs() + 1) * w * q) >> 5;
+        let v = if l < 0 { -mag } else { mag };
+        out[i] = sat12(if l == 0 { 0 } else { v });
     }
     out
 }
@@ -227,6 +225,54 @@ mod tests {
             let qn = quant_inter(&neg, qscale);
             for i in 0..64 {
                 assert_eq!(qp[i], -qn[i], "inter q={qscale} coef {i}");
+            }
+        }
+    }
+}
+
+/// [`dequant_inter`] is checked bit for bit against its former,
+/// branching form.
+#[cfg(test)]
+mod equivalence {
+    use super::*;
+    use eclipse_sim::rng::SplitMix64;
+
+    fn dequant_inter_branchy(levels: &Block, qscale: u8) -> Block {
+        let q = qscale.max(1) as u32;
+        let mut out = [0i16; 64];
+        for i in 0..64 {
+            let l = levels[i] as i32;
+            if l == 0 {
+                continue;
+            }
+            let w = INTER_MATRIX[i] as u32;
+            let mag = ((2 * l.unsigned_abs() + 1) * w * q / 32) as i32;
+            out[i] = sat12(if l < 0 { -mag } else { mag });
+        }
+        out
+    }
+
+    #[test]
+    fn dequant_inter_matches_branchy_oracle() {
+        let mut rng = SplitMix64::new(0x0DE0);
+        for qscale in 0..=255u8 {
+            for round in 0..40 {
+                let mut levels = [0i16; 64];
+                for l in levels.iter_mut() {
+                    let r = rng.next_u64();
+                    // Small levels, zeros and the whole i16 range.
+                    *l = match (r >> 60) % 4 {
+                        0 => 0,
+                        1 => (r % 64) as i16 - 32,
+                        _ if round == 0 => [i16::MIN, i16::MAX, -1, 1][(r % 4) as usize],
+                        _ => r as u16 as i16,
+                    };
+                }
+                assert_eq!(
+                    dequant_inter(&levels, qscale),
+                    dequant_inter_branchy(&levels, qscale),
+                    "qscale {qscale}, levels {levels:?}"
+                );
             }
         }
     }

@@ -440,6 +440,45 @@ mod tests {
         }
     }
 
+    /// Every table symbol, both signs, at every bit offset, and a stream
+    /// that ends right after a code, before its sign bit, is an error.
+    #[test]
+    fn table_symbols_decode_at_every_offset_and_need_their_sign_bit() {
+        let code = RunLevelCode::global();
+        for idx in 0..N_RUNLEVEL {
+            let (bits, len) = code.codes[idx];
+            for neg in [false, true] {
+                let mag = (idx % MAX_TABLE_LEVEL as usize + 1) as i16;
+                let rl = RunLevel {
+                    run: (idx / MAX_TABLE_LEVEL as usize) as u8,
+                    level: if neg { -mag } else { mag },
+                };
+                for pad in 0..8u8 {
+                    let mut w = BitWriter::new();
+                    w.put_bits(0, pad);
+                    code.put_run_level(&mut w, rl);
+                    let bytes = w.finish();
+                    let mut r = BitReader::new(&bytes);
+                    r.seek(pad as usize);
+                    assert_eq!(
+                        code.get_symbol(&mut r),
+                        Ok((CoefSymbol::Run(rl), len + 1)),
+                        "symbol {idx} neg {neg} pad {pad}"
+                    );
+                }
+                // The code ends the stream: its sign bit is missing.
+                let pad = (8 - len % 8) % 8;
+                let mut w = BitWriter::new();
+                w.put_bits(0, pad);
+                w.put_bits(bits, len);
+                let bytes = w.finish();
+                let mut r = BitReader::new(&bytes);
+                r.seek(pad as usize);
+                assert_eq!(code.get_symbol(&mut r), Err(EndOfStream), "symbol {idx}");
+            }
+        }
+    }
+
     #[test]
     fn common_symbols_have_short_codes() {
         let code = RunLevelCode::global();

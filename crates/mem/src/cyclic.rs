@@ -91,29 +91,6 @@ impl CyclicBuffer {
         });
         (first, second)
     }
-
-    /// Iterate over the absolute addresses of cache lines (of `line` bytes,
-    /// a power of two) touched by an access of `len` bytes at `offset`.
-    /// Visits each line at most once per linear segment.
-    pub fn lines_touched(&self, offset: u32, len: u32, line: u32, mut f: impl FnMut(u32)) {
-        debug_assert!(line.is_power_of_two());
-        if len == 0 {
-            return;
-        }
-        let (a, b) = self.segments(offset, len);
-        for seg in std::iter::once(a).chain(b) {
-            // Walk in u64: a buffer ending at the top of the 32-bit address
-            // space makes both `addr + len - 1` and the stride overflow u32.
-            let line = line as u64;
-            let first = seg.addr as u64 & !(line - 1);
-            let last = (seg.addr as u64 + seg.len as u64 - 1) & !(line - 1);
-            let mut addr = first;
-            while addr <= last {
-                f(addr as u32);
-                addr += line;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,51 +161,6 @@ mod tests {
             }
         );
         assert_eq!(second, Some(Segment { addr: 0x40, len: 8 }));
-    }
-
-    #[test]
-    fn lines_touched_counts_each_line_once_per_segment() {
-        let b = CyclicBuffer::new(0, 256);
-        let mut lines = Vec::new();
-        // 100 bytes starting at offset 30, 64-byte lines: touches lines 0, 64
-        // (30..128 covers 0,64; 30+100=130 -> line 128 too).
-        b.lines_touched(30, 100, 64, |a| lines.push(a));
-        assert_eq!(lines, vec![0, 64, 128]);
-    }
-
-    #[test]
-    fn lines_touched_wrapping() {
-        let b = CyclicBuffer::new(0x1000, 128);
-        let mut lines = Vec::new();
-        // offset 120, len 16 wraps: seg1 = [0x1078, 8) -> line 0x1040;
-        // seg2 = [0x1000, 8) -> line 0x1000.
-        b.lines_touched(120, 16, 64, |a| lines.push(a));
-        assert_eq!(lines, vec![0x1040, 0x1000]);
-    }
-
-    #[test]
-    fn lines_touched_at_top_of_address_space() {
-        // Regression: a buffer ending at u32::MAX made `addr + len - 1`
-        // (and the line-stride increment past the last line) overflow u32.
-        let size = 256u32;
-        let base = u32::MAX - size + 1;
-        let b = CyclicBuffer::new(base, size);
-        let mut lines = Vec::new();
-        b.lines_touched(size - 64, 64, 64, |a| lines.push(a));
-        assert_eq!(lines, vec![u32::MAX - 63]);
-
-        // Wrapping access over the same boundary.
-        lines.clear();
-        b.lines_touched(size - 32, 64, 64, |a| lines.push(a));
-        assert_eq!(lines, vec![u32::MAX - 63, base]);
-    }
-
-    #[test]
-    fn lines_touched_zero_len_is_noop() {
-        let b = CyclicBuffer::new(0, 64);
-        let mut called = false;
-        b.lines_touched(10, 0, 64, |_| called = true);
-        assert!(!called);
     }
 }
 

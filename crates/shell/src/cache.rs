@@ -20,6 +20,7 @@
 //! Each stream-table row owns one direct-mapped cache (a shell template
 //! parameter, per the paper's "size of data caches in the shell").
 
+use eclipse_mem::cyclic::Segment;
 use eclipse_mem::{
     BusConfig, CyclicBuffer, DataFabric, DataFabricConfig, FabricDir, SharedBusFabric, Sram,
     SramConfig,
@@ -190,6 +191,10 @@ impl Line {
     }
 }
 
+/// The empty resident span: no first tag is `>=` its start while also
+/// `<=` its end.
+const NO_SPAN: (u32, u32) = (u32::MAX, 0);
+
 /// A direct-mapped stream cache for one access point.
 #[derive(Debug, Clone)]
 pub struct StreamCache {
@@ -200,10 +205,11 @@ pub struct StreamCache {
     /// `lines.len() - 1` when the line count is a power of two,
     /// `usize::MAX` otherwise (fall back to `%`).
     idx_mask: usize,
-    /// Absolute address range `[start, end)` in which every line is known
-    /// to hold its matching tag, so a warm prefetch over a sub-range can
-    /// skip the per-line walk entirely. Purely derived state (never
-    /// serialized); cleared on any eviction or invalidation.
+    /// Tags of the first and last line of an address range in which
+    /// every line is known to hold its matching tag, so a warm prefetch
+    /// over a sub-range can skip the per-line walk entirely. Purely
+    /// derived state (never serialized); reset to [`NO_SPAN`] on any
+    /// eviction and on an invalidation that drops a line.
     resident_span: (u32, u32),
     /// Number of lines with a non-zero dirty mask — lets `flush_window`
     /// skip its walk on the read-only rows that never dirty a line. Also
@@ -234,7 +240,7 @@ impl StreamCache {
             } else {
                 usize::MAX
             },
-            resident_span: (0, 0),
+            resident_span: NO_SPAN,
             dirty_lines: 0,
             owner: 0,
             stats: CacheStats::default(),
@@ -273,7 +279,40 @@ impl StreamCache {
     /// `buffer` (absolute coordinates handled internally). Returns the
     /// cycle at which the data is available; the stall relative to `now`
     /// is added to `stats.stall_cycles`.
+    #[inline(always)]
     pub fn read(
+        &mut self,
+        now: Cycle,
+        mem: &mut MemSys,
+        buffer: &CyclicBuffer,
+        offset: u32,
+        buf: &mut [u8],
+    ) -> Cycle {
+        // Fast path: the whole request falls inside one already-fetched
+        // line — the overwhelmingly common case for streaming access. Same
+        // stats and timing as one hit through `ensure_line`.
+        let len = buf.len() as u32;
+        if !self.lines.is_empty() && len > 0 && offset < buffer.size && len <= buffer.size - offset
+        {
+            let start = buffer.base + offset;
+            let (idx, tag) = self.line_of(start);
+            let s = (start - tag) as usize;
+            let line = &self.lines[idx];
+            if line.tag == tag && line.fetched && s + buf.len() <= self.cfg.line_bytes as usize {
+                self.stats.hits += 1;
+                let done = line.ready_at.max(now);
+                buf.copy_from_slice(&line.data[s..s + buf.len()]);
+                self.stats.stall_cycles += done - now;
+                return done;
+            }
+        }
+        self.read_slow(now, mem, buffer, offset, buf)
+    }
+
+    /// [`StreamCache::read`] of a request the single-line hit path does
+    /// not cover: uncached, multi-line, wrapping or missing.
+    #[inline(never)]
+    fn read_slow(
         &mut self,
         now: Cycle,
         mem: &mut MemSys,
@@ -284,9 +323,9 @@ impl StreamCache {
         if buf.is_empty() {
             return now;
         }
+        let (a, b) = buffer.segments(offset, buf.len() as u32);
         if self.lines.is_empty() {
             // Uncached: straight to the bus, segment by segment.
-            let (a, b) = buffer.segments(offset, buf.len() as u32);
             let mut done = mem.fetch(self.owner, now, a.addr, &mut buf[..a.len as usize]);
             if let Some(s) = b {
                 done = done.max(mem.fetch(self.owner, now, s.addr, &mut buf[a.len as usize..]));
@@ -294,25 +333,6 @@ impl StreamCache {
             self.stats.misses += 1;
             self.stats.stall_cycles += done - now;
             return done;
-        }
-        let (a, b) = buffer.segments(offset, buf.len() as u32);
-        // Fast path: the whole request falls inside one already-fetched
-        // line — the overwhelmingly common case for streaming access. Same
-        // stats and timing as one hit through `ensure_line`.
-        if b.is_none() {
-            let (idx, tag) = self.line_of(a.addr);
-            let in_line_off = a.addr - tag;
-            if in_line_off + a.len <= self.cfg.line_bytes {
-                let line = &self.lines[idx];
-                if line.tag == tag && line.fetched {
-                    self.stats.hits += 1;
-                    let done = line.ready_at.max(now);
-                    let s = in_line_off as usize;
-                    buf.copy_from_slice(&line.data[s..s + a.len as usize]);
-                    self.stats.stall_cycles += done - now;
-                    return done;
-                }
-            }
         }
         let mut done = now;
         let mut buf_pos = 0usize;
@@ -408,7 +428,7 @@ impl StreamCache {
     }
 
     fn evict(&mut self, now: Cycle, mem: &mut MemSys, idx: usize) {
-        self.resident_span = (0, 0);
+        self.resident_span = NO_SPAN;
         let line_bytes = self.cfg.line_bytes as usize;
         if self.lines[idx].valid() && self.lines[idx].dirty != 0 {
             let tag = self.lines[idx].tag;
@@ -532,18 +552,40 @@ impl StreamCache {
         now
     }
 
-    /// The tag of the one line a non-wrapping window of `len >= 1` bytes
-    /// at in-buffer `offset` falls inside, if it does — the common
-    /// streaming case, which then needs no [`CyclicBuffer::lines_touched`]
-    /// walk.
+    /// The first line's tag and the line count of the linear segment
+    /// `seg` (`seg.len >= 1`). `base + size` may be 2^32 exactly, so the
+    /// segment's last byte, not its end, is the largest address formed.
     #[inline]
-    fn one_line(&self, buffer: &CyclicBuffer, offset: u32, len: u32) -> Option<u32> {
-        if offset >= buffer.size || len > buffer.size - offset {
-            return None;
+    fn seg_lines(&self, seg: Segment) -> (u32, u32) {
+        let mask = !(self.cfg.line_bytes - 1);
+        let first = seg.addr & mask;
+        let last = (seg.addr + (seg.len - 1)) & mask;
+        (first, ((last - first) >> self.line_shift) + 1)
+    }
+
+    /// Call `f` with the tag of every line the window of `len >= 1` bytes
+    /// at in-buffer `offset` touches, lowest address first within each of
+    /// its one or two linear segments (a wrapping window may visit a line
+    /// once per segment).
+    #[inline(always)]
+    fn for_window_lines(
+        &mut self,
+        buffer: &CyclicBuffer,
+        offset: u32,
+        len: u32,
+        mut f: impl FnMut(&mut Self, u32),
+    ) {
+        let (a, b) = buffer.segments(offset, len);
+        let (first, n) = self.seg_lines(a);
+        for i in 0..n {
+            f(self, first + (i << self.line_shift));
         }
-        let start = buffer.base + offset;
-        let tag = start & !(self.cfg.line_bytes - 1);
-        (tag == (start + len - 1) & !(self.cfg.line_bytes - 1)).then_some(tag)
+        if let Some(b) = b {
+            let (first, n) = self.seg_lines(b);
+            for i in 0..n {
+                f(self, first + (i << self.line_shift));
+            }
+        }
     }
 
     /// Coherency rule 2: invalidate clean cached lines overlapping the
@@ -555,13 +597,14 @@ impl StreamCache {
         if self.lines.is_empty() || len == 0 {
             return;
         }
-        self.resident_span = (0, 0);
         let mut invalidated = 0u64;
-        match self.one_line(buffer, offset, len) {
-            Some(tag) => invalidated += self.invalidate_line(tag) as u64,
-            None => buffer.lines_touched(offset, len, self.cfg.line_bytes, |tag_addr| {
-                invalidated += self.invalidate_line(tag_addr) as u64;
-            }),
+        self.for_window_lines(buffer, offset, len, |c, tag_addr| {
+            invalidated += c.invalidate_line(tag_addr) as u64;
+        });
+        // Only a dropped line leaves the span: a kept dirty line still
+        // holds its tag.
+        if invalidated > 0 {
+            self.resident_span = NO_SPAN;
         }
         self.stats.invalidations += invalidated;
     }
@@ -600,12 +643,9 @@ impl StreamCache {
             return now;
         }
         let mut done = now;
-        match self.one_line(buffer, offset, len) {
-            Some(tag) => done = done.max(self.flush_line(now, mem, tag)),
-            None => buffer.lines_touched(offset, len, self.cfg.line_bytes, |tag_addr| {
-                done = done.max(self.flush_line(now, mem, tag_addr));
-            }),
-        }
+        self.for_window_lines(buffer, offset, len, |c, tag_addr| {
+            done = done.max(c.flush_line(now, mem, tag_addr));
+        });
         done
     }
 
@@ -639,58 +679,62 @@ impl StreamCache {
             return;
         }
         let len = len.min(buffer.size);
-        // Fast paths for a non-wrapping span — the overwhelmingly common
-        // streaming case, hit on every read-triggered prefetch once the
-        // window is warm. A range inside the memoized resident span needs
-        // no work at all; a one-line range fetches at most that line;
-        // otherwise a per-line scan confirms residency and extends the
-        // span. Either way the full walk below re-checks every line, so
-        // these are purely skips.
-        let mut span = None;
-        if offset < buffer.size && len <= buffer.size - offset {
-            let line_bytes = self.cfg.line_bytes;
-            let start = buffer.base + offset;
-            let first = start & !(line_bytes - 1);
-            let last = (start + len - 1) & !(line_bytes - 1);
-            if first >= self.resident_span.0 && last + line_bytes <= self.resident_span.1 {
-                return;
-            }
-            if first == last {
-                let (idx, tag) = self.line_of(first);
-                if !(self.lines[idx].valid() && self.lines[idx].tag == tag) {
-                    self.ensure_line(now, mem, idx, tag, false);
-                }
-                self.resident_span = (first, first + line_bytes);
-                return;
-            }
-            let mut tag_addr = first;
-            loop {
-                let (idx, tag) = self.line_of(tag_addr);
-                let l = &self.lines[idx];
-                if l.tag != tag || !l.fetched {
-                    break;
-                }
-                if tag_addr == last {
-                    self.resident_span = (first, last + line_bytes);
-                    return;
-                }
-                tag_addr += line_bytes;
-            }
-            // A contiguous run of at most `lines.len()` lines maps to
-            // distinct indices, so after the walk every line of the range
-            // holds its tag and the span may be recorded.
-            if ((last - first) >> self.line_shift) < self.lines.len() as u32 {
-                span = Some((first, last + line_bytes));
-            }
+        let (a, b) = buffer.segments(offset, len);
+        if b.is_some() {
+            self.for_window_lines(buffer, offset, len, |c, tag_addr| {
+                c.prefetch_line(now, mem, tag_addr);
+            });
+            return;
         }
-        buffer.lines_touched(offset, len, self.cfg.line_bytes, |tag_addr| {
-            let (idx, tag) = self.line_of(tag_addr);
-            if !(self.lines[idx].valid() && self.lines[idx].tag == tag) {
-                self.ensure_line(now, mem, idx, tag, false);
+        // One pass over a non-wrapping window: lines that already hold
+        // their tag are skipped (a warm window fetches nothing), and a
+        // range inside the memoized resident span skips the pass itself.
+        let (first, n) = self.seg_lines(a);
+        if self.span_holds(first, n) {
+            return;
+        }
+        for i in 0..n {
+            self.prefetch_line(now, mem, first + (i << self.line_shift));
+        }
+        // A contiguous run of at most `lines.len()` lines maps to
+        // distinct indices, so after the pass every line of the range
+        // holds its tag and the span may be recorded.
+        if n as usize <= self.lines.len() {
+            self.resident_span = (first, first + ((n - 1) << self.line_shift));
+        }
+    }
+
+    /// Does a prefetch of `len` bytes at in-buffer `offset` certainly
+    /// fetch nothing? True when the window does not wrap and lies inside
+    /// the resident span — the warm case of every read-triggered
+    /// prefetch, which the shell then skips without a call.
+    #[inline]
+    pub fn holds_window(&self, buffer: &CyclicBuffer, offset: u32, len: u32) -> bool {
+        if len == 0 || len > buffer.size {
+            return false;
+        }
+        match buffer.segments(offset, len) {
+            (a, None) => {
+                let (first, n) = self.seg_lines(a);
+                self.span_holds(first, n)
             }
-        });
-        if let Some(s) = span {
-            self.resident_span = s;
+            _ => false,
+        }
+    }
+
+    /// Do the `n` lines from tag `first` lie inside the resident span?
+    #[inline]
+    fn span_holds(&self, first: u32, n: u32) -> bool {
+        first >= self.resident_span.0
+            && first + ((n - 1) << self.line_shift) <= self.resident_span.1
+    }
+
+    /// Prefetch the line holding `tag_addr` unless it already holds it.
+    #[inline]
+    fn prefetch_line(&mut self, now: Cycle, mem: &mut MemSys, tag_addr: u32) {
+        let (idx, tag) = self.line_of(tag_addr);
+        if !(self.lines[idx].valid() && self.lines[idx].tag == tag) {
+            self.ensure_line(now, mem, idx, tag, false);
         }
     }
 }
@@ -964,6 +1008,73 @@ mod tests {
         assert_eq!(&buf[..4], &[0x55; 4]);
         assert_eq!(&buf[4..8], b"ABCD");
         assert_eq!(&buf[8..], &[0x55; 4]);
+    }
+
+    /// Put a fetched line holding `tag` in `c`, dirty in byte 0 when
+    /// `dirty`, without memory behind it.
+    fn install(c: &mut StreamCache, tag: u32, dirty: bool) {
+        let (idx, tag) = c.line_of(tag);
+        c.lines[idx] = Line {
+            tag,
+            fetched: true,
+            dirty: dirty as u64,
+            ..Line::empty()
+        };
+        c.dirty_lines += dirty as u32;
+    }
+
+    #[test]
+    fn windows_at_the_top_of_the_address_space() {
+        // The buffer's four 64-byte lines end at 2^32, so one past its
+        // last byte overflows u32. No SRAM reaches these addresses: lines
+        // are installed directly and no walk here may touch memory.
+        let size = 256u32;
+        let base = u32::MAX - size + 1;
+        let last = u32::MAX - 63;
+        let buffer = CyclicBuffer::new(base, size);
+        let mut mem = memsys();
+        let mut c = StreamCache::new(CacheConfig::with_lines(8, true));
+        let visited = |c: &mut StreamCache, offset, len| {
+            let mut tags = Vec::new();
+            c.for_window_lines(&buffer, offset, len, |_, tag| tags.push(tag));
+            tags
+        };
+        assert_eq!(visited(&mut c, size - 64, 64), [last]);
+        assert_eq!(visited(&mut c, size - 100, 100), [last - 64, last]);
+        assert_eq!(visited(&mut c, 0, size), [base, base + 64, last - 64, last]);
+        assert_eq!(visited(&mut c, size - 32, 100), [last, base, base + 64]);
+
+        // Every line resident: no prefetch fetches, and a non-wrapping
+        // one records the span up to the last line.
+        for tag in [base, base + 64, last - 64, last] {
+            install(&mut c, tag, false);
+        }
+        c.prefetch(0, &mut mem, &buffer, size - 32, 100);
+        assert!(!c.holds_window(&buffer, size - 32, 100), "wraps");
+        c.prefetch(0, &mut mem, &buffer, size - 128, 128);
+        assert_eq!(c.stats.prefetches, 0);
+        assert!(c.holds_window(&buffer, size - 128, 128));
+        assert!(c.holds_window(&buffer, size - 1, 1));
+        assert!(!c.holds_window(&buffer, size - 129, 1));
+
+        // Invalidation drops exactly the clean lines of each window; a
+        // dropped line clears the span.
+        c.invalidate_window(&buffer, size - 64, 64);
+        assert_eq!(c.stats.invalidations, 1);
+        assert!(!c.holds_window(&buffer, size - 1, 1));
+        c.invalidate_window(&buffer, size - 32, 100); // last, base, base + 64
+        assert_eq!(c.stats.invalidations, 3);
+        c.invalidate_window(&buffer, 0, size);
+        assert_eq!(c.stats.invalidations, 4);
+
+        // A flush walks the window's lines only: a dirty line just past a
+        // wrapping window is not written back (memory would panic).
+        install(&mut c, base + 64, true);
+        c.invalidate_window(&buffer, 0, size);
+        assert_eq!(c.stats.invalidations, 4, "dirty lines stay");
+        assert_eq!(c.flush_window(7, &mut mem, &buffer, size - 32, 96), 7);
+        assert_eq!(c.flush_window(7, &mut mem, &buffer, size - 128, 128), 7);
+        assert_eq!(c.stats.writebacks, 0);
     }
 
     #[test]

@@ -614,24 +614,16 @@ impl Shell {
         now: Cycle,
         mem: &mut MemSys,
     ) -> Cycle {
-        let row_idx = self.row_of(task, port);
+        let row_idx = self.window_row("Read", task, port, offset, buf.len());
         let row = &self.rows[row_idx.0 as usize];
-        assert!(
-            offset as u64 + buf.len() as u64 <= row.granted as u64,
-            "Read outside granted window: offset {} + len {} > granted {} (task {:?} port {})",
-            offset,
-            buf.len(),
-            row.granted,
-            task,
-            port
-        );
         let start = row.buffer.wrap_add(row.access_point, offset);
         let (buffer, access_point, granted, dir) =
             (row.buffer, row.access_point, row.granted, row.dir);
         let cache = &mut self.caches[row_idx.0 as usize];
         let done = cache.read(now, mem, &buffer, start, buf);
         // Read-triggered prefetch (paper §5.2), bounded by the granted
-        // window: only committed producer data is fetched ahead.
+        // window: only committed producer data is fetched ahead. A window
+        // inside the cache's resident span would fetch nothing.
         let cfg = *cache.config();
         if dir == PortDir::Consumer && cfg.prefetch {
             let end_off = offset + buf.len() as u32;
@@ -639,11 +631,32 @@ impl Shell {
             let len = remaining.min(cfg.prefetch_depth * cfg.line_bytes);
             if len > 0 {
                 let from = buffer.wrap_add(access_point, end_off);
-                self.prefetch(row_idx, now, mem, from, len);
+                if !cache.holds_window(&buffer, from, len) {
+                    self.prefetch(row_idx, now, mem, from, len);
+                }
             }
         }
         self.stats.bytes_read += buf.len() as u64;
         done
+    }
+
+    /// The row backing `(task, port)`, after checking that `len` bytes at
+    /// `offset` lie inside its granted window.
+    #[inline]
+    fn window_row(
+        &self,
+        what: &str,
+        task: TaskIdx,
+        port: PortId,
+        offset: u32,
+        len: usize,
+    ) -> RowIdx {
+        let row_idx = self.row_of(task, port);
+        let granted = self.rows[row_idx.0 as usize].granted;
+        if offset as u64 + len as u64 > granted as u64 {
+            outside_window(what, task, port, offset, len, granted);
+        }
+        row_idx
     }
 
     /// `Write`: move bytes from the coprocessor into the stream buffer
@@ -658,17 +671,8 @@ impl Shell {
         now: Cycle,
         mem: &mut MemSys,
     ) -> Cycle {
-        let row_idx = self.row_of(task, port);
+        let row_idx = self.window_row("Write", task, port, offset, data.len());
         let row = &self.rows[row_idx.0 as usize];
-        assert!(
-            offset as u64 + data.len() as u64 <= row.granted as u64,
-            "Write outside granted window: offset {} + len {} > granted {} (task {:?} port {})",
-            offset,
-            data.len(),
-            row.granted,
-            task,
-            port
-        );
         let start = row.buffer.wrap_add(row.access_point, offset);
         let buffer = row.buffer;
         let done = self.caches[row_idx.0 as usize].write(now, mem, &buffer, start, data);
@@ -919,6 +923,23 @@ eclipse_sim::snap_fields!(ShellStats {
     gettask_runs,
     stale_syncs_rejected,
 });
+
+/// The panic of a `Read` or `Write` outside its granted window, kept out
+/// of line so the checks inline.
+#[cold]
+#[inline(never)]
+fn outside_window(
+    what: &str,
+    task: TaskIdx,
+    port: PortId,
+    offset: u32,
+    len: usize,
+    granted: u32,
+) -> ! {
+    panic!(
+        "{what} outside granted window: offset {offset} + len {len} > granted {granted} (task {task:?} port {port})"
+    )
+}
 
 #[cfg(test)]
 mod tests {
