@@ -25,7 +25,7 @@ use eclipse_core::{
     EclipseConfig, FirstFitPlacement, Placement, RunOutcome, SystemBuilder, TopologyAwarePlacement,
 };
 use eclipse_kpn::GraphBuilder;
-use eclipse_mem::{BusConfig, DataFabricConfig, MeshDataFabric};
+use eclipse_mem::{BankedFabric, BusConfig, DataFabricConfig};
 use eclipse_shell::SyncFabricConfig;
 use std::fmt::Write as _;
 
@@ -191,14 +191,16 @@ fn main() {
         );
         let fabric = sys.data_fabric();
         let sram_bytes: u64 = fabric.ports().iter().map(|p| p.stats.bytes).sum();
-        let (mesh, byte_hops) = match fabric.as_any().downcast_ref::<MeshDataFabric>() {
-            Some(m) => (true, m.byte_hops()),
-            None => (false, 0),
-        };
+        // Only a mesh charges wire energy per hop; the other banked
+        // fabrics have no links, so their byte·hops are zero anyway.
+        let byte_hops = fabric
+            .as_any()
+            .downcast_ref::<BankedFabric>()
+            .map_or(0, BankedFabric::byte_hops);
         let counts = TransportCounts {
             sram_bytes,
             byte_hops,
-            mesh,
+            mesh: fabric.topology().mesh.is_some(),
             sync_messages: summary.sync_fabric.messages,
             sync_hops: summary.sync_fabric.hops,
         };

@@ -1,10 +1,12 @@
 //! **Interconnect-fabric design-space sweep**: decode throughput and
-//! stream denial rates across data-fabric backends (the paper instance's
-//! shared read/write bus pair vs. address-interleaved multi-bank SRAM
-//! fabrics vs. the worst-case-provisioned private-port crossbar vs. the
-//! 2-D mesh NoC of bank nodes) and sync-network backends (flat direct
-//! delivery vs. a unidirectional ring with per-hop latency and link
-//! contention vs. the XY-routed mesh with credit piggy-backing).
+//! stream denial rates across data fabrics (the paper instance's shared
+//! read/write bus pair vs. the one `BankedFabric` under its three
+//! constructors: address-interleaved multi-bank SRAM with contended
+//! per-bank arbitration, the worst-case-provisioned private-port
+//! crossbar, and the 2-D mesh NoC of bank nodes) and sync-network
+//! backends (flat direct delivery vs. a unidirectional ring with per-hop
+//! latency and link contention vs. the XY-routed mesh with credit
+//! piggy-backing).
 //!
 //! The private-port rows also measure the price of timing independence:
 //! every access pays the static grant bound up front, which is exactly

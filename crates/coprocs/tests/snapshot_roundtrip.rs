@@ -276,7 +276,7 @@ fn checkpoint_under_load_across_fabric_combos() {
 /// frames.
 #[test]
 fn mesh_checkpoint_restores_in_flight_routes() {
-    use eclipse_mem::MeshDataFabric;
+    use eclipse_mem::BankedFabric;
     use eclipse_shell::MeshSyncFabric;
 
     let bs = encode_test_stream(48, 32, 3, GopConfig { n: 3, m: 1 }, 26);
@@ -344,7 +344,7 @@ fn mesh_checkpoint_restores_in_flight_routes() {
                 .sys
                 .data_fabric()
                 .as_any()
-                .downcast_ref::<MeshDataFabric>()
+                .downcast_ref::<BankedFabric>()
                 .expect("mesh data fabric selected")
                 .in_flight(now);
             let sync_busy = match original

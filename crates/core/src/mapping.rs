@@ -690,8 +690,6 @@ mod tests {
             banks: 4,
             interleave_bytes: 64,
             mesh: Some((2, 2)),
-            private_ports: true,
-            hop_cycles: 1,
         };
         let c = ctx(&g, &cp, &none, topo, &[0; 4]);
         let assign = TopologyAwarePlacement::default().assign(&c).unwrap();
@@ -745,8 +743,6 @@ mod tests {
             banks: 4,
             interleave_bytes: 64,
             mesh: Some((2, 2)),
-            private_ports: true,
-            hop_cycles: 1,
         };
         assert_eq!(p.buffer_align(0, &mesh), 64);
         assert_eq!(

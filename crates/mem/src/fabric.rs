@@ -5,10 +5,11 @@
 //! but the communication hardware is explicitly a replaceable, scalable
 //! component. [`DataFabric`] is that seam. The historical bus pair is the
 //! default [`SharedBusFabric`] (timing-identical to the former hardwired
-//! `Bus` pair inside `MemSys`); [`MultiBankFabric`] models an
-//! address-interleaved multi-bank SRAM interconnect where independent
-//! banks arbitrate in parallel, opening the bandwidth-scaling axis the
-//! shared bus saturates.
+//! `Bus` pair inside `MemSys`). [`BankedFabric`] stripes the SRAM across
+//! bank nodes on a [`MeshGeometry`]: a column of banks every requester
+//! contends for, one node behind per-requester crossbar ports, or a grid
+//! reached over XY-routed links — the bandwidth and timing-independence
+//! axes the shared bus closes off.
 //!
 //! A fabric is purely a *timing* model: the functional byte movement stays
 //! in [`crate::sram::Sram`]; the fabric decides when the data is usable.
@@ -19,9 +20,9 @@ use eclipse_sim::Cycle;
 
 use crate::bus::{Bus, BusConfig, BusStats, Transfer};
 
-/// Direction of a fabric request (selects the bus on the shared-bus
-/// fabric; multi-bank fabrics arbitrate reads and writes on one port per
-/// bank, like a single-ported SRAM bank).
+/// Direction of a fabric request (selects the bus or port; contended
+/// banks arbitrate reads and writes on one port per bank, like a
+/// single-ported SRAM bank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricDir {
     /// SRAM → shell (cache line fetch).
@@ -31,7 +32,7 @@ pub enum FabricDir {
 }
 
 /// Geometry of a `cols × rows` mesh with XY (dimension-ordered)
-/// routing — shared by the data-plane [`MeshDataFabric`] and the
+/// routing — shared by the data-plane [`BankedFabric`] and the
 /// sync-plane mesh network in `eclipse-shell`, so both planes agree on
 /// node coordinates, link identities, and hop distances.
 ///
@@ -128,11 +129,6 @@ pub struct FabricTopology {
     pub interleave_bytes: u32,
     /// Mesh grid `(cols, rows)` when the banks form a 2-D mesh.
     pub mesh: Option<(usize, usize)>,
-    /// Whether each requester owns a private injection port (positive
-    /// grant floor; distance — not arbitration — is the placement axis).
-    pub private_ports: bool,
-    /// Added latency per mesh hop (0 without a mesh).
-    pub hop_cycles: Cycle,
 }
 
 impl FabricTopology {
@@ -143,8 +139,6 @@ impl FabricTopology {
             banks: 1,
             interleave_bytes: 0,
             mesh: None,
-            private_ports: false,
-            hop_cycles: 0,
         }
     }
 
@@ -187,7 +181,7 @@ impl FabricPort<'_> {
 /// their timing. Implementations must be deterministic — identical
 /// request sequences must produce identical [`Transfer`]s.
 pub trait DataFabric: std::fmt::Debug {
-    /// Short backend name for reports ("shared-bus", "multibank4", ...).
+    /// Short backend name for reports ("shared-bus", "multibank", ...).
     fn kind(&self) -> &'static str;
 
     /// Request a transfer of `bytes` at SRAM address `addr`, issued at
@@ -242,7 +236,8 @@ pub trait DataFabric: std::fmt::Debug {
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
-/// Fabric selection, resolved to a backend at system build time.
+/// Fabric selection, resolved to a backend at system build time. Every
+/// variant but `SharedBus` builds a [`BankedFabric`].
 #[derive(Debug, Clone, Copy)]
 pub enum DataFabricConfig {
     /// The paper-instance bus pair: one shared read bus, one shared write
@@ -258,17 +253,17 @@ pub enum DataFabricConfig {
     /// bank arbitrates its own port in order, and a transfer completes
     /// when its slowest chunk completes.
     MultiBank {
-        /// Number of banks (power of two, at most [`MAX_BANKS`]).
+        /// Number of banks (at most [`MAX_BANKS`]).
         banks: u32,
         /// Bytes per interleave chunk (power of two).
         interleave_bytes: u32,
         /// Per-bank port parameters.
         bank: BusConfig,
     },
-    /// Per-requester private ports into address-interleaved SRAM banks
-    /// through a worst-case-provisioned crossbar: every request pays the
-    /// static grant bound `grant_cycles`, and after the grant its private
-    /// port carries the data with no cross-requester arbitration at all.
+    /// Per-requester private ports into the SRAM through a
+    /// worst-case-provisioned crossbar: every request pays the static
+    /// grant bound `grant_cycles`, and after the grant its private port
+    /// carries the data with no cross-requester arbitration at all.
     PrivatePort {
         /// Static worst-case crossbar grant latency in cycles (>= 1);
         /// a TDM crossbar serving `P` ports bounds this by `P`.
@@ -300,6 +295,44 @@ pub enum DataFabricConfig {
     },
 }
 
+/// A [`DataFabricConfig`] rule that [`DataFabricConfig::validate`] found
+/// broken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FabricConfigError {
+    /// A `MultiBank` bank count outside `1..=MAX_BANKS`.
+    BankCount(u32),
+    /// An interleave stripe that is not a power of two.
+    Interleave(u32),
+    /// A mesh whose `cols × rows` node count is outside `1..=MAX_BANKS`.
+    MeshNodes {
+        /// Grid width.
+        cols: u32,
+        /// Grid height.
+        rows: u32,
+    },
+    /// A zero `grant_cycles` or `link_grant`.
+    ZeroGrant,
+    /// A bus or port with a zero-byte data path.
+    ZeroPortWidth,
+}
+
+impl std::fmt::Display for FabricConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use FabricConfigError as E;
+        match self {
+            E::BankCount(n) => write!(f, "bank count {n} is outside 1..={MAX_BANKS}"),
+            E::Interleave(n) => write!(f, "interleave {n} is not a power of two"),
+            E::MeshNodes { cols, rows } => {
+                write!(f, "a {cols}x{rows} mesh is outside 1..={MAX_BANKS} nodes")
+            }
+            E::ZeroGrant => write!(f, "the grant slot must be positive"),
+            E::ZeroPortWidth => write!(f, "a port must be at least one byte wide"),
+        }
+    }
+}
+
+impl std::error::Error for FabricConfigError {}
+
 impl DataFabricConfig {
     /// Instantiate the configured backend.
     pub fn build(self) -> Box<dyn DataFabric> {
@@ -307,73 +340,82 @@ impl DataFabricConfig {
             DataFabricConfig::SharedBus { read, write } => {
                 Box::new(SharedBusFabric::new(read, write))
             }
-            DataFabricConfig::MultiBank {
-                banks,
+            banked => Box::new(BankedFabric::new(banked)),
+        }
+    }
+
+    /// Check every rule [`DataFabricConfig::build`] relies on, so a bad
+    /// configuration is a typed error instead of a panic at build or
+    /// run time.
+    pub fn validate(&self) -> Result<(), FabricConfigError> {
+        use DataFabricConfig as C;
+        use FabricConfigError as E;
+        let (widths, grant, stripe) = match *self {
+            C::SharedBus { read, write } => ([read.width_bytes, write.width_bytes], 1, 1),
+            C::MultiBank {
                 interleave_bytes,
                 bank,
-            } => Box::new(MultiBankFabric::new(banks, interleave_bytes, bank)),
-            DataFabricConfig::PrivatePort { grant_cycles, port } => {
-                Box::new(PrivatePortFabric::new(grant_cycles, port))
-            }
-            DataFabricConfig::Mesh {
-                cols,
-                rows,
-                interleave_bytes,
+                ..
+            } => ([bank.width_bytes; 2], 1, interleave_bytes),
+            C::PrivatePort { grant_cycles, port } => ([port.width_bytes; 2], grant_cycles, 1),
+            C::Mesh {
+                interleave_bytes: il,
                 link_grant,
-                hop_cycles,
                 port,
-            } => Box::new(MeshDataFabric::new(
-                cols as usize,
-                rows as usize,
-                interleave_bytes,
-                link_grant,
-                hop_cycles,
-                port,
-            )),
+                ..
+            } => ([port.width_bytes; 2], link_grant, il),
+        };
+        let t = self.topology();
+        if !(1..=MAX_BANKS).contains(&t.banks) {
+            return Err(match t.mesh {
+                Some((cols, rows)) => E::MeshNodes {
+                    cols: cols as u32,
+                    rows: rows as u32,
+                },
+                None => E::BankCount(t.banks as u32),
+            });
         }
+        if !stripe.is_power_of_two() {
+            return Err(E::Interleave(stripe));
+        }
+        if grant == 0 {
+            return Err(E::ZeroGrant);
+        }
+        if widths.contains(&0) {
+            return Err(E::ZeroPortWidth);
+        }
+        Ok(())
     }
 
     /// The topology descriptor the configured backend would publish,
     /// without instantiating it — what the build-time placement pass
     /// reads (matches [`DataFabric::topology`] of the built fabric
-    /// exactly).
+    /// exactly, because a built [`BankedFabric`] stores this one).
     pub fn topology(&self) -> FabricTopology {
-        match *self {
-            DataFabricConfig::SharedBus { .. } => FabricTopology::uniform("shared-bus"),
-            DataFabricConfig::MultiBank {
+        use DataFabricConfig as C;
+        let (kind, banks, interleave_bytes, mesh) = match *self {
+            C::SharedBus { .. } => return FabricTopology::uniform("shared-bus"),
+            C::MultiBank {
                 banks,
                 interleave_bytes,
                 ..
-            } => FabricTopology {
-                kind: "multibank",
-                banks: banks as usize,
-                interleave_bytes,
-                mesh: None,
-                private_ports: false,
-                hop_cycles: 0,
-            },
-            DataFabricConfig::PrivatePort { .. } => FabricTopology {
-                kind: "private-port",
-                banks: 1,
-                interleave_bytes: 0,
-                mesh: None,
-                private_ports: true,
-                hop_cycles: 0,
-            },
-            DataFabricConfig::Mesh {
+            } => ("multibank", banks as usize, interleave_bytes, None),
+            C::PrivatePort { .. } => ("private-port", 1, 0, None),
+            C::Mesh {
                 cols,
                 rows,
                 interleave_bytes,
-                hop_cycles,
                 ..
-            } => FabricTopology {
-                kind: "mesh",
-                banks: (cols as usize) * (rows as usize),
-                interleave_bytes,
-                mesh: Some((cols as usize, rows as usize)),
-                private_ports: true,
-                hop_cycles,
-            },
+            } => {
+                let grid = (cols as usize, rows as usize);
+                ("mesh", grid.0 * grid.1, interleave_bytes, Some(grid))
+            }
+        };
+        FabricTopology {
+            kind,
+            banks,
+            interleave_bytes,
+            mesh,
         }
     }
 }
@@ -476,379 +518,25 @@ impl Snapshot for Box<dyn DataFabric> {
     }
 }
 
-/// Upper bound on [`MultiBankFabric`] banks (names are static strings).
+/// Upper bound on [`BankedFabric`] bank nodes (names are static strings).
 pub const MAX_BANKS: usize = 16;
+
+/// Upper bound on requesters of a provisioned [`BankedFabric`] (port
+/// names are static strings).
+pub const MAX_PORTS: usize = 16;
 
 const BANK_NAMES: [&str; MAX_BANKS] = [
     "bank0", "bank1", "bank2", "bank3", "bank4", "bank5", "bank6", "bank7", "bank8", "bank9",
     "bank10", "bank11", "bank12", "bank13", "bank14", "bank15",
 ];
 
-/// Address-interleaved multi-bank SRAM fabric.
-///
-/// The SRAM address space is striped across `banks` single-ported banks in
-/// `interleave_bytes` chunks: chunk *i* of a transfer lands in bank
-/// `(addr / interleave) % banks`. Each bank arbitrates its own requests
-/// in arrival order (an independent [`Bus`] per bank, reads and writes
-/// sharing the port); the chunks of one transfer issue concurrently and
-/// the transfer completes when its slowest chunk does. Wide transfers
-/// therefore stream out of `banks` ports at once — the bandwidth scaling
-/// the shared bus cannot offer — while transfers colliding on a bank
-/// still serialize, which the per-bank stats and the contention counter
-/// make visible.
-#[derive(Debug)]
-pub struct MultiBankFabric {
-    banks: Vec<Bus>,
-    interleave: u32,
-    contended: u64,
-    trace: Option<TraceHandle>,
-}
-
-eclipse_sim::snap_fields!(MultiBankFabric {
-    banks: fixed,
-    contended
-});
-
-impl MultiBankFabric {
-    /// A new idle fabric with `banks` banks of `interleave_bytes` stripe.
-    pub fn new(banks: u32, interleave_bytes: u32, bank: BusConfig) -> Self {
-        assert!(
-            (1..=MAX_BANKS as u32).contains(&banks),
-            "bank count must be in 1..={MAX_BANKS}"
-        );
-        assert!(
-            interleave_bytes.is_power_of_two(),
-            "interleave must be a power of two"
-        );
-        MultiBankFabric {
-            banks: (0..banks as usize)
-                .map(|i| Bus::new(BANK_NAMES[i], bank))
-                .collect(),
-            interleave: interleave_bytes,
-            contended: 0,
-            trace: None,
-        }
-    }
-
-    fn bank_of(&self, addr: u32) -> usize {
-        ((addr / self.interleave) as usize) % self.banks.len()
-    }
-}
-
-impl DataFabric for MultiBankFabric {
-    fn kind(&self) -> &'static str {
-        "multibank"
-    }
-
-    /// Banks are real, separately arbitrated nodes: placement can
-    /// spread hot streams across them via buffer alignment.
-    fn topology(&self) -> FabricTopology {
-        FabricTopology {
-            kind: self.kind(),
-            banks: self.banks.len(),
-            interleave_bytes: self.interleave,
-            mesh: None,
-            private_ports: false,
-            hop_cycles: 0,
-        }
-    }
-
-    fn request(
-        &mut self,
-        _requester: usize,
-        dir: FabricDir,
-        now: Cycle,
-        addr: u32,
-        bytes: u32,
-    ) -> Transfer {
-        let _ = dir;
-        debug_assert!(bytes > 0, "zero-byte fabric transaction");
-        // Split the transfer at interleave boundaries; chunks issue
-        // concurrently, each arbitrating on its own bank.
-        //
-        // Contended-wait accounting distinguishes *external* contention
-        // (the bank was busy with someone else's transfer when our first
-        // chunk arrived) from *self-serialization* (a wide transfer
-        // wrapping around the stripe queues behind its own earlier chunk
-        // on the same bank). Only the first chunk landing on each bank
-        // can wait on external traffic; later chunks on that bank wait
-        // behind ourselves, which is bandwidth, not contention. A bank
-        // freed exactly at `now` (`now == next_free`) grants immediately
-        // with zero wait — the grant boundary is not contention either.
-        let mut a = addr;
-        let mut remaining = bytes;
-        let mut start = Cycle::MAX;
-        let mut done = 0;
-        let mut wait = 0;
-        let mut banks_touched = 0u32;
-        while remaining > 0 {
-            let in_chunk = (self.interleave - a % self.interleave).min(remaining);
-            let bank = self.bank_of(a);
-            let first_touch = banks_touched & (1 << bank) == 0;
-            banks_touched |= 1 << bank;
-            let t = self.banks[bank].request(now, in_chunk);
-            if first_touch && t.wait > 0 {
-                self.contended += 1;
-                wait = wait.max(t.wait);
-            }
-            if let Some(h) = &self.trace {
-                h.emit(
-                    t.start,
-                    TraceEventKind::BankGrant {
-                        bank: bank as u32,
-                        bytes: in_chunk,
-                        wait: t.wait,
-                    },
-                );
-            }
-            start = start.min(t.start);
-            done = done.max(t.done);
-            a += in_chunk;
-            remaining -= in_chunk;
-        }
-        Transfer { start, done, wait }
-    }
-
-    fn attach_trace(&mut self, sink: &SharedTraceSink) {
-        self.trace = Some(TraceHandle::new(sink, "fabric/multibank"));
-    }
-
-    fn ports(&self) -> Vec<FabricPort<'_>> {
-        self.banks
-            .iter()
-            .map(|b| FabricPort {
-                name: b.name(),
-                stats: b.stats(),
-            })
-            .collect()
-    }
-
-    fn contended_requests(&self) -> u64 {
-        self.contended
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.save(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.load(r)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// Upper bound on [`PrivatePortFabric`] requesters (port names are
-/// static strings).
-pub const MAX_PORTS: usize = 16;
-
-const PORT_READ_NAMES: [&str; MAX_PORTS] = [
-    "p0.rd", "p1.rd", "p2.rd", "p3.rd", "p4.rd", "p5.rd", "p6.rd", "p7.rd", "p8.rd", "p9.rd",
-    "p10.rd", "p11.rd", "p12.rd", "p13.rd", "p14.rd", "p15.rd",
+/// Requester `s`'s read and write ports sit at `2s` and `2s + 1`.
+const PORT_NAMES: [&str; 2 * MAX_PORTS] = [
+    "p0.rd", "p0.wr", "p1.rd", "p1.wr", "p2.rd", "p2.wr", "p3.rd", "p3.wr", "p4.rd", "p4.wr",
+    "p5.rd", "p5.wr", "p6.rd", "p6.wr", "p7.rd", "p7.wr", "p8.rd", "p8.wr", "p9.rd", "p9.wr",
+    "p10.rd", "p10.wr", "p11.rd", "p11.wr", "p12.rd", "p12.wr", "p13.rd", "p13.wr", "p14.rd",
+    "p14.wr", "p15.rd", "p15.wr",
 ];
-const PORT_WRITE_NAMES: [&str; MAX_PORTS] = [
-    "p0.wr", "p1.wr", "p2.wr", "p3.wr", "p4.wr", "p5.wr", "p6.wr", "p7.wr", "p8.wr", "p9.wr",
-    "p10.wr", "p11.wr", "p12.wr", "p13.wr", "p14.wr", "p15.wr",
-];
-
-/// One requester's private read/write port pair.
-#[derive(Debug, Clone)]
-struct PrivatePort {
-    read: Bus,
-    write: Bus,
-}
-
-eclipse_sim::snap_fields!(PrivatePort { read, write });
-
-impl PrivatePort {
-    /// Grow `ports` to `n` pairs, each named after its requester.
-    fn grow(ports: &mut Vec<PrivatePort>, n: usize, cfg: BusConfig) {
-        while ports.len() < n {
-            let i = ports.len();
-            ports.push(PrivatePort {
-                read: Bus::new(PORT_READ_NAMES[i], cfg),
-                write: Bus::new(PORT_WRITE_NAMES[i], cfg),
-            });
-        }
-    }
-
-    /// A port count, then each pair's buses.
-    fn save_ports(ports: &[PrivatePort], w: &mut SnapWriter) {
-        w.usize(ports.len());
-        ports.save(w);
-    }
-
-    /// Rebuild the pairs saved by [`PrivatePort::save_ports`]: a fabric
-    /// creates a requester's pair on its first request, so the count
-    /// need not match this build's. It may not exceed the crossbar.
-    fn load_ports(
-        ports: &mut Vec<PrivatePort>,
-        cfg: BusConfig,
-        r: &mut SnapReader,
-    ) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n > MAX_PORTS {
-            return Err(SnapError::Corrupt("fabric port count"));
-        }
-        ports.clear();
-        Self::grow(ports, n, cfg);
-        ports[..].load(r)
-    }
-}
-
-/// Per-requester private ports into the interleaved SRAM banks, through
-/// a worst-case-provisioned crossbar — the paper's §4 memory
-/// architecture, where every coprocessor shell owns its own port into
-/// the embedded SRAM and streams never contend on a single arbiter.
-///
-/// Timing model: a request issued at `now` by shell `s` pays the static
-/// crossbar grant bound `grant_cycles` (every request, hit or miss — the
-/// crossbar is provisioned for the worst case, e.g. a TDM wheel that
-/// guarantees each of `P` ports one grant slot every `P` cycles even
-/// when all ports storm the same bank), then streams over shell `s`'s
-/// private port [`Bus`]. No state whatsoever is shared between
-/// requesters, so one shell's traffic *cannot* move another shell's
-/// grant or completion times. The only waiting a request can experience
-/// is the grant floor plus queueing behind the same shell's earlier
-/// transfer on its own port; that self-queueing is what the contention
-/// counter reports.
-#[derive(Debug)]
-pub struct PrivatePortFabric {
-    /// Port `s` serves requester (shell) `s`; grown lazily on first use
-    /// (growth creates every intermediate port, so the vector length —
-    /// and the snapshot — depend only on the highest requester seen).
-    ports: Vec<PrivatePort>,
-    grant: Cycle,
-    port_cfg: BusConfig,
-    contended: u64,
-    trace: Option<TraceHandle>,
-}
-
-impl PrivatePortFabric {
-    /// A new idle fabric with the given static grant bound (>= 1).
-    pub fn new(grant_cycles: Cycle, port: BusConfig) -> Self {
-        assert!(
-            grant_cycles >= 1,
-            "the crossbar grant bound must be positive"
-        );
-        PrivatePortFabric {
-            ports: Vec::new(),
-            grant: grant_cycles,
-            port_cfg: port,
-            contended: 0,
-            trace: None,
-        }
-    }
-
-    fn port_pair(&mut self, requester: usize) -> &mut PrivatePort {
-        assert!(
-            requester < MAX_PORTS,
-            "requester {requester} exceeds the {MAX_PORTS}-port crossbar"
-        );
-        PrivatePort::grow(&mut self.ports, requester + 1, self.port_cfg);
-        &mut self.ports[requester]
-    }
-}
-
-impl DataFabric for PrivatePortFabric {
-    fn kind(&self) -> &'static str {
-        "private-port"
-    }
-
-    /// Distance-free: every port reaches every interleaved bank at the
-    /// same cost, so placement gains nothing from bank spreading here —
-    /// but the private ports mean load, not arbitration, is the axis.
-    fn topology(&self) -> FabricTopology {
-        FabricTopology {
-            kind: self.kind(),
-            banks: 1,
-            interleave_bytes: 0,
-            mesh: None,
-            private_ports: true,
-            hop_cycles: 0,
-        }
-    }
-
-    fn request(
-        &mut self,
-        requester: usize,
-        dir: FabricDir,
-        now: Cycle,
-        _addr: u32,
-        bytes: u32,
-    ) -> Transfer {
-        debug_assert!(bytes > 0, "zero-byte fabric transaction");
-        let grant = self.grant;
-        let pair = self.port_pair(requester);
-        let bus = match dir {
-            FabricDir::Read => &mut pair.read,
-            FabricDir::Write => &mut pair.write,
-        };
-        // The crossbar always charges its worst-case grant bound, then
-        // the private port streams the data; queueing can only be behind
-        // this requester's own earlier transfers.
-        let t = bus.request(now + grant, bytes);
-        let wait = t.start - now;
-        if t.wait > 0 {
-            self.contended += 1;
-        }
-        if let Some(h) = &self.trace {
-            h.emit(
-                t.start,
-                TraceEventKind::BankGrant {
-                    bank: requester as u32,
-                    bytes,
-                    wait,
-                },
-            );
-        }
-        Transfer {
-            start: t.start,
-            done: t.done,
-            wait,
-        }
-    }
-
-    fn attach_trace(&mut self, sink: &SharedTraceSink) {
-        self.trace = Some(TraceHandle::new(sink, "fabric/private-port"));
-    }
-
-    fn ports(&self) -> Vec<FabricPort<'_>> {
-        let mut out = Vec::with_capacity(self.ports.len() * 2);
-        for p in &self.ports {
-            out.push(FabricPort {
-                name: p.read.name(),
-                stats: p.read.stats(),
-            });
-            out.push(FabricPort {
-                name: p.write.name(),
-                stats: p.write.stats(),
-            });
-        }
-        out
-    }
-
-    fn contended_requests(&self) -> u64 {
-        self.contended
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        PrivatePort::save_ports(&self.ports, w);
-        w.u64(self.contended);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        PrivatePort::load_ports(&mut self.ports, self.port_cfg, r)?;
-        self.contended = r.u64()?;
-        Ok(())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
 
 /// Cumulative transport counters of one directed mesh link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -867,82 +555,111 @@ eclipse_sim::snap_fields!(LinkStats {
     busy_cycles
 });
 
-/// A `cols × rows` mesh NoC of SRAM bank nodes with XY routing — the
-/// distributed-memory alternative to the centralized crossbar, after
-/// the 2-D mesh interconnects of network-processor designs.
+/// How a [`BankedFabric`] arbitrates.
+#[derive(Debug, Clone, Copy)]
+enum Arbitration {
+    /// One bus per bank, shared by every requester in arrival order.
+    Contended,
+    /// Per-requester port pairs behind worst-case-provisioned TDM links:
+    /// `grant` per slot, `hop` added per traversed link.
+    Provisioned { grant: Cycle, hop: Cycle },
+}
+
+/// Address-interleaved SRAM bank nodes on a [`MeshGeometry`] — the one
+/// backend of the `MultiBank` (a column of banks), `PrivatePort` (one
+/// node) and `Mesh` (a grid) configurations. Chunk *i* of a transfer,
+/// cut at `interleave_bytes` boundaries, lives on node
+/// `(addr / interleave) % nodes`.
 ///
-/// **Structure.** The SRAM address space interleaves across the
-/// `cols × rows` bank nodes in `interleave_bytes` chunks (chunk *i* of
-/// a transfer lives on node `(addr / interleave) % nodes`). Requester
-/// (shell) `s` injects at node `s % nodes` through a private port pair,
-/// and a chunk reaches its bank over the XY route between the two
-/// nodes.
+/// **Contended** (`MultiBank`). Each bank arbitrates its own requests in
+/// arrival order (an independent [`Bus`] per bank, reads and writes
+/// sharing the port); the chunks of one transfer issue concurrently and
+/// the transfer completes when its slowest chunk does. Wide transfers
+/// stream out of all banks at once — the bandwidth scaling the shared
+/// bus cannot offer — while transfers colliding on a bank serialize.
 ///
-/// **Timing.** Every link is a TDM wheel provisioned for the worst
-/// case: each requester owns a guaranteed grant slot every `link_grant`
-/// cycles on every link it can reach, so a request never waits on
-/// *another* requester — it statically pays `link_grant` for its
-/// injection slot plus `link_grant + hop_cycles` per traversed link of
-/// its longest chunk route, then streams over its private port. Because
-/// of that static provisioning, requester timing state is fully
-/// disjoint, as on [`PrivatePortFabric`]. The only queueing is behind
-/// the same requester's earlier transfers on its own injection port
-/// (reported by the contention counter).
-///
-/// **Accounting.** Per-link occupancy/byte/traversal counters record
-/// where the traffic actually flowed — purely observational (they never
-/// feed back into timing).
+/// **Provisioned** (`PrivatePort`, `Mesh`). Requester `s` owns a private
+/// port pair (`p{s}.rd` / `p{s}.wr`) at node `s % nodes`, and a chunk
+/// reaches its bank over the XY route between the two nodes. Every link
+/// is a TDM wheel provisioned for the worst case (each requester owns a
+/// grant slot every `grant` cycles even when all ports storm one bank),
+/// so a request statically pays `grant` for its injection slot plus
+/// `grant + hop` per link of its longest chunk route, then streams over
+/// its own port. One shell's traffic therefore *cannot* move another
+/// shell's timing; the only queueing is behind the same requester's
+/// earlier transfers, which is what the contention counter reports. One
+/// node has no routes: every request pays `grant`, the paper's §4 picture
+/// of every shell owning its own SRAM port behind a crossbar. Per-link
+/// counters record where the traffic flowed and never feed back into
+/// timing.
 #[derive(Debug)]
-pub struct MeshDataFabric {
+pub struct BankedFabric {
+    topo: FabricTopology,
     geom: MeshGeometry,
-    interleave: u32,
-    link_grant: Cycle,
-    hop_cycles: Cycle,
+    arb: Arbitration,
     port_cfg: BusConfig,
-    /// Port `s` serves requester `s`; grown lazily like
-    /// [`PrivatePortFabric`].
-    ports: Vec<PrivatePort>,
+    /// Contended: bus `b` is bank `b`. Provisioned: requester `s`'s port
+    /// pair at `2s`, `2s + 1`, grown lazily on first use (growth creates
+    /// every intermediate pair, so the length — and the snapshot —
+    /// depend only on the highest requester seen).
+    buses: Vec<Bus>,
+    /// Per-directed-link counters of a provisioned mesh (empty when
+    /// contended).
     links: Vec<LinkStats>,
     contended: u64,
     trace: Option<TraceHandle>,
 }
 
-impl MeshDataFabric {
-    /// A new idle `cols × rows` mesh.
-    pub fn new(
-        cols: usize,
-        rows: usize,
-        interleave_bytes: u32,
-        link_grant: Cycle,
-        hop_cycles: Cycle,
-        port: BusConfig,
-    ) -> Self {
+impl BankedFabric {
+    /// A new idle fabric for any configuration but `SharedBus`; callers
+    /// outside the crate build one through [`DataFabricConfig::build`].
+    ///
+    /// Panics on a configuration [`DataFabricConfig::validate`] rejects.
+    pub(crate) fn new(cfg: DataFabricConfig) -> Self {
+        use DataFabricConfig as C;
+        if let Err(e) = cfg.validate() {
+            panic!("invalid data fabric: {e}");
+        }
+        let (arb, port_cfg) = match cfg {
+            C::SharedBus { .. } => panic!("the shared bus is not a banked fabric"),
+            C::MultiBank { bank, .. } => (Arbitration::Contended, bank),
+            C::PrivatePort {
+                grant_cycles: grant,
+                port,
+            } => (Arbitration::Provisioned { grant, hop: 0 }, port),
+            C::Mesh {
+                link_grant: grant,
+                hop_cycles: hop,
+                port,
+                ..
+            } => (Arbitration::Provisioned { grant, hop }, port),
+        };
+        // A column of banks, one node, or the mesh grid.
+        let topo = cfg.topology();
+        let (cols, rows) = topo.mesh.unwrap_or((1, topo.banks));
         let geom = MeshGeometry::new(cols, rows);
-        assert!(
-            geom.nodes() <= MAX_BANKS,
-            "mesh node count must not exceed {MAX_BANKS}"
-        );
-        assert!(
-            interleave_bytes.is_power_of_two(),
-            "interleave must be a power of two"
-        );
-        assert!(link_grant >= 1, "the link grant slot must be positive");
-        MeshDataFabric {
-            links: vec![LinkStats::default(); geom.n_links()],
+        let (buses, links) = match arb {
+            Arbitration::Contended => (
+                BANK_NAMES[..geom.nodes()]
+                    .iter()
+                    .map(|&name| Bus::new(name, port_cfg))
+                    .collect(),
+                Vec::new(),
+            ),
+            Arbitration::Provisioned { .. } => {
+                (Vec::new(), vec![LinkStats::default(); geom.n_links()])
+            }
+        };
+        BankedFabric {
+            topo,
             geom,
-            interleave: interleave_bytes,
-            link_grant,
-            hop_cycles,
-            port_cfg: port,
-            ports: Vec::new(),
+            arb,
+            port_cfg,
+            buses,
+            links,
             contended: 0,
             trace: None,
         }
-    }
-
-    /// The grid geometry (shared with the sync-plane mesh).
-    pub fn geometry(&self) -> MeshGeometry {
-        self.geom
     }
 
     /// Per-directed-link transport counters, in stable link-id order.
@@ -956,48 +673,106 @@ impl MeshDataFabric {
         self.links.iter().map(|l| l.bytes).sum()
     }
 
-    /// Whether any injection port still holds a grant beyond `now` —
-    /// i.e. a chunk is mid-route through the mesh. Lets checkpoint
-    /// tests pick a save point with data transfers genuinely in flight.
+    /// Whether any bus still holds a grant beyond `now` — i.e. a chunk
+    /// is mid-route. Lets checkpoint tests pick a save point with data
+    /// transfers genuinely in flight.
     pub fn in_flight(&self, now: Cycle) -> bool {
-        self.ports
-            .iter()
-            .any(|p| p.read.busy_until() > now || p.write.busy_until() > now)
+        self.buses.iter().any(|b| b.busy_until() > now)
     }
 
-    fn bank_of(&self, addr: u32) -> usize {
-        ((addr / self.interleave) as usize) % self.geom.nodes()
+    /// The interleave chunks of `[addr, addr + bytes)`, each as
+    /// `(bank, chunk bytes)`.
+    fn chunks(&self, addr: u32, bytes: u32) -> impl Iterator<Item = (usize, u32)> {
+        let (il, nodes) = (self.topo.interleave_bytes, self.geom.nodes());
+        let (mut a, mut remaining) = (addr, bytes);
+        std::iter::from_fn(move || {
+            (remaining > 0).then(|| {
+                let in_chunk = (il - a % il).min(remaining);
+                let bank = ((a / il) as usize) % nodes;
+                a += in_chunk;
+                remaining -= in_chunk;
+                (bank, in_chunk)
+            })
+        })
     }
 
-    fn port_pair(&mut self, requester: usize) -> &mut PrivatePort {
-        assert!(
-            requester < MAX_PORTS,
-            "requester {requester} exceeds the {MAX_PORTS}-port mesh"
-        );
-        PrivatePort::grow(&mut self.ports, requester + 1, self.port_cfg);
-        &mut self.ports[requester]
+    fn emit(&self, at: Cycle, bank: usize, bytes: u32, wait: Cycle) {
+        if let Some(h) = &self.trace {
+            let bank = bank as u32;
+            h.emit(at, TraceEventKind::BankGrant { bank, bytes, wait });
+        }
     }
 
-    /// Cycles one chunk occupies a link (beats at the port width).
-    fn chunk_occupancy(&self, bytes: u32) -> u64 {
-        (bytes as u64).div_ceil(self.port_cfg.width_bytes as u64) * self.port_cfg.cycles_per_beat
+    fn request_contended(&mut self, now: Cycle, addr: u32, bytes: u32) -> Transfer {
+        // Chunks issue concurrently, each arbitrating on its own bank.
+        //
+        // Contended-wait accounting distinguishes *external* contention
+        // (the bank was busy with someone else's transfer when our first
+        // chunk arrived) from *self-serialization* (a wide transfer
+        // wrapping around the stripe queues behind its own earlier chunk
+        // on the same bank). Only the first chunk landing on each bank
+        // can wait on external traffic; later chunks on that bank wait
+        // behind ourselves, which is bandwidth, not contention. A bank
+        // freed exactly at `now` (`now == next_free`) grants immediately
+        // with zero wait — the grant boundary is not contention either.
+        let (mut start, mut done, mut wait) = (Cycle::MAX, 0, 0);
+        let mut banks_touched = 0u32;
+        for (bank, in_chunk) in self.chunks(addr, bytes) {
+            let first_touch = banks_touched & (1 << bank) == 0;
+            banks_touched |= 1 << bank;
+            let t = self.buses[bank].request(now, in_chunk);
+            if first_touch && t.wait > 0 {
+                self.contended += 1;
+                wait = wait.max(t.wait);
+            }
+            self.emit(t.start, bank, in_chunk, t.wait);
+            start = start.min(t.start);
+            done = done.max(t.done);
+        }
+        Transfer { start, done, wait }
+    }
+
+    /// Record each chunk's link traversals from node `src`, returning the
+    /// hop depth of the farthest chunk's bank and the first chunk's bank.
+    /// Reads flow bank → requester, writes requester → bank; XY timing
+    /// is symmetric, but the occupancy lands on the actual direction.
+    fn route_chunks(&mut self, src: usize, dir: FabricDir, addr: u32, bytes: u32) -> (u64, usize) {
+        let (mut hops_max, mut first) = (0, None);
+        for (bank, in_chunk) in self.chunks(addr, bytes) {
+            first.get_or_insert(bank);
+            hops_max = hops_max.max(self.geom.distance(src, bank));
+            let beats = (in_chunk as u64).div_ceil(self.port_cfg.width_bytes as u64);
+            let occupancy = beats * self.port_cfg.cycles_per_beat;
+            let (from, to) = match dir {
+                FabricDir::Read => (bank, src),
+                FabricDir::Write => (src, bank),
+            };
+            let links = &mut self.links;
+            self.geom.route(from, to, |l| {
+                links[l].traversals += 1;
+                links[l].bytes += in_chunk as u64;
+                links[l].busy_cycles += occupancy;
+            });
+        }
+        (hops_max, first.unwrap_or(0))
+    }
+
+    /// Create port pairs up to `pairs` requesters.
+    fn grow_ports(&mut self, pairs: usize) {
+        while self.buses.len() < 2 * pairs {
+            let name = PORT_NAMES[self.buses.len()];
+            self.buses.push(Bus::new(name, self.port_cfg));
+        }
     }
 }
 
-impl DataFabric for MeshDataFabric {
+impl DataFabric for BankedFabric {
     fn kind(&self) -> &'static str {
-        "mesh"
+        self.topo.kind
     }
 
     fn topology(&self) -> FabricTopology {
-        FabricTopology {
-            kind: self.kind(),
-            banks: self.geom.nodes(),
-            interleave_bytes: self.interleave,
-            mesh: Some((self.geom.cols, self.geom.rows)),
-            private_ports: true,
-            hop_cycles: self.hop_cycles,
-        }
+        self.topo
     }
 
     fn request(
@@ -1009,55 +784,28 @@ impl DataFabric for MeshDataFabric {
         bytes: u32,
     ) -> Transfer {
         debug_assert!(bytes > 0, "zero-byte fabric transaction");
-        let src = requester % self.geom.nodes();
-        // Pass 1 over the interleave chunks: hop depth of the farthest
-        // bank (sets the route latency) and per-link accounting. Reads
-        // flow bank → requester, writes requester → bank; XY timing is
-        // symmetric, but the occupancy lands on the actual direction.
-        let mut a = addr;
-        let mut remaining = bytes;
-        let mut hops_max = 0u64;
-        while remaining > 0 {
-            let in_chunk = (self.interleave - a % self.interleave).min(remaining);
-            let bank = self.bank_of(a);
-            hops_max = hops_max.max(self.geom.distance(src, bank));
-            let occupancy = self.chunk_occupancy(in_chunk);
-            let (from, to) = match dir {
-                FabricDir::Read => (bank, src),
-                FabricDir::Write => (src, bank),
-            };
-            let links = &mut self.links;
-            self.geom.route(from, to, |l| {
-                links[l].traversals += 1;
-                links[l].bytes += in_chunk as u64;
-                links[l].busy_cycles += occupancy;
-            });
-            a += in_chunk;
-            remaining -= in_chunk;
-        }
+        let Arbitration::Provisioned { grant, hop } = self.arb else {
+            return self.request_contended(now, addr, bytes);
+        };
+        assert!(
+            requester < MAX_PORTS,
+            "requester {requester} exceeds the {MAX_PORTS}-port fabric"
+        );
         // Injection grant slot, then one (grant slot + hop) per link of
         // the deepest route; the chunks pipeline behind the head flit.
-        let route = self.link_grant + hops_max * (self.link_grant + self.hop_cycles);
-        let pair = self.port_pair(requester);
-        let bus = match dir {
-            FabricDir::Read => &mut pair.read,
-            FabricDir::Write => &mut pair.write,
+        // One node has no routes, so its chunk walk would change nothing.
+        let (hops, bank) = match self.geom.nodes() {
+            1 => (0, 0),
+            nodes => self.route_chunks(requester % nodes, dir, addr, bytes),
         };
-        let t = bus.request(now + route, bytes);
+        self.grow_ports(requester + 1);
+        let bus = &mut self.buses[2 * requester + dir as usize];
+        let t = bus.request(now + grant + hops * (grant + hop), bytes);
         let wait = t.start - now;
         if t.wait > 0 {
             self.contended += 1;
         }
-        if let Some(h) = &self.trace {
-            h.emit(
-                t.start,
-                TraceEventKind::BankGrant {
-                    bank: self.bank_of(addr) as u32,
-                    bytes,
-                    wait,
-                },
-            );
-        }
+        self.emit(t.start, bank, bytes, wait);
         Transfer {
             start: t.start,
             done: t.done,
@@ -1066,39 +814,60 @@ impl DataFabric for MeshDataFabric {
     }
 
     fn attach_trace(&mut self, sink: &SharedTraceSink) {
-        self.trace = Some(TraceHandle::new(sink, "fabric/mesh"));
+        let unit = format!("fabric/{}", self.topo.kind);
+        self.trace = Some(TraceHandle::new(sink, &unit));
     }
 
     fn ports(&self) -> Vec<FabricPort<'_>> {
-        let mut out = Vec::with_capacity(self.ports.len() * 2);
-        for p in &self.ports {
-            out.push(FabricPort {
-                name: p.read.name(),
-                stats: p.read.stats(),
-            });
-            out.push(FabricPort {
-                name: p.write.name(),
-                stats: p.write.stats(),
-            });
-        }
-        out
+        self.buses
+            .iter()
+            .map(|b| FabricPort {
+                name: b.name(),
+                stats: b.stats(),
+            })
+            .collect()
     }
 
     fn contended_requests(&self) -> u64 {
         self.contended
     }
 
+    /// The bank count (contended) or port-pair count (provisioned), the
+    /// buses, the link table when the geometry has links, then the
+    /// contention counter.
     fn save_state(&self, w: &mut SnapWriter) {
-        PrivatePort::save_ports(&self.ports, w);
-        w.usize(self.links.len());
-        self.links[..].save(w);
+        match self.arb {
+            Arbitration::Contended => w.usize(self.buses.len()),
+            Arbitration::Provisioned { .. } => w.usize(self.buses.len() / 2),
+        }
+        self.buses[..].save(w);
+        if !self.links.is_empty() {
+            w.usize(self.links.len());
+            self.links[..].save(w);
+        }
         w.u64(self.contended);
     }
 
+    /// A provisioned fabric creates a requester's pair on its first
+    /// request, so the saved pair count need not match this build's; it
+    /// may not exceed the port limit.
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        PrivatePort::load_ports(&mut self.ports, self.port_cfg, r)?;
-        r.expect_len(self.links.len(), "mesh link count")?;
-        self.links[..].load(r)?;
+        match self.arb {
+            Arbitration::Contended => r.expect_len(self.buses.len(), "banks length")?,
+            Arbitration::Provisioned { .. } => {
+                let n = r.usize()?;
+                if n > MAX_PORTS {
+                    return Err(SnapError::Corrupt("fabric port count"));
+                }
+                self.buses.clear();
+                self.grow_ports(n);
+            }
+        }
+        self.buses[..].load(r)?;
+        if !self.links.is_empty() {
+            r.expect_len(self.links.len(), "mesh link count")?;
+            self.links[..].load(r)?;
+        }
         self.contended = r.u64()?;
         Ok(())
     }
@@ -1117,6 +886,39 @@ mod tests {
             width_bytes: 16,
             latency: 1,
             cycles_per_beat: 1,
+        }
+    }
+
+    fn multibank(banks: u32) -> DataFabricConfig {
+        DataFabricConfig::MultiBank {
+            banks,
+            interleave_bytes: 64,
+            bank: cfg(),
+        }
+    }
+
+    fn private(grant_cycles: Cycle) -> DataFabricConfig {
+        DataFabricConfig::PrivatePort {
+            grant_cycles,
+            port: cfg(),
+        }
+    }
+
+    fn mesh(cols: u32, rows: u32, link_grant: Cycle, hop_cycles: Cycle) -> DataFabricConfig {
+        DataFabricConfig::Mesh {
+            cols,
+            rows,
+            interleave_bytes: 64,
+            link_grant,
+            hop_cycles,
+            port: cfg(),
+        }
+    }
+
+    fn shared() -> DataFabricConfig {
+        DataFabricConfig::SharedBus {
+            read: cfg(),
+            write: cfg(),
         }
     }
 
@@ -1152,7 +954,7 @@ mod tests {
     fn multibank_stripes_across_banks() {
         // 4 banks, 64 B interleave: a 256 B line-aligned transfer touches
         // all four banks once and finishes in one bank's chunk time.
-        let mut f = MultiBankFabric::new(4, 64, cfg());
+        let mut f = BankedFabric::new(multibank(4));
         let t = f.request(0, FabricDir::Read, 0, 0, 256);
         // Each chunk: 4 beats + latency 1 → done at 5, concurrently.
         assert_eq!(
@@ -1172,7 +974,7 @@ mod tests {
 
     #[test]
     fn multibank_collisions_serialize_on_one_bank() {
-        let mut f = MultiBankFabric::new(4, 64, cfg());
+        let mut f = BankedFabric::new(multibank(4));
         // Two transfers to the same bank at the same cycle: second waits.
         let t1 = f.request(0, FabricDir::Read, 0, 0, 64);
         let t2 = f.request(1, FabricDir::Write, 0, 256, 64); // 256/64 % 4 == bank 0
@@ -1183,7 +985,7 @@ mod tests {
 
     #[test]
     fn multibank_splits_unaligned_transfers() {
-        let mut f = MultiBankFabric::new(2, 64, cfg());
+        let mut f = BankedFabric::new(multibank(2));
         // 100 B starting at 32: chunks of 32 (bank 0), 64 (bank 1), 4 (bank 0).
         f.request(0, FabricDir::Read, 0, 32, 100);
         let ports = f.ports();
@@ -1193,95 +995,69 @@ mod tests {
         assert_eq!(ports[1].stats.bytes, 64);
     }
 
+    /// Every fabric carries every byte on its ports, and every transfer
+    /// starts no earlier than its request, reports a wait bounding
+    /// `start - now` from above, and completes after it starts — under
+    /// two irregular traffic patterns from four requesters.
     #[test]
-    fn fabric_conserves_bytes() {
-        let mut shared: Box<dyn DataFabric> = DataFabricConfig::SharedBus {
-            read: cfg(),
-            write: cfg(),
-        }
-        .build();
-        let mut banked: Box<dyn DataFabric> = DataFabricConfig::MultiBank {
-            banks: 8,
-            interleave_bytes: 64,
-            bank: cfg(),
-        }
-        .build();
-        let mut private: Box<dyn DataFabric> = DataFabricConfig::PrivatePort {
-            grant_cycles: 2,
-            port: cfg(),
-        }
-        .build();
-        let mut total = 0u64;
-        let mut state = 0x1234_5678_9abc_def0u64;
-        for i in 0..500u64 {
-            // Cheap xorshift so the traffic pattern is irregular.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let addr = (state as u32) % 32768;
-            let bytes = (state >> 32) as u32 % 200 + 1;
-            let dir = if state & 1 == 0 {
-                FabricDir::Read
-            } else {
-                FabricDir::Write
-            };
-            let requester = (state >> 48) as usize % 4;
-            total += bytes as u64;
-            let a = shared.request(requester, dir, i, addr, bytes);
-            let b = banked.request(requester, dir, i, addr, bytes);
-            let c = private.request(requester, dir, i, addr, bytes);
-            for t in [a, b, c] {
-                assert!(t.start >= i);
-                // `wait` reflects externally-contended grants; `start` the
-                // earliest chunk's grant — so wait bounds (start - now)
-                // from above.
-                assert!(t.wait >= t.start - i);
-                assert!(t.done > t.start);
+    fn every_fabric_conserves_bytes() {
+        for (seed, n) in [
+            (0x1234_5678_9abc_def0u64, 500u64),
+            (0x9e37_79b9_7f4a_7c15, 300),
+        ] {
+            let mut fabrics: Vec<Box<dyn DataFabric>> =
+                [shared(), multibank(8), private(2), mesh(2, 2, 2, 1)]
+                    .map(DataFabricConfig::build)
+                    .into();
+            let mut total = 0u64;
+            let mut state = seed;
+            for i in 0..n {
+                // Cheap xorshift so the traffic pattern is irregular.
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let addr = (state as u32) % 32768;
+                let bytes = (state >> 32) as u32 % 200 + 1;
+                let dir = if state & 1 == 0 {
+                    FabricDir::Read
+                } else {
+                    FabricDir::Write
+                };
+                let requester = (state >> 48) as usize % 4;
+                total += bytes as u64;
+                for f in &mut fabrics {
+                    let t = f.request(requester, dir, i, addr, bytes);
+                    assert!(t.start >= i);
+                    // `wait` reflects externally-contended grants; `start`
+                    // the earliest chunk's grant — so wait bounds
+                    // (start - now) from above.
+                    assert!(t.wait >= t.start - i);
+                    assert!(t.done > t.start);
+                }
             }
-        }
-        for f in [&shared, &banked, &private] {
-            let carried: u64 = f.ports().iter().map(|p| p.stats.bytes).sum();
-            assert_eq!(carried, total, "{} must carry every byte", f.kind());
+            for f in &fabrics {
+                let carried: u64 = f.ports().iter().map(|p| p.stats.bytes).sum();
+                assert_eq!(carried, total, "{} must carry every byte", f.kind());
+            }
         }
     }
 
-    /// Satellite-2 regression: a requester arriving exactly at the cycle a
-    /// resource becomes free (`now == next_free`) is granted immediately —
-    /// zero wait, and the fabric does NOT count a contended grant. Pinned
-    /// for every fabric, old and new.
+    /// A requester arriving exactly at the cycle a resource becomes free
+    /// (`now == next_free`) is granted immediately — zero wait, and the
+    /// fabric does NOT count a contended grant. Pinned for every fabric.
     #[test]
     fn boundary_cycle_grant_is_uncontended_on_every_fabric() {
         // cfg(): 64 B → 4 beats; a request at `now` occupies the bus until
         // `start + 4`, completing (latency 1) at `start + 5`.
         // Each fabric with the static grant floor every request pays.
-        let fabrics: Vec<(Box<dyn DataFabric>, Cycle)> = vec![
-            (
-                DataFabricConfig::SharedBus {
-                    read: cfg(),
-                    write: cfg(),
-                }
-                .build(),
-                0,
-            ),
-            (
-                DataFabricConfig::MultiBank {
-                    banks: 4,
-                    interleave_bytes: 64,
-                    bank: cfg(),
-                }
-                .build(),
-                0,
-            ),
-            (
-                DataFabricConfig::PrivatePort {
-                    grant_cycles: 3,
-                    port: cfg(),
-                }
-                .build(),
-                3,
-            ),
+        let fabrics = [
+            (shared(), 0),
+            (multibank(4), 0),
+            (private(3), 3),
+            (mesh(2, 2, 3, 1), 3),
         ];
-        for (mut f, grant) in fabrics {
+        for (c, grant) in fabrics {
+            let mut f = c.build();
             let kind = f.kind();
             let t1 = f.request(0, FabricDir::Read, 0, 0, 64);
             assert_eq!(t1.wait, grant, "{kind}: idle fabric charges only its floor");
@@ -1303,13 +1079,12 @@ mod tests {
         }
     }
 
-    /// Satellite-2 regression: a wide transfer wrapping the bank stripe
-    /// serializes behind *itself* on each bank — that is occupancy, not
-    /// contention, and must inflate neither `wait` nor the contended
-    /// count.
+    /// A wide transfer wrapping the bank stripe serializes behind
+    /// *itself* on each bank — that is occupancy, not contention, and
+    /// must inflate neither `wait` nor the contended count.
     #[test]
     fn multibank_self_serialization_is_not_contention() {
-        let mut f = MultiBankFabric::new(2, 64, cfg());
+        let mut f = BankedFabric::new(multibank(2));
         // 256 B over 2 banks: chunks land bank0, bank1, bank0, bank1 —
         // the second visit to each bank queues behind the first.
         let t = f.request(0, FabricDir::Read, 0, 0, 256);
@@ -1325,7 +1100,7 @@ mod tests {
 
     #[test]
     fn private_port_charges_constant_grant_floor() {
-        let mut f = PrivatePortFabric::new(2, cfg());
+        let mut f = BankedFabric::new(private(2));
         assert_eq!(f.kind(), "private-port");
         let t = f.request(0, FabricDir::Read, 10, 0, 64);
         assert_eq!(
@@ -1342,59 +1117,76 @@ mod tests {
         assert_eq!(f.contended_requests(), 0);
     }
 
+    /// On provisioned fabrics a storm from requester 0 leaves requester
+    /// 1's timing exactly as on a fresh fabric.
     #[test]
-    fn private_ports_are_independent_across_requesters() {
-        // Storm requester 0, then check requester 1 sees virgin timing.
-        let mut stormed = PrivatePortFabric::new(1, cfg());
-        for i in 0..32u64 {
-            stormed.request(0, FabricDir::Read, i, 0, 128);
+    fn provisioned_requesters_are_independent() {
+        for c in [private(1), mesh(2, 2, 1, 1)] {
+            let mut stormed = BankedFabric::new(c);
+            for i in 0..32u64 {
+                stormed.request(0, FabricDir::Read, i, 0, 128);
+            }
+            let mut fresh = BankedFabric::new(c);
+            for now in [100u64, 101, 103] {
+                let a = stormed.request(1, FabricDir::Read, now, 64, 64);
+                let b = fresh.request(1, FabricDir::Read, now, 64, 64);
+                assert_eq!(a, b, "{c:?}: requester 1 must be untouched by requester 0");
+            }
+            // Requester 0's own back-to-back queueing did register.
+            assert!(stormed.contended_requests() > 0);
+            // Growth created ports 0 and 1 (read+write each).
+            assert_eq!(stormed.ports().len(), 4);
+            assert_eq!(stormed.ports()[2].name, "p1.rd");
         }
-        let mut fresh = PrivatePortFabric::new(1, cfg());
-        for now in [100u64, 101, 103] {
-            let a = stormed.request(1, FabricDir::Read, now, 64, 64);
-            let b = fresh.request(1, FabricDir::Read, now, 64, 64);
-            assert_eq!(a, b, "requester 1 must be untouched by requester 0");
-        }
-        // Requester 0's own back-to-back queueing did register.
-        assert!(stormed.contended_requests() > 0);
-        // Growth created ports 0 and 1 (read+write each).
-        assert_eq!(stormed.ports().len(), 4);
-        assert_eq!(stormed.ports()[2].name, "p1.rd");
     }
 
+    /// Each banked arbitration checkpoints mid-flight and restores into
+    /// a fresh build with identical future timing, statistics, link
+    /// counters and re-saved bytes. Rows: the config, the two addresses
+    /// the pile-up hits, and the probe address after the restore.
     #[test]
-    fn private_port_snapshot_roundtrip_mid_contention() {
-        let mut f = PrivatePortFabric::new(2, cfg());
-        // Pile up in-flight occupancy on ports 0 and 2 (growing three
-        // ports) so arbiter cursors are mid-contention at save time.
-        for i in 0..8u64 {
-            f.request(0, FabricDir::Read, i, 0, 192);
-            f.request(2, FabricDir::Write, i, 64, 192);
-        }
-        let mut w = SnapWriter::new();
-        f.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut g = PrivatePortFabric::new(2, cfg());
-        let mut r = SnapReader::new(&bytes);
-        g.load_state(&mut r).expect("load");
-
-        // Identical future behaviour, stats, and re-saved bytes.
-        for (req, dir, now) in [
-            (0usize, FabricDir::Read, 8u64),
-            (2, FabricDir::Write, 8),
-            (1, FabricDir::Read, 9),
+    fn banked_snapshot_roundtrip_mid_flight() {
+        for (c, piles, probe) in [
+            (private(2), [0, 64], 0),
+            (mesh(2, 2, 2, 1), [192, 64], 128),
+            (multibank(4), [0, 64], 0),
         ] {
-            assert_eq!(
-                f.request(req, dir, now, 0, 64),
-                g.request(req, dir, now, 0, 64)
-            );
+            let mut f = BankedFabric::new(c);
+            // Pile up in-flight occupancy from requesters 0 and 2 (growing
+            // three port pairs on provisioned fabrics) so arbiter cursors
+            // are mid-contention at save time.
+            for i in 0..8u64 {
+                f.request(0, FabricDir::Read, i, piles[0], 192);
+                f.request(2, FabricDir::Write, i, piles[1], 192);
+            }
+            assert!(f.in_flight(8), "{c:?}: the save point must be mid-flight");
+            let mut w = SnapWriter::new();
+            f.save_state(&mut w);
+            let bytes = w.into_bytes();
+
+            let mut g = BankedFabric::new(c);
+            let mut r = SnapReader::new(&bytes);
+            g.load_state(&mut r).expect("load");
+            assert_eq!(r.remaining(), 0, "{c:?}: load must consume the whole save");
+
+            // Identical future behaviour, stats, and re-saved bytes.
+            for (req, dir, now) in [
+                (0usize, FabricDir::Read, 8u64),
+                (2, FabricDir::Write, 8),
+                (1, FabricDir::Read, 9),
+            ] {
+                assert_eq!(
+                    f.request(req, dir, now, probe, 64),
+                    g.request(req, dir, now, probe, 64)
+                );
+            }
+            assert_eq!(f.contended_requests(), g.contended_requests());
+            assert_eq!(f.link_stats(), g.link_stats());
+            let (mut wf, mut wg) = (SnapWriter::new(), SnapWriter::new());
+            f.save_state(&mut wf);
+            g.save_state(&mut wg);
+            assert_eq!(wf.into_bytes(), wg.into_bytes());
         }
-        assert_eq!(f.contended_requests(), g.contended_requests());
-        let (mut wf, mut wg) = (SnapWriter::new(), SnapWriter::new());
-        f.save_state(&mut wf);
-        g.save_state(&mut wg);
-        assert_eq!(wf.into_bytes(), wg.into_bytes());
     }
 
     #[test]
@@ -1431,14 +1223,14 @@ mod tests {
     #[test]
     fn mesh_charges_grant_plus_hops() {
         // 2×2 grid, 64 B interleave. Requester 0 injects at node 0.
-        let mut f = MeshDataFabric::new(2, 2, 64, 2, 3, cfg());
+        let mut f = BankedFabric::new(mesh(2, 2, 2, 3));
         assert_eq!(f.kind(), "mesh");
         // addr 0 → bank 0: zero hops, pays only the injection slot.
         let local = f.request(0, FabricDir::Read, 10, 0, 64);
         assert_eq!(local.start, 12);
         assert_eq!(local.wait, 2);
         // addr 3*64 → bank 3: 2 hops from node 0, each hop 2+3.
-        let mut g = MeshDataFabric::new(2, 2, 64, 2, 3, cfg());
+        let mut g = BankedFabric::new(mesh(2, 2, 2, 3));
         let far = g.request(0, FabricDir::Read, 10, 192, 64);
         assert_eq!(far.start, 10 + 2 + 2 * (2 + 3));
         // The route's links carry the chunk (read: bank → requester).
@@ -1448,54 +1240,12 @@ mod tests {
     }
 
     #[test]
-    fn mesh_requesters_are_independent() {
-        let mut stormed = MeshDataFabric::new(2, 2, 64, 1, 1, cfg());
-        for i in 0..32u64 {
-            stormed.request(0, FabricDir::Read, i, 0, 128);
-        }
-        let mut fresh = MeshDataFabric::new(2, 2, 64, 1, 1, cfg());
-        for now in [100u64, 101, 103] {
-            let a = stormed.request(1, FabricDir::Read, now, 64, 64);
-            let b = fresh.request(1, FabricDir::Read, now, 64, 64);
-            assert_eq!(a, b, "requester 1 must be untouched by requester 0");
-        }
-        assert!(stormed.contended_requests() > 0);
-    }
-
-    #[test]
-    fn mesh_conserves_bytes_on_ports() {
-        let mut f = MeshDataFabric::new(2, 2, 64, 2, 1, cfg());
-        let mut total = 0u64;
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for i in 0..300u64 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let addr = (state as u32) % 32768;
-            let bytes = (state >> 32) as u32 % 200 + 1;
-            let dir = if state & 1 == 0 {
-                FabricDir::Read
-            } else {
-                FabricDir::Write
-            };
-            total += bytes as u64;
-            let t = f.request((state >> 48) as usize % 4, dir, i, addr, bytes);
-            assert!(t.start >= i);
-            assert!(t.wait >= t.start - i);
-            assert!(t.done > t.start);
-        }
-        let carried: u64 = f.ports().iter().map(|p| p.stats.bytes).sum();
-        assert_eq!(carried, total, "mesh ports must carry every byte");
-    }
-
-    #[test]
     fn mesh_topology_describes_grid() {
-        let f = MeshDataFabric::new(4, 2, 64, 2, 1, cfg());
+        let f = BankedFabric::new(mesh(4, 2, 2, 1));
         let t = f.topology();
         assert_eq!(t.kind, "mesh");
         assert_eq!(t.banks, 8);
         assert_eq!(t.mesh, Some((4, 2)));
-        assert!(t.private_ports);
         assert_eq!(t.requester_node(9), 1);
         assert_eq!(t.distance(0, 7), 4);
         // Non-mesh fabrics report distance-free topologies.
@@ -1503,26 +1253,94 @@ mod tests {
         let ut = shared.topology();
         assert_eq!(ut.banks, 1);
         assert_eq!(ut.distance(0, 1), 0);
-        let banked = MultiBankFabric::new(4, 64, cfg());
+        let banked = BankedFabric::new(multibank(4));
         assert_eq!(banked.topology().banks, 4);
         assert_eq!(banked.topology().interleave_bytes, 64);
     }
 
     #[test]
     fn config_topology_matches_built_fabric() {
-        let cfgs = [
+        for c in [shared(), multibank(4), private(2), mesh(2, 2, 2, 1)] {
+            assert_eq!(c.topology(), c.build().topology());
+        }
+    }
+
+    #[test]
+    fn every_constructor_validates() {
+        for c in [shared(), multibank(4), private(2), mesh(2, 2, 2, 1)] {
+            assert_eq!(c.validate(), Ok(()), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn bank_count_outside_range_is_rejected() {
+        for banks in [0, 17] {
+            assert_eq!(
+                multibank(banks).validate(),
+                Err(FabricConfigError::BankCount(banks))
+            );
+        }
+        assert_eq!(multibank(16).validate(), Ok(()));
+    }
+
+    #[test]
+    fn non_power_of_two_interleave_is_rejected() {
+        let banked = DataFabricConfig::MultiBank {
+            banks: 4,
+            interleave_bytes: 48,
+            bank: cfg(),
+        };
+        assert_eq!(banked.validate(), Err(FabricConfigError::Interleave(48)));
+        let grid = DataFabricConfig::Mesh {
+            cols: 2,
+            rows: 2,
+            interleave_bytes: 0,
+            link_grant: 2,
+            hop_cycles: 1,
+            port: cfg(),
+        };
+        assert_eq!(grid.validate(), Err(FabricConfigError::Interleave(0)));
+    }
+
+    #[test]
+    fn mesh_nodes_outside_range_are_rejected() {
+        for (cols, rows) in [(0, 2), (2, 0), (17, 1), (4, 5), (u32::MAX, u32::MAX)] {
+            assert_eq!(
+                mesh(cols, rows, 2, 1).validate(),
+                Err(FabricConfigError::MeshNodes { cols, rows })
+            );
+        }
+        assert_eq!(mesh(4, 4, 2, 1).validate(), Ok(()));
+    }
+
+    #[test]
+    fn zero_grant_is_rejected() {
+        assert_eq!(private(0).validate(), Err(FabricConfigError::ZeroGrant));
+        assert_eq!(
+            mesh(2, 2, 0, 1).validate(),
+            Err(FabricConfigError::ZeroGrant)
+        );
+    }
+
+    #[test]
+    fn zero_port_width_is_rejected() {
+        let narrow = BusConfig {
+            width_bytes: 0,
+            ..cfg()
+        };
+        for c in [
             DataFabricConfig::SharedBus {
                 read: cfg(),
-                write: cfg(),
+                write: narrow,
             },
             DataFabricConfig::MultiBank {
                 banks: 4,
                 interleave_bytes: 64,
-                bank: cfg(),
+                bank: narrow,
             },
             DataFabricConfig::PrivatePort {
                 grant_cycles: 2,
-                port: cfg(),
+                port: narrow,
             },
             DataFabricConfig::Mesh {
                 cols: 2,
@@ -1530,46 +1348,10 @@ mod tests {
                 interleave_bytes: 64,
                 link_grant: 2,
                 hop_cycles: 1,
-                port: cfg(),
+                port: narrow,
             },
-        ];
-        for c in cfgs {
-            assert_eq!(c.topology(), c.build().topology());
-        }
-    }
-
-    #[test]
-    fn mesh_snapshot_roundtrip_mid_flight() {
-        // Pile in-flight occupancy on two injection ports and traffic
-        // over several links, then checkpoint mid-contention.
-        let mut f = MeshDataFabric::new(2, 2, 64, 2, 1, cfg());
-        for i in 0..8u64 {
-            f.request(0, FabricDir::Read, i, 192, 192);
-            f.request(2, FabricDir::Write, i, 64, 192);
-        }
-        let mut w = SnapWriter::new();
-        f.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut g = MeshDataFabric::new(2, 2, 64, 2, 1, cfg());
-        let mut r = SnapReader::new(&bytes);
-        g.load_state(&mut r).expect("load");
-
-        for (req, dir, now) in [
-            (0usize, FabricDir::Read, 8u64),
-            (2, FabricDir::Write, 8),
-            (1, FabricDir::Read, 9),
         ] {
-            assert_eq!(
-                f.request(req, dir, now, 128, 64),
-                g.request(req, dir, now, 128, 64)
-            );
+            assert_eq!(c.validate(), Err(FabricConfigError::ZeroPortWidth), "{c:?}");
         }
-        assert_eq!(f.contended_requests(), g.contended_requests());
-        assert_eq!(f.link_stats(), g.link_stats());
-        let (mut wf, mut wg) = (SnapWriter::new(), SnapWriter::new());
-        f.save_state(&mut wf);
-        g.save_state(&mut wg);
-        assert_eq!(wf.into_bytes(), wg.into_bytes());
     }
 }

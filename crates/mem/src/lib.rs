@@ -14,15 +14,17 @@
 //! * [`bus::Bus`] — a shared, arbitrated, wide data bus with occupancy and
 //!   contention accounting (instantiated as the on-chip read bus, write
 //!   bus, and the off-chip system bus),
-//! * [`fabric::DataFabric`] — the pluggable shell↔SRAM transport seam:
-//!   [`fabric::SharedBusFabric`] (the paper-instance bus pair, the
-//!   default), [`fabric::MultiBankFabric`] (address-interleaved
-//!   multi-bank arbitration for bandwidth scaling),
-//!   [`fabric::PrivatePortFabric`] (worst-case-provisioned crossbar
-//!   with a positive grant floor), and [`fabric::MeshDataFabric`] (a
-//!   2-D mesh NoC of bank nodes with XY routing and per-link
-//!   accounting); every backend publishes a [`fabric::FabricTopology`]
-//!   descriptor the topology-aware placement pass reads,
+//! * [`fabric::DataFabric`] — the pluggable shell↔SRAM transport seam
+//!   with two backends: [`fabric::SharedBusFabric`] (the paper-instance
+//!   bus pair, the default) and [`fabric::BankedFabric`] (address-
+//!   interleaved SRAM bank nodes on a [`fabric::MeshGeometry`], behind
+//!   contended per-bank arbitration or worst-case-provisioned
+//!   per-requester ports). [`fabric::DataFabricConfig`] keeps one
+//!   constructor per design point — `SharedBus`, `MultiBank`,
+//!   `PrivatePort` and a 2-D `Mesh` with XY routing and per-link
+//!   accounting — and every backend publishes a
+//!   [`fabric::FabricTopology`] descriptor the topology-aware placement
+//!   pass reads,
 //! * [`alloc::BufferAllocator`] — run-time allocation of cyclic stream
 //!   buffers in the shared SRAM address range (the paper's "communication
 //!   buffers can be allocated at run-time"),
@@ -45,7 +47,7 @@ pub use bus::{Bus, BusConfig, BusStats, Transfer};
 pub use cyclic::CyclicBuffer;
 pub use dram::{Dram, DramConfig};
 pub use fabric::{
-    DataFabric, DataFabricConfig, FabricDir, FabricPort, FabricTopology, LinkStats, MeshDataFabric,
-    MeshGeometry, MultiBankFabric, PrivatePortFabric, SharedBusFabric,
+    BankedFabric, DataFabric, DataFabricConfig, FabricConfigError, FabricDir, FabricPort,
+    FabricTopology, LinkStats, MeshGeometry, SharedBusFabric,
 };
 pub use sram::{Sram, SramConfig};

@@ -93,8 +93,8 @@ pub enum SyncFabricConfig {
         link_occupancy: u64,
     },
     /// A 2-D mesh with XY routing, matching the data-plane
-    /// [`eclipse_mem::MeshDataFabric`] grid: shell *s* injects at node
-    /// `s % (cols·rows)` and a message crosses the Manhattan route's
+    /// [`eclipse_mem::DataFabricConfig::Mesh`] grid: shell *s* injects at
+    /// node `s % (cols·rows)` and a message crosses the Manhattan route's
     /// links, each carrying one message per `link_occupancy` cycles.
     /// Credits piggy-back: a message entering a link within
     /// `piggyback_window` cycles of the previous grant on that link

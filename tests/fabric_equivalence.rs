@@ -3,7 +3,7 @@
 //! must stay functionally conservative (no created or lost credits, no
 //! created or lost bytes) no matter how the traffic looks.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! 1. **Timing equivalence.** Explicitly selecting the default fabrics
 //!    (`SharedBus` with the instance's read/write bus pair + `Direct`
@@ -11,7 +11,10 @@
 //!    build cycle-for-cycle — the same guarantee the committed
 //!    `results/timing_fingerprint.txt` encodes, checked here against a
 //!    live run rather than a file.
-//! 2. **Conservation under random traffic.** Property tests drive
+//! 2. **One banked fabric.** The private-port crossbar is the one-node
+//!    case of the mesh: a decode on either agrees in every timing
+//!    counter, the premise that lets one `BankedFabric` serve both.
+//! 3. **Conservation under random traffic.** Property tests drive
 //!    randomly shaped producer/filter/consumer pipelines through every
 //!    fabric combination with the credit checker armed: each combo must
 //!    finish, observe the same number of sync messages, and move the
@@ -72,6 +75,59 @@ fn explicit_default_fabrics_reproduce_implicit_timing() {
 
     assert_eq!(a.outcome, RunOutcome::AllFinished);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+/// A private-port fabric is a 1×1 mesh: with no links to cross, the
+/// mesh charges exactly the private port's grant over the same port
+/// pairs. A decode on `PrivatePort { grant_cycles: g }` and on a 1×1
+/// `Mesh { link_grant: g, .. }` agree in cycles, per-shell utilization,
+/// per-port transactions, bytes and wait, and contention.
+#[test]
+fn private_port_is_a_one_node_mesh() {
+    let bitstream = small_stream();
+    let cfg = EclipseConfig::default();
+    let port = cfg.read_bus;
+    for g in [1, 2, 8] {
+        let run = |fabric| {
+            let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
+            b.with_data_fabric(fabric);
+            b.add_decode("dec0", bitstream.clone(), DecodeAppConfig::default());
+            let mut m = b.build();
+            let summary = m.run(20_000_000_000);
+            assert_eq!(summary.outcome, RunOutcome::AllFinished, "g={g}");
+            let f = m.sys.data_fabric();
+            let ports: Vec<String> = f
+                .ports()
+                .iter()
+                .map(|p| format!("{} {:?}", p.name, p.stats))
+                .collect();
+            (summary, ports, f.contended_requests())
+        };
+        let (a, a_ports, a_contended) = run(DataFabricConfig::PrivatePort {
+            grant_cycles: g,
+            port,
+        });
+        let (b, b_ports, b_contended) = run(DataFabricConfig::Mesh {
+            cols: 1,
+            rows: 1,
+            interleave_bytes: 64,
+            link_grant: g,
+            hop_cycles: 3,
+            port,
+        });
+        assert_eq!(a.cycles, b.cycles, "g={g}: cycles");
+        assert_eq!(
+            format!("{:?}", a.utilization),
+            format!("{:?}", b.utilization),
+            "g={g}: per-shell utilization"
+        );
+        assert!(!a_ports.is_empty(), "g={g}: the decode used the fabric");
+        assert_eq!(
+            a_ports, b_ports,
+            "g={g}: per-port transactions, bytes, wait"
+        );
+        assert_eq!(a_contended, b_contended, "g={g}: contended requests");
+    }
 }
 
 /// One pipeline shape, run through a given fabric pair with the credit
