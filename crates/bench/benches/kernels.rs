@@ -14,7 +14,7 @@ use eclipse_media::bits::{BitReader, BitWriter};
 use eclipse_media::dct::{fdct2d, idct2d};
 use eclipse_media::motion::{fetch_block_half, sad_16x16, three_step_search_pred, MotionVector};
 use eclipse_media::quant::{dequant_intra, quant_intra};
-use eclipse_media::scan::{rle_decode, rle_encode, RunLevel};
+use eclipse_media::scan::{rle_decode, rle_encode_into, RunLevel};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::vlc::{get_block, put_block};
 
@@ -40,15 +40,26 @@ fn bench_quant_rle() {
     bench("rlsq/dequant_intra", || {
         dequant_intra(black_box(&levels), 6)
     });
-    bench("rlsq/rle_encode", || rle_encode(black_box(&levels)));
-    let symbols = rle_encode(&levels);
+    bench("rlsq/rle_encode", || {
+        let mut out = [RunLevel::default(); 64];
+        let n = rle_encode_into(black_box(&levels), &mut out);
+        (out, n)
+    });
+    let symbols = symbols_of(&levels);
     bench("rlsq/rle_decode", || {
         rle_decode(black_box(&symbols)).unwrap()
     });
 }
 
+/// The run/level symbols of `levels`.
+fn symbols_of(levels: &[i16; 64]) -> Vec<RunLevel> {
+    let mut out = [RunLevel::default(); 64];
+    let n = rle_encode_into(levels, &mut out);
+    out[..n].to_vec()
+}
+
 fn bench_vlc() {
-    let symbols = rle_encode(&quant_intra(&fdct2d(&test_block()), 6));
+    let symbols = symbols_of(&quant_intra(&fdct2d(&test_block()), 6));
     bench("vlc/encode_block", || {
         let mut w = BitWriter::new();
         put_block(&mut w, black_box(&symbols));

@@ -134,6 +134,9 @@ struct VleTask {
     writer: BitWriter,
     pending: Vec<u8>,
     eos_seen: bool,
+    /// Host-side scratch reused by every step (no simulated state): the
+    /// run/level symbols of the macroblock being parsed.
+    symbols: Vec<RunLevel>,
 }
 
 #[derive(Default)]
@@ -496,6 +499,7 @@ impl Coprocessor for DspCoproc {
                         writer,
                         pending: Vec::new(),
                         eos_seen: false,
+                        symbols: Vec::with_capacity(6 * 64),
                     }),
                 );
                 // No input hint: after EOS the VLE still runs to flush its
@@ -723,7 +727,7 @@ fn step_monitor(t: &mut MonitorTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
             if !r.need(ctx, 1 + records::PIX_REC_BYTES) {
                 return StepResult::Blocked;
             }
-            let mut buf = vec![0u8; 1 + records::PIX_REC_BYTES as usize];
+            let mut buf = [0u8; 1 + records::PIX_REC_BYTES as usize];
             r.read(ctx, &mut buf);
             r.commit(ctx);
             t.checksum = fnv(t.checksum, &buf);
@@ -832,11 +836,11 @@ fn step_audio(t: &mut AudioTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepR
                 if !ctx.get_space(IN, 2 + len) {
                     return StepResult::Blocked;
                 }
-                let mut payload = vec![0u8; len as usize];
-                ctx.read(IN, 2, &mut payload);
+                let start = t.pending.len();
+                t.pending.resize(start + len as usize, 0);
+                ctx.read(IN, 2, &mut t.pending[start..]);
                 ctx.put_space(IN, 2 + len);
                 ctx.compute(4 + len as u64 / 8);
-                t.pending.extend_from_slice(&payload);
             }
             if t.pending.len() >= BLOCK_BYTES {
                 coded.copy_from_slice(&t.pending[..BLOCK_BYTES]);
@@ -903,7 +907,7 @@ fn step_pcm_sink(t: &mut PcmSinkTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> 
             }
             let mut b = [0u8; 1];
             r.read(ctx, &mut b);
-            let mut payload = vec![0u8; 2 * BLOCK_SAMPLES];
+            let mut payload = [0u8; 2 * BLOCK_SAMPLES];
             r.read(ctx, &mut payload);
             r.commit(ctx);
             for chunk in payload.chunks_exact(2) {
@@ -1136,8 +1140,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             r.commit(ctx);
             write_end(&mut t.writer);
             t.writer.byte_align();
-            let bytes = t.writer.drain_complete_bytes();
-            t.pending.extend_from_slice(&bytes);
+            t.writer.drain_complete_into(&mut t.pending);
             t.eos_seen = true;
             ctx.compute(cost.per_record);
             StepResult::Done
@@ -1157,8 +1160,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                     qscale: pic.qscale,
                 },
             );
-            let bytes = t.writer.drain_complete_bytes();
-            t.pending.extend_from_slice(&bytes);
+            t.writer.drain_complete_into(&mut t.pending);
             ctx.compute(cost.per_record * 2);
             let _ = t.cfg; // sequence header already emitted at configure
             StepResult::Done
@@ -1171,22 +1173,26 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap();
             let mode = decode_mode(mode_code, fwd, bwd).expect("bad mode code");
             let intra = mode_code == records::mode::INTRA;
-            // Parse per-block symbol payloads.
-            let mut payloads: Vec<(Option<i16>, Vec<RunLevel>)> = Vec::new();
-            let mut nsym_total = 0u64;
+            // Parse per-block symbol payloads: block `i` has the DC
+            // difference `dc_diffs[i]` and the symbols
+            // `t.symbols[ends[i - 1]..ends[i]]`. A block may claim more
+            // than 64 symbols only after an SRAM fault; each is still
+            // encoded.
+            t.symbols.clear();
+            let mut dc_diffs = [None; 6];
+            let mut ends = [0usize; 6];
+            let mut blocks = 0;
             for blk in 0..6 {
                 if cbp & (1 << (5 - blk)) == 0 {
                     continue;
                 }
-                let dc_diff = if intra {
+                if intra {
                     let b = match r.take::<2>(ctx) {
                         None => return StepResult::Blocked,
                         Some(b) => b,
                     };
-                    Some(i16::from_le_bytes(b))
-                } else {
-                    None
-                };
+                    dc_diffs[blocks] = Some(i16::from_le_bytes(b));
+                }
                 let nsym = match r.take::<2>(ctx) {
                     None => return StepResult::Blocked,
                     Some(b) => u16::from_le_bytes(b) as u32,
@@ -1194,30 +1200,30 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                 if !r.need(ctx, nsym * 3) {
                     return StepResult::Blocked;
                 }
-                let mut symbols = Vec::with_capacity(nsym as usize);
                 for _ in 0..nsym {
                     let mut sb = [0u8; 3];
                     r.read(ctx, &mut sb);
-                    symbols.push(RunLevel {
+                    t.symbols.push(RunLevel {
                         run: sb[0],
                         level: i16::from_le_bytes([sb[1], sb[2]]),
                     });
                 }
-                nsym_total += nsym as u64;
-                payloads.push((dc_diff, symbols));
+                ends[blocks] = t.symbols.len();
+                blocks += 1;
             }
             r.commit(ctx);
             // Serialize into the bit syntax.
             write_mb_header(&mut t.writer, &MbHeader { mode, cbp });
-            for (dc_diff, symbols) in &payloads {
+            let mut start = 0;
+            for (dc_diff, &end) in dc_diffs.iter().zip(&ends).take(blocks) {
                 if let Some(diff) = dc_diff {
                     put_sev(&mut t.writer, *diff as i32);
                 }
-                put_block(&mut t.writer, symbols);
+                put_block(&mut t.writer, &t.symbols[start..end]);
+                start = end;
             }
-            let bytes = t.writer.drain_complete_bytes();
-            t.pending.extend_from_slice(&bytes);
-            ctx.compute(cost.per_record + nsym_total * 8);
+            t.writer.drain_complete_into(&mut t.pending);
+            ctx.compute(cost.per_record + t.symbols.len() as u64 * 8);
             StepResult::Done
         }
         other => panic!("vle: unexpected tag {other:#x}"),
@@ -1242,10 +1248,10 @@ fn step_sink(t: &mut SinkTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepRes
     if !r.need(ctx, len) {
         return StepResult::Blocked;
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read(ctx, &mut buf);
+    let start = t.bytes.len();
+    t.bytes.resize(start + len as usize, 0);
+    r.read(ctx, &mut t.bytes[start..]);
     r.commit(ctx);
     ctx.compute(cost.per_record + len as u64 * cost.per_byte);
-    t.bytes.extend_from_slice(&buf);
     StepResult::Done
 }

@@ -53,8 +53,9 @@ impl FrameStore {
         }
     }
 
-    /// Byte address of tile `(tx, ty)` of `plane` in the slot at `base`.
-    fn tile_addr(&self, base: u32, plane: PlaneSel, tx: u32, ty: u32) -> u32 {
+    /// Byte address of tile `(tx, ty)` of `plane` in the slot at `base`:
+    /// its 64 bytes are the tile's 8×8 samples in raster order.
+    pub fn tile_addr(&self, base: u32, plane: PlaneSel, tx: u32, ty: u32) -> u32 {
         let (pw, _ph, off) = self.plane_geom(plane);
         let tiles_x = pw / 8;
         base + off + (ty * tiles_x + tx) * 64
@@ -85,21 +86,6 @@ impl FrameStore {
             }
             ctx.dram_write(self.tile_addr(base, plane, tx, ty), &bytes);
         }
-    }
-
-    /// Fetch the 8×8 prediction block of `plane` whose top-left corner is
-    /// `(x0, y0)` (may be out of bounds; edge-clamped as MPEG requires)
-    /// from the slot at `base`. Gathers 1–4 tiles, one system-bus
-    /// transaction each.
-    pub fn fetch_block(
-        &self,
-        ctx: &mut StepCtx<'_>,
-        base: u32,
-        plane: PlaneSel,
-        x0: i32,
-        y0: i32,
-    ) -> [i16; 64] {
-        self.fetch_block_half(ctx, base, plane, 2 * x0, 2 * y0)
     }
 
     /// Fetch an 8×8 prediction block whose top-left corner sits at

@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
-use eclipse_media::motion::{row_sad, MotionVector, SampleGrid};
+use eclipse_media::motion::{self, MotionVector, SampleGrid};
 use eclipse_media::stream::{PictureType, SequenceHeader};
 use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
@@ -588,20 +588,96 @@ struct MeTask {
     sad_evals: u64,
     /// Left-neighbour motion predictors (fwd, bwd), reset per picture.
     mv_pred: (MotionVector, MotionVector),
+    /// Host-side scratch reused by every step (no simulated state): the
+    /// fetched search window and the feedback bytes.
+    win: SearchWindow,
+    feedback: Vec<u8>,
 }
 
-/// A fetched luma search window (the ME's window cache).
+/// A fetched luma search window (the ME's window cache), padded on every
+/// side by [`SearchWindow::pad`] samples that replicate its border.
+#[derive(Default)]
 struct SearchWindow {
+    /// Frame position of the fetched (unpadded) window's top-left sample.
     x0: i32,
     y0: i32,
+    /// Fetched window size: what the ME reads from off-chip memory.
     w: usize,
     h: usize,
+    /// Border samples on each side.
+    pad: usize,
+    /// The padded `(w + 2 pad)`×`(h + 2 pad)` samples, row-major.
     data: Vec<u8>,
 }
 
 impl SearchWindow {
+    /// Border for `range`. Search candidates reach range + ½ pels past
+    /// the macroblock, so with the half-pel tap a block reads up to
+    /// range + 1 samples beyond a window clamped at the frame edge. A
+    /// border of `range + 3` holds every block displaced by up to range +
+    /// 2 full pels, on either phase. Padding replicates the border, so a
+    /// candidate reads the samples the clamp to the unpadded window would
+    /// give.
+    fn pad(range: i32) -> usize {
+        (range + 3) as usize
+    }
+
+    /// Make this the `w`×`h` window at `(x0, y0)` padded for `range`; the
+    /// samples are then written with [`SearchWindow::row_mut`] and the
+    /// border with [`SearchWindow::pad_border`].
+    fn reset(&mut self, x0: i32, y0: i32, w: usize, h: usize, range: i32) {
+        let pad = Self::pad(range);
+        *self = SearchWindow {
+            x0,
+            y0,
+            w,
+            h,
+            pad,
+            data: std::mem::take(&mut self.data),
+        };
+        self.data.resize((w + 2 * pad) * (h + 2 * pad), 0);
+    }
+
+    fn stride(&self) -> usize {
+        self.w + 2 * self.pad
+    }
+
+    /// The `w` samples of window row `y`, from window column `x` on.
+    fn row_mut(&mut self, x: usize, y: usize) -> &mut [u8] {
+        let at = (self.pad + y) * self.stride() + self.pad + x;
+        let w = self.w - x;
+        &mut self.data[at..][..w]
+    }
+
+    /// Replicate the window's edge samples into the border.
+    fn pad_border(&mut self) {
+        let (stride, pad, w, h) = (self.stride(), self.pad, self.w, self.h);
+        for row in self.data.chunks_exact_mut(stride).skip(pad).take(h) {
+            let (left, right) = (row[pad], row[pad + w - 1]);
+            row[..pad].fill(left);
+            row[pad + w..].fill(right);
+        }
+        for y in 0..pad {
+            self.data
+                .copy_within(pad * stride..(pad + 1) * stride, y * stride);
+            let last = (pad + h - 1) * stride;
+            self.data
+                .copy_within(last..last + stride, (pad + h + y) * stride);
+        }
+    }
+
     fn grid(&self) -> SampleGrid<'_> {
-        SampleGrid::new(&self.data, self.w, self.h)
+        SampleGrid::new(&self.data, self.stride(), self.h + 2 * self.pad)
+    }
+
+    /// Half-pel position in the padded grid of macroblock (mbx, mby)
+    /// displaced by `mv`.
+    fn position(&self, mbx: u32, mby: u32, mv: MotionVector) -> (i32, i32) {
+        let pad = self.pad as i32;
+        (
+            mbx as i32 * 32 + mv.dx as i32 - 2 * (self.x0 - pad),
+            mby as i32 * 32 + mv.dy as i32 - 2 * (self.y0 - pad),
+        )
     }
 }
 
@@ -618,142 +694,69 @@ fn window_bounds(w: i32, h: i32, mbx: u32, mby: u32, range: i32) -> (i32, i32, i
     (x_lo, y_lo, x_hi, y_hi)
 }
 
-/// Fetch the tile-aligned luma window covering the search area of
-/// macroblock (mbx, mby) from `slot`.
+/// Fetch into `win` the tile-aligned luma window covering the search area
+/// of macroblock (mbx, mby) from `slot`: one off-chip read per 8×8 tile,
+/// in raster order.
 fn fetch_window(
     ctx: &mut StepCtx<'_>,
     t: &McTask,
+    win: &mut SearchWindow,
     slot: u32,
     mbx: u32,
     mby: u32,
     range: i32,
-) -> SearchWindow {
+) {
     let fs = &t.fs;
     let base = t.cfg.arena_base + slot * fs.slot_bytes();
     let (x_lo, y_lo, x_hi, y_hi) =
         window_bounds(t.cfg.width as i32, t.cfg.height as i32, mbx, mby, range);
-    let (ww, wh) = ((x_hi - x_lo) as usize, (y_hi - y_lo) as usize);
-    let mut data = vec![0u8; ww * wh];
-    let mut ty = y_lo;
-    while ty < y_hi {
-        let mut tx = x_lo;
-        while tx < x_hi {
-            let tile = fs.fetch_block(ctx, base, PlaneSel::Y, tx, ty);
-            for y in 0..8 {
-                for x in 0..8 {
-                    data[(ty - y_lo + y) as usize * ww + (tx - x_lo + x) as usize] =
-                        tile[(y * 8 + x) as usize] as u8;
-                }
+    win.reset(
+        x_lo,
+        y_lo,
+        (x_hi - x_lo) as usize,
+        (y_hi - y_lo) as usize,
+        range,
+    );
+    let mut tile = [0u8; 64];
+    for ty in (y_lo..y_hi).step_by(8) {
+        for tx in (x_lo..x_hi).step_by(8) {
+            ctx.dram_read(
+                fs.tile_addr(base, PlaneSel::Y, tx as u32 / 8, ty as u32 / 8),
+                &mut tile,
+            );
+            let (x, y) = ((tx - x_lo) as usize, (ty - y_lo) as usize);
+            for (r, row) in tile.chunks_exact(8).enumerate() {
+                win.row_mut(x, y + r)[..8].copy_from_slice(row);
             }
-            tx += 8;
         }
-        ty += 8;
     }
-    SearchWindow {
-        x0: x_lo,
-        y0: y_lo,
-        w: ww,
-        h: wh,
-        data,
+    win.pad_border();
+}
+
+/// The 16×16 source luma of a PIX record (blocks 0–3, raster 8×8 each)
+/// as rows.
+fn luma_rows(pix: &[u8]) -> [[u8; 16]; 16] {
+    let mut rows = [[0u8; 16]; 16];
+    for (y, row) in rows.iter_mut().enumerate() {
+        let blk = y / 8 * 2;
+        let o = (y % 8) * 8;
+        row[..8].copy_from_slice(&pix[blk * 64 + o..][..8]);
+        row[8..].copy_from_slice(&pix[(blk + 1) * 64 + o..][..8]);
     }
+    rows
 }
 
 /// SAD of the 16×16 source luma against the window displaced by the
 /// half-pel vector `mv`.
 fn window_sad(
-    src: &[[i16; 64]; 6],
+    src: &[[u8; 16]; 16],
     win: &SearchWindow,
     mbx: u32,
     mby: u32,
     mv: MotionVector,
 ) -> u32 {
-    // Half-pel position of the displaced block relative to the window;
-    // samples outside the window clamp to its border.
-    let x2 = mbx as i32 * 32 + mv.dx as i32 - 2 * win.x0;
-    let y2 = mby as i32 * 32 + mv.dy as i32 - 2 * win.y0;
-    let mut sad = 0;
-    win.grid().half_rows(x2, y2, 16, 16, |y, pred| {
-        let (left, right) = (&src[y / 8 * 2], &src[y / 8 * 2 + 1]);
-        let o = (y % 8) * 8;
-        sad += row_sad(&left[o..o + 8], &pred[..8]) + row_sad(&right[o..o + 8], &pred[8..]);
-    });
-    sad
-}
-
-/// Predictor-seeded three-step search over the window on the full-pel
-/// lattice, followed by half-pel refinement (mirrors
-/// [`eclipse_media::motion::three_step_search_pred`]). Returns
-/// (half-pel mv, sad, evaluations).
-fn window_search(
-    src: &[[i16; 64]; 6],
-    win: &SearchWindow,
-    mbx: u32,
-    mby: u32,
-    range: u8,
-    candidates: &[MotionVector],
-) -> (MotionVector, u32, u32) {
-    let limit = range as i16 * 2 + 1;
-    let clamp = |v: MotionVector| MotionVector {
-        dx: v.dx.clamp(-limit, limit),
-        dy: v.dy.clamp(-limit, limit),
-    };
-    let mut best = clamp(*candidates.first().unwrap_or(&MotionVector::default()));
-    let mut best_sad = window_sad(src, win, mbx, mby, best);
-    let mut evals = 1u32;
-    let consider =
-        |cand: MotionVector, best: &mut MotionVector, best_sad: &mut u32, evals: &mut u32| {
-            if cand == *best {
-                return;
-            }
-            let sad = window_sad(src, win, mbx, mby, cand);
-            *evals += 1;
-            if sad < *best_sad || (sad == *best_sad && (cand.dx, cand.dy) < (best.dx, best.dy)) {
-                *best_sad = sad;
-                *best = cand;
-            }
-        };
-    for &cand in candidates.iter().skip(1) {
-        consider(clamp(cand), &mut best, &mut best_sad, &mut evals);
-    }
-    let mut step = (range.max(1) as u16).next_power_of_two() as i16;
-    while step >= 2 {
-        let center = best;
-        for dy in [-step, 0, step] {
-            for dx in [-step, 0, step] {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                consider(
-                    clamp(MotionVector {
-                        dx: center.dx + dx,
-                        dy: center.dy + dy,
-                    }),
-                    &mut best,
-                    &mut best_sad,
-                    &mut evals,
-                );
-            }
-        }
-        step /= 2;
-    }
-    let center = best;
-    for dy in [-1i16, 0, 1] {
-        for dx in [-1i16, 0, 1] {
-            if dx == 0 && dy == 0 {
-                continue;
-            }
-            consider(
-                clamp(MotionVector {
-                    dx: center.dx + dx,
-                    dy: center.dy + dy,
-                }),
-                &mut best,
-                &mut best_sad,
-                &mut evals,
-            );
-        }
-    }
-    (best, best_sad, evals)
+    let (x2, y2) = win.position(mbx, mby, mv);
+    win.grid().sad_16x16(src, x2, y2)
 }
 
 /// Luma activity (SAD against the mean) — the intra/inter threshold.
@@ -812,8 +815,8 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                     if !r_fb.need(ctx, needed) {
                         return StepResult::Blocked;
                     }
-                    let mut buf = vec![0u8; needed as usize];
-                    r_fb.read(ctx, &mut buf);
+                    t.feedback.resize(needed as usize, 0);
+                    r_fb.read(ctx, &mut t.feedback);
                     r_fb.commit(ctx);
                     t.anchors_confirmed += needed;
                 }
@@ -840,9 +843,10 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             }
             let mut tagb = [0u8; 1];
             r_src.read(ctx, &mut tagb);
-            let mut pix = vec![0u8; records::PIX_REC_BYTES as usize];
+            let mut pix = [0u8; records::PIX_REC_BYTES as usize];
             r_src.read(ctx, &mut pix);
             let src = records::pix_from_bytes(&pix).unwrap();
+            let luma = luma_rows(&pix);
             let (mbx, mby) = (
                 t.inner.mb_index % pic.mb_cols as u32,
                 t.inner.mb_index / pic.mb_cols as u32,
@@ -860,10 +864,11 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                         .slots
                         .last_anchor
                         .expect("P picture without reference");
-                    let win = fetch_window(ctx, &t.inner, slot, mbx, mby, range as i32);
-                    fetch_bytes += (win.w * win.h) as u64;
+                    fetch_window(ctx, &t.inner, &mut t.win, slot, mbx, mby, range as i32);
+                    fetch_bytes += (t.win.w * t.win.h) as u64;
                     let cands = [MotionVector::default(), t.mv_pred.0];
-                    let (mv, sad, evals) = window_search(&src, &win, mbx, mby, range, &cands);
+                    let (mv, sad, evals) =
+                        motion::search(range, &cands, |mv| window_sad(&luma, &t.win, mbx, mby, mv));
                     t.mv_pred.0 = mv;
                     t.sad_evals += evals as u64;
                     ctx.compute(evals as u64 * cost.per_sad);
@@ -895,13 +900,21 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                         .slots
                         .last_anchor
                         .expect("B picture without future anchor");
-                    let fwin = fetch_window(ctx, &t.inner, fslot, mbx, mby, range as i32);
-                    let bwin = fetch_window(ctx, &t.inner, bslot, mbx, mby, range as i32);
-                    fetch_bytes += (fwin.w * fwin.h + bwin.w * bwin.h) as u64;
+                    // Each window is searched as soon as it is fetched
+                    // (the search makes no off-chip or shell access), so
+                    // one scratch window serves both directions.
                     let fcands = [MotionVector::default(), t.mv_pred.0];
                     let bcands = [MotionVector::default(), t.mv_pred.1];
-                    let (fmv, fsad, fe) = window_search(&src, &fwin, mbx, mby, range, &fcands);
-                    let (bmv, bsad, be) = window_search(&src, &bwin, mbx, mby, range, &bcands);
+                    fetch_window(ctx, &t.inner, &mut t.win, fslot, mbx, mby, range as i32);
+                    fetch_bytes += (t.win.w * t.win.h) as u64;
+                    let (fmv, fsad, fe) = motion::search(range, &fcands, |mv| {
+                        window_sad(&luma, &t.win, mbx, mby, mv)
+                    });
+                    fetch_window(ctx, &t.inner, &mut t.win, bslot, mbx, mby, range as i32);
+                    fetch_bytes += (t.win.w * t.win.h) as u64;
+                    let (bmv, bsad, be) = motion::search(range, &bcands, |mv| {
+                        window_sad(&luma, &t.win, mbx, mby, mv)
+                    });
                     t.mv_pred = (fmv, bmv);
                     t.sad_evals += (fe + be) as u64;
                     ctx.compute((fe + be) as u64 * cost.per_sad);
@@ -1126,9 +1139,7 @@ impl Coprocessor for McMeCoproc {
                     task,
                     TaskKind::Me(MeTask {
                         inner,
-                        anchors_confirmed: 0,
-                        sad_evals: 0,
-                        mv_pred: Default::default(),
+                        ..MeTask::default()
                     }),
                 );
                 (vec![1, 0], vec![records::MBMV_REC_BYTES, 0])
@@ -1205,47 +1216,50 @@ mod tests {
     use eclipse_media::Plane;
     use proptest::prelude::*;
 
-    /// The window `fetch_window` would fetch, copied straight from `plane`.
+    /// The window `fetch_window` would fetch, copied straight from `plane`
+    /// and padded the same way.
     fn window_of(plane: &Plane, mbx: u32, mby: u32, range: i32) -> SearchWindow {
         let (w, h) = (plane.width as i32, plane.height as i32);
         let (x_lo, y_lo, x_hi, y_hi) = window_bounds(w, h, mbx, mby, range);
-        let (ww, wh) = ((x_hi - x_lo) as usize, (y_hi - y_lo) as usize);
-        let mut data = Vec::with_capacity(ww * wh);
+        let mut win = SearchWindow::default();
+        win.reset(
+            x_lo,
+            y_lo,
+            (x_hi - x_lo) as usize,
+            (y_hi - y_lo) as usize,
+            range,
+        );
         for y in y_lo..y_hi {
-            data.extend_from_slice(
+            win.row_mut(0, (y - y_lo) as usize).copy_from_slice(
                 &plane.data[y as usize * plane.width..][x_lo as usize..x_hi as usize],
             );
         }
-        SearchWindow {
-            x0: x_lo,
-            y0: y_lo,
-            w: ww,
-            h: wh,
-            data,
-        }
+        win.pad_border();
+        win
     }
 
-    /// The clamped per-sample SAD: `window_sad` without the fast path.
-    /// Positions outside the window clamp to the window's border.
+    /// The clamped per-sample SAD: `window_sad` without the fast path, on
+    /// the fetched samples alone. Positions outside the fetched window
+    /// clamp to its border.
     fn clamped_window_sad(
-        src: &[[i16; 64]; 6],
+        src: &[[u8; 16]; 16],
         win: &SearchWindow,
         mbx: u32,
         mby: u32,
         mv: MotionVector,
     ) -> u32 {
-        let win_plane = Plane {
-            width: win.w,
-            height: win.h,
-            data: win.data.clone(),
-        };
+        let mut fetched = Plane::new(win.w, win.h);
+        for (y, row) in fetched.data.chunks_exact_mut(win.w).enumerate() {
+            let at = (win.pad + y) * win.stride() + win.pad;
+            row.copy_from_slice(&win.data[at..][..win.w]);
+        }
         let x2 = mbx as i32 * 32 + mv.dx as i32 - 2 * win.x0;
         let y2 = mby as i32 * 32 + mv.dy as i32 - 2 * win.y0;
         let mut sad = 0;
         for y in 0..16i32 {
             for x in 0..16i32 {
-                let s = src[(y / 8 * 2 + x / 8) as usize][((y % 8) * 8 + x % 8) as usize] as i32;
-                let r = sample_half(&win_plane, x2 + 2 * x, y2 + 2 * y) as i32;
+                let s = src[y as usize][x as usize] as i32;
+                let r = sample_half(&fetched, x2 + 2 * x, y2 + 2 * y) as i32;
                 sad += (s - r).unsigned_abs();
             }
         }
@@ -1256,10 +1270,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Every macroblock of random frames (sizes: multiples of 16 up to
-        /// 64, or QCIF), its window for a random search range, and random
-        /// vectors out to ±(range + 2) full pels: the block kernel's SAD
-        /// equals the clamped per-sample SAD. Edge macroblocks give
-        /// windows clamped at 0 and at the frame edge; both must occur.
+        /// 64, or QCIF), its padded window for a random search range, and
+        /// vectors out to ±(range + 2) full pels on either phase (random
+        /// ones and the box's corners): every block lies inside the padded
+        /// window, and its SAD equals the clamped per-sample SAD on the
+        /// fetched window. Edge macroblocks give windows clamped at 0
+        /// and at the frame edge; both must occur.
         #[test]
         fn window_sad_matches_clamped_path(
             (w, h) in prop_oneof![
@@ -1274,17 +1290,29 @@ mod tests {
             let mut reference = Plane::new(w, h);
             reference.data.iter_mut().for_each(|s| *s = next() as u8);
             let (mut clamped_lo, mut clamped_hi) = (false, false);
+            let (even, far) = (2 * (range as i16 + 2), 2 * (range as i16 + 2) + 1);
+            let extremes = [(-far, -far), (far, far), (-even, far), (far, -even)];
             for mby in 0..(h / 16) as u32 {
                 for mbx in 0..(w / 16) as u32 {
                     let win = window_of(&reference, mbx, mby, range);
                     clamped_lo |= win.x0 == 0 && win.y0 == 0;
                     clamped_hi |= win.x0 + win.w as i32 == w as i32 && win.y0 + win.h as i32 == h as i32;
-                    let mut src = [[0i16; 64]; 6];
-                    src.iter_mut().flatten().for_each(|s| *s = (next() % 256) as i16);
-                    let lim = 2 * (range as u64 + 2);
-                    for _ in 0..8 {
-                        let mut c = || ((next() % (2 * lim + 1)) as i64 - lim as i64) as i16;
-                        let mv = MotionVector { dx: c(), dy: c() };
+                    let mut src = [[0u8; 16]; 16];
+                    src.iter_mut().flatten().for_each(|s| *s = next() as u8);
+                    let lim = 2 * (range as u64 + 2) + 1;
+                    let random: Vec<_> = (0..6)
+                        .map(|_| {
+                            let mut c = || ((next() % (2 * lim + 1)) as i64 - lim as i64) as i16;
+                            (c(), c())
+                        })
+                        .collect();
+                    for (dx, dy) in random.into_iter().chain(extremes) {
+                        let mv = MotionVector { dx, dy };
+                        let (x2, y2) = win.position(mbx, mby, mv);
+                        prop_assert!(
+                            win.grid().contains(x2, y2, 16, 16),
+                            "{}x{} mb ({}, {}) range {} mv {:?} leaves the padded window", w, h, mbx, mby, range, mv
+                        );
                         prop_assert_eq!(
                             window_sad(&src, &win, mbx, mby, mv),
                             clamped_window_sad(&src, &win, mbx, mby, mv),
@@ -1294,6 +1322,22 @@ mod tests {
                 }
             }
             prop_assert!(clamped_lo && clamped_hi);
+        }
+    }
+
+    /// `luma_rows` reads the four luma blocks of a PIX record as rows.
+    #[test]
+    fn luma_rows_follow_the_block_layout() {
+        let pix: Vec<u8> = (0..records::PIX_REC_BYTES).map(|i| i as u8).collect();
+        let blocks = records::pix_from_bytes(&pix).unwrap();
+        let rows = luma_rows(&pix);
+        for y in 0..16 {
+            for x in 0..16 {
+                assert_eq!(
+                    rows[y][x] as i16,
+                    blocks[y / 8 * 2 + x / 8][(y % 8) * 8 + x % 8]
+                );
+            }
         }
     }
 }

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::quant::{dequant_inter, dequant_intra, quant_inter, quant_intra};
-use eclipse_media::scan::{rle_decode, rle_encode, RunLevel};
+use eclipse_media::scan::{rle_decode, rle_encode_into, RunLevel};
 use eclipse_shell::task_table::TaskRow;
 use eclipse_shell::{PortId, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -391,9 +391,13 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
             // quantization decides the final cbp.
             let mut r_coef = StepReader::new(IN_COEF);
             let mut level_blocks = [[0i16; 64]; 6];
+            // Per coded block: the intra DC difference and the symbols
+            // `symbols[blk][..nsym[blk]]`.
+            let mut symbols = [[RunLevel::default(); 64]; 6];
+            let mut nsym = [0usize; 6];
+            let mut dc_diffs = [None; 6];
             let mut cbp: u8 = 0;
             let mut cycles = cost.per_mb;
-            let mut symbol_sets: Vec<(usize, Option<i16>, Vec<RunLevel>)> = Vec::new();
             let mut dc_pred = t.dc_pred;
             for (blk, lv_out) in level_blocks.iter_mut().enumerate() {
                 let rec = match r_coef.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
@@ -414,50 +418,48 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
                 };
                 if coded {
                     cbp |= 1 << (5 - blk);
-                    let (dc_diff, symbols) = if intra {
+                    let mut ac = levels;
+                    if intra {
                         let comp = match blk {
                             0..=3 => 0,
                             4 => 1,
                             _ => 2,
                         };
                         let dc = levels[0];
-                        let diff = dc - dc_pred[comp];
+                        dc_diffs[blk] = Some(dc - dc_pred[comp]);
                         dc_pred[comp] = dc;
-                        let mut ac = levels;
                         ac[0] = 0;
-                        (Some(diff), rle_encode(&ac))
-                    } else {
-                        (None, rle_encode(&levels))
-                    };
-                    cycles +=
-                        cost.per_block + (symbols.len() as u64 + intra as u64) * cost.per_coef;
-                    t.coefs_processed += symbols.len() as u64 + intra as u64;
-                    symbol_sets.push((blk, dc_diff, symbols));
+                    }
+                    nsym[blk] = rle_encode_into(&ac, &mut symbols[blk]);
+                    let coefs = nsym[blk] as u64 + intra as u64;
+                    cycles += cost.per_block + coefs * cost.per_coef;
+                    t.coefs_processed += coefs;
                     *lv_out = levels;
                 }
             }
+            let coded_blocks = (0..6).filter(|&blk| cbp & (1 << (5 - blk)) != 0);
             // Token record for the VLE: MBMV header (mode/mv/cbp now
             // final) followed by per-block symbol data.
             let mut w_tok = StepWriter::new(OUT_TOKEN);
             let mut mv_hdr = hdr;
             mv_hdr[2] = cbp;
             w_tok.stage(&mv_hdr);
-            for (_blk, dc_diff, symbols) in &symbol_sets {
-                if let Some(diff) = dc_diff {
+            for blk in coded_blocks.clone() {
+                if let Some(diff) = dc_diffs[blk] {
                     w_tok.stage(&diff.to_le_bytes());
                 }
-                w_tok.stage(&(symbols.len() as u16).to_le_bytes());
-                for s in symbols {
-                    w_tok.stage(&[s.run]);
-                    w_tok.stage(&s.level.to_le_bytes());
+                w_tok.stage(&(nsym[blk] as u16).to_le_bytes());
+                for s in &symbols[blk][..nsym[blk]] {
+                    let [lo, hi] = s.level.to_le_bytes();
+                    w_tok.stage(&[s.run, lo, hi]);
                 }
             }
             // Level blocks for the reconstruction loop: MB header (with
             // final cbp) + the coded level blocks.
             let mut w_lvl = StepWriter::new(OUT_LEVELS);
             w_lvl.stage(&mv_hdr);
-            for (blk, _dc, _s) in &symbol_sets {
-                w_lvl.stage(&cblk_to_bytes(&level_blocks[*blk]));
+            for blk in coded_blocks {
+                w_lvl.stage(&cblk_to_bytes(&level_blocks[blk]));
             }
             if !w_tok.reserve(ctx) || !w_lvl.reserve(ctx) {
                 return StepResult::Blocked;
@@ -468,7 +470,7 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
             r_coef.commit(ctx);
             ctx.compute(cycles);
             t.dc_pred = dc_pred;
-            t.blocks_processed += symbol_sets.len() as u64;
+            t.blocks_processed += cbp.count_ones() as u64;
             StepResult::Done
         }
         other => panic!("qrl: unexpected tag {other:#x}"),

@@ -13,7 +13,7 @@ use crate::frame::{Frame, BLOCKS_PER_MB};
 use crate::motion::{predict_macroblock, three_step_search_pred, MotionVector, PredictionMode};
 use crate::quant::{quant_inter, quant_intra};
 use crate::recon::reconstruct_mb;
-use crate::scan::rle_encode;
+use crate::scan::{rle_encode_into, RunLevel};
 use crate::stream::{
     write_end, write_mb_header, write_picture_header, write_sequence_header, GopConfig, MbHeader,
     PictureHeader, PictureType, SequenceHeader,
@@ -351,6 +351,7 @@ impl Encoder {
                 cbp,
             },
         );
+        let mut symbols = [RunLevel::default(); 64];
         for (blk, lv) in levels.iter().enumerate().take(BLOCKS_PER_MB) {
             if cbp & (1 << (5 - blk)) == 0 {
                 continue;
@@ -363,13 +364,13 @@ impl Encoder {
                 dc_pred[comp] = dc;
                 let mut ac = *lv;
                 ac[0] = 0;
-                let symbols = rle_encode(&ac);
-                pic.coefficients += symbols.len() as u64 + 1; // + DC
-                put_block(w, &symbols);
+                let n = rle_encode_into(&ac, &mut symbols);
+                pic.coefficients += n as u64 + 1; // + DC
+                put_block(w, &symbols[..n]);
             } else {
-                let symbols = rle_encode(lv);
-                pic.coefficients += symbols.len() as u64;
-                put_block(w, &symbols);
+                let n = rle_encode_into(lv, &mut symbols);
+                pic.coefficients += n as u64;
+                put_block(w, &symbols[..n]);
             }
         }
         if intra {

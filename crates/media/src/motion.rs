@@ -116,28 +116,34 @@ impl<'a> SampleGrid<'a> {
         }
     }
 
+    /// Does the `w`×`h` block whose top-left sample sits at half-pel
+    /// `(x2, y2)` lie inside the grid, together with the one extra
+    /// column/row its half-pel phase reads? Such a block is read as direct
+    /// row slices; any other one through a clamped patch.
+    #[inline]
+    pub fn contains(&self, x2: i32, y2: i32, w: usize, h: usize) -> bool {
+        let (xi, yi) = (x2 >> 1, y2 >> 1);
+        xi >= 0
+            && yi >= 0
+            && xi as usize + w + (x2 & 1) as usize <= self.width
+            && yi as usize + h + (y2 & 1) as usize <= self.height
+    }
+
     /// Visit the rows of the `w`×`h` block (`w` ≤ 16) whose top-left
     /// sample sits at half-pel `(x2, y2)`: `row(y, samples)` gets row `y`
     /// as `w` interpolated samples, the same values `sample_half`
     /// gives each position.
     ///
-    /// When the block and the one extra column/row its half-pel phase
-    /// reads lie inside the grid, rows are read as direct slices with one
-    /// loop per phase; any other block takes the clamped per-sample path.
+    /// A block the grid [contains](SampleGrid::contains) is read with one
+    /// loop per phase; any other one through a patch of its clamped samples.
     #[inline]
     pub fn half_rows(&self, x2: i32, y2: i32, w: usize, h: usize, row: impl FnMut(usize, &[i16])) {
         assert!(w <= 16, "half_rows handles rows of up to 16 samples");
-        let (xi, yi) = (x2 >> 1, y2 >> 1);
-        let (hx, hy) = ((x2 & 1) as usize, (y2 & 1) as usize);
-        let inside = xi >= 0
-            && yi >= 0
-            && xi as usize + w + hx <= self.width
-            && yi as usize + h + hy <= self.height;
-        if !inside {
-            return self.clamped_rows(x2, y2, w, h, row);
+        if !self.contains(x2, y2, w, h) {
+            return self.clamped_patch(x2, y2, w, h, |g| g.half_rows(x2 & 1, y2 & 1, w, h, row));
         }
-        let (x, y) = (xi as usize, yi as usize);
-        match (hx, hy) {
+        let (x, y) = ((x2 >> 1) as usize, (y2 >> 1) as usize);
+        match (x2 & 1, y2 & 1) {
             (0, 0) => self.interior_rows::<0, 0>(x, y, w, h, row),
             (1, 0) => self.interior_rows::<1, 0>(x, y, w, h, row),
             (0, 1) => self.interior_rows::<0, 1>(x, y, w, h, row),
@@ -145,12 +151,39 @@ impl<'a> SampleGrid<'a> {
         }
     }
 
-    /// The block of [`SampleGrid::half_rows`] when it leaves the grid:
+    /// Sum of absolute differences between the 16×16 source block `src`
+    /// (rows of 8-bit samples) and the grid's block at half-pel `(x2,
+    /// y2)`: the SAD of [`SampleGrid::half_rows`]' samples, computed on
+    /// 8-bit rows with one loop per half-pel phase. A block outside the
+    /// grid goes through a patch of its clamped samples, like `half_rows`.
+    #[inline]
+    pub fn sad_16x16(&self, src: &[[u8; 16]; 16], x2: i32, y2: i32) -> u32 {
+        if !self.contains(x2, y2, 16, 16) {
+            return self.clamped_patch(x2, y2, 16, 16, |g| g.sad_16x16(src, x2 & 1, y2 & 1));
+        }
+        let (x, y) = ((x2 >> 1) as usize, (y2 >> 1) as usize);
+        match (x2 & 1, y2 & 1) {
+            (0, 0) => self.interior_sad::<0, 0>(src, x, y),
+            (1, 0) => self.interior_sad::<1, 0>(src, x, y),
+            (0, 1) => self.interior_sad::<0, 1>(src, x, y),
+            _ => self.interior_sad::<1, 1>(src, x, y),
+        }
+    }
+
+    /// The `w`×`h` block at half-pel `(x2, y2)` when it leaves the grid:
     /// the clamped `(w + hx)`×`(h + hy)` samples it reads are gathered
-    /// once, which the interior path then interpolates — the values
+    /// once into a patch, and `f` reads the block from the patch at the
+    /// block's phase `(x2 & 1, y2 & 1)`, where it is interior — the values
     /// `sample_half` gives, with each sample clamped once instead of per
     /// tap.
-    fn clamped_rows(&self, x2: i32, y2: i32, w: usize, h: usize, row: impl FnMut(usize, &[i16])) {
+    fn clamped_patch<R>(
+        &self,
+        x2: i32,
+        y2: i32,
+        w: usize,
+        h: usize,
+        f: impl FnOnce(SampleGrid<'_>) -> R,
+    ) -> R {
         let (xi, yi) = (x2 >> 1, y2 >> 1);
         let (pw, ph) = (w + (x2 & 1) as usize, h + (y2 & 1) as usize);
         let mut patch = [0u8; 17 * 17];
@@ -161,7 +194,41 @@ impl<'a> SampleGrid<'a> {
                 *d = src[(xi + c as i32).clamp(0, self.width as i32 - 1) as usize];
             }
         }
-        SampleGrid::new(&patch[..pw * ph], pw, ph).half_rows(x2 & 1, y2 & 1, w, h, row)
+        f(SampleGrid::new(&patch[..pw * ph], pw, ph))
+    }
+
+    #[inline(always)]
+    fn interior_sad<const HX: usize, const HY: usize>(
+        &self,
+        src: &[[u8; 16]; 16],
+        x: usize,
+        y: usize,
+    ) -> u32 {
+        let row = |at: usize| -> &[u8; 16] {
+            self.data[at..]
+                .first_chunk()
+                .expect("an interior block's row lies inside the grid")
+        };
+        // Per-column sums of at most 16 differences of at most 255 each.
+        let mut sums = [0u16; 16];
+        for (r, s) in src.iter().enumerate() {
+            let (top, below) = ((y + r) * self.width + x, (y + r + HY) * self.width + x);
+            let (a, b, c, d) = (row(top), row(top + HX), row(below), row(below + HX));
+            // `interpolate`'s rounding on 16-bit lanes, back to 8 bits.
+            let pred: [u8; 16] = std::array::from_fn(|i| {
+                let (a, b, c, d) = (a[i] as u16, b[i] as u16, c[i] as u16, d[i] as u16);
+                (match (HX, HY) {
+                    (0, 0) => a,
+                    (1, 0) => (a + b + 1) >> 1,
+                    (0, 1) => (a + c + 1) >> 1,
+                    _ => (a + b + c + d + 2) >> 2,
+                }) as u8
+            });
+            for ((sum, &s), &p) in sums.iter_mut().zip(s).zip(&pred) {
+                *sum += (s.max(p) - s.min(p)) as u16;
+            }
+        }
+        sums.iter().map(|&v| v as u32).sum()
     }
 
     #[inline(always)]
@@ -187,16 +254,6 @@ impl<'a> SampleGrid<'a> {
     }
 }
 
-/// Sum of absolute differences between a source row and a row of
-/// predicted samples.
-#[inline]
-pub fn row_sad<T: Copy + Into<i32>>(src: &[T], pred: &[i16]) -> u32 {
-    src.iter()
-        .zip(pred)
-        .map(|(&s, &p)| (s.into() - p as i32).unsigned_abs())
-        .sum()
-}
-
 /// How a macroblock is predicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictionMode {
@@ -210,21 +267,27 @@ pub enum PredictionMode {
     Bidirectional(MotionVector, MotionVector),
 }
 
+/// The 16×16 luma samples of macroblock (mbx, mby) of `frame`, as rows:
+/// the source block of [`SampleGrid::sad_16x16`].
+pub fn luma_rows(frame: &Frame, mbx: usize, mby: usize) -> [[u8; 16]; 16] {
+    let (x0, y0) = (mbx * MB_SIZE, mby * MB_SIZE);
+    let mut rows = [[0u8; 16]; 16];
+    for (y, row) in rows.iter_mut().enumerate() {
+        row.copy_from_slice(&frame.y.data[(y0 + y) * frame.y.width + x0..][..MB_SIZE]);
+    }
+    rows
+}
+
 /// Sum of absolute differences between the 16×16 luma macroblock at
 /// (mbx, mby) of `cur` and the (possibly out-of-bounds, edge-clamped)
 /// block displaced by `mv` in `reference`.
 pub fn sad_16x16(cur: &Frame, reference: &Frame, mbx: usize, mby: usize, mv: MotionVector) -> u32 {
-    let (x0, y0) = (mbx * MB_SIZE, mby * MB_SIZE);
-    let cur = &cur.y;
-    let mut sad = 0;
-    SampleGrid::of(&reference.y).half_rows(
-        x0 as i32 * 2 + mv.dx as i32,
-        y0 as i32 * 2 + mv.dy as i32,
-        MB_SIZE,
-        MB_SIZE,
-        |y, pred| sad += row_sad(&cur.data[(y0 + y) * cur.width + x0..][..MB_SIZE], pred),
-    );
-    sad
+    let src = luma_rows(cur, mbx, mby);
+    SampleGrid::of(&reference.y).sad_16x16(
+        &src,
+        (mbx * MB_SIZE) as i32 * 2 + mv.dx as i32,
+        (mby * MB_SIZE) as i32 * 2 + mv.dy as i32,
+    )
 }
 
 /// Three-step logarithmic search around the zero vector. Returns the best
@@ -243,11 +306,8 @@ pub fn three_step_search(
 }
 
 /// Three-step search seeded with candidate predictors (the zero vector,
-/// the left-neighbour vector, a global pan estimate...). Textured scenes
-/// have a delta-function SAD minimum sitting on a rugged plateau; a bare
-/// logarithmic search gets trapped, which is why real encoders seed the
-/// search with neighbouring vectors. The best candidate becomes the
-/// refinement centre.
+/// the left-neighbour vector, a global pan estimate...), over the frame
+/// `reference`: [`search`] with [`SampleGrid::sad_16x16`] as the cost.
 pub fn three_step_search_pred(
     cur: &Frame,
     reference: &Frame,
@@ -255,6 +315,26 @@ pub fn three_step_search_pred(
     mby: usize,
     range: u8,
     candidates: &[MotionVector],
+) -> (MotionVector, u32, u32) {
+    let src = luma_rows(cur, mbx, mby);
+    let grid = SampleGrid::of(&reference.y);
+    let (x2, y2) = ((mbx * MB_SIZE) as i32 * 2, (mby * MB_SIZE) as i32 * 2);
+    search(range, candidates, |mv| {
+        grid.sad_16x16(&src, x2 + mv.dx as i32, y2 + mv.dy as i32)
+    })
+}
+
+/// Predictor-seeded three-step search under the cost `sad(mv)`: the
+/// software encoder's and the ME coprocessor's one search. Textured
+/// scenes have a delta-function SAD minimum sitting on a rugged plateau;
+/// a bare logarithmic search gets trapped, which is why real encoders seed
+/// the search with neighbouring vectors. The best candidate becomes the
+/// refinement centre. Returns (half-pel vector, SAD, SAD evaluations);
+/// `range` bounds |dx|, |dy| in full pels.
+pub fn search(
+    range: u8,
+    candidates: &[MotionVector],
+    mut sad: impl FnMut(MotionVector) -> u32,
 ) -> (MotionVector, u32, u32) {
     // Vectors are half-pel; the coarse search walks the full-pel lattice
     // (even components), then a final pass refines to half-pel — the
@@ -265,25 +345,26 @@ pub fn three_step_search_pred(
         dy: v.dy.clamp(-limit, limit),
     };
     let mut best = clamp(*candidates.first().unwrap_or(&MotionVector::default()));
-    let mut best_sad = sad_16x16(cur, reference, mbx, mby, best);
+    let mut best_sad = sad(best);
     let mut evals: u32 = 1;
-    let consider =
-        |cand: MotionVector, best: &mut MotionVector, best_sad: &mut u32, evals: &mut u32| {
-            if cand == *best {
-                return;
-            }
-            let sad = sad_16x16(cur, reference, mbx, mby, cand);
-            *evals += 1;
-            if sad < *best_sad || (sad == *best_sad && (cand.dx, cand.dy) < (best.dx, best.dy)) {
-                *best_sad = sad;
-                *best = cand;
-            }
-        };
+    let mut consider = |cand: MotionVector, best: &mut MotionVector, best_sad: &mut u32| {
+        if cand == *best {
+            return;
+        }
+        let s = sad(cand);
+        evals += 1;
+        if s < *best_sad || (s == *best_sad && (cand.dx, cand.dy) < (best.dx, best.dy)) {
+            *best_sad = s;
+            *best = cand;
+        }
+    };
     for &cand in candidates.iter().skip(1) {
-        consider(clamp(cand), &mut best, &mut best_sad, &mut evals);
+        consider(clamp(cand), &mut best, &mut best_sad);
     }
     let mut step = ((range.max(1) as u16).next_power_of_two()) as i16; // full-pel step in half-pel units
-    while step >= 2 {
+                                                                       // The full-pel steps, then the half-pel refinement around the
+                                                                       // full-pel optimum.
+    while step >= 1 {
         let center = best;
         for dy in [-step, 0, step] {
             for dx in [-step, 0, step] {
@@ -294,24 +375,10 @@ pub fn three_step_search_pred(
                     dx: center.dx + dx,
                     dy: center.dy + dy,
                 });
-                consider(cand, &mut best, &mut best_sad, &mut evals);
+                consider(cand, &mut best, &mut best_sad);
             }
         }
         step /= 2;
-    }
-    // Half-pel refinement around the full-pel optimum.
-    let center = best;
-    for dy in [-1i16, 0, 1] {
-        for dx in [-1i16, 0, 1] {
-            if dx == 0 && dy == 0 {
-                continue;
-            }
-            let cand = clamp(MotionVector {
-                dx: center.dx + dx,
-                dy: center.dy + dy,
-            });
-            consider(cand, &mut best, &mut best_sad, &mut evals);
-        }
     }
     (best, best_sad, evals)
 }
@@ -673,9 +740,10 @@ mod proptests {
         f
     }
 
-    /// A half-pel vector with components out to ±(range + 2) full pels.
+    /// A half-pel vector whose components reach range + 2 full pels, on
+    /// either phase.
     fn random_vector(range: u8, next: &mut impl FnMut() -> u64) -> MotionVector {
-        let lim = 2 * (range as i64 + 2);
+        let lim = 2 * (range as i64 + 2) + 1;
         let mut c = || ((next() % (2 * lim as u64 + 1)) as i64 - lim) as i16;
         MotionVector { dx: c(), dy: c() }
     }
@@ -704,12 +772,36 @@ mod proptests {
         sad
     }
 
+    /// The former row-based SAD, kept as an oracle of the 8-bit kernel:
+    /// `half_rows`' interpolated rows against the source.
+    fn row_sad(grid: &SampleGrid<'_>, src: &[[u8; 16]; 16], x2: i32, y2: i32) -> u32 {
+        let mut sad = 0;
+        grid.half_rows(x2, y2, 16, 16, |y, pred| {
+            sad += src[y]
+                .iter()
+                .zip(pred)
+                .map(|(&s, &p)| (s as i32 - p as i32).unsigned_abs())
+                .sum::<u32>()
+        });
+        sad
+    }
+
+    /// Vectors at the corners of the box `random_vector` draws from: a
+    /// full-pel part of range + 2 pels, with and without the half phase.
+    fn extreme_vectors(range: u8) -> [MotionVector; 4] {
+        let (even, far) = (2 * (range as i16 + 2), 2 * (range as i16 + 2) + 1);
+        [(-far, -far), (far, far), (-even, far), (far, -even)]
+            .map(|(dx, dy)| MotionVector { dx, dy })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Every macroblock (so every edge and corner one) of random
-        /// frames, under random vectors: the block kernel's SAD equals the
-        /// clamped per-sample SAD, whichever path it takes.
+        /// frames, under random vectors out to ±(range + 2) pels on either
+        /// phase and the corners of that box: the 8-bit SAD kernel equals
+        /// the clamped per-sample SAD and the former row-based one,
+        /// whichever path it takes.
         #[test]
         fn sad_16x16_matches_clamped_path(
             (w, h) in frame_size(),
@@ -719,15 +811,20 @@ mod proptests {
             let mut next = rng(seed);
             let cur = random_frame(w, h, &mut next);
             let reference = random_frame(w, h, &mut next);
+            let grid = SampleGrid::of(&reference.y);
             for mby in 0..h / MB_SIZE {
                 for mbx in 0..w / MB_SIZE {
-                    for _ in 0..8 {
-                        let mv = random_vector(range, &mut next);
+                    let random: Vec<_> = (0..4).map(|_| random_vector(range, &mut next)).collect();
+                    for mv in random.into_iter().chain(extreme_vectors(range)) {
+                        let got = sad_16x16(&cur, &reference, mbx, mby, mv);
+                        let (x2, y2) = ((mbx * 32) as i32 + mv.dx as i32, (mby * 32) as i32 + mv.dy as i32);
+                        let src = luma_rows(&cur, mbx, mby);
                         prop_assert_eq!(
-                            sad_16x16(&cur, &reference, mbx, mby, mv),
+                            got,
                             clamped_sad(&cur, &reference, mbx, mby, mv),
                             "{}x{} mb ({}, {}) mv {:?}", w, h, mbx, mby, mv
                         );
+                        prop_assert_eq!(got, row_sad(&grid, &src, x2, y2), "row-based, mv {:?}", mv);
                     }
                 }
             }

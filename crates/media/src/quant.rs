@@ -10,8 +10,63 @@
 //! Inverse quantization here is the *exact* inverse the decoder applies —
 //! encoder reconstruction uses the same function, making quantization the
 //! codec's only loss.
+//!
+//! ## Division by reciprocal multiplication
+//!
+//! The quantizers divide a numerator `n` by `d = w · qscale`, for the
+//! matrix weight `w` ≤ 83 of the coefficient, so `d` < 2^15. Here `n` is
+//! `16 · c` for an `i16` coefficient `c`, or that plus `d / 2` for the
+//! rounded intra quantizer, so 0 ≤ |n| < 2^20. Instead of an integer
+//! division per coefficient, they multiply by `m = ⌈2^40 / d⌉`, taken
+//! from a table per `qscale`, and shift right by 40.
+//!
+//! The quotient is exact. Write `m · d = 2^40 + e` with 0 ≤ e < d, and
+//! `n = q · d + r` with 0 ≤ r < d. Then
+//! `n · m / 2^40 = q + (r + n · e / 2^40) / d`.
+//! Because `n · e < 2^20 · 2^16 ≤ 2^40`, the bracket is below `r + 1 ≤ d`,
+//! so the fraction is below 1 and `(n · m) >> 40 = q`, the quotient an
+//! integer division gives.
 
 use crate::dct::Block;
+
+/// The shift of the reciprocal multipliers: `m = ⌈2^RECIP_SHIFT / d⌉`.
+const RECIP_SHIFT: u32 = 40;
+
+/// `table[qscale][i]`: the multiplier `⌈2^40 / (matrix[i] · qscale)⌉`,
+/// with qscale 0 taken as 1, as the quantizers do.
+const fn reciprocals(matrix: &[u8; 64]) -> [[u64; 64]; 256] {
+    let mut table = [[0u64; 64]; 256];
+    let mut q = 0;
+    while q < 256 {
+        let qscale = if q == 0 { 1 } else { q as u64 };
+        let mut i = 0;
+        while i < 64 {
+            table[q][i] = (1u64 << RECIP_SHIFT).div_ceil(matrix[i] as u64 * qscale);
+            i += 1;
+        }
+        q += 1;
+    }
+    table
+}
+
+static INTRA_RECIP: [[u64; 64]; 256] = reciprocals(&INTRA_MATRIX);
+static INTER_RECIP: [[u64; 64]; 256] = reciprocals(&INTER_MATRIX);
+
+/// `n / d` for `n < 2^20`, given `d`'s multiplier `m` (see the module
+/// docs).
+#[inline(always)]
+fn recip_div(n: u32, m: u64) -> u32 {
+    ((n as u64 * m) >> RECIP_SHIFT) as u32
+}
+
+/// `mag` with the sign of `n`, as an integer division of `n` would give
+/// it; wraps into `i16` like the division's `as i16` did. Branch-free:
+/// coefficient signs are random, so a branch would mispredict.
+#[inline(always)]
+fn signed(n: i32, mag: u32) -> i16 {
+    let sign = n >> 31;
+    ((mag as i32 ^ sign) - sign) as i16
+}
 
 /// Divisor for the intra DC coefficient (MPEG-2's 8-bit DC precision).
 pub const DC_DIV: i32 = 8;
@@ -36,12 +91,15 @@ pub const INTER_MATRIX: [u8; 64] = [16; 64];
 /// Rounding is to-nearest for intra AC (matching MPEG-2's intra
 /// quantizer).
 pub fn quant_intra(coefs: &Block, qscale: u8) -> Block {
-    let q = qscale.max(1) as i32;
+    let q = qscale.max(1) as u32;
+    let recip = &INTRA_RECIP[qscale as usize];
     let mut out = [0i16; 64];
     out[0] = div_round(coefs[0] as i32, DC_DIV) as i16;
     for i in 1..64 {
-        let w = INTRA_MATRIX[i] as i32;
-        out[i] = div_round(coefs[i] as i32 * 16, w * q) as i16;
+        // Round to nearest: `(|n| + d / 2) / d`, with the sign of `n`.
+        let n = coefs[i] as i32 * 16;
+        let half = INTRA_MATRIX[i] as u32 * q / 2;
+        out[i] = signed(n, recip_div(n.unsigned_abs() + half, recip[i]));
     }
     out
 }
@@ -69,12 +127,12 @@ pub fn dequant_intra(levels: &Block, qscale: u8) -> Block {
 /// Quantize an inter (residual) block: flat matrix, truncation toward zero
 /// with a dead zone (matching MPEG-2's inter quantizer bias).
 pub fn quant_inter(coefs: &Block, qscale: u8) -> Block {
-    let q = qscale.max(1) as i32;
+    let recip = &INTER_RECIP[qscale as usize];
     let mut out = [0i16; 64];
     for i in 0..64 {
-        let w = INTER_MATRIX[i] as i32;
         // Truncation toward zero => dead zone around zero.
-        out[i] = (coefs[i] as i32 * 16 / (w * q)) as i16;
+        let n = coefs[i] as i32 * 16;
+        out[i] = signed(n, recip_div(n.unsigned_abs(), recip[i]));
     }
     out
 }
@@ -231,11 +289,86 @@ mod tests {
 }
 
 /// [`dequant_inter`] is checked bit for bit against its former,
-/// branching form.
+/// branching form, and the reciprocal quantizers against their former
+/// integer divisions.
 #[cfg(test)]
 mod equivalence {
     use super::*;
     use eclipse_sim::rng::SplitMix64;
+
+    fn quant_intra_idiv(coefs: &Block, qscale: u8) -> Block {
+        let q = qscale.max(1) as i32;
+        let mut out = [0i16; 64];
+        out[0] = div_round(coefs[0] as i32, DC_DIV) as i16;
+        for i in 1..64 {
+            let w = INTRA_MATRIX[i] as i32;
+            out[i] = div_round(coefs[i] as i32 * 16, w * q) as i16;
+        }
+        out
+    }
+
+    fn quant_inter_idiv(coefs: &Block, qscale: u8) -> Block {
+        let q = qscale.max(1) as i32;
+        let mut out = [0i16; 64];
+        for i in 0..64 {
+            let w = INTER_MATRIX[i] as i32;
+            out[i] = (coefs[i] as i32 * 16 / (w * q)) as i16;
+        }
+        out
+    }
+
+    /// Every matrix weight × qscale 1..=255: the reciprocal division
+    /// equals the integer division on both sides of every quotient
+    /// boundary the quantizers' numerators reach (up to `16 · 2^15 + d/2`).
+    #[test]
+    fn reciprocal_division_is_exact_at_every_quotient_boundary() {
+        for (matrix, table) in [(&INTRA_MATRIX, &INTRA_RECIP), (&INTER_MATRIX, &INTER_RECIP)] {
+            let mut weights_seen = [false; 256];
+            for (i, &w) in matrix.iter().enumerate() {
+                if std::mem::replace(&mut weights_seen[w as usize], true) {
+                    continue;
+                }
+                for q in 1..=255u32 {
+                    let d = w as u32 * q;
+                    let max_n = 16 * 32_768 + d / 2;
+                    let m = table[q as usize][i];
+                    for k in 0..=max_n / d + 1 {
+                        for n in [k * d, (k * d).saturating_sub(1)] {
+                            if n <= max_n {
+                                assert_eq!(recip_div(n, m), n / d, "{n} / ({w} * {q})");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantizers_match_integer_division() {
+        let mut rng = SplitMix64::new(0x0A47);
+        for qscale in 0..=255u8 {
+            for round in 0..8 {
+                let mut coefs = [0i16; 64];
+                for c in coefs.iter_mut() {
+                    let r = rng.next_u64();
+                    *c = match (r >> 60) % 4 {
+                        0 => (r % 512) as i16 - 256,
+                        _ if round == 0 => [i16::MIN, i16::MAX, -1, 1][(r % 4) as usize],
+                        _ => r as u16 as i16,
+                    };
+                }
+                assert_eq!(
+                    quant_intra(&coefs, qscale),
+                    quant_intra_idiv(&coefs, qscale)
+                );
+                assert_eq!(
+                    quant_inter(&coefs, qscale),
+                    quant_inter_idiv(&coefs, qscale)
+                );
+            }
+        }
+    }
 
     fn dequant_inter_branchy(levels: &Block, qscale: u8) -> Block {
         let q = qscale.max(1) as u32;

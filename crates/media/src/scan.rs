@@ -30,21 +30,25 @@ pub struct RunLevel {
     pub level: i16,
 }
 
-/// Run-length encode a quantized block in zigzag order. The implicit
+/// Run-length encode a quantized block in zigzag order into `out` and
+/// return the symbol count: the symbols are `out[..count]`. A block has
+/// at most 64 non-zero levels, so `out` always has room. The implicit
 /// end-of-block marker is *not* included in the output.
-pub fn rle_encode(levels: &Block) -> Vec<RunLevel> {
-    let mut out = Vec::new();
+pub fn rle_encode_into(levels: &Block, out: &mut [RunLevel; 64]) -> usize {
+    let mut count = 0;
     let mut run: u8 = 0;
     for &zz in ZIGZAG.iter() {
+        // Branch-free (levels are sparse and irregular, so a branch would
+        // mispredict): every coefficient is written at `count`, and only a
+        // non-zero one advances it. `count` is at most the coefficients
+        // seen so far, so it stays below 64 here.
         let v = levels[zz as usize];
-        if v == 0 {
-            run += 1;
-        } else {
-            out.push(RunLevel { run, level: v });
-            run = 0;
-        }
+        out[count] = RunLevel { run, level: v };
+        let coded = v != 0;
+        count += coded as usize;
+        run = if coded { 0 } else { run + 1 };
     }
-    out
+    count
 }
 
 /// Error from [`rle_decode`]: the symbols overflow the 64-coefficient
@@ -78,6 +82,13 @@ pub fn rle_decode(symbols: &[RunLevel]) -> Result<Block, RleOverflow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The symbols of `levels`.
+    pub(super) fn rle_encode(levels: &Block) -> Vec<RunLevel> {
+        let mut out = [RunLevel::default(); 64];
+        let count = rle_encode_into(levels, &mut out);
+        out[..count].to_vec()
+    }
 
     #[test]
     fn zigzag_is_a_permutation() {
@@ -162,6 +173,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::rle_encode;
     use super::*;
     use proptest::prelude::*;
 

@@ -335,7 +335,14 @@ impl std::error::Error for FabricConfigError {}
 
 impl DataFabricConfig {
     /// Instantiate the configured backend.
+    ///
+    /// Panics, naming the [`FabricConfigError`], on a configuration
+    /// [`DataFabricConfig::validate`] rejects: every variant is checked
+    /// here, before a bad one could fail on its first request.
     pub fn build(self) -> Box<dyn DataFabric> {
+        if let Err(e) = self.validate() {
+            panic!("invalid data fabric: {e} ({e:?})");
+        }
         match self {
             DataFabricConfig::SharedBus { read, write } => {
                 Box::new(SharedBusFabric::new(read, write))
@@ -612,14 +619,11 @@ pub struct BankedFabric {
 
 impl BankedFabric {
     /// A new idle fabric for any configuration but `SharedBus`; callers
-    /// outside the crate build one through [`DataFabricConfig::build`].
-    ///
-    /// Panics on a configuration [`DataFabricConfig::validate`] rejects.
+    /// outside the crate build one through [`DataFabricConfig::build`],
+    /// which validates the configuration first.
     pub(crate) fn new(cfg: DataFabricConfig) -> Self {
         use DataFabricConfig as C;
-        if let Err(e) = cfg.validate() {
-            panic!("invalid data fabric: {e}");
-        }
+        debug_assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
         let (arb, port_cfg) = match cfg {
             C::SharedBus { .. } => panic!("the shared bus is not a banked fabric"),
             C::MultiBank { bank, .. } => (Arbitration::Contended, bank),
@@ -1353,5 +1357,23 @@ mod tests {
         ] {
             assert_eq!(c.validate(), Err(FabricConfigError::ZeroPortWidth), "{c:?}");
         }
+    }
+
+    /// A zero-width shared bus fails at build time, naming the error,
+    /// instead of dividing by zero on its first request.
+    #[test]
+    #[should_panic(
+        expected = "invalid data fabric: a port must be at least one byte wide (ZeroPortWidth)"
+    )]
+    fn zero_width_shared_bus_fails_at_build() {
+        let narrow = BusConfig {
+            width_bytes: 0,
+            ..cfg()
+        };
+        let _ = DataFabricConfig::SharedBus {
+            read: narrow,
+            write: cfg(),
+        }
+        .build();
     }
 }
