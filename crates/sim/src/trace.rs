@@ -1296,6 +1296,175 @@ mod tests {
         assert!(restored.is_empty());
     }
 
+    /// One event of every kind, on a unit whose label needs every JSON
+    /// escape the exporters apply.
+    fn every_kind_sink() -> TraceSink {
+        let mut s = TraceSink::new(64);
+        let odd = s.intern("odd \"q\" \\ nl\n tab\t ctl\u{1}");
+        let u = s.intern("shell/vld");
+        let task = s.intern("dec0.vld");
+        let other = s.intern("system");
+        let kinds = [
+            TraceEventKind::TaskSelected {
+                task,
+                switched: true,
+            },
+            TraceEventKind::TaskIdle,
+            TraceEventKind::SpaceGranted {
+                port: 1,
+                bytes: 64,
+                space: 128,
+                hint: 32,
+            },
+            TraceEventKind::SpaceDenied {
+                port: 2,
+                bytes: 96,
+                space: 16,
+                hint: 0,
+            },
+            TraceEventKind::PutSpaceSend {
+                port: 0,
+                bytes: 48,
+                send_at: 1_234,
+            },
+            TraceEventKind::PutSpaceRecv {
+                row: 3,
+                bytes: 48,
+                unblocked: false,
+            },
+            TraceEventKind::CacheInvalidate { row: 4, lines: 2 },
+            TraceEventKind::CacheFlush { row: 5, lines: 3 },
+            TraceEventKind::CachePrefetch { row: 6, lines: 1 },
+            TraceEventKind::BusGrant {
+                bytes: 64,
+                wait: 7,
+                busy: 8,
+            },
+            TraceEventKind::BankGrant {
+                bank: 2,
+                bytes: 32,
+                wait: 1,
+            },
+            TraceEventKind::SyncHop { hops: 3, wait: 9 },
+            TraceEventKind::Step {
+                task: odd,
+                busy: 40,
+                stall: 2,
+            },
+            TraceEventKind::SyncDeliver {
+                bytes: 16,
+                latency: 11,
+            },
+            TraceEventKind::Sample,
+            TraceEventKind::RunStart,
+            TraceEventKind::RunEnd { outcome: odd },
+            TraceEventKind::Counter {
+                track: odd,
+                value: 77,
+            },
+            TraceEventKind::Fault {
+                class: other,
+                magnitude: u64::MAX,
+            },
+            TraceEventKind::AppMapped {
+                app: odd,
+                sram_bytes: 4_096,
+                tasks: 5,
+            },
+            TraceEventKind::AppPaused { app: task },
+            TraceEventKind::AppResumed { app: task },
+            TraceEventKind::AppDrained {
+                app: task,
+                wait_cycles: 12,
+            },
+            TraceEventKind::AppUnmapped {
+                app: task,
+                sram_bytes: 4_096,
+            },
+            TraceEventKind::StaleSyncRejected { row: 7, bytes: 24 },
+        ];
+        assert_eq!(kinds.len(), KIND_COUNT);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let unit = if i % 2 == 0 { u } else { odd };
+            s.emit(TraceEvent {
+                cycle: 10 * i as u64,
+                unit,
+                kind,
+            });
+        }
+        s
+    }
+
+    // The exact export of `every_kind_sink`. Chrome JSON escapes labels;
+    // the CSV writes them raw, as it always has.
+    const EXPECTED_JSON: &str = r#"[
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"shell/vld"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"odd \"q\" \\ nl\n tab\t ctl\u0001"}},
+{"name":"thread_name","ph":"M","pid":0,"tid":1048576,"args":{"name":"task/odd \"q\" \\ nl\n tab\t ctl\u0001"}},
+{"name":"task_selected","cat":"shell","ph":"i","ts":0,"pid":0,"tid":1,"s":"t","args":{"task":"dec0.vld","switched":true}},
+{"name":"task_idle","cat":"shell","ph":"i","ts":10,"pid":0,"tid":0,"s":"t","args":{}},
+{"name":"getspace_grant","cat":"shell","ph":"i","ts":20,"pid":0,"tid":1,"s":"t","args":{"port":1,"bytes":64,"space":128,"hint":32}},
+{"name":"getspace_deny","cat":"shell","ph":"i","ts":30,"pid":0,"tid":0,"s":"t","args":{"port":2,"bytes":96,"space":16,"hint":0}},
+{"name":"putspace_send","cat":"shell","ph":"i","ts":40,"pid":0,"tid":1,"s":"t","args":{"port":0,"bytes":48,"send_at":1234}},
+{"name":"putspace_recv","cat":"shell","ph":"i","ts":50,"pid":0,"tid":0,"s":"t","args":{"row":3,"bytes":48,"unblocked":false}},
+{"name":"cache_invalidate","cat":"shell","ph":"i","ts":60,"pid":0,"tid":1,"s":"t","args":{"row":4,"lines":2}},
+{"name":"cache_flush","cat":"shell","ph":"i","ts":70,"pid":0,"tid":0,"s":"t","args":{"row":5,"lines":3}},
+{"name":"cache_prefetch","cat":"shell","ph":"i","ts":80,"pid":0,"tid":1,"s":"t","args":{"row":6,"lines":1}},
+{"name":"xfer 64B","cat":"bus","ph":"X","ts":90,"dur":8,"pid":0,"tid":0,"args":{"bytes":64,"wait":7}},
+{"name":"bank_grant","cat":"shell","ph":"i","ts":100,"pid":0,"tid":1,"s":"t","args":{"bank":2,"bytes":32,"wait":1}},
+{"name":"sync_hop","cat":"shell","ph":"i","ts":110,"pid":0,"tid":0,"s":"t","args":{"hops":3,"wait":9}},
+{"name":"odd \"q\" \\ nl\n tab\t ctl\u0001","cat":"step","ph":"X","ts":120,"dur":42,"pid":0,"tid":1048576,"args":{"busy":40,"stall":2,"shell":"shell/vld"}},
+{"name":"sync_deliver","cat":"shell","ph":"i","ts":130,"pid":0,"tid":0,"s":"t","args":{"bytes":16,"latency":11}},
+{"name":"sample","cat":"shell","ph":"i","ts":140,"pid":0,"tid":1,"s":"t","args":{}},
+{"name":"run_start","cat":"shell","ph":"i","ts":150,"pid":0,"tid":0,"s":"t","args":{}},
+{"name":"run_end","cat":"shell","ph":"i","ts":160,"pid":0,"tid":1,"s":"t","args":{"outcome":"odd \"q\" \\ nl\n tab\t ctl\u0001"}},
+{"name":"odd \"q\" \\ nl\n tab\t ctl\u0001","cat":"counter","ph":"C","ts":170,"pid":0,"tid":0,"args":{"value":77}},
+{"name":"fault","cat":"shell","ph":"i","ts":180,"pid":0,"tid":1,"s":"t","args":{"class":"system","magnitude":18446744073709551615}},
+{"name":"app_mapped","cat":"shell","ph":"i","ts":190,"pid":0,"tid":0,"s":"t","args":{"app":"odd \"q\" \\ nl\n tab\t ctl\u0001","sram_bytes":4096,"tasks":5}},
+{"name":"app_paused","cat":"shell","ph":"i","ts":200,"pid":0,"tid":1,"s":"t","args":{"app":"dec0.vld"}},
+{"name":"app_resumed","cat":"shell","ph":"i","ts":210,"pid":0,"tid":0,"s":"t","args":{"app":"dec0.vld"}},
+{"name":"app_drained","cat":"shell","ph":"i","ts":220,"pid":0,"tid":1,"s":"t","args":{"app":"dec0.vld","wait_cycles":12}},
+{"name":"app_unmapped","cat":"shell","ph":"i","ts":230,"pid":0,"tid":0,"s":"t","args":{"app":"dec0.vld","sram_bytes":4096}},
+{"name":"stale_sync_rejected","cat":"shell","ph":"i","ts":240,"pid":0,"tid":1,"s":"t","args":{"row":7,"bytes":24}}
+]
+"#;
+
+    const EXPECTED_CSV: &str = concat!(
+        "cycle,unit,event,detail,a,b,c\n",
+        "0,shell/vld,task_selected,dec0.vld,1,,\n",
+        "10,odd \"q\" \\ nl\n tab\t ctl\u{1},task_idle,,,,\n",
+        "20,shell/vld,getspace_grant,,1,64,128/32\n",
+        "30,odd \"q\" \\ nl\n tab\t ctl\u{1},getspace_deny,,2,96,16/0\n",
+        "40,shell/vld,putspace_send,,0,48,1234\n",
+        "50,odd \"q\" \\ nl\n tab\t ctl\u{1},putspace_recv,,3,48,0\n",
+        "60,shell/vld,cache_invalidate,,4,2,\n",
+        "70,odd \"q\" \\ nl\n tab\t ctl\u{1},cache_flush,,5,3,\n",
+        "80,shell/vld,cache_prefetch,,6,1,\n",
+        "90,odd \"q\" \\ nl\n tab\t ctl\u{1},bus_grant,,64,7,8\n",
+        "100,shell/vld,bank_grant,,2,32,1\n",
+        "110,odd \"q\" \\ nl\n tab\t ctl\u{1},sync_hop,,3,9,\n",
+        "120,shell/vld,step,odd \"q\" \\ nl\n tab\t ctl\u{1},40,2,\n",
+        "130,odd \"q\" \\ nl\n tab\t ctl\u{1},sync_deliver,,16,11,\n",
+        "140,shell/vld,sample,,,,\n",
+        "150,odd \"q\" \\ nl\n tab\t ctl\u{1},run_start,,,,\n",
+        "160,shell/vld,run_end,odd \"q\" \\ nl\n tab\t ctl\u{1},,,\n",
+        "170,odd \"q\" \\ nl\n tab\t ctl\u{1},counter,odd \"q\" \\ nl\n tab\t ctl\u{1},77,,\n",
+        "180,shell/vld,fault,system,18446744073709551615,,\n",
+        "190,odd \"q\" \\ nl\n tab\t ctl\u{1},app_mapped,odd \"q\" \\ nl\n tab\t ctl\u{1},4096,5,\n",
+        "200,shell/vld,app_paused,dec0.vld,,,\n",
+        "210,odd \"q\" \\ nl\n tab\t ctl\u{1},app_resumed,dec0.vld,,,\n",
+        "220,shell/vld,app_drained,dec0.vld,12,,\n",
+        "230,odd \"q\" \\ nl\n tab\t ctl\u{1},app_unmapped,dec0.vld,4096,,\n",
+        "240,shell/vld,stale_sync_rejected,,7,24,\n",
+    );
+
+    #[test]
+    fn export_bytes_are_pinned() {
+        let s = every_kind_sink();
+        assert_eq!(s.to_chrome_trace(), EXPECTED_JSON);
+        assert_eq!(s.to_csv(), EXPECTED_CSV);
+    }
+
     #[test]
     fn json_escaping() {
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");

@@ -1,12 +1,15 @@
 //! Integration tests of the structured event-tracing spine: exports are
-//! byte-reproducible across identical runs, and enabling tracing never
-//! perturbs simulated behavior (the instrumentation is observational).
+//! byte-reproducible across identical runs, a run restored from a
+//! checkpoint traces the same events as the run it forked from, and
+//! enabling tracing never perturbs simulated behavior (the
+//! instrumentation is observational).
 
-use eclipse::coprocs::instance::build_decode_system;
+use eclipse::coprocs::instance::{build_decode_system, MpegSystem};
 use eclipse::core::{EclipseConfig, RunOutcome, RunSummary};
 use eclipse::media::encoder::{Encoder, EncoderConfig};
 use eclipse::media::source::{SourceConfig, SyntheticSource};
 use eclipse::media::stream::GopConfig;
+use eclipse::sim::trace::SharedTraceSink;
 
 fn make_stream(seed: u64) -> Vec<u8> {
     let src = SyntheticSource::new(SourceConfig {
@@ -70,4 +73,49 @@ fn disabled_sink_collects_nothing_but_run_is_unchanged() {
     assert_eq!(summary.outcome, RunOutcome::AllFinished);
     assert!(sink.borrow().is_empty(), "disabled sink must stay empty");
     assert_eq!(format!("{untraced:?}"), format!("{summary:?}"));
+}
+
+/// A traced decode of `bitstream` with a large enough ring that nothing
+/// is dropped.
+fn traced_decode(bitstream: Vec<u8>) -> (MpegSystem, SharedTraceSink) {
+    let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
+    let sink = dec.system.sys.enable_tracing(4_000_000);
+    (dec.system, sink)
+}
+
+/// Run to completion and return the CSV export's event rows (header
+/// dropped).
+fn finish_rows(dec: &mut MpegSystem, sink: &SharedTraceSink) -> Vec<String> {
+    let summary = dec.run(2_000_000_000);
+    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let sink = sink.borrow();
+    assert_eq!(sink.dropped(), 0);
+    sink.to_csv().lines().skip(1).map(str::to_owned).collect()
+}
+
+#[test]
+fn restored_runs_trace_the_rest_of_the_run() {
+    let bitstream = make_stream(0x5A7E);
+    let (mut whole, whole_sink) = traced_decode(bitstream.clone());
+    let reference = finish_rows(&mut whole, &whole_sink);
+
+    // Checkpoint mid-run; the ring keeps the events before the save.
+    let (mut first, first_sink) = traced_decode(bitstream.clone());
+    assert_eq!(first.sys.run_until(whole.sys.now() / 2), None);
+    let checkpoint = first.sys.save();
+    let before = first_sink.borrow().emitted() as usize;
+    assert!(before > 0 && before < reference.len());
+    let tail = &reference[before..];
+
+    // Into a fresh traced build: nothing resolved a label there yet.
+    let (mut fresh, fresh_sink) = traced_decode(bitstream);
+    fresh.sys.restore(&checkpoint).expect("restore into a fresh build");
+    assert_eq!(finish_rows(&mut fresh, &fresh_sink), tail);
+
+    // Into the same system after it ran to the end, so every label it
+    // uses was resolved, and a new one ("AllFinished") interned, after
+    // the save point.
+    finish_rows(&mut first, &first_sink);
+    first.sys.restore(&checkpoint).expect("restore into the same system");
+    assert_eq!(finish_rows(&mut first, &first_sink), tail);
 }
