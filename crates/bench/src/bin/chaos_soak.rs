@@ -33,7 +33,7 @@
 //! state still changed. The traced tail is saved as
 //! `results/replay_trace.csv` for inspection.
 
-use eclipse_bench::{save_result, table, StreamSpec};
+use eclipse_bench::{save_result, stream_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_core::{EclipseConfig, QosContract, RunOutcome, Supervisor, SupervisorConfig};
 use eclipse_media::stream::GopConfig;
@@ -237,7 +237,7 @@ fn replay(class: &str, rate: f64) {
         "forked from checkpoint at {ckpt_cycle}; failure reproduced at {fail_at}; \
          last state change at cycle {last_active} (±{fine})"
     );
-    save_result("replay_trace.csv", &sink.borrow().to_csv());
+    stream_result("replay_trace.csv", |w| sink.borrow().write_csv(w));
 }
 
 fn main() {

@@ -45,6 +45,8 @@ use eclipse_media::encoder::{EncodeStats, Encoder, EncoderConfig};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::stream::GopConfig;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A standard test stream: resolution, GOP, content parameters.
@@ -193,10 +195,20 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// Write experiment output under `results/` (created on demand) and echo
 /// the path.
 pub fn save_result(name: &str, contents: &str) {
+    stream_result(name, |w| w.write_all(contents.as_bytes()));
+}
+
+/// Stream experiment output into `results/<name>` (created on demand)
+/// through a buffered writer, and echo the path: for exports too large
+/// to build in memory first.
+pub fn stream_result(name: &str, write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write result");
+    let mut out = BufWriter::new(File::create(&path).expect("create result"));
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .expect("write result");
     println!("[saved {}]", path.display());
 }
 

@@ -162,36 +162,6 @@ impl FrameStore {
         });
         out
     }
-
-    /// Read a whole frame out of a slot into an
-    /// [`eclipse_media::Frame`] — host-side verification only (no timing),
-    /// used by tests and experiment harnesses after a run.
-    pub fn read_frame(&self, dram: &mut eclipse_mem::Dram, base: u32) -> eclipse_media::Frame {
-        let mut f = eclipse_media::Frame::new(self.width as usize, self.height as usize);
-        for (plane_sel, plane) in [
-            (PlaneSel::Y, &mut f.y),
-            (PlaneSel::U, &mut f.u),
-            (PlaneSel::V, &mut f.v),
-        ] {
-            let (pw, ph, _) = self.plane_geom(plane_sel);
-            for ty in 0..ph / 8 {
-                for tx in 0..pw / 8 {
-                    let mut tile = [0u8; 64];
-                    dram.read(self.tile_addr(base, plane_sel, tx, ty), &mut tile);
-                    for y in 0..8 {
-                        for x in 0..8 {
-                            plane.set(
-                                (tx * 8 + x) as usize,
-                                (ty * 8 + y) as usize,
-                                tile[(y * 8 + x) as usize],
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        f
-    }
 }
 
 #[cfg(test)]

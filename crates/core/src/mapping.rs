@@ -161,9 +161,6 @@ impl PlacementCtx<'_> {
 /// order. Explicit assignments in the context always win; a pass only
 /// chooses for the unpinned tasks.
 pub trait Placement: std::fmt::Debug + Send + Sync {
-    /// Short name for reports ("first-fit", "topology-aware").
-    fn kind(&self) -> &'static str;
-
     /// One shell index per task, in graph task order.
     fn assign(&self, ctx: &PlacementCtx<'_>) -> Result<Vec<usize>, MapError>;
 
@@ -182,10 +179,6 @@ pub trait Placement: std::fmt::Debug + Send + Sync {
 pub struct FirstFitPlacement;
 
 impl Placement for FirstFitPlacement {
-    fn kind(&self) -> &'static str {
-        "first-fit"
-    }
-
     fn assign(&self, ctx: &PlacementCtx<'_>) -> Result<Vec<usize>, MapError> {
         let mut assign = Vec::with_capacity(ctx.graph.tasks().len());
         for (_tid, t) in ctx.graph.task_ids() {
@@ -240,10 +233,6 @@ impl Default for TopologyAwarePlacement {
 }
 
 impl Placement for TopologyAwarePlacement {
-    fn kind(&self) -> &'static str {
-        "topology-aware"
-    }
-
     fn assign(&self, ctx: &PlacementCtx<'_>) -> Result<Vec<usize>, MapError> {
         // Stream → tasks touching it (graph order), for the hop term.
         let mut touch: BTreeMap<StreamId, Vec<usize>> = BTreeMap::new();

@@ -233,6 +233,7 @@ pub struct EclipseSystem {
     sample_plan: Option<run_loop::SamplePlan>,
     trace_sink: Option<SharedTraceSink>,
     sys_trace: Option<TraceHandle>,
+    sys_labels: run_loop::SysLabels,
     sync_latency: Histogram,
     cpu_sync: Option<CpuSyncConfig>,
     cpu_next_free: Cycle,
@@ -276,12 +277,6 @@ impl EclipseSystem {
     /// The template parameters.
     pub fn config(&self) -> &EclipseConfig {
         &self.cfg
-    }
-
-    /// The active placement pass's short name ("first-fit",
-    /// "topology-aware", ...).
-    pub fn placement_kind(&self) -> &'static str {
-        self.placement.kind()
     }
 
     /// Off-chip memory, for loading bitstreams before a run and checking
@@ -413,6 +408,9 @@ impl EclipseSystem {
         self.system_bus.attach_trace(&sink);
         self.sync.attach_trace(&sink);
         self.sys_trace = Some(TraceHandle::new(&sink, "system"));
+        // Label ids cached for the previous sink mean nothing in this one.
+        self.sys_labels = Default::default();
+        self.sample_plan = None;
         self.trace_sink = Some(sink.clone());
         sink
     }

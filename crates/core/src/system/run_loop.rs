@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use eclipse_shell::stream_table::{AccessPoint, PortDir, RowIdx};
 use eclipse_shell::task_table::TaskIdx;
 use eclipse_shell::{GetTaskResult, ShellId};
-use eclipse_sim::trace::TraceEventKind;
+use eclipse_sim::trace::{LabelSlot, TraceEventKind};
 use eclipse_sim::{Cycle, SyncAction};
 
 use crate::coproc::{StepCtx, StepResult};
@@ -291,8 +291,9 @@ impl EclipseSystem {
                         cost += extra;
                         stall += extra;
                         if let Some(t) = &self.sys_trace {
+                            let class = &mut self.sys_labels.stall;
                             t.emit_with(now, |sink| TraceEventKind::Fault {
-                                class: sink.intern("stall"),
+                                class: class.resolve(sink, "stall"),
                                 magnitude: extra,
                             });
                         }
@@ -306,15 +307,11 @@ impl EclipseSystem {
                     StepResult::Blocked => cost,
                     _ => stall.min(cost),
                 };
-                let shell = &self.shells[s];
-                if let Some(tr) = shell.trace_handle() {
-                    let name = &shell.tasks()[task.0 as usize].cfg.name;
-                    tr.emit_with(now, |sink| TraceEventKind::Step {
-                        task: sink.intern(name),
-                        busy: cost - step_stall,
-                        stall: step_stall,
-                    });
-                }
+                self.shells[s].trace_task(now, task, |task| TraceEventKind::Step {
+                    task,
+                    busy: cost - step_stall,
+                    stall: step_stall,
+                });
                 match result {
                     StepResult::Done => {
                         self.shells[s].note_step(task, false);
@@ -350,16 +347,18 @@ impl EclipseSystem {
                             SyncAction::Delay(d) => {
                                 extra_delay = d;
                                 if let Some(t) = &self.sys_trace {
+                                    let class = &mut self.sys_labels.sync_delay;
                                     t.emit_with(now, |sink| TraceEventKind::Fault {
-                                        class: sink.intern("sync_delay"),
+                                        class: class.resolve(sink, "sync_delay"),
                                         magnitude: d,
                                     });
                                 }
                             }
                             SyncAction::Drop => {
                                 if let Some(t) = &self.sys_trace {
+                                    let class = &mut self.sys_labels.sync_drop;
                                     t.emit_with(now, |sink| TraceEventKind::Fault {
-                                        class: sink.intern("sync_drop"),
+                                        class: class.resolve(sink, "sync_drop"),
                                         magnitude: msg.bytes as u64,
                                     });
                                 }
@@ -412,14 +411,15 @@ impl EclipseSystem {
     }
 
     pub(crate) fn sample(&mut self, now: Cycle) {
-        let plan = match self.sample_plan.take() {
+        let mut plan = match self.sample_plan.take() {
             Some(plan) => plan,
             None => self.plan_samples(),
         };
         let trace = &mut self.trace;
         for (s, shell) in self.shells.iter().enumerate() {
-            let series = &plan.shells[s];
-            for &(r, i) in &series.space {
+            let series = &mut plan.shells[s];
+            for (r, i, track) in &mut series.space {
+                let (r, i) = (*r, *i);
                 // Only consumer-side rows report "available data" (the
                 // paper's Figure 10 quantity); producer rows report room.
                 let space = shell.rows()[r].effective_space();
@@ -430,7 +430,7 @@ impl EclipseSystem {
                 if let Some(t) = &self.sys_trace {
                     let name = &trace.series[i].name;
                     t.emit_with(now, |sink| TraceEventKind::Counter {
-                        track: sink.intern(name),
+                        track: track.resolve(sink, name),
                         value: space as u64,
                     });
                 }
@@ -453,13 +453,14 @@ impl EclipseSystem {
         // change them, while the sink is observational.
         if let Some(t) = &self.sys_trace {
             let s = self.sync.stats();
-            for (track, value) in [
+            let tracks = [
                 ("sync/messages", s.messages),
                 ("sync/hops", s.hops),
                 ("sync/wait_cycles", s.wait_cycles),
-            ] {
+            ];
+            for ((name, value), track) in tracks.into_iter().zip(&mut self.sys_labels.sync) {
                 t.emit_with(now, |sink| TraceEventKind::Counter {
-                    track: sink.intern(track),
+                    track: track.resolve(sink, name),
                     value,
                 });
             }
@@ -480,7 +481,10 @@ impl EclipseSystem {
         for (s, shell) in self.shells.iter().enumerate() {
             let space = (shell.rows().iter().enumerate())
                 .filter(|(_, row)| !row.retired)
-                .map(|(r, _)| (r, index(format_args!("space/{}", self.row_labels[s][r]))))
+                .map(|(r, _)| {
+                    let series = index(format_args!("space/{}", self.row_labels[s][r]));
+                    (r, series, LabelSlot::default())
+                })
                 .collect();
             let busy = index(format_args!("busy/{}", self.shell_names[s]));
             let stall = index(format_args!("stall/{}", self.shell_names[s]));
@@ -502,16 +506,29 @@ impl EclipseSystem {
     }
 }
 
+/// The label ids of the system's fixed trace names, each interned on
+/// first use; reset when a sink is attached.
+#[derive(Debug, Default)]
+pub(crate) struct SysLabels {
+    stall: LabelSlot,
+    sync_delay: LabelSlot,
+    sync_drop: LabelSlot,
+    /// `sync/messages`, `sync/hops` and `sync/wait_cycles`.
+    sync: [LabelSlot; 3],
+}
+
 /// The `TraceLog` series indices one sample tick appends to (see
-/// [`EclipseSystem::sample`]).
+/// [`EclipseSystem::sample`]), with the label of each series mirrored
+/// onto the event trace.
 pub(crate) struct SamplePlan {
     shells: Vec<ShellSeries>,
 }
 
 /// One shell's sampled series.
 struct ShellSeries {
-    /// `(row, series)` of each live row's `space/…` series.
-    space: Vec<(usize, usize)>,
+    /// `(row, series, counter track)` of each live row's `space/…`
+    /// series.
+    space: Vec<(usize, usize, LabelSlot)>,
     /// `busy/…` series.
     busy: usize,
     /// `stall/…` series.

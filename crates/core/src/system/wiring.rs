@@ -311,16 +311,6 @@ impl SystemBuilder {
         Ok(handles)
     }
 
-    /// Override one task's scheduler budget (by its handles entry).
-    pub fn set_budget(&mut self, handles: &AppHandles, task_name: &str, budget: u64) {
-        let &(shell, task) = handles.tasks.get(task_name).expect("unknown task");
-        // Rebuild the task row's budget in place.
-        let shell = &mut self.shells[shell];
-        // TaskRow exposes cfg publicly via tasks(); mutate through a
-        // dedicated setter to keep the borrow simple.
-        shell.set_task_budget(task, budget);
-    }
-
     /// Finish construction.
     pub fn build(self) -> EclipseSystem {
         let n = self.coprocs.len();
@@ -350,6 +340,7 @@ impl SystemBuilder {
             sample_plan: None,
             trace_sink: None,
             sys_trace: None,
+            sys_labels: Default::default(),
             sync_latency: Histogram::new(24),
             cpu_sync: self.cpu_sync,
             cpu_next_free: 0,

@@ -191,11 +191,6 @@ impl<'a> BitReader<'a> {
     pub fn byte_align(&mut self) {
         self.pos = self.pos.div_ceil(8) * 8;
     }
-
-    /// True when byte-aligned.
-    pub fn is_byte_aligned(&self) -> bool {
-        self.pos.is_multiple_of(8)
-    }
 }
 
 #[cfg(test)]

@@ -36,11 +36,6 @@ impl MotionVector {
             dy: dy * 2,
         }
     }
-
-    /// True if either component needs half-sample interpolation.
-    pub fn has_half(&self) -> bool {
-        self.dx & 1 != 0 || self.dy & 1 != 0
-    }
 }
 
 /// Sample `plane` at half-pel coordinates `(x2, y2)` (units of half a

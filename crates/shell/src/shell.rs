@@ -8,9 +8,8 @@
 //! access windows and drive both the remote `putspace` messages and the
 //! cache coherency actions, and `GetTask` runs the local scheduler.
 
-use eclipse_mem::CyclicBuffer;
 use eclipse_sim::snapshot::SnapError;
-use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
+use eclipse_sim::trace::{LabelId, LabelSlot, SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
 
 use crate::cache::{CacheConfig, MemSys, StreamCache};
@@ -141,18 +140,6 @@ pub struct ShellStats {
     pub stale_syncs_rejected: u64,
 }
 
-impl ShellStats {
-    /// Fraction of scheduler slots that found a runnable task (0 when the
-    /// scheduler never ran).
-    pub fn slot_occupancy(&self) -> f64 {
-        if self.gettask_calls == 0 {
-            0.0
-        } else {
-            self.gettask_runs as f64 / self.gettask_calls as f64
-        }
-    }
-}
-
 /// Default hardware size of a shell's task table (run-time admission
 /// control rejects live mappings that would exceed it; overridable per
 /// shell via [`Shell::task_capacity`]).
@@ -217,12 +204,25 @@ impl Shell {
     /// under the unit name `shell/<unit_name>`.
     pub fn attach_trace(&mut self, sink: &SharedTraceSink, unit_name: &str) {
         self.trace = Some(TraceHandle::new(sink, &format!("shell/{unit_name}")));
+        for t in &mut self.tasks {
+            t.label = LabelSlot::default();
+        }
     }
 
-    /// The shell's trace connection, if attached (the run loop uses it to
-    /// stamp processing-step duration events onto this shell's timeline).
-    pub fn trace_handle(&self) -> Option<&TraceHandle> {
-        self.trace.as_ref()
+    /// Emit an event that names task `task` on this shell's trace (the
+    /// run loop stamps processing-step duration events this way). The
+    /// task's label is interned once per task row and sink.
+    #[inline]
+    pub fn trace_task(
+        &mut self,
+        now: Cycle,
+        task: TaskIdx,
+        kind: impl FnOnce(LabelId) -> TraceEventKind,
+    ) {
+        if let Some(tr) = &self.trace {
+            let t = &mut self.tasks[task.0 as usize];
+            tr.emit_with(now, |sink| kind(t.label.resolve(sink, &t.cfg.name)));
+        }
     }
 
     // ---- configuration (the CPU over the PI bus) ------------------------
@@ -329,13 +329,6 @@ impl Shell {
         self.tasks[task.0 as usize].cfg.task_info = info;
     }
 
-    /// Reprogram a task's per-port scheduler space hints (CPU control).
-    pub fn set_task_hints(&mut self, task: TaskIdx, hints: Vec<u32>) {
-        let t = &mut self.tasks[task.0 as usize];
-        assert_eq!(hints.len(), t.cfg.ports.len());
-        t.cfg.space_hints = hints;
-    }
-
     /// Mark a task finished (end of stream); it will never be selected
     /// again.
     pub fn finish_task(&mut self, task: TaskIdx) {
@@ -414,15 +407,6 @@ impl Shell {
             .unwrap_or(TaskIdx(self.tasks.len() as u8))
     }
 
-    /// The slot the next stream-row add will return (recycled or
-    /// appended).
-    pub fn next_row_slot(&self) -> RowIdx {
-        self.free_rows
-            .first()
-            .copied()
-            .unwrap_or(RowIdx(self.rows.len() as u16))
-    }
-
     // ---- the five primitives --------------------------------------------
 
     /// `GetTask`: run the weighted round-robin scheduler under the
@@ -460,13 +444,10 @@ impl Shell {
                 if switched {
                     self.tasks[task.0 as usize].stats.switches_in += 1;
                 }
-                if let Some(tr) = &self.trace {
-                    let name = &self.tasks[task.0 as usize].cfg.name;
-                    tr.emit_with(now, |sink| TraceEventKind::TaskSelected {
-                        task: sink.intern(name),
-                        switched,
-                    });
-                }
+                self.trace_task(now, task, |task| TraceEventKind::TaskSelected {
+                    task,
+                    switched,
+                });
                 GetTaskResult::Run {
                     task,
                     info,
@@ -834,12 +815,6 @@ impl Shell {
         }
     }
 
-    /// Direct access to a row's buffer descriptor (for the core's
-    /// configuration plumbing).
-    pub fn row_buffer(&self, row: RowIdx) -> CyclicBuffer {
-        self.rows[row.0 as usize].buffer
-    }
-
     // ---- checkpointing ----------------------------------------------------
 
     /// After a load: re-attach the caches to this shell's fabric port
@@ -944,7 +919,7 @@ fn outside_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eclipse_mem::{BusConfig, SramConfig};
+    use eclipse_mem::{BusConfig, CyclicBuffer, SramConfig};
 
     fn memsys() -> MemSys {
         MemSys::shared_bus(

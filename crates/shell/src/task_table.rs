@@ -9,6 +9,7 @@
 //! previously denied GetSpace requests.
 
 use eclipse_sim::snapshot::SnapError;
+use eclipse_sim::trace::LabelSlot;
 use eclipse_sim::Cycle;
 
 use crate::stream_table::RowIdx;
@@ -80,6 +81,9 @@ pub struct TaskRow {
     pub retired: bool,
     /// Measurement fields.
     pub stats: TaskStats,
+    /// Trace label of `cfg.name`, resolved on the first traced event.
+    /// Not state: a new or loaded row starts unresolved.
+    pub(crate) label: LabelSlot,
 }
 
 impl TaskRow {
@@ -97,6 +101,7 @@ impl TaskRow {
             finished: false,
             retired: false,
             stats: TaskStats::default(),
+            label: LabelSlot::default(),
         }
     }
 

@@ -72,12 +72,6 @@ impl Xoshiro256StarStar {
         result
     }
 
-    /// Next 32-bit output (upper bits, which have the best quality).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform f64 in [0, 1).
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

@@ -86,11 +86,6 @@ impl RunningStat {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Ratio of worst-case to average sample — the paper's Section 2.2
     /// irregularity measure ("worst-case versus average load can be as high
     /// as a factor of 10").

@@ -84,11 +84,6 @@ impl Clock {
         );
         self.now = t;
     }
-
-    /// Seconds of simulated time elapsed since cycle 0.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.freq.cycles_to_secs(self.now)
-    }
 }
 
 impl Default for Clock {

@@ -24,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::io::{self, Write};
 use std::rc::Rc;
 
 use crate::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -32,6 +33,26 @@ use crate::Cycle;
 /// Interned-string id; resolves through [`TraceSink::label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LabelId(pub u32);
+
+/// A label id interned on first use and cached, so an emit site that
+/// names the same label on every event hashes its string once. Interning
+/// at first use keeps every id where uncached interning puts it. A sink
+/// only ever appends labels (restoring a checkpoint included), so a
+/// cached id stays valid for as long as its holder stays attached to the
+/// same sink; holders reset their slots when a new sink is attached.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LabelSlot(Option<LabelId>);
+
+impl LabelSlot {
+    /// The cached id, interning `name` into `sink` on first use.
+    #[inline]
+    pub fn resolve(&mut self, sink: &mut TraceSink, name: &str) -> LabelId {
+        match self.0 {
+            Some(id) => id,
+            None => *self.0.insert(sink.intern(name)),
+        }
+    }
+}
 
 /// Chrome-export `tid` base for per-task tracks: task `t` renders on
 /// `TASK_TID_OFFSET + t.0`, well clear of the per-unit tids (raw label
@@ -460,27 +481,21 @@ impl TraceSink {
         self.emitted += 1;
     }
 
-    /// The retained events in deterministic export order: ring order
-    /// under [`SamplePolicy::Ring`], global emission order under
-    /// [`SamplePolicy::KindReservoir`].
-    fn ordered(&self) -> Vec<&TraceEvent> {
-        match self.policy {
-            SamplePolicy::Ring => self.events.iter().collect(),
-            SamplePolicy::KindReservoir { .. } => {
-                let mut all: Vec<(u64, &TraceEvent)> = self
-                    .reservoirs
-                    .values()
-                    .flat_map(|r| r.slots.iter().map(|(seq, e)| (*seq, e)))
-                    .collect();
-                all.sort_unstable_by_key(|&(seq, _)| seq);
-                all.into_iter().map(|(_, e)| e).collect()
-            }
-        }
-    }
-
-    /// The retained events, oldest first (emission order).
+    /// The retained events, oldest first: ring order under
+    /// [`SamplePolicy::Ring`], global emission order under
+    /// [`SamplePolicy::KindReservoir`]. A policy only ever fills its own
+    /// storage, so the ring is walked in place and only a reservoir
+    /// sample is collected and sorted.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ordered().into_iter()
+        let mut sampled: Vec<(u64, &TraceEvent)> = self
+            .reservoirs
+            .values()
+            .flat_map(|r| r.slots.iter().map(|(seq, e)| (*seq, e)))
+            .collect();
+        sampled.sort_unstable_by_key(|&(seq, _)| seq);
+        self.events
+            .iter()
+            .chain(sampled.into_iter().map(|(_, e)| e))
     }
 
     /// Retained event count.
@@ -531,7 +546,7 @@ impl TraceSink {
     /// reports).
     pub fn counts_by_kind(&self) -> Vec<(&'static str, u64)> {
         let mut counts: HashMap<&'static str, u64> = HashMap::new();
-        for e in self.ordered() {
+        for e in self.events() {
             *counts.entry(e.kind.name()).or_insert(0) += 1;
         }
         let mut out: Vec<_> = counts.into_iter().collect();
@@ -541,229 +556,355 @@ impl TraceSink {
 
     // ---- exporters ------------------------------------------------------
 
-    /// Export as Chrome `trace_event` JSON (the array-of-events form;
-    /// loadable in Perfetto / `chrome://tracing`). Simulated cycles map
-    /// 1:1 to the `ts` microsecond field; `pid` 0 is the instance and
-    /// each emitting unit gets a `tid` named via metadata events.
-    /// [`TraceEventKind::Step`] duration events additionally land on a
-    /// per-*task* track (`tid` = [`TASK_TID_OFFSET`] + task label), so a
-    /// multi-tasking shell's interleaved steps separate into one swim
-    /// lane per task.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("[\n");
-        let mut first = true;
-        let mut push = |out: &mut String, line: String| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&line);
-        };
-        // Thread-name metadata for every unit and task track that appears.
-        let mut seen_units: Vec<LabelId> = Vec::new();
-        let mut seen_tasks: Vec<LabelId> = Vec::new();
-        let ordered = self.ordered();
-        for e in &ordered {
-            if !seen_units.contains(&e.unit) {
-                seen_units.push(e.unit);
+    /// Write the retained events as Chrome `trace_event` JSON (the
+    /// array-of-events form; loadable in Perfetto / `chrome://tracing`).
+    /// Simulated cycles map 1:1 to the `ts` microsecond field; `pid` 0 is
+    /// the instance and each emitting unit gets a `tid` named via
+    /// metadata events. [`TraceEventKind::Step`] duration events
+    /// additionally land on a per-*task* track (`tid` =
+    /// [`TASK_TID_OFFSET`] + task label), so a multi-tasking shell's
+    /// interleaved steps separate into one swim lane per task.
+    ///
+    /// Every field goes straight into `w`; labels are JSON-escaped once
+    /// per export, so nothing is allocated per event.
+    pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
+        let names: Vec<String> = self.labels.iter().map(|l| json_string(l)).collect();
+        // Thread-name metadata for every unit and task track that
+        // appears, in order of first appearance.
+        let (mut units, mut tasks) = (Vec::new(), Vec::new());
+        let mut seen = vec![(false, false); self.labels.len()];
+        for e in self.events() {
+            if !std::mem::replace(&mut seen[e.unit.0 as usize].0, true) {
+                units.push(e.unit);
             }
             if let TraceEventKind::Step { task, .. } = e.kind {
-                if !seen_tasks.contains(&task) {
-                    seen_tasks.push(task);
+                if !std::mem::replace(&mut seen[task.0 as usize].1, true) {
+                    tasks.push(task);
                 }
             }
         }
-        for unit in &seen_units {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                    unit.0,
-                    json_string(self.label(*unit))
-                ),
-            );
+        let mut o = Out::new(w);
+        o.s("[\n");
+        let mut sep = "";
+        for unit in units {
+            o.s(sep).thread_name(unit.0, &names[unit.0 as usize]);
+            sep = ",\n";
         }
-        for task in &seen_tasks {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-                    TASK_TID_OFFSET + task.0,
-                    json_string(&format!("task/{}", self.label(*task)))
-                ),
-            );
+        for task in tasks {
+            let name = json_string(&format!("task/{}", self.label(task)));
+            o.s(sep).thread_name(TASK_TID_OFFSET + task.0, &name);
+            sep = ",\n";
         }
-        for e in &ordered {
-            let tid = e.unit.0;
-            let line = match e.kind {
-                TraceEventKind::Step { task, busy, stall } => format!(
-                    "{{\"name\":{},\"cat\":\"step\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\
-                     \"args\":{{\"busy\":{busy},\"stall\":{stall},\"shell\":{}}}}}",
-                    json_string(self.label(task)),
-                    e.cycle,
-                    busy + stall,
-                    TASK_TID_OFFSET + task.0,
-                    json_string(self.label(e.unit)),
-                ),
-                TraceEventKind::BusGrant { bytes, wait, busy } => format!(
-                    "{{\"name\":\"xfer {bytes}B\",\"cat\":\"bus\",\"ph\":\"X\",\"ts\":{},\"dur\":{busy},\"pid\":0,\
-                     \"tid\":{tid},\"args\":{{\"bytes\":{bytes},\"wait\":{wait}}}}}",
-                    e.cycle,
-                ),
-                TraceEventKind::Counter { track, value } => format!(
-                    "{{\"name\":{},\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":{tid},\
-                     \"args\":{{\"value\":{value}}}}}",
-                    json_string(self.label(track)),
-                    e.cycle,
-                ),
-                kind => {
-                    let args = instant_args(&kind, self);
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"shell\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{tid},\
-                         \"s\":\"t\",\"args\":{{{args}}}}}",
-                        kind.name(),
-                        e.cycle,
-                    )
-                }
-            };
-            push(&mut out, line);
-        }
-        out.push_str("\n]\n");
-        out
-    }
-
-    /// Export as CSV with a fixed header:
-    /// `cycle,unit,event,detail,a,b,c` — `detail` is the task name where
-    /// one applies, and `a`/`b`/`c` are the kind's numeric payload in
-    /// declaration order (empty when absent).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("cycle,unit,event,detail,a,b,c\n");
-        for e in self.ordered() {
-            let unit = self.label(e.unit);
-            let (detail, a, b, c): (&str, String, String, String) = match e.kind {
-                TraceEventKind::TaskSelected { task, switched } => (
-                    self.label(task),
-                    (switched as u8).to_string(),
-                    String::new(),
-                    String::new(),
-                ),
-                TraceEventKind::TaskIdle | TraceEventKind::Sample | TraceEventKind::RunStart => {
-                    ("", String::new(), String::new(), String::new())
-                }
-                TraceEventKind::SpaceGranted {
-                    port,
-                    bytes,
-                    space,
-                    hint,
-                }
-                | TraceEventKind::SpaceDenied {
-                    port,
-                    bytes,
-                    space,
-                    hint,
-                } => (
-                    "",
-                    port.to_string(),
-                    bytes.to_string(),
-                    format!("{space}/{hint}"),
-                ),
-                TraceEventKind::PutSpaceSend {
-                    port,
-                    bytes,
-                    send_at,
-                } => ("", port.to_string(), bytes.to_string(), send_at.to_string()),
-                TraceEventKind::PutSpaceRecv {
-                    row,
-                    bytes,
-                    unblocked,
-                } => (
-                    "",
-                    row.to_string(),
-                    bytes.to_string(),
-                    (unblocked as u8).to_string(),
-                ),
-                TraceEventKind::CacheInvalidate { row, lines }
-                | TraceEventKind::CacheFlush { row, lines }
-                | TraceEventKind::CachePrefetch { row, lines } => {
-                    ("", row.to_string(), lines.to_string(), String::new())
+        for e in self.events() {
+            o.s(sep);
+            sep = ",\n";
+            let tid = e.unit.0 as u64;
+            match e.kind {
+                TraceEventKind::Step { task, busy, stall } => {
+                    o.s("{\"name\":").s(&names[task.0 as usize]);
+                    o.s(",\"cat\":\"step\",\"ph\":\"X\",\"ts\":").n(e.cycle);
+                    o.s(",\"dur\":").n(busy + stall);
+                    o.s(",\"pid\":0,\"tid\":")
+                        .n((TASK_TID_OFFSET + task.0) as u64);
+                    o.s(",\"args\":{\"busy\":")
+                        .n(busy)
+                        .s(",\"stall\":")
+                        .n(stall);
+                    o.s(",\"shell\":").s(&names[e.unit.0 as usize]).s("}}");
                 }
                 TraceEventKind::BusGrant { bytes, wait, busy } => {
-                    ("", bytes.to_string(), wait.to_string(), busy.to_string())
+                    o.s("{\"name\":\"xfer ").n(bytes as u64);
+                    o.s("B\",\"cat\":\"bus\",\"ph\":\"X\",\"ts\":").n(e.cycle);
+                    o.s(",\"dur\":").n(busy).s(",\"pid\":0,\"tid\":").n(tid);
+                    o.s(",\"args\":{\"bytes\":").n(bytes as u64);
+                    o.s(",\"wait\":").n(wait).s("}}");
                 }
-                TraceEventKind::BankGrant { bank, bytes, wait } => {
-                    ("", bank.to_string(), bytes.to_string(), wait.to_string())
+                TraceEventKind::Counter { track, value } => {
+                    o.s("{\"name\":").s(&names[track.0 as usize]);
+                    o.s(",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":").n(e.cycle);
+                    o.s(",\"pid\":0,\"tid\":").n(tid);
+                    o.s(",\"args\":{\"value\":").n(value).s("}}");
                 }
-                TraceEventKind::SyncHop { hops, wait } => {
-                    ("", hops.to_string(), wait.to_string(), String::new())
+                kind => {
+                    o.s("{\"name\":\"").s(kind.name());
+                    o.s("\",\"cat\":\"shell\",\"ph\":\"i\",\"ts\":").n(e.cycle);
+                    o.s(",\"pid\":0,\"tid\":")
+                        .n(tid)
+                        .s(",\"s\":\"t\",\"args\":{");
+                    let p = kind.payload();
+                    let mut sep = "";
+                    if let Some((key, label)) = p.label {
+                        o.s("\"").s(key).s("\":").s(&names[label.0 as usize]);
+                        sep = ",";
+                    }
+                    for &(key, num) in p.nums() {
+                        o.s(sep).s("\"").s(key).s("\":");
+                        match num {
+                            Num::Int(v) => o.n(v),
+                            Num::Flag(f) => o.s(if f { "true" } else { "false" }),
+                        };
+                        sep = ",";
+                    }
+                    o.s("}}");
                 }
-                TraceEventKind::Step { task, busy, stall } => (
-                    self.label(task),
-                    busy.to_string(),
-                    stall.to_string(),
-                    String::new(),
-                ),
-                TraceEventKind::SyncDeliver { bytes, latency } => {
-                    ("", bytes.to_string(), latency.to_string(), String::new())
-                }
-                TraceEventKind::RunEnd { outcome } => (
-                    self.label(outcome),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ),
-                TraceEventKind::Counter { track, value } => (
-                    self.label(track),
-                    value.to_string(),
-                    String::new(),
-                    String::new(),
-                ),
-                TraceEventKind::Fault { class, magnitude } => (
-                    self.label(class),
-                    magnitude.to_string(),
-                    String::new(),
-                    String::new(),
-                ),
-                TraceEventKind::AppMapped {
-                    app,
-                    sram_bytes,
-                    tasks,
-                } => (
-                    self.label(app),
-                    sram_bytes.to_string(),
-                    tasks.to_string(),
-                    String::new(),
-                ),
-                TraceEventKind::AppPaused { app } | TraceEventKind::AppResumed { app } => {
-                    (self.label(app), String::new(), String::new(), String::new())
-                }
-                TraceEventKind::AppDrained { app, wait_cycles } => (
-                    self.label(app),
-                    wait_cycles.to_string(),
-                    String::new(),
-                    String::new(),
-                ),
-                TraceEventKind::AppUnmapped { app, sram_bytes } => (
-                    self.label(app),
-                    sram_bytes.to_string(),
-                    String::new(),
-                    String::new(),
-                ),
-                TraceEventKind::StaleSyncRejected { row, bytes } => {
-                    ("", row.to_string(), bytes.to_string(), String::new())
-                }
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                e.cycle,
-                unit,
-                e.kind.name(),
-                detail,
-                a,
-                b,
-                c
-            ));
+            }
         }
-        out
+        o.s("\n]\n").finish()
+    }
+
+    /// Write the retained events as CSV with a fixed header:
+    /// `cycle,unit,event,detail,a,b,c` — `detail` is the label the event
+    /// names (task, track, fault class, app, outcome) where one applies,
+    /// and `a`/`b`/`c` are the kind's numeric payload in declaration
+    /// order (empty when absent; `GetSpace`'s space and hint share `c`
+    /// as `space/hint`). Labels are written unescaped.
+    pub fn write_csv(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut o = Out::new(w);
+        o.s("cycle,unit,event,detail,a,b,c\n");
+        for e in self.events() {
+            let p = e.kind.payload();
+            o.n(e.cycle).s(",").s(self.label(e.unit));
+            o.s(",").s(e.kind.name()).s(",");
+            if let Some((_, label)) = p.label {
+                o.s(self.label(label));
+            }
+            let nums = p.nums();
+            for (i, &(_, num)) in nums.iter().enumerate() {
+                o.s(if i < 3 { "," } else { "/" });
+                match num {
+                    Num::Int(v) => o.n(v),
+                    Num::Flag(f) => o.n(f as u64),
+                };
+            }
+            o.s(&",,,"[nums.len().min(3)..]).s("\n");
+        }
+        o.finish()
+    }
+
+    /// [`TraceSink::write_chrome_trace`] collected into a string.
+    pub fn to_chrome_trace(&self) -> String {
+        collect(|out| self.write_chrome_trace(out))
+    }
+
+    /// [`TraceSink::write_csv`] collected into a string.
+    pub fn to_csv(&self) -> String {
+        collect(|out| self.write_csv(out))
+    }
+}
+
+/// Run an exporter into memory.
+fn collect(export: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    export(&mut out).expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("exports are UTF-8")
+}
+
+/// An exporter's writer: text fragments and decimal numbers, with no
+/// formatting machinery or allocation. The first write error is kept
+/// and later writes are skipped, so a record is written as one chain.
+struct Out<'w, W: Write> {
+    w: &'w mut W,
+    result: io::Result<()>,
+}
+
+impl<'w, W: Write> Out<'w, W> {
+    fn new(w: &'w mut W) -> Self {
+        Out { w, result: Ok(()) }
+    }
+
+    #[inline]
+    fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        if self.result.is_ok() {
+            self.result = self.w.write_all(bytes);
+        }
+        self
+    }
+
+    #[inline]
+    fn s(&mut self, text: &str) -> &mut Self {
+        self.bytes(text.as_bytes())
+    }
+
+    #[inline]
+    fn n(&mut self, mut v: u64) -> &mut Self {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&buf[i..])
+    }
+
+    /// A Chrome metadata event naming track `tid` (`name` is JSON).
+    fn thread_name(&mut self, tid: u32, name: &str) -> &mut Self {
+        self.s("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":")
+            .n(tid as u64)
+            .s(",\"args\":{\"name\":")
+            .s(name)
+            .s("}}")
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        std::mem::replace(&mut self.result, Ok(()))
+    }
+}
+
+/// A payload number: decimal, or a flag (JSON `true`/`false`, CSV
+/// `1`/`0`).
+#[derive(Debug, Clone, Copy)]
+enum Num {
+    Int(u64),
+    Flag(bool),
+}
+
+/// An event's payload as both exporters print it: the label the event
+/// names and up to four named numbers, in declaration order.
+struct Payload {
+    label: Option<(&'static str, LabelId)>,
+    nums: [(&'static str, Num); 4],
+    len: usize,
+}
+
+impl Payload {
+    fn new(label: Option<(&'static str, LabelId)>, nums: &[(&'static str, Num)]) -> Self {
+        let mut p = Payload {
+            label,
+            nums: [("", Num::Int(0)); 4],
+            len: nums.len(),
+        };
+        p.nums[..nums.len()].copy_from_slice(nums);
+        p
+    }
+
+    fn nums(&self) -> &[(&'static str, Num)] {
+        &self.nums[..self.len]
+    }
+}
+
+impl TraceEventKind {
+    /// The payload the exporters print (the Chrome export draws
+    /// [`TraceEventKind::Step`], [`TraceEventKind::BusGrant`] and
+    /// [`TraceEventKind::Counter`] its own way).
+    fn payload(&self) -> Payload {
+        use Num::{Flag, Int};
+        use TraceEventKind as K;
+        let at = |key, id| Some((key, id));
+        match *self {
+            K::TaskSelected { task, switched } => {
+                Payload::new(at("task", task), &[("switched", Flag(switched))])
+            }
+            K::TaskIdle | K::Sample | K::RunStart => Payload::new(None, &[]),
+            K::SpaceGranted {
+                port,
+                bytes,
+                space,
+                hint,
+            }
+            | K::SpaceDenied {
+                port,
+                bytes,
+                space,
+                hint,
+            } => Payload::new(
+                None,
+                &[
+                    ("port", Int(port as u64)),
+                    ("bytes", Int(bytes as u64)),
+                    ("space", Int(space as u64)),
+                    ("hint", Int(hint as u64)),
+                ],
+            ),
+            K::PutSpaceSend {
+                port,
+                bytes,
+                send_at,
+            } => Payload::new(
+                None,
+                &[
+                    ("port", Int(port as u64)),
+                    ("bytes", Int(bytes as u64)),
+                    ("send_at", Int(send_at)),
+                ],
+            ),
+            K::PutSpaceRecv {
+                row,
+                bytes,
+                unblocked,
+            } => Payload::new(
+                None,
+                &[
+                    ("row", Int(row as u64)),
+                    ("bytes", Int(bytes as u64)),
+                    ("unblocked", Flag(unblocked)),
+                ],
+            ),
+            K::CacheInvalidate { row, lines }
+            | K::CacheFlush { row, lines }
+            | K::CachePrefetch { row, lines } => {
+                Payload::new(None, &[("row", Int(row as u64)), ("lines", Int(lines))])
+            }
+            K::BusGrant { bytes, wait, busy } => Payload::new(
+                None,
+                &[
+                    ("bytes", Int(bytes as u64)),
+                    ("wait", Int(wait)),
+                    ("busy", Int(busy)),
+                ],
+            ),
+            K::BankGrant { bank, bytes, wait } => Payload::new(
+                None,
+                &[
+                    ("bank", Int(bank as u64)),
+                    ("bytes", Int(bytes as u64)),
+                    ("wait", Int(wait)),
+                ],
+            ),
+            K::SyncHop { hops, wait } => {
+                Payload::new(None, &[("hops", Int(hops as u64)), ("wait", Int(wait))])
+            }
+            K::Step { task, busy, stall } => Payload::new(
+                at("task", task),
+                &[("busy", Int(busy)), ("stall", Int(stall))],
+            ),
+            K::SyncDeliver { bytes, latency } => Payload::new(
+                None,
+                &[("bytes", Int(bytes as u64)), ("latency", Int(latency))],
+            ),
+            K::RunEnd { outcome } => Payload::new(at("outcome", outcome), &[]),
+            K::Counter { track, value } => {
+                Payload::new(at("track", track), &[("value", Int(value))])
+            }
+            K::Fault { class, magnitude } => {
+                Payload::new(at("class", class), &[("magnitude", Int(magnitude))])
+            }
+            K::AppMapped {
+                app,
+                sram_bytes,
+                tasks,
+            } => Payload::new(
+                at("app", app),
+                &[
+                    ("sram_bytes", Int(sram_bytes as u64)),
+                    ("tasks", Int(tasks as u64)),
+                ],
+            ),
+            K::AppPaused { app } | K::AppResumed { app } => Payload::new(at("app", app), &[]),
+            K::AppDrained { app, wait_cycles } => {
+                Payload::new(at("app", app), &[("wait_cycles", Int(wait_cycles))])
+            }
+            K::AppUnmapped { app, sram_bytes } => {
+                Payload::new(at("app", app), &[("sram_bytes", Int(sram_bytes as u64))])
+            }
+            K::StaleSyncRejected { row, bytes } => Payload::new(
+                None,
+                &[("row", Int(row as u64)), ("bytes", Int(bytes as u64))],
+            ),
+        }
     }
 }
 
@@ -821,98 +962,6 @@ impl Snapshot for TraceSink {
             .collect();
         self.events.clear();
         Ok(())
-    }
-}
-
-/// `args` body (without braces) for instant events in the Chrome export.
-fn instant_args(kind: &TraceEventKind, sink: &TraceSink) -> String {
-    match *kind {
-        TraceEventKind::TaskSelected { task, switched } => {
-            format!(
-                "\"task\":{},\"switched\":{switched}",
-                json_string(sink.label(task))
-            )
-        }
-        TraceEventKind::SpaceGranted {
-            port,
-            bytes,
-            space,
-            hint,
-        }
-        | TraceEventKind::SpaceDenied {
-            port,
-            bytes,
-            space,
-            hint,
-        } => {
-            format!("\"port\":{port},\"bytes\":{bytes},\"space\":{space},\"hint\":{hint}")
-        }
-        TraceEventKind::PutSpaceSend {
-            port,
-            bytes,
-            send_at,
-        } => {
-            format!("\"port\":{port},\"bytes\":{bytes},\"send_at\":{send_at}")
-        }
-        TraceEventKind::PutSpaceRecv {
-            row,
-            bytes,
-            unblocked,
-        } => {
-            format!("\"row\":{row},\"bytes\":{bytes},\"unblocked\":{unblocked}")
-        }
-        TraceEventKind::CacheInvalidate { row, lines }
-        | TraceEventKind::CacheFlush { row, lines }
-        | TraceEventKind::CachePrefetch { row, lines } => {
-            format!("\"row\":{row},\"lines\":{lines}")
-        }
-        TraceEventKind::BankGrant { bank, bytes, wait } => {
-            format!("\"bank\":{bank},\"bytes\":{bytes},\"wait\":{wait}")
-        }
-        TraceEventKind::SyncHop { hops, wait } => {
-            format!("\"hops\":{hops},\"wait\":{wait}")
-        }
-        TraceEventKind::SyncDeliver { bytes, latency } => {
-            format!("\"bytes\":{bytes},\"latency\":{latency}")
-        }
-        TraceEventKind::RunEnd { outcome } => {
-            format!("\"outcome\":{}", json_string(sink.label(outcome)))
-        }
-        TraceEventKind::Fault { class, magnitude } => {
-            format!(
-                "\"class\":{},\"magnitude\":{magnitude}",
-                json_string(sink.label(class))
-            )
-        }
-        TraceEventKind::AppMapped {
-            app,
-            sram_bytes,
-            tasks,
-        } => {
-            format!(
-                "\"app\":{},\"sram_bytes\":{sram_bytes},\"tasks\":{tasks}",
-                json_string(sink.label(app))
-            )
-        }
-        TraceEventKind::AppPaused { app } | TraceEventKind::AppResumed { app } => {
-            format!("\"app\":{}", json_string(sink.label(app)))
-        }
-        TraceEventKind::AppDrained { app, wait_cycles } => {
-            format!(
-                "\"app\":{},\"wait_cycles\":{wait_cycles}",
-                json_string(sink.label(app))
-            )
-        }
-        TraceEventKind::AppUnmapped { app, sram_bytes } => {
-            format!(
-                "\"app\":{},\"sram_bytes\":{sram_bytes}",
-                json_string(sink.label(app))
-            )
-        }
-        TraceEventKind::StaleSyncRejected { row, bytes } => {
-            format!("\"row\":{row},\"bytes\":{bytes}")
-        }
-        _ => String::new(),
     }
 }
 
