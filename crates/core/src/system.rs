@@ -228,11 +228,12 @@ pub struct EclipseSystem {
     trace: TraceLog,
     /// The `trace` series each sample tick appends to, resolved from the
     /// row labels and task names once; `None` after anything that maps,
-    /// retires or restores rows or tasks, and rebuilt by the next tick.
-    /// Derived state, never serialized.
+    /// retires or restores rows or tasks or attaches a trace sink, and
+    /// rebuilt by the next tick. Derived state, never serialized.
     sample_plan: Option<run_loop::SamplePlan>,
     trace_sink: Option<SharedTraceSink>,
     sys_trace: Option<TraceHandle>,
+    /// Label ids `sys_trace` emits under; derived, never serialized.
     sys_labels: run_loop::SysLabels,
     sync_latency: Histogram,
     cpu_sync: Option<CpuSyncConfig>,

@@ -418,8 +418,7 @@ impl EclipseSystem {
         let trace = &mut self.trace;
         for (s, shell) in self.shells.iter().enumerate() {
             let series = &mut plan.shells[s];
-            for (r, i, track) in &mut series.space {
-                let (r, i) = (*r, *i);
+            for &mut (r, i, ref mut track) in &mut series.space {
                 // Only consumer-side rows report "available data" (the
                 // paper's Figure 10 quantity); producer rows report room.
                 let space = shell.rows()[r].effective_space();
@@ -508,7 +507,7 @@ impl EclipseSystem {
 
 /// The label ids of the system's fixed trace names, each interned on
 /// first use; reset when a sink is attached.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct SysLabels {
     stall: LabelSlot,
     sync_delay: LabelSlot,
