@@ -64,8 +64,22 @@ fn main() {
     save_result("trace_decode_summary.txt", &report);
     // The raw exports (about 65 MB of JSON and 22 MB of CSV) are
     // streamed straight to disk and .gitignore'd; the committed summary
-    // above is the reproducible digest.
+    // above is the reproducible digest. The sink holds the events as a
+    // byte log of about 6 B each, so the process peaks near 9 MiB.
     stream_result("trace_decode_qcif.json", |w| sink.write_chrome_trace(w));
     stream_result("trace_decode_qcif.csv", |w| sink.write_csv(w));
     println!("\nwrote results/trace_decode_qcif.json (Chrome trace_event) and results/trace_decode_qcif.csv");
+    // Host-dependent, so printed only: CI bounds it.
+    match peak_rss_kib() {
+        Some(kib) => println!("peak resident set (VmHWM): {kib} kB"),
+        None => println!("peak resident set (VmHWM): unknown"),
+    }
+}
+
+/// This process's peak resident set in KiB, from the `VmHWM` line of
+/// `/proc/self/status`.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
 }

@@ -56,7 +56,7 @@ use eclipse_mem::{BufferAllocator, Bus, DataFabric, Dram};
 use eclipse_shell::stream_table::AccessPoint;
 use eclipse_shell::{MemSys, Shell, SyncFabric, SyncMsg};
 use eclipse_sim::stats::{Histogram, Utilization};
-use eclipse_sim::trace::{SamplePolicy, SharedTraceSink, TraceHandle, TraceSink};
+use eclipse_sim::trace::{SharedTraceSink, TraceHandle, TraceSink};
 use eclipse_sim::{Calendar, Cycle, FaultInjector, FaultPlan, FaultStats};
 
 use crate::config::EclipseConfig;
@@ -385,22 +385,7 @@ impl EclipseSystem {
     /// Tracing is purely observational: enabling it never changes
     /// simulated timing.
     pub fn enable_tracing(&mut self, capacity: usize) -> SharedTraceSink {
-        self.enable_tracing_sampled(capacity, SamplePolicy::Ring)
-    }
-
-    /// [`EclipseSystem::enable_tracing`] with an explicit event-budget
-    /// policy: [`SamplePolicy::Ring`] keeps the newest `capacity`
-    /// events; [`SamplePolicy::KindReservoir`] splits the budget evenly
-    /// across event kinds and keeps a deterministic uniform sample of
-    /// each, so rare events (faults, app lifecycle, recovery) survive
-    /// long chatty runs. Sampling only changes which events are
-    /// *retained* — never simulated timing.
-    pub fn enable_tracing_sampled(
-        &mut self,
-        capacity: usize,
-        policy: SamplePolicy,
-    ) -> SharedTraceSink {
-        let sink = TraceSink::shared_with_policy(capacity, policy);
+        let sink = TraceSink::shared(capacity);
         for (s, shell) in self.shells.iter_mut().enumerate() {
             let name = self.shell_names[s].clone();
             shell.attach_trace(&sink, &name);

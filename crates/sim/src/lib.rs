@@ -42,6 +42,4 @@ pub use fault::{corrupt_bytes, FaultInjector, FaultPlan, FaultStats, SyncAction}
 pub use snapshot::{fnv1a_64, FnvState, SnapError, SnapReader, SnapWriter, Snapshot};
 pub use stats::{Histogram, HistogramStat, RunningStat};
 pub use time::{Clock, Cycle, Frequency};
-pub use trace::{
-    SamplePolicy, SharedTraceSink, TraceEvent, TraceEventKind, TraceHandle, TraceSink,
-};
+pub use trace::{SharedTraceSink, TraceEvent, TraceEventKind, TraceHandle, TraceSink};

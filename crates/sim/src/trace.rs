@@ -17,13 +17,15 @@
 //! * **No effect on simulated time.** Emitting is purely observational —
 //!   enabling tracing must not change a single cycle of a run (a tier-1
 //!   test asserts summary equality with tracing on and off).
-//! * **Bounded memory.** The sink is a ring: when full, the oldest event
-//!   is dropped and counted, never reallocated.
+//! * **Bounded memory.** The sink is a ring of compactly encoded events
+//!   (a few bytes each): when full, the oldest event is dropped and
+//!   counted.
 //! * **Deterministic output.** Events carry only simulated time and
 //!   interned labels, so two identical runs export byte-identical traces.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::rc::Rc;
 
@@ -256,35 +258,177 @@ pub enum TraceEventKind {
     },
 }
 
+/// Number of [`TraceEventKind`] variants, and of kind tags in the event
+/// log.
+pub const KIND_COUNT: usize = 25;
+
+/// Kind names in tag order (see [`TraceEventKind::tag`]).
+const KIND_NAMES: [&str; KIND_COUNT] = [
+    "task_selected",
+    "task_idle",
+    "getspace_grant",
+    "getspace_deny",
+    "putspace_send",
+    "putspace_recv",
+    "cache_invalidate",
+    "cache_flush",
+    "cache_prefetch",
+    "bus_grant",
+    "bank_grant",
+    "sync_hop",
+    "step",
+    "sync_deliver",
+    "sample",
+    "run_start",
+    "run_end",
+    "counter",
+    "fault",
+    "app_mapped",
+    "app_paused",
+    "app_resumed",
+    "app_drained",
+    "app_unmapped",
+    "stale_sync_rejected",
+];
+
 impl TraceEventKind {
     /// Stable kind name used by both exporters.
     pub fn name(&self) -> &'static str {
+        KIND_NAMES[self.tag() as usize]
+    }
+
+    /// The kind's tag in the event log: its declaration index.
+    fn tag(&self) -> u8 {
+        use TraceEventKind as K;
         match self {
-            TraceEventKind::TaskSelected { .. } => "task_selected",
-            TraceEventKind::TaskIdle => "task_idle",
-            TraceEventKind::SpaceGranted { .. } => "getspace_grant",
-            TraceEventKind::SpaceDenied { .. } => "getspace_deny",
-            TraceEventKind::PutSpaceSend { .. } => "putspace_send",
-            TraceEventKind::PutSpaceRecv { .. } => "putspace_recv",
-            TraceEventKind::CacheInvalidate { .. } => "cache_invalidate",
-            TraceEventKind::CacheFlush { .. } => "cache_flush",
-            TraceEventKind::CachePrefetch { .. } => "cache_prefetch",
-            TraceEventKind::BusGrant { .. } => "bus_grant",
-            TraceEventKind::BankGrant { .. } => "bank_grant",
-            TraceEventKind::SyncHop { .. } => "sync_hop",
-            TraceEventKind::Step { .. } => "step",
-            TraceEventKind::SyncDeliver { .. } => "sync_deliver",
-            TraceEventKind::Sample => "sample",
-            TraceEventKind::RunStart => "run_start",
-            TraceEventKind::RunEnd { .. } => "run_end",
-            TraceEventKind::Counter { .. } => "counter",
-            TraceEventKind::Fault { .. } => "fault",
-            TraceEventKind::AppMapped { .. } => "app_mapped",
-            TraceEventKind::AppPaused { .. } => "app_paused",
-            TraceEventKind::AppResumed { .. } => "app_resumed",
-            TraceEventKind::AppDrained { .. } => "app_drained",
-            TraceEventKind::AppUnmapped { .. } => "app_unmapped",
-            TraceEventKind::StaleSyncRejected { .. } => "stale_sync_rejected",
+            K::TaskSelected { .. } => 0,
+            K::TaskIdle => 1,
+            K::SpaceGranted { .. } => 2,
+            K::SpaceDenied { .. } => 3,
+            K::PutSpaceSend { .. } => 4,
+            K::PutSpaceRecv { .. } => 5,
+            K::CacheInvalidate { .. } => 6,
+            K::CacheFlush { .. } => 7,
+            K::CachePrefetch { .. } => 8,
+            K::BusGrant { .. } => 9,
+            K::BankGrant { .. } => 10,
+            K::SyncHop { .. } => 11,
+            K::Step { .. } => 12,
+            K::SyncDeliver { .. } => 13,
+            K::Sample => 14,
+            K::RunStart => 15,
+            K::RunEnd { .. } => 16,
+            K::Counter { .. } => 17,
+            K::Fault { .. } => 18,
+            K::AppMapped { .. } => 19,
+            K::AppPaused { .. } => 20,
+            K::AppResumed { .. } => 21,
+            K::AppDrained { .. } => 22,
+            K::AppUnmapped { .. } => 23,
+            K::StaleSyncRejected { .. } => 24,
+        }
+    }
+
+    /// The kind of tag `tag`, its fields read from `r` in
+    /// [`TraceEventKind::payload`] order (struct fields evaluate in the
+    /// order written).
+    #[inline]
+    fn read(tag: u8, r: &mut LogReader) -> Self {
+        use TraceEventKind as K;
+        match tag {
+            0 => K::TaskSelected {
+                task: r.label(),
+                switched: r.flag(),
+            },
+            1 => K::TaskIdle,
+            2 => K::SpaceGranted {
+                port: r.u32(),
+                bytes: r.u32(),
+                space: r.u32(),
+                hint: r.u32(),
+            },
+            3 => K::SpaceDenied {
+                port: r.u32(),
+                bytes: r.u32(),
+                space: r.u32(),
+                hint: r.u32(),
+            },
+            4 => K::PutSpaceSend {
+                port: r.u32(),
+                bytes: r.u32(),
+                send_at: r.num(),
+            },
+            5 => K::PutSpaceRecv {
+                row: r.u32(),
+                bytes: r.u32(),
+                unblocked: r.flag(),
+            },
+            6 => K::CacheInvalidate {
+                row: r.u32(),
+                lines: r.num(),
+            },
+            7 => K::CacheFlush {
+                row: r.u32(),
+                lines: r.num(),
+            },
+            8 => K::CachePrefetch {
+                row: r.u32(),
+                lines: r.num(),
+            },
+            9 => K::BusGrant {
+                bytes: r.u32(),
+                wait: r.num(),
+                busy: r.num(),
+            },
+            10 => K::BankGrant {
+                bank: r.u32(),
+                bytes: r.u32(),
+                wait: r.num(),
+            },
+            11 => K::SyncHop {
+                hops: r.u32(),
+                wait: r.num(),
+            },
+            12 => K::Step {
+                task: r.label(),
+                busy: r.num(),
+                stall: r.num(),
+            },
+            13 => K::SyncDeliver {
+                bytes: r.u32(),
+                latency: r.num(),
+            },
+            14 => K::Sample,
+            15 => K::RunStart,
+            16 => K::RunEnd { outcome: r.label() },
+            17 => K::Counter {
+                track: r.label(),
+                value: r.num(),
+            },
+            18 => K::Fault {
+                class: r.label(),
+                magnitude: r.num(),
+            },
+            19 => K::AppMapped {
+                app: r.label(),
+                sram_bytes: r.u32(),
+                tasks: r.u32(),
+            },
+            20 => K::AppPaused { app: r.label() },
+            21 => K::AppResumed { app: r.label() },
+            22 => K::AppDrained {
+                app: r.label(),
+                wait_cycles: r.num(),
+            },
+            23 => K::AppUnmapped {
+                app: r.label(),
+                sram_bytes: r.u32(),
+            },
+            24 => K::StaleSyncRejected {
+                row: r.u32(),
+                bytes: r.u32(),
+            },
+            _ => unreachable!("the sink writes every tag it reads"),
         }
     }
 }
@@ -300,66 +444,96 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// Number of [`TraceEventKind`] variants — the divisor for the
-/// per-kind budget under [`SamplePolicy::KindReservoir`].
-pub const KIND_COUNT: usize = 25;
-
-/// How a [`TraceSink`] spends its bounded event budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplePolicy {
-    /// Keep the newest events: when the ring is full the oldest event
-    /// is dropped (the historical behaviour, and the default).
-    Ring,
-    /// Per-kind budget with reservoir sampling: the capacity is split
-    /// evenly across all [`KIND_COUNT`] event kinds, and within a
-    /// kind's budget events are reservoir-sampled (Algorithm R) so the
-    /// retained set is a uniform sample of the *whole* run. A chatty
-    /// kind (bus grants, steps) can never evict a rare one (faults,
-    /// app lifecycle) — the failure mode of the plain ring on long
-    /// chaos runs. Replacement draws come from a stateless splitmix
-    /// hash of `(seed, kind, seen)`, so the sample is a pure function
-    /// of the event stream: deterministic, and checkpoint/restore
-    /// needs only the per-kind `seen` counters.
-    KindReservoir {
-        /// Seed folded into every replacement draw.
-        seed: u64,
-    },
-}
-
-/// One kind's reservoir under [`SamplePolicy::KindReservoir`]: how many
-/// events of the kind were ever offered, and the retained sample with
-/// each event's global emission sequence (for deterministic ordering).
-#[derive(Debug, Default)]
-struct KindReservoir {
-    seen: u64,
-    slots: Vec<(u64, TraceEvent)>,
-}
-
-/// Stateless uniform draw for reservoir replacement: splitmix64 over
-/// the policy seed, an FNV-1a hash of the kind name, and the kind's
-/// running `seen` count.
-fn reservoir_draw(seed: u64, kind: &str, seen: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in kind.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+/// Append `v` to `log` as an LEB128 varint: seven bits a byte, low
+/// bits first, the top bit set on every byte but the last.
+#[inline]
+fn push_num(log: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        log.push(v as u8 | 0x80);
+        v >>= 7;
     }
-    let mut z = seed ^ h ^ seen.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    log.push(v as u8);
+}
+
+/// A cursor over the event log.
+struct LogReader<'a> {
+    log: &'a [u8],
+    pos: usize,
+}
+
+impl LogReader<'_> {
+    /// The next LEB128 varint.
+    #[inline]
+    fn num(&mut self) -> u64 {
+        let mut v = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.log[self.pos];
+            self.pos += 1;
+            v |= ((b & 0x7f) as u64) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    #[inline]
+    fn u32(&mut self) -> u32 {
+        self.num() as u32
+    }
+
+    #[inline]
+    fn flag(&mut self) -> bool {
+        self.num() != 0
+    }
+
+    #[inline]
+    fn label(&mut self) -> LabelId {
+        LabelId(self.u32())
+    }
+
+    /// The next event, whose cycle counts from `prev`, the cycle of the
+    /// event logged before it.
+    #[inline]
+    fn event(&mut self, prev: Cycle) -> TraceEvent {
+        let tag = self.log[self.pos];
+        self.pos += 1;
+        let z = self.num();
+        // Zigzag: even codes are forward deltas, odd ones backward.
+        let delta = (z >> 1) ^ (z & 1).wrapping_neg();
+        TraceEvent {
+            cycle: prev.wrapping_add(delta),
+            unit: self.label(),
+            kind: TraceEventKind::read(tag, self),
+        }
+    }
 }
 
 /// Ring-buffer event sink with runtime enable/disable.
+///
+/// The retained events live in one byte log, oldest first. An event is
+/// its kind tag byte, then LEB128 varints: the zigzagged (wrapping)
+/// cycle delta from the event logged before it, the unit id, and the
+/// kind's payload in the order the exporters print it (the label id where
+/// the kind names one, then each number; flags are 0 or 1).
+/// Nothing is narrowed, so every event decodes to exactly what was
+/// emitted, cycles that go backwards included (a bus grant is stamped at
+/// its grant start, after the time it was issued).
 #[derive(Debug)]
 pub struct TraceSink {
     enabled: bool,
     capacity: usize,
-    policy: SamplePolicy,
-    events: VecDeque<TraceEvent>,
-    /// [`SamplePolicy::KindReservoir`] storage; empty under `Ring`.
-    reservoirs: std::collections::BTreeMap<String, KindReservoir>,
-    /// Global emission sequence (orders reservoir samples on export).
-    seq: u64,
+    /// Encoded events; the retained ones start at `head`.
+    log: Vec<u8>,
+    /// Byte offset of the oldest retained event.
+    head: usize,
+    /// The cycle the oldest retained event's delta counts from.
+    base: Cycle,
+    /// The cycle of the newest event logged (`base` when none is).
+    tail: Cycle,
+    /// Retained event count.
+    len: usize,
     labels: Vec<String>,
     by_label: HashMap<String, LabelId>,
     emitted: u64,
@@ -373,18 +547,14 @@ impl TraceSink {
     /// A sink holding at most `capacity` events (oldest dropped first).
     /// Starts enabled.
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, SamplePolicy::Ring)
-    }
-
-    /// A sink with an explicit sampling policy (see [`SamplePolicy`]).
-    pub fn with_policy(capacity: usize, policy: SamplePolicy) -> Self {
         TraceSink {
             enabled: true,
             capacity: capacity.max(1),
-            policy,
-            events: VecDeque::new(),
-            reservoirs: std::collections::BTreeMap::new(),
-            seq: 0,
+            log: Vec::new(),
+            head: 0,
+            base: 0,
+            tail: 0,
+            len: 0,
             labels: Vec::new(),
             by_label: HashMap::new(),
             emitted: 0,
@@ -395,16 +565,6 @@ impl TraceSink {
     /// A shareable sink (the form the instrumented components hold).
     pub fn shared(capacity: usize) -> SharedTraceSink {
         Rc::new(RefCell::new(Self::new(capacity)))
-    }
-
-    /// A shareable sink with an explicit sampling policy.
-    pub fn shared_with_policy(capacity: usize, policy: SamplePolicy) -> SharedTraceSink {
-        Rc::new(RefCell::new(Self::with_policy(capacity, policy)))
-    }
-
-    /// The active sampling policy.
-    pub fn policy(&self) -> SamplePolicy {
-        self.policy
     }
 
     /// Turn event collection on or off at runtime. Disabling does not
@@ -436,90 +596,83 @@ impl TraceSink {
         &self.labels[id.0 as usize]
     }
 
-    /// Append an event (no-op when disabled). Under [`SamplePolicy::Ring`]
-    /// the oldest event is dropped when full; under
-    /// [`SamplePolicy::KindReservoir`] the event is offered to its
-    /// kind's reservoir. Either way `emitted - dropped` equals the
-    /// retained count.
+    /// Append an event (no-op when disabled), dropping the oldest one
+    /// when the ring is full, so `emitted - dropped` equals the retained
+    /// count.
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {
         if !self.enabled {
             return;
         }
-        match self.policy {
-            SamplePolicy::Ring => {
-                if self.events.len() == self.capacity {
-                    self.events.pop_front();
-                    self.dropped += 1;
-                }
-                self.events.push_back(event);
-            }
-            SamplePolicy::KindReservoir { seed } => {
-                let name = event.kind.name();
-                let quota = (self.capacity / KIND_COUNT).max(1);
-                let seq = self.seq;
-                self.seq += 1;
-                if !self.reservoirs.contains_key(name) {
-                    self.reservoirs
-                        .insert(name.to_string(), KindReservoir::default());
-                }
-                let res = self.reservoirs.get_mut(name).expect("just inserted");
-                res.seen += 1;
-                if res.slots.len() < quota {
-                    res.slots.push((seq, event));
-                } else {
-                    // Algorithm R: the n-th offer replaces a uniform
-                    // slot with probability quota/n.
-                    let j = reservoir_draw(seed, name, res.seen) % res.seen;
-                    if (j as usize) < quota {
-                        res.slots[j as usize] = (seq, event);
-                    }
-                    self.dropped += 1;
-                }
-            }
+        if self.len == self.capacity {
+            self.drop_oldest();
         }
+        let log = &mut self.log;
+        log.push(event.kind.tag());
+        // Zigzag, so a step back (a bus grant stamped ahead of the
+        // events after it) stays as short as a step forward.
+        let delta = event.cycle.wrapping_sub(self.tail) as i64;
+        push_num(log, ((delta << 1) ^ (delta >> 63)) as u64);
+        push_num(log, event.unit.0 as u64);
+        let p = event.kind.payload();
+        if let Some((_, label)) = p.label {
+            push_num(log, label.0 as u64);
+        }
+        for &(_, num) in p.nums() {
+            push_num(
+                log,
+                match num {
+                    Num::Int(v) => v,
+                    Num::Flag(f) => f as u64,
+                },
+            );
+        }
+        self.tail = event.cycle;
+        self.len += 1;
         self.emitted += 1;
     }
 
-    /// The retained events, oldest first: ring order under
-    /// [`SamplePolicy::Ring`], global emission order under
-    /// [`SamplePolicy::KindReservoir`]. A policy only ever fills its own
-    /// storage, so the ring is walked in place and only a reservoir
-    /// sample is collected and sorted.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        let mut sampled: Vec<(u64, &TraceEvent)> = self
-            .reservoirs
-            .values()
-            .flat_map(|r| r.slots.iter().map(|(seq, e)| (*seq, e)))
-            .collect();
-        sampled.sort_unstable_by_key(|&(seq, _)| seq);
-        self.events
-            .iter()
-            .chain(sampled.into_iter().map(|(_, e)| e))
+    /// Drop the oldest retained event, and move the retained bytes to
+    /// the front of the log once the dropped ones fill half of it.
+    fn drop_oldest(&mut self) {
+        let mut r = LogReader {
+            log: &self.log,
+            pos: self.head,
+        };
+        self.base = r.event(self.base).cycle;
+        self.head = r.pos;
+        self.len -= 1;
+        self.dropped += 1;
+        if self.head * 2 > self.log.len() {
+            self.log.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// The retained events, oldest first, decoded from the log.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let mut r = LogReader {
+            log: &self.log,
+            pos: self.head,
+        };
+        let mut cycle = self.base;
+        std::iter::from_fn(move || {
+            (r.pos < r.log.len()).then(|| {
+                let e = r.event(cycle);
+                cycle = e.cycle;
+                e
+            })
+        })
     }
 
     /// Retained event count.
     pub fn len(&self) -> usize {
-        self.events.len()
-            + self
-                .reservoirs
-                .values()
-                .map(|r| r.slots.len())
-                .sum::<usize>()
+        self.len
     }
 
     /// True when no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Per-kind offered counts under [`SamplePolicy::KindReservoir`]
-    /// (empty under [`SamplePolicy::Ring`]), sorted by kind name.
-    pub fn kind_seen(&self) -> Vec<(String, u64)> {
-        self.reservoirs
-            .iter()
-            .map(|(name, r)| (name.clone(), r.seen))
-            .collect()
+        self.len == 0
     }
 
     /// Total events emitted while enabled (including dropped ones).
@@ -532,14 +685,12 @@ impl TraceSink {
         self.dropped
     }
 
-    /// Discard all retained events (the counters keep accumulating;
-    /// reservoir `seen` counts are preserved so later offers keep their
-    /// correct inclusion probability).
+    /// Discard all retained events (the counters keep accumulating).
     pub fn clear(&mut self) {
-        self.events.clear();
-        for r in self.reservoirs.values_mut() {
-            r.slots.clear();
-        }
+        self.log.clear();
+        self.head = 0;
+        self.base = self.tail;
+        self.len = 0;
     }
 
     /// Per-kind event counts over the retained events, sorted by name (for
@@ -603,7 +754,7 @@ impl TraceSink {
                 TraceEventKind::Step { task, busy, stall } => {
                     o.s("{\"name\":").s(&names[task.0 as usize]);
                     o.s(",\"cat\":\"step\",\"ph\":\"X\",\"ts\":").n(e.cycle);
-                    o.s(",\"dur\":").n(busy + stall);
+                    o.s(",\"dur\":").n(busy.saturating_add(stall));
                     o.s(",\"pid\":0,\"tid\":")
                         .n((TASK_TID_OFFSET + task.0) as u64);
                     o.s(",\"args\":{\"busy\":")
@@ -657,16 +808,18 @@ impl TraceSink {
     /// names (task, track, fault class, app, outcome) where one applies,
     /// and `a`/`b`/`c` are the kind's numeric payload in declaration
     /// order (empty when absent; `GetSpace`'s space and hint share `c`
-    /// as `space/hint`). Labels are written unescaped.
+    /// as `space/hint`). A label holding a comma, quote or line break is
+    /// quoted RFC 4180 style, once per export.
     pub fn write_csv(&self, w: &mut impl Write) -> io::Result<()> {
+        let names: Vec<Cow<str>> = self.labels.iter().map(|l| csv_field(l)).collect();
         let mut o = Out::new(w);
         o.s("cycle,unit,event,detail,a,b,c\n");
         for e in self.events() {
             let p = e.kind.payload();
-            o.n(e.cycle).s(",").s(self.label(e.unit));
+            o.n(e.cycle).s(",").s(&names[e.unit.0 as usize]);
             o.s(",").s(e.kind.name()).s(",");
             if let Some((_, label)) = p.label {
-                o.s(self.label(label));
+                o.s(&names[label.0 as usize]);
             }
             let nums = p.nums();
             for (i, &(_, num)) in nums.iter().enumerate() {
@@ -916,25 +1069,21 @@ impl TraceEventKind {
 /// by attached [`TraceHandle`]s stay valid because interning order is
 /// deterministic). Loading re-interns the labels in id order (rebuilding
 /// the lookup table) and clears the event ring.
+///
+/// Three fields close the section that a removed per-kind sampling policy
+/// used to fill: a policy byte, an emission sequence and a per-kind count
+/// list. The ring writes them as `0u8`, `0u64` and an empty list, so
+/// checkpoint bytes and state hashes stay what they were, and loading
+/// rejects anything else as corrupt.
 impl Snapshot for TraceSink {
     fn save(&self, w: &mut SnapWriter) {
         w.bool(self.enabled);
         w.u64(self.emitted);
         w.u64(self.dropped);
         self.labels.save(w);
-        match self.policy {
-            SamplePolicy::Ring => w.u8(0),
-            SamplePolicy::KindReservoir { seed } => {
-                w.u8(1);
-                w.u64(seed);
-            }
-        }
-        w.u64(self.seq);
-        w.usize(self.reservoirs.len());
-        for (name, r) in &self.reservoirs {
-            w.str(name);
-            w.u64(r.seen);
-        }
+        w.u8(0);
+        w.u64(0);
+        w.usize(0);
     }
 
     fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
@@ -946,22 +1095,21 @@ impl Snapshot for TraceSink {
         for label in &labels {
             self.intern(label);
         }
-        self.policy = match r.u8()? {
-            0 => SamplePolicy::Ring,
-            _ => SamplePolicy::KindReservoir { seed: r.u64()? },
-        };
-        self.seq = r.u64()?;
-        let mut seen: Vec<(String, u64)> = Vec::new();
-        seen.load(r)?;
-        self.reservoirs = seen
-            .into_iter()
-            .map(|(name, seen)| {
-                let slots = Vec::new();
-                (name, KindReservoir { seen, slots })
-            })
-            .collect();
-        self.events.clear();
+        if (r.u8()?, r.u64()?, r.usize()?) != (0, 0, 0) {
+            return Err(SnapError::Corrupt("trace sampling state"));
+        }
+        self.clear();
         Ok(())
+    }
+}
+
+/// A label as one CSV field: quoted, with every quote doubled, when it
+/// holds a comma, a quote or a line break; as it is otherwise.
+fn csv_field(s: &str) -> Cow<'_, str> {
+    if s.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", s.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(s)
     }
 }
 
@@ -1244,107 +1392,6 @@ mod tests {
         assert_eq!(s.counts_by_kind(), vec![("sample", 2), ("task_idle", 1)]);
     }
 
-    #[test]
-    fn reservoir_keeps_rare_kinds_under_chatty_flood() {
-        // 16-slot budget, so each kind's quota is max(1, 16/25) = 1...
-        // use a larger capacity so quotas are meaningful.
-        let mut s = TraceSink::with_policy(KIND_COUNT * 4, SamplePolicy::KindReservoir { seed: 7 });
-        let u = s.intern("u");
-        // One rare fault among ten thousand chatty samples.
-        let f = s.intern("sram_flip");
-        for i in 0..5_000u64 {
-            s.emit(TraceEvent {
-                cycle: i,
-                unit: u,
-                kind: TraceEventKind::Sample,
-            });
-        }
-        s.emit(TraceEvent {
-            cycle: 5_000,
-            unit: u,
-            kind: TraceEventKind::Fault {
-                class: f,
-                magnitude: 1,
-            },
-        });
-        for i in 5_001..10_000u64 {
-            s.emit(TraceEvent {
-                cycle: i,
-                unit: u,
-                kind: TraceEventKind::Sample,
-            });
-        }
-        // The plain ring would have evicted the fault long ago; the
-        // per-kind reservoir must retain it.
-        assert!(
-            s.events()
-                .any(|e| matches!(e.kind, TraceEventKind::Fault { .. })),
-            "rare kind evicted by chatty one"
-        );
-        // Sample retention is capped at the per-kind quota.
-        let quota = (s.capacity / KIND_COUNT).max(1);
-        let samples = s
-            .events()
-            .filter(|e| matches!(e.kind, TraceEventKind::Sample))
-            .count();
-        assert_eq!(samples, quota);
-        // Accounting: emitted - dropped == retained, and seen counts
-        // cover the full stream.
-        assert_eq!(s.emitted() - s.dropped(), s.len() as u64);
-        assert_eq!(
-            s.kind_seen(),
-            vec![("fault".to_string(), 1), ("sample".to_string(), 9_999)]
-        );
-    }
-
-    #[test]
-    fn reservoir_sample_is_deterministic() {
-        let run = || {
-            let mut s =
-                TraceSink::with_policy(KIND_COUNT * 2, SamplePolicy::KindReservoir { seed: 42 });
-            let u = s.intern("u");
-            for i in 0..1_000u64 {
-                s.emit(TraceEvent {
-                    cycle: i,
-                    unit: u,
-                    kind: if i % 3 == 0 {
-                        TraceEventKind::TaskIdle
-                    } else {
-                        TraceEventKind::Sample
-                    },
-                });
-            }
-            s.to_csv()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reservoir_accounting_survives_snapshot() {
-        let mut s = TraceSink::with_policy(KIND_COUNT, SamplePolicy::KindReservoir { seed: 3 });
-        let u = s.intern("u");
-        for i in 0..500u64 {
-            s.emit(TraceEvent {
-                cycle: i,
-                unit: u,
-                kind: TraceEventKind::Sample,
-            });
-        }
-        let mut w = SnapWriter::new();
-        s.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = TraceSink::new(4);
-        restored
-            .load(&mut SnapReader::new(&bytes))
-            .expect("round-trip");
-        assert_eq!(restored.policy(), s.policy());
-        assert_eq!(restored.emitted(), s.emitted());
-        assert_eq!(restored.dropped(), s.dropped());
-        assert_eq!(restored.kind_seen(), s.kind_seen());
-        // Retained events are observational debris: not carried over.
-        assert!(restored.is_empty());
-    }
-
     /// One event of every kind, on a unit whose label needs every JSON
     /// escape the exporters apply.
     fn every_kind_sink() -> TraceSink {
@@ -1445,7 +1492,7 @@ mod tests {
     }
 
     // The exact export of `every_kind_sink`. Chrome JSON escapes labels;
-    // the CSV writes them raw, as it always has.
+    // the CSV quotes the one holding quotes and a line break.
     const EXPECTED_JSON: &str = r#"[
 {"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"shell/vld"}},
 {"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"odd \"q\" \\ nl\n tab\t ctl\u0001"}},
@@ -1481,29 +1528,29 @@ mod tests {
     const EXPECTED_CSV: &str = concat!(
         "cycle,unit,event,detail,a,b,c\n",
         "0,shell/vld,task_selected,dec0.vld,1,,\n",
-        "10,odd \"q\" \\ nl\n tab\t ctl\u{1},task_idle,,,,\n",
+        "10,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",task_idle,,,,\n",
         "20,shell/vld,getspace_grant,,1,64,128/32\n",
-        "30,odd \"q\" \\ nl\n tab\t ctl\u{1},getspace_deny,,2,96,16/0\n",
+        "30,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",getspace_deny,,2,96,16/0\n",
         "40,shell/vld,putspace_send,,0,48,1234\n",
-        "50,odd \"q\" \\ nl\n tab\t ctl\u{1},putspace_recv,,3,48,0\n",
+        "50,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",putspace_recv,,3,48,0\n",
         "60,shell/vld,cache_invalidate,,4,2,\n",
-        "70,odd \"q\" \\ nl\n tab\t ctl\u{1},cache_flush,,5,3,\n",
+        "70,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",cache_flush,,5,3,\n",
         "80,shell/vld,cache_prefetch,,6,1,\n",
-        "90,odd \"q\" \\ nl\n tab\t ctl\u{1},bus_grant,,64,7,8\n",
+        "90,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",bus_grant,,64,7,8\n",
         "100,shell/vld,bank_grant,,2,32,1\n",
-        "110,odd \"q\" \\ nl\n tab\t ctl\u{1},sync_hop,,3,9,\n",
-        "120,shell/vld,step,odd \"q\" \\ nl\n tab\t ctl\u{1},40,2,\n",
-        "130,odd \"q\" \\ nl\n tab\t ctl\u{1},sync_deliver,,16,11,\n",
+        "110,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",sync_hop,,3,9,\n",
+        "120,shell/vld,step,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",40,2,\n",
+        "130,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",sync_deliver,,16,11,\n",
         "140,shell/vld,sample,,,,\n",
-        "150,odd \"q\" \\ nl\n tab\t ctl\u{1},run_start,,,,\n",
-        "160,shell/vld,run_end,odd \"q\" \\ nl\n tab\t ctl\u{1},,,\n",
-        "170,odd \"q\" \\ nl\n tab\t ctl\u{1},counter,odd \"q\" \\ nl\n tab\t ctl\u{1},77,,\n",
+        "150,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",run_start,,,,\n",
+        "160,shell/vld,run_end,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",,,\n",
+        "170,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",counter,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",77,,\n",
         "180,shell/vld,fault,system,18446744073709551615,,\n",
-        "190,odd \"q\" \\ nl\n tab\t ctl\u{1},app_mapped,odd \"q\" \\ nl\n tab\t ctl\u{1},4096,5,\n",
+        "190,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",app_mapped,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",4096,5,\n",
         "200,shell/vld,app_paused,dec0.vld,,,\n",
-        "210,odd \"q\" \\ nl\n tab\t ctl\u{1},app_resumed,dec0.vld,,,\n",
+        "210,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",app_resumed,dec0.vld,,,\n",
         "220,shell/vld,app_drained,dec0.vld,12,,\n",
-        "230,odd \"q\" \\ nl\n tab\t ctl\u{1},app_unmapped,dec0.vld,4096,,\n",
+        "230,\"odd \"\"q\"\" \\ nl\n tab\t ctl\u{1}\",app_unmapped,dec0.vld,4096,,\n",
         "240,shell/vld,stale_sync_rejected,,7,24,\n",
     );
 
@@ -1518,5 +1565,299 @@ mod tests {
     fn json_escaping() {
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("x\ny"), "\"x\\ny\"");
+    }
+
+    #[test]
+    fn csv_quoting() {
+        assert_eq!(csv_field("dec0.vld"), "dec0.vld");
+        assert_eq!(csv_field("a,b"), "\"a,b\"");
+        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(csv_field("x\ry"), "\"x\ry\"");
+    }
+
+    /// The bytes a ring sink's checkpoint section has always had.
+    fn ring_section(enabled: bool, emitted: u64, dropped: u64, labels: &[&str]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.bool(enabled);
+        w.u64(emitted);
+        w.u64(dropped);
+        w.usize(labels.len());
+        for label in labels {
+            w.str(label);
+        }
+        w.u8(0);
+        w.u64(0);
+        w.usize(0);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_bytes_are_the_ring_format() {
+        let mut s = TraceSink::new(2);
+        let u = s.intern("u");
+        s.intern("v");
+        for cycle in 0..3 {
+            let kind = TraceEventKind::Sample;
+            s.emit(TraceEvent {
+                cycle,
+                unit: u,
+                kind,
+            });
+        }
+        let mut w = SnapWriter::new();
+        s.save(&mut w);
+        assert_eq!(w.into_bytes(), ring_section(true, 3, 1, &["u", "v"]));
+
+        let mut restored = TraceSink::new(4);
+        let bytes = ring_section(false, 9, 4, &["a", "b"]);
+        restored.load(&mut SnapReader::new(&bytes)).unwrap();
+        assert!(!restored.enabled());
+        assert_eq!((restored.emitted(), restored.dropped()), (9, 4));
+        assert_eq!(restored.intern("b"), LabelId(1));
+        assert!(restored.is_empty());
+    }
+
+    #[test]
+    fn sampling_state_in_a_checkpoint_is_corrupt() {
+        let good = ring_section(true, 0, 0, &["u"]);
+        // The policy byte, then the emission sequence's low byte, then
+        // the per-kind count's low byte.
+        let policy = good.len() - 17;
+        for at in [policy, policy + 1, policy + 9] {
+            let mut bytes = good.clone();
+            bytes[at] = 1;
+            let mut sink = TraceSink::new(4);
+            assert_eq!(
+                sink.load(&mut SnapReader::new(&bytes)),
+                Err(SnapError::Corrupt("trace sampling state")),
+                "byte {at}"
+            );
+        }
+        let mut sink = TraceSink::new(4);
+        assert_eq!(sink.load(&mut SnapReader::new(&good)), Ok(()));
+    }
+
+    /// An event of kind `tag` whose label fields name `label` and whose
+    /// numbers are `n(0)`, `n(1)`, ... in declaration order (truncated
+    /// where a field is 32 bits wide).
+    fn arbitrary_kind(tag: u8, n: impl Fn(usize) -> u64, label: LabelId) -> TraceEventKind {
+        use TraceEventKind as K;
+        let w = |i| n(i) as u32;
+        match tag {
+            0 => K::TaskSelected {
+                task: label,
+                switched: n(0) & 1 == 1,
+            },
+            1 => K::TaskIdle,
+            2 => K::SpaceGranted {
+                port: w(0),
+                bytes: w(1),
+                space: w(2),
+                hint: w(3),
+            },
+            3 => K::SpaceDenied {
+                port: w(0),
+                bytes: w(1),
+                space: w(2),
+                hint: w(3),
+            },
+            4 => K::PutSpaceSend {
+                port: w(0),
+                bytes: w(1),
+                send_at: n(2),
+            },
+            5 => K::PutSpaceRecv {
+                row: w(0),
+                bytes: w(1),
+                unblocked: n(2) & 1 == 1,
+            },
+            6 => K::CacheInvalidate {
+                row: w(0),
+                lines: n(1),
+            },
+            7 => K::CacheFlush {
+                row: w(0),
+                lines: n(1),
+            },
+            8 => K::CachePrefetch {
+                row: w(0),
+                lines: n(1),
+            },
+            9 => K::BusGrant {
+                bytes: w(0),
+                wait: n(1),
+                busy: n(2),
+            },
+            10 => K::BankGrant {
+                bank: w(0),
+                bytes: w(1),
+                wait: n(2),
+            },
+            11 => K::SyncHop {
+                hops: w(0),
+                wait: n(1),
+            },
+            12 => K::Step {
+                task: label,
+                busy: n(0),
+                stall: n(1),
+            },
+            13 => K::SyncDeliver {
+                bytes: w(0),
+                latency: n(1),
+            },
+            14 => K::Sample,
+            15 => K::RunStart,
+            16 => K::RunEnd { outcome: label },
+            17 => K::Counter {
+                track: label,
+                value: n(0),
+            },
+            18 => K::Fault {
+                class: label,
+                magnitude: n(0),
+            },
+            19 => K::AppMapped {
+                app: label,
+                sram_bytes: w(0),
+                tasks: w(1),
+            },
+            20 => K::AppPaused { app: label },
+            21 => K::AppResumed { app: label },
+            22 => K::AppDrained {
+                app: label,
+                wait_cycles: n(0),
+            },
+            23 => K::AppUnmapped {
+                app: label,
+                sram_bytes: w(0),
+            },
+            _ => K::StaleSyncRejected {
+                row: w(0),
+                bytes: w(1),
+            },
+        }
+    }
+
+    #[test]
+    fn every_tag_is_its_kind() {
+        for tag in 0..KIND_COUNT as u8 {
+            assert_eq!(arbitrary_kind(tag, |_| 0, LabelId(0)).tag(), tag);
+        }
+    }
+
+    /// The ring as it was stored before the byte log: a deque of events.
+    struct OracleRing {
+        events: VecDeque<TraceEvent>,
+        capacity: usize,
+        enabled: bool,
+        emitted: u64,
+        dropped: u64,
+    }
+
+    impl OracleRing {
+        fn emit(&mut self, event: TraceEvent) {
+            if !self.enabled {
+                return;
+            }
+            if self.events.len() == self.capacity {
+                self.events.pop_front();
+                self.dropped += 1;
+            }
+            self.events.push_back(event);
+            self.emitted += 1;
+        }
+    }
+
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The log keeps what a deque of events keeps. Each op is
+        /// `(what, tag, select, raw, step)`: most emit an event of kind
+        /// `tag`, a few clear the ring or switch collection on or off.
+        /// `select` picks each number from 0, `u32::MAX`, `u64::MAX` and
+        /// a raw draw, the cycle from a raw draw, a small step back or
+        /// forward, 0 and `u64::MAX`, and the unit and label.
+        #[test]
+        fn log_matches_a_deque_of_events(
+            capacity in 1usize..=64,
+            ops in proptest::collection::vec(
+                (0u8..100, 0u8..KIND_COUNT as u8, any::<u64>(), any::<u64>(), any::<u64>()),
+                0..160,
+            ),
+        ) {
+            let names = ["shell/vld", "a,b", "q\"uote\"", "nl\nx", "dec0.vld"];
+            let mut sink = TraceSink::new(capacity);
+            let labels: Vec<LabelId> = names.iter().map(|n| sink.intern(n)).collect();
+            let mut oracle = OracleRing {
+                events: VecDeque::new(),
+                capacity,
+                enabled: true,
+                emitted: 0,
+                dropped: 0,
+            };
+            let mut cycle = 0u64;
+            for (what, tag, select, raw, step) in ops {
+                match what {
+                    0..=84 => {
+                        let n = |i: usize| match select >> (2 * i) & 3 {
+                            0 => 0,
+                            1 => u32::MAX as u64,
+                            2 => u64::MAX,
+                            _ => raw.rotate_left(16 * i as u32),
+                        };
+                        cycle = match select >> 8 & 3 {
+                            0 => step,
+                            1 => cycle.wrapping_add(step % 32).wrapping_sub(8),
+                            2 => 0,
+                            _ => u64::MAX,
+                        };
+                        let pick = |shift: u32| labels[(select >> shift) as usize % labels.len()];
+                        let event = TraceEvent {
+                            cycle,
+                            unit: pick(16),
+                            kind: arbitrary_kind(tag, n, pick(24)),
+                        };
+                        sink.emit(event);
+                        oracle.emit(event);
+                    }
+                    85..=91 => {
+                        sink.clear();
+                        oracle.events.clear();
+                    }
+                    _ => {
+                        let on = select & 1 == 1;
+                        sink.set_enabled(on);
+                        oracle.enabled = on;
+                    }
+                }
+                let kept: Vec<TraceEvent> = sink.events().collect();
+                prop_assert!(kept.iter().eq(oracle.events.iter()));
+                prop_assert_eq!(sink.len(), oracle.events.len());
+                prop_assert_eq!(sink.emitted(), oracle.emitted);
+                prop_assert_eq!(sink.dropped(), oracle.dropped);
+            }
+            let mut counts: HashMap<&'static str, u64> = HashMap::new();
+            for e in &oracle.events {
+                *counts.entry(e.kind.name()).or_insert(0) += 1;
+            }
+            let mut counts: Vec<_> = counts.into_iter().collect();
+            counts.sort_by_key(|&(name, _)| name);
+            prop_assert_eq!(sink.counts_by_kind(), counts);
+            // A fresh sink holding exactly the deque's events exports
+            // what the ring does.
+            let mut fresh = TraceSink::new(oracle.events.len());
+            for n in names {
+                fresh.intern(n);
+            }
+            for &e in &oracle.events {
+                fresh.emit(e);
+            }
+            prop_assert_eq!(sink.to_csv(), fresh.to_csv());
+            prop_assert_eq!(sink.to_chrome_trace(), fresh.to_chrome_trace());
+        }
     }
 }

@@ -224,3 +224,33 @@ fn app_task_on_unknown_shell_is_corrupt() {
 fn coprocessor_task_map_disagreeing_with_its_shell_is_corrupt() {
     assert_corrupt(|l| l.coproc_task, &[7]);
 }
+
+/// The trace sink's section closes the checkpoint with three fields of a
+/// removed sampling policy, always zero: the policy byte, the emission
+/// sequence and the per-kind count. A nonzero one is corrupt, whether
+/// the restoring system traces or not.
+#[test]
+fn trace_sampling_state_is_corrupt() {
+    let traced = || {
+        let mut sys = system();
+        sys.enable_tracing(1 << 16);
+        sys
+    };
+    let mut sys = traced();
+    assert!(sys.run_until(2_000).is_none(), "pipeline ended early");
+    let good = sys.save();
+    assert_eq!(traced().restore(&good), Ok(()));
+    let policy = good.len() - 17;
+    for at in [policy, policy + 1, good.len() - 8] {
+        let mut bytes = good.clone();
+        bytes[at] = 1;
+        for mut restoring in [traced(), system()] {
+            let got = restoring.restore(&bytes);
+            assert_eq!(
+                got,
+                Err(SnapError::Corrupt("trace sampling state")),
+                "byte {at}"
+            );
+        }
+    }
+}
