@@ -33,7 +33,7 @@
 //! state still changed. The traced tail is saved as
 //! `results/replay_trace.csv` for inspection.
 
-use eclipse_bench::{save_result, stream_result, table, StreamSpec};
+use eclipse_bench::{print_peak_rss, save_result, stream_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_core::{EclipseConfig, QosContract, RunOutcome, Supervisor, SupervisorConfig};
 use eclipse_media::stream::GopConfig;
@@ -347,4 +347,7 @@ fn main() {
             row[0], row[1], row[2]
         );
     }
+    // With --supervised the checkpoint ring sets this binary's memory
+    // peak; host-dependent, so printed only: CI bounds it.
+    print_peak_rss();
 }

@@ -23,7 +23,7 @@
 //! unsupervised baseline, and every calibrated single-fault `av`
 //! scenario recovers (at least one ladder report, run completes).
 
-use eclipse_bench::{save_result, table, StreamSpec};
+use eclipse_bench::{print_peak_rss, save_result, table, StreamSpec};
 use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig};
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder, MpegSystem};
 use eclipse_core::{
@@ -355,4 +355,7 @@ fn main() {
         },
         &report,
     );
+    // The supervisor's checkpoint ring sets this binary's memory peak;
+    // host-dependent, so printed only: CI bounds it.
+    print_peak_rss();
 }

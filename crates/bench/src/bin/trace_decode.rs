@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin trace_decode`
 
-use eclipse_bench::{save_result, stream_result, StreamSpec};
+use eclipse_bench::{print_peak_rss, save_result, stream_result, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_core::{EclipseConfig, RunOutcome};
 use eclipse_viz::report::trace_event_summary;
@@ -70,16 +70,5 @@ fn main() {
     stream_result("trace_decode_qcif.csv", |w| sink.write_csv(w));
     println!("\nwrote results/trace_decode_qcif.json (Chrome trace_event) and results/trace_decode_qcif.csv");
     // Host-dependent, so printed only: CI bounds it.
-    match peak_rss_kib() {
-        Some(kib) => println!("peak resident set (VmHWM): {kib} kB"),
-        None => println!("peak resident set (VmHWM): unknown"),
-    }
-}
-
-/// This process's peak resident set in KiB, from the `VmHWM` line of
-/// `/proc/self/status`.
-fn peak_rss_kib() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.trim().trim_end_matches("kB").trim().parse().ok()
+    print_peak_rss();
 }

@@ -212,6 +212,24 @@ pub fn stream_result(name: &str, write: impl FnOnce(&mut BufWriter<File>) -> io:
     println!("[saved {}]", path.display());
 }
 
+/// This process's peak resident set in KiB, from the `VmHWM` line of
+/// `/proc/self/status`.
+pub fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+/// Print [`peak_rss_kib`] as the line `peak resident set (VmHWM): N kB`
+/// on stdout. It depends on the host, so a binary prints it and never
+/// writes it into a `results/` file; CI parses the line and bounds it.
+pub fn print_peak_rss() {
+    match peak_rss_kib() {
+        Some(kib) => println!("peak resident set (VmHWM): {kib} kB"),
+        None => println!("peak resident set (VmHWM): unknown"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,11 +51,21 @@
 //! health-check boundary) the supervisor snapshots the system via
 //! [`EclipseSystem::save`] into a ring of at most `checkpoint_ring`
 //! entries, oldest evicted first. `save` never mutates the system, so
-//! the ring is invisible to simulated timing. Host memory is bounded
-//! by `checkpoint_ring × checkpoint size` (zero-RLE keeps a mostly
-//! empty DRAM cheap).
+//! the ring is invisible to simulated timing.
+//!
+//! The ring stores each checkpoint as content-defined chunks (a gear
+//! rolling hash cuts them at about 1 KiB, FastCDC style: Xia et al.,
+//! USENIX ATC 2016), and a chunk equal to one of the newest entry's is
+//! shared instead of copied. Consecutive checkpoints are mostly the same
+//! bytes at shifted offsets (append-only decoded frames, sampled series,
+//! DRAM), so host memory is bounded by the ring's unique chunks: about
+//! one checkpoint plus what changed between entries, not
+//! `checkpoint_ring × checkpoint size`. A rollback concatenates its
+//! entry's chunks and restores them; the bytes are exactly those `save`
+//! returned.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::rc::Rc;
 
 use eclipse_sim::Cycle;
 
@@ -283,7 +293,7 @@ pub struct Supervisor {
     cfg: SupervisorConfig,
     contracts: HashMap<String, QosContract>,
     monitors: BTreeMap<String, AppMonitor>,
-    ring: VecDeque<(Cycle, Vec<u8>)>,
+    ring: CheckpointRing,
     next_check: Cycle,
     next_ckpt: Cycle,
     started: bool,
@@ -311,7 +321,7 @@ impl Supervisor {
             cfg,
             contracts: HashMap::new(),
             monitors: BTreeMap::new(),
-            ring: VecDeque::new(),
+            ring: CheckpointRing::default(),
             next_check: 0,
             next_ckpt: 0,
             started: false,
@@ -350,7 +360,7 @@ impl Supervisor {
     /// Entries currently held in the checkpoint ring, as
     /// `(cycle, bytes)` sizes.
     pub fn checkpoint_ring(&self) -> Vec<(Cycle, usize)> {
-        self.ring.iter().map(|(c, b)| (*c, b.len())).collect()
+        self.ring.entries.iter().map(|e| (e.cycle, e.len)).collect()
     }
 
     fn contract(&self, app: &str) -> QosContract {
@@ -363,6 +373,139 @@ impl Supervisor {
             self.next_check = now + self.cfg.check_interval;
             self.next_ckpt = now + self.cfg.checkpoint_interval;
         }
+    }
+}
+
+/// Smallest content-defined chunk: the cut-point search starts this
+/// many bytes in.
+const CHUNK_MIN: usize = 256;
+/// Largest chunk: the cut is forced here when the hash found none.
+const CHUNK_MAX: usize = 8 * 1024;
+/// A chunk ends after the first byte (past `CHUNK_MIN`) where the gear
+/// hash falls below this, once in 768 bytes on average: chunks average
+/// about 1 KiB.
+const CUT_BELOW: u64 = u64::MAX / 768;
+
+/// The gear hash's table: 256 SplitMix64 outputs.
+const GEAR: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut state = 0u64;
+    let mut i = 0;
+    while i < 256 {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        table[i] = z ^ (z >> 31);
+        i += 1;
+    }
+    table
+};
+
+/// Length of the first content-defined chunk of `data`. The gear hash
+/// shifts one bit per byte, so its top bits, which decide the cut,
+/// depend only on the last 64 bytes: an insertion or deletion moves
+/// the cuts after it along with the bytes.
+fn chunk_len(data: &[u8]) -> usize {
+    let end = data.len().min(CHUNK_MAX);
+    if end <= CHUNK_MIN {
+        return end;
+    }
+    let mut h = 0u64;
+    for (i, &b) in data[CHUNK_MIN..end].iter().enumerate() {
+        h = (h << 1).wrapping_add(GEAR[b as usize]);
+        if h < CUT_BELOW {
+            return CHUNK_MIN + i + 1;
+        }
+    }
+    end
+}
+
+/// A chunk's lookup key: its length and its last (up to) 8 bytes.
+fn chunk_key(chunk: &[u8]) -> (usize, u64) {
+    let tail = &chunk[chunk.len().saturating_sub(8)..];
+    let mut word = [0u8; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    (chunk.len(), u64::from_le_bytes(word))
+}
+
+/// One checkpoint: its cycle, the length of its `save` bytes, and those
+/// bytes as chunks.
+struct RingEntry {
+    cycle: Cycle,
+    len: usize,
+    chunks: Vec<Rc<[u8]>>,
+}
+
+/// The checkpoint ring, oldest entry first. Every entry's chunks are
+/// the successive [`chunk_len`] cuts of its bytes, and a new entry
+/// shares every chunk that equals one of the newest entry's.
+#[derive(Default)]
+struct CheckpointRing {
+    entries: VecDeque<RingEntry>,
+}
+
+impl CheckpointRing {
+    fn push(&mut self, cycle: Cycle, bytes: &[u8]) {
+        let prev: &[Rc<[u8]>] = self.entries.back().map_or(&[], |e| &e.chunks);
+        let mut index: HashMap<(usize, u64), usize> = HashMap::new();
+        for (k, chunk) in prev.iter().enumerate() {
+            index.entry(chunk_key(chunk)).or_insert(k);
+        }
+        // Any chunk of the previous entry but its last (which the end of
+        // the bytes may have cut) ends where `chunk_len` cuts its own
+        // bytes. So when the bytes ahead start with the chunk that
+        // followed the last match, that chunk is the next cut, found by
+        // one compare instead of hashing.
+        let cut = &prev[..prev.len().saturating_sub(1)];
+        let mut next = 0;
+        let mut chunks = Vec::new();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let chunk = match cut.get(next).filter(|c| rest.starts_with(c)) {
+                Some(same) => {
+                    next += 1;
+                    Rc::clone(same)
+                }
+                None => {
+                    let piece = &rest[..chunk_len(rest)];
+                    match index.get(&chunk_key(piece)) {
+                        Some(&k) if *prev[k] == *piece => {
+                            next = k + 1;
+                            Rc::clone(&prev[k])
+                        }
+                        _ => {
+                            next += 1;
+                            Rc::from(piece)
+                        }
+                    }
+                }
+            };
+            rest = &rest[chunk.len()..];
+            chunks.push(chunk);
+        }
+        self.entries.push_back(RingEntry {
+            cycle,
+            len: bytes.len(),
+            chunks,
+        });
+    }
+
+    /// Evict the oldest entries until at most `depth` remain.
+    fn keep_newest(&mut self, depth: usize) {
+        while self.entries.len() > depth {
+            self.entries.pop_front();
+        }
+    }
+
+    /// Remove the newest entry and return its cycle and bytes.
+    fn pop_newest(&mut self) -> Option<(Cycle, Vec<u8>)> {
+        let entry = self.entries.pop_back()?;
+        let mut bytes = Vec::with_capacity(entry.len);
+        for chunk in &entry.chunks {
+            bytes.extend_from_slice(chunk);
+        }
+        Some((entry.cycle, bytes))
     }
 }
 
@@ -461,11 +604,9 @@ impl Supervisor {
         // first, so a later rollback lands before this tick's damage
         // responses, not after them.
         if self.cfg.checkpoint_ring > 0 && now >= self.next_ckpt && now >= self.ckpt_hold_until {
-            if self.ring.back().map(|(c, _)| *c) != Some(now) {
-                self.ring.push_back((now, sys.save()));
-                while self.ring.len() > self.cfg.checkpoint_ring {
-                    self.ring.pop_front();
-                }
+            if self.ring.entries.back().map(|e| e.cycle) != Some(now) {
+                self.ring.push(now, &sys.save());
+                self.ring.keep_newest(self.cfg.checkpoint_ring);
             }
             self.next_ckpt = now + self.cfg.checkpoint_interval;
         }
@@ -604,7 +745,7 @@ impl Supervisor {
 
         if mon.retries < self.cfg.retry_limit {
             self.retry_tasks(sys, &victim, &wedged, trigger);
-        } else if mon.rollbacks < self.cfg.rollback_limit && !self.ring.is_empty() {
+        } else if mon.rollbacks < self.cfg.rollback_limit && !self.ring.entries.is_empty() {
             self.rollback(sys, &victim, trigger);
         } else if !mon.degraded && self.degrade_app(sys, &victim, trigger.clone()) {
             // Degrade accepted; the wedge gets another chance to clear.
@@ -681,7 +822,7 @@ impl Supervisor {
         // Consume the entry: a wedge that recurs after this rollback
         // escalates to the *next older* checkpoint instead of rewinding
         // to the same (possibly already-doomed) state forever.
-        let (to_cycle, bytes) = self.ring.pop_back().expect("caller checked");
+        let (to_cycle, bytes) = self.ring.pop_newest().expect("caller checked");
         let fault_forward = sys.fault.clone();
         sys.restore(&bytes)
             .expect("checkpoint-ring entry restores into its own system");
@@ -844,5 +985,167 @@ impl Supervisor {
             }
         }
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Bytes the ring holds: each distinct chunk once.
+    fn resident_bytes(ring: &CheckpointRing) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        ring.entries
+            .iter()
+            .flat_map(|e| &e.chunks)
+            .filter(|c| seen.insert(Rc::as_ptr(c) as *const u8))
+            .map(|c| c.len())
+            .sum()
+    }
+
+    /// The lengths of the successive `chunk_len` cuts of `bytes`.
+    fn cuts(mut bytes: &[u8]) -> Vec<usize> {
+        let mut lens = Vec::new();
+        while !bytes.is_empty() {
+            lens.push(chunk_len(bytes));
+            bytes = &bytes[lens[lens.len() - 1]..];
+        }
+        lens
+    }
+
+    /// `len` deterministic pseudo-random bytes.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// Overwrite, delete, insert or append about `n` bytes at `at`
+    /// (taken modulo the buffer), by `kind` 0, 1, 2 or 3.
+    fn edit(buf: &mut Vec<u8>, kind: u8, at: usize, n: usize, seed: u64) {
+        let at = at % (buf.len() + 1);
+        let end = (at + n).min(buf.len());
+        match kind {
+            0 => buf[at..end].copy_from_slice(&noise(seed, end - at)),
+            1 => drop(buf.drain(at..end)),
+            2 => drop(buf.splice(at..at, noise(seed, n + 1))),
+            _ => buf.extend(noise(seed, n + 1)),
+        }
+    }
+
+    proptest! {
+        /// Successive versions of a buffer (overwrites, deletions,
+        /// insertions and appends, over noise and a long zero run) go
+        /// through push, eviction and rollback-pop in random order. Every
+        /// pop returns the bytes pushed, the sizes track a deque of whole
+        /// copies, and every entry is cut exactly where `chunk_len` cuts
+        /// its bytes.
+        #[test]
+        fn ring_returns_what_was_pushed(
+            lead in 0usize..6000,
+            zeros in 0usize..12000,
+            ops in proptest::collection::vec((0u8..7, any::<u64>()), 1..40),
+        ) {
+            let mut buf = noise(lead as u64, lead);
+            buf.resize(lead + zeros, 0);
+            buf.extend(noise(!0, 3000));
+            let mut ring = CheckpointRing::default();
+            let mut oracle: VecDeque<(Cycle, Vec<u8>)> = VecDeque::new();
+            for (cycle, (op, r)) in ops.into_iter().enumerate() {
+                let cycle = cycle as Cycle;
+                match op {
+                    0..=3 => edit(&mut buf, op, r as usize, (r >> 32) as usize % 700, r),
+                    4 => {
+                        ring.push(cycle, &buf);
+                        oracle.push_back((cycle, buf.clone()));
+                        let newest = ring.entries.back().unwrap();
+                        let lens: Vec<usize> = newest.chunks.iter().map(|c| c.len()).collect();
+                        prop_assert_eq!(lens, cuts(&buf));
+                    }
+                    5 => {
+                        let depth = r as usize % 4;
+                        ring.keep_newest(depth);
+                        while oracle.len() > depth {
+                            oracle.pop_front();
+                        }
+                    }
+                    _ => prop_assert_eq!(ring.pop_newest(), oracle.pop_back()),
+                }
+                let sizes: Vec<(Cycle, usize)> =
+                    ring.entries.iter().map(|e| (e.cycle, e.len)).collect();
+                let expected: Vec<(Cycle, usize)> =
+                    oracle.iter().map(|(c, b)| (*c, b.len())).collect();
+                prop_assert_eq!(sizes, expected);
+            }
+            while let Some(entry) = oracle.pop_back() {
+                prop_assert_eq!(ring.pop_newest(), Some(entry));
+            }
+            prop_assert_eq!(ring.pop_newest(), None);
+        }
+    }
+
+    #[test]
+    fn chunks_average_about_a_kibibyte() {
+        let bytes = noise(11, 1 << 20);
+        let lens = cuts(&bytes);
+        let mean = bytes.len() / lens.len();
+        assert!((900..1200).contains(&mean), "mean chunk {mean} B");
+        let (body, last) = lens.split_at(lens.len() - 1);
+        assert!(body.iter().all(|l| (CHUNK_MIN + 1..=CHUNK_MAX).contains(l)));
+        assert!(last[0] <= CHUNK_MAX);
+        // A run of one byte value has a fixed hash: it is cut at the
+        // maximum or at the minimum every time.
+        let flat = cuts(&[0u8; 5 * CHUNK_MAX]);
+        assert!(
+            flat[..flat.len() - 1].iter().all(|&l| l == flat[0]),
+            "{flat:?}"
+        );
+    }
+
+    #[test]
+    fn near_identical_entries_share_their_chunks() {
+        let mut buf = noise(7, 256 * 1024);
+        let mut ring = CheckpointRing::default();
+        let n = 8;
+        for v in 0..n as u64 {
+            ring.push(v, &buf);
+            for (kind, at) in [(0, 1_000), (1, 70_000), (2, 180_000)] {
+                edit(&mut buf, kind, at * (v as usize + 1), 16, v);
+            }
+        }
+        let logical: usize = ring.entries.iter().map(|e| e.len).sum();
+        let resident = resident_bytes(&ring);
+        assert!(logical > (n - 1) * buf.len(), "{logical}");
+        assert!(
+            resident * 2 < 3 * buf.len(),
+            "{n} near-identical entries hold {resident} B, one is {} B",
+            buf.len()
+        );
+    }
+
+    #[test]
+    fn equal_length_and_tail_is_not_enough_to_share() {
+        // Shorter than `CHUNK_MIN`, so each buffer is one chunk.
+        let a = noise(3, 200);
+        let mut b = a.clone();
+        b[0] ^= 1;
+        assert_eq!(chunk_key(&a), chunk_key(&b));
+        let mut ring = CheckpointRing::default();
+        ring.push(1, &a);
+        ring.push(2, &b);
+        ring.push(3, &b);
+        let chunk = |i: usize| &ring.entries[i].chunks[0];
+        assert!(!Rc::ptr_eq(chunk(0), chunk(1)));
+        assert!(Rc::ptr_eq(chunk(1), chunk(2)));
+        assert_eq!(ring.pop_newest(), Some((3, b.clone())));
+        assert_eq!(ring.pop_newest(), Some((2, b)));
+        assert_eq!(ring.pop_newest(), Some((1, a)));
     }
 }

@@ -136,12 +136,13 @@ impl std::hash::Hasher for FnvHasher {
 /// save).
 const ZERO_RUN_MIN: usize = 32;
 
-/// Length of the zero run at the head of `data`. The blob encoder scans
-/// every byte it is not told is zero (all of SRAM and the frame planes,
-/// the written pages of DRAM), so this scan is most of the checkpoint
-/// cost. The first 64 bytes go a word at a time, which ends the short
-/// runs inside literal spans early; a longer run continues in 64-byte
-/// blocks, whose OR-fold the compiler vectorizes.
+/// Length of the zero run at the head of `data`, for the blob encoder.
+/// Inside a literal span the encoder skips most bytes without calling
+/// this (see [`SnapWriter::encode_blob`]); it runs at the zero bytes
+/// near a literal's end and across every long zero run. The first 64
+/// bytes go a word at a time, which ends the short runs inside literal
+/// spans early; a longer run continues in 64-byte blocks, whose OR-fold
+/// the compiler vectorizes.
 fn zero_prefix(data: &[u8]) -> usize {
     let word_is_zero = |i: usize| u64::from_le_bytes(data[i..i + 8].try_into().unwrap()) == 0;
     let mut i = 0;
@@ -313,9 +314,22 @@ impl SnapWriter {
         });
     }
 
-    /// The blob encoder, reading `data` only through `zero_run(i)`: the
-    /// length of the zero run starting at byte `i` (0 when it is nonzero).
+    /// The blob encoder. It finds zero runs through `zero_run(i)`: the
+    /// length of the zero run starting at byte `i` (0 when it is
+    /// nonzero). Inside a literal span it also reads `data` a word at a
+    /// time: a run of `ZERO_RUN_MIN` (32) zeros starting anywhere in `[i,
+    /// i + 8)` would cover all of `[i + 8, i + 16)`, so a nonzero byte
+    /// there lets the scan step 8 bytes without ending the span. Only a
+    /// run starting at a byte the per-byte scan visits can end a span,
+    /// and no such run starts in the bytes stepped over, so the output
+    /// is that of the per-byte scan. (For `blob_paged` the test reads
+    /// pages it is told are unwritten; they are zero, so it falls back to
+    /// `zero_run` there.)
     fn encode_blob(&mut self, data: &[u8], zero_run: impl Fn(usize) -> usize) {
+        let next_word_nonzero = |i: usize| {
+            data.get(i + 8..i + 16)
+                .is_some_and(|w| u64::from_le_bytes(w.try_into().unwrap()) != 0)
+        };
         self.usize(data.len());
         let mut i = 0;
         while i < data.len() {
@@ -331,6 +345,10 @@ impl SnapWriter {
             let start = i;
             i += run.max(1);
             while i < data.len() {
+                if next_word_nonzero(i) {
+                    i += 8;
+                    continue;
+                }
                 let z = zero_run(i);
                 if z >= ZERO_RUN_MIN {
                     break;
@@ -1060,7 +1078,105 @@ mod tests {
         assert_eq!(spans, vec![(40, vec![1, 2, 3, 4, 5]), (299, vec![9])]);
     }
 
+    /// The per-byte blob encoder that `encode_blob`'s word-wise literal
+    /// scan replaced, kept as its oracle: every byte of a literal span
+    /// goes through `zero_run`.
+    fn encode_blob_bytewise(w: &mut SnapWriter, data: &[u8]) {
+        let zero_run = |i: usize| {
+            if data[i] != 0 {
+                return 0;
+            }
+            zero_prefix(&data[i..])
+        };
+        w.usize(data.len());
+        let mut i = 0;
+        while i < data.len() {
+            let run = zero_run(i);
+            if run >= ZERO_RUN_MIN || run == data.len() {
+                w.u8(0);
+                w.usize(run);
+                i += run;
+                continue;
+            }
+            let start = i;
+            i += run.max(1);
+            while i < data.len() {
+                let z = zero_run(i);
+                if z >= ZERO_RUN_MIN {
+                    break;
+                }
+                i += z.max(1);
+            }
+            w.u8(1);
+            w.usize(i - start);
+            w.put(&data[start..i]);
+        }
+    }
+
     use proptest::prelude::*;
+
+    /// Zero runs of 0–70 bytes (31, 32 and 33 drawn more often) between
+    /// nonzero spans, behind a 0–7 byte lead that moves every run across
+    /// word edges; at most 300 bytes.
+    fn zero_and_literal_runs() -> impl Strategy<Value = Vec<u8>> {
+        let zeros = || prop_oneof![0usize..71, Just(31usize), Just(32usize), Just(33usize)];
+        let literal = proptest::collection::vec(1u8..=255, 1..24);
+        (
+            0usize..8,
+            proptest::collection::vec((zeros(), literal), 0..12),
+            zeros(),
+        )
+            .prop_map(|(lead, parts, tail)| {
+                let mut data = vec![0xA5u8; lead];
+                for (z, lit) in parts {
+                    data.resize(data.len() + z, 0);
+                    data.extend(lit);
+                }
+                data.resize(data.len() + tail, 0);
+                data.truncate(300);
+                data
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `blob` and `blob_paged`, collecting or hashing, must emit the
+        /// per-byte encoder's bytes and round-trip. The paged case zeroes
+        /// every page its random written map leaves out.
+        #[test]
+        fn blob_matches_the_bytewise_encoder(
+            data in zero_and_literal_runs(),
+            page_shift in 3u32..9,
+            written_bits in any::<u64>(),
+        ) {
+            let check = |data: &[u8], got: &SnapWriter, digest: u64| {
+                let mut oracle = SnapWriter::new();
+                encode_blob_bytewise(&mut oracle, data);
+                prop_assert_eq!(got.bytes(), oracle.bytes());
+                prop_assert_eq!(digest, fnv1a_64(oracle.bytes()));
+                let decoded = SnapReader::new(got.bytes()).blob(data.len()).unwrap();
+                prop_assert_eq!(decoded.as_slice(), data);
+            };
+            let (mut plain, mut hashed) = (SnapWriter::new(), SnapWriter::hashing());
+            plain.blob(&data);
+            hashed.blob(&data);
+            check(&data, &plain, hashed.digest());
+
+            let page_bytes = 1usize << page_shift;
+            let written = |p: usize| written_bits >> (p % 64) & 1 == 1;
+            let mut data = data;
+            for (p, page) in data.chunks_mut(page_bytes).enumerate() {
+                if !written(p) {
+                    page.fill(0);
+                }
+            }
+            let (mut paged, mut hashed) = (SnapWriter::new(), SnapWriter::hashing());
+            paged.blob_paged(&data, page_bytes, written);
+            hashed.blob_paged(&data, page_bytes, written);
+            check(&data, &paged, hashed.digest());
+        }
+    }
 
     proptest! {
         /// `blob_paged` must emit exactly `blob`'s bytes for any data and

@@ -478,6 +478,15 @@ impl LogReader<'_> {
         }
     }
 
+    /// Step over the next varint without decoding it.
+    #[inline]
+    fn skip(&mut self) {
+        while self.log[self.pos] >= 0x80 {
+            self.pos += 1;
+        }
+        self.pos += 1;
+    }
+
     #[inline]
     fn u32(&mut self) -> u32 {
         self.num() as u32
@@ -721,17 +730,50 @@ impl TraceSink {
     pub fn write_chrome_trace(&self, w: &mut impl Write) -> io::Result<()> {
         let names: Vec<String> = self.labels.iter().map(|l| json_string(l)).collect();
         // Thread-name metadata for every unit and task track that
-        // appears, in order of first appearance.
+        // appears, in order of first appearance. This walk reads only
+        // each event's tag, unit and `Step` task and steps over the rest:
+        // decoding a kind from all-zero varints, one byte each, counts
+        // the varints it reads after the unit.
+        let fields: Vec<usize> = (0..KIND_COUNT as u8)
+            .map(|tag| {
+                let mut r = LogReader {
+                    log: &[0; 8],
+                    pos: 0,
+                };
+                TraceEventKind::read(tag, &mut r);
+                r.pos
+            })
+            .collect();
+        let step = TraceEventKind::Step {
+            task: LabelId(0),
+            busy: 0,
+            stall: 0,
+        }
+        .tag();
         let (mut units, mut tasks) = (Vec::new(), Vec::new());
         let mut seen = vec![(false, false); self.labels.len()];
-        for e in self.events() {
-            if !std::mem::replace(&mut seen[e.unit.0 as usize].0, true) {
-                units.push(e.unit);
+        let mut r = LogReader {
+            log: &self.log,
+            pos: self.head,
+        };
+        while r.pos < r.log.len() {
+            let tag = r.log[r.pos];
+            r.pos += 1;
+            r.skip();
+            let unit = r.label();
+            if !std::mem::replace(&mut seen[unit.0 as usize].0, true) {
+                units.push(unit);
             }
-            if let TraceEventKind::Step { task, .. } = e.kind {
+            let mut rest = fields[tag as usize];
+            if tag == step {
+                let task = r.label();
+                rest -= 1;
                 if !std::mem::replace(&mut seen[task.0 as usize].1, true) {
                     tasks.push(task);
                 }
+            }
+            for _ in 0..rest {
+                r.skip();
             }
         }
         let mut o = Out::new(w);
