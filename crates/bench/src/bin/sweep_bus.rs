@@ -3,17 +3,15 @@
 //! 128 bits) and its arbitration latency, reporting decode time and bus
 //! utilization.
 //!
-//! Both sweeps run their design points in parallel across host cores;
-//! pass `--trace` for per-point denial/sync annotations.
+//! Both sweeps run their design points in parallel across host cores.
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin sweep_bus [--trace]`
+//! Usage: `cargo run -p eclipse-bench --release --bin sweep_bus`
 
-use eclipse_bench::{par_sweep, save_result, table, trace_annotation, trace_flag, StreamSpec};
+use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_core::{EclipseConfig, RunOutcome};
 
 fn main() {
-    let trace = trace_flag();
     let spec = StreamSpec::qcif();
     let (bitstream, _) = spec.encode();
 
@@ -22,7 +20,6 @@ fn main() {
     let width_results = par_sweep(&widths, |&width| {
         let cfg = EclipseConfig::default().with_bus_width(width);
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let sink = trace.then(|| dec.system.sys.enable_tracing(1 << 16));
         let summary = dec.system.run(20_000_000_000);
         assert_eq!(summary.outcome, RunOutcome::AllFinished);
         let fabric = dec.system.sys.data_fabric();
@@ -35,13 +32,10 @@ fn main() {
             format!("{:.1}%", write.utilization(summary.cycles) * 100.0),
             format!("{:.2}", read.stats.wait.mean()),
         ];
-        let annotation = sink
-            .as_ref()
-            .map(|s| trace_annotation(&format!("{}-bit bus", width * 8), &summary, Some(s)));
-        (summary.cycles, row, annotation)
+        (summary.cycles, row)
     });
     let w128_cycles = width_results[2].0; // width == 16 bytes = 128 bits
-    let rows: Vec<Vec<String>> = width_results.iter().map(|(_, r, _)| r.clone()).collect();
+    let rows: Vec<Vec<String>> = width_results.into_iter().map(|(_, r)| r).collect();
     let t1 = table(
         &[
             "bus width",
@@ -53,43 +47,27 @@ fn main() {
         &rows,
     );
     println!("{t1}");
-    for (_, _, a) in &width_results {
-        if let Some(a) = a {
-            print!("{a}");
-        }
-    }
 
     println!("Bus latency sweep (width 128 bits):\n");
     let latencies = [1u64, 2, 4, 8, 16];
-    let latency_results = par_sweep(&latencies, |&latency| {
+    let rows = par_sweep(&latencies, |&latency| {
         let mut cfg = EclipseConfig::default();
         cfg.read_bus.latency = latency;
         cfg.write_bus.latency = latency;
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let sink = trace.then(|| dec.system.sys.enable_tracing(1 << 16));
         let summary = dec.system.run(20_000_000_000);
         assert_eq!(summary.outcome, RunOutcome::AllFinished);
-        let row = vec![
+        vec![
             format!("{latency} cycles"),
             format!("{}", summary.cycles),
             format!(
                 "{:+.1}%",
                 (summary.cycles as f64 / w128_cycles as f64 - 1.0) * 100.0
             ),
-        ];
-        let annotation = sink
-            .as_ref()
-            .map(|s| trace_annotation(&format!("latency {latency}"), &summary, Some(s)));
-        (row, annotation)
+        ]
     });
-    let rows: Vec<Vec<String>> = latency_results.iter().map(|(r, _)| r.clone()).collect();
     let t2 = table(&["bus latency", "decode cycles", "vs 128-bit/lat-1"], &rows);
     println!("{t2}");
-    for (_, a) in &latency_results {
-        if let Some(a) = a {
-            print!("{a}");
-        }
-    }
     println!(
         "Expected shape: the 128-bit bus of the paper's instance is past the knee\n\
          (widening to 256 bits buys little); narrow buses serialize the shells'\n\

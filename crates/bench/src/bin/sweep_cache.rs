@@ -3,13 +3,11 @@
 //! prefetching or not)". Sweeps the per-row shell cache size and the
 //! prefetch switch, reporting decode time, hit rate, and bus traffic.
 //!
-//! Design points run in parallel across host cores (`par_sweep`); pass
-//! `--trace` to annotate each point with denial-rate / sync-latency /
-//! event-mix metrics from the structured trace spine.
+//! Design points run in parallel across host cores (`par_sweep`).
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin sweep_cache [--trace]`
+//! Usage: `cargo run -p eclipse-bench --release --bin sweep_cache`
 
-use eclipse_bench::{par_sweep, save_result, table, trace_annotation, trace_flag, StreamSpec};
+use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_core::{EclipseConfig, RunOutcome};
 use eclipse_shell::CacheConfig;
@@ -20,11 +18,9 @@ struct PointResult {
     prefetches: u64,
     stalls: u64,
     bus_txn: u64,
-    annotation: Option<String>,
 }
 
 fn main() {
-    let trace = trace_flag();
     let spec = StreamSpec::qcif();
     let (bitstream, _) = spec.encode();
     let total_mbs = spec.mbs_per_frame() as u64 * spec.frames as u64;
@@ -42,7 +38,6 @@ fn main() {
     let results = par_sweep(&points, |&(label, cache)| {
         let cfg = EclipseConfig::default().with_cache(cache);
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let sink = trace.then(|| dec.system.sys.enable_tracing(1 << 16));
         let summary = dec.system.run(20_000_000_000);
         assert_eq!(
             summary.outcome,
@@ -79,9 +74,6 @@ fn main() {
             prefetches,
             stalls,
             bus_txn,
-            annotation: sink
-                .as_ref()
-                .map(|s| trace_annotation(label, &summary, Some(s))),
         }
     });
 
@@ -117,11 +109,6 @@ fn main() {
         &rows,
     );
     println!("Shell cache design-space sweep (paper §7):\n\n{t}");
-    for r in &results {
-        if let Some(a) = &r.annotation {
-            print!("{a}");
-        }
-    }
     println!("Expected shape: bigger caches cut stalls and bus transactions;\nprefetch removes most remaining demand-miss stalls.");
     save_result("sweep_cache.txt", &t);
 }

@@ -8,17 +8,16 @@
 //! Sweeps the decode application's stream-buffer sizes from the
 //! single-packet minimum (tight coupling) upward and reports throughput,
 //! stall behaviour, and the SRAM footprint. Points run in parallel across
-//! host cores; pass `--trace` for per-point denial/sync annotations.
+//! host cores.
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin sweep_coupling [--trace]`
+//! Usage: `cargo run -p eclipse-bench --release --bin sweep_coupling`
 
-use eclipse_bench::{par_sweep, save_result, table, trace_annotation, trace_flag, StreamSpec};
+use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
 use eclipse_coprocs::apps::DecodeAppConfig;
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
 use eclipse_core::{EclipseConfig, RunOutcome};
 
 fn main() {
-    let trace = trace_flag();
     let spec = StreamSpec::qcif();
     let (bitstream, _) = spec.encode();
 
@@ -35,7 +34,6 @@ fn main() {
         );
         b.add_decode("dec0", bitstream.clone(), bufs);
         let mut sys = b.build();
-        let sink = trace.then(|| sys.sys.enable_tracing(1 << 16));
         let summary = sys.run(50_000_000_000);
         assert_eq!(
             summary.outcome,
@@ -57,16 +55,12 @@ fn main() {
             .flat_map(|s| s.tasks())
             .map(|t| t.stats.denials)
             .sum();
-        let annotation = sink
-            .as_ref()
-            .map(|s| trace_annotation(&format!("{factor:.2}x buffers"), &summary, Some(s)));
         (
             summary.cycles,
             bufs.total(),
             denials,
             aborted,
             summary.sync_messages,
-            annotation,
         )
     });
 
@@ -74,19 +68,17 @@ fn main() {
     let rows: Vec<Vec<String>> = factors
         .iter()
         .zip(&results)
-        .map(
-            |(factor, (cycles, total, denials, aborted, sync_msgs, _))| {
-                vec![
-                    format!("{factor:.2}x"),
-                    format!("{total}"),
-                    format!("{cycles}"),
-                    format!("{:+.1}%", (*cycles as f64 / loosest as f64 - 1.0) * 100.0),
-                    format!("{denials}"),
-                    format!("{aborted}"),
-                    format!("{sync_msgs}"),
-                ]
-            },
-        )
+        .map(|(factor, (cycles, total, denials, aborted, sync_msgs))| {
+            vec![
+                format!("{factor:.2}x"),
+                format!("{total}"),
+                format!("{cycles}"),
+                format!("{:+.1}%", (*cycles as f64 / loosest as f64 - 1.0) * 100.0),
+                format!("{denials}"),
+                format!("{aborted}"),
+                format!("{sync_msgs}"),
+            ]
+        })
         .collect();
     let t = table(
         &[
@@ -101,11 +93,6 @@ fn main() {
         &rows,
     );
     println!("{t}");
-    for (.., a) in &results {
-        if let Some(a) = a {
-            print!("{a}");
-        }
-    }
     println!(
         "\nExpected shape: below ~1x the stages serialize (every producer blocks\n\
          on its consumer — tight coupling costs cycles and explodes the denial\n\

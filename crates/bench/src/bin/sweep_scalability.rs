@@ -9,12 +9,12 @@
 //! Eclipse's distributed shell-to-shell synchronization against the
 //! CPU-centric baseline where every `putspace` interrupts a central CPU.
 //! The (pipeline-count × sync-mode) grid runs in parallel across host
-//! cores; pass `--trace` for per-point denial/sync annotations.
+//! cores.
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin sweep_scalability [--trace]`
+//! Usage: `cargo run -p eclipse-bench --release --bin sweep_scalability`
 
 use eclipse_bench::synthetic::PipeCoproc;
-use eclipse_bench::{par_sweep, save_result, table, trace_annotation, trace_flag};
+use eclipse_bench::{par_sweep, save_result, table};
 use eclipse_core::system::CpuSyncConfig;
 use eclipse_core::{EclipseConfig, RunOutcome, SystemBuilder};
 use eclipse_kpn::GraphBuilder;
@@ -22,21 +22,12 @@ use eclipse_kpn::GraphBuilder;
 const PACKETS: u32 = 400;
 const PACKET_BYTES: u32 = 64;
 
-fn run(
-    pipelines: usize,
-    cpu_sync: Option<CpuSyncConfig>,
-    trace: bool,
-) -> (u64, u64, f64, Option<String>) {
+fn run(pipelines: usize, cpu_sync: Option<CpuSyncConfig>) -> (u64, u64, f64) {
     // SRAM must hold 2 buffers per pipeline.
     let sram = (pipelines as u32 * 2 * 256 + 1024)
         .next_power_of_two()
         .max(32 * 1024);
     let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
-    let mode = if cpu_sync.is_some() {
-        "cpu-centric"
-    } else {
-        "distributed"
-    };
     if let Some(c) = cpu_sync {
         b.with_cpu_sync(c);
     }
@@ -69,7 +60,6 @@ fn run(
     let graph = g.build().unwrap();
     b.map_app(&graph).unwrap();
     let mut sys = b.build();
-    let sink = trace.then(|| sys.enable_tracing(1 << 16));
     let summary = sys.run(1_000_000_000);
     assert_eq!(
         summary.outcome,
@@ -78,14 +68,10 @@ fn run(
         summary.outcome
     );
     let cpu_load = summary.cpu_sync_busy as f64 / summary.cycles as f64;
-    let annotation = sink
-        .as_ref()
-        .map(|s| trace_annotation(&format!("{pipelines} pipelines, {mode}"), &summary, Some(s)));
-    (summary.cycles, summary.sync_messages, cpu_load, annotation)
+    (summary.cycles, summary.sync_messages, cpu_load)
 }
 
 fn main() {
-    let trace = trace_flag();
     println!(
         "Synchronization scalability: {PACKETS} packets through N independent\n\
          3-stage pipelines (3N coprocessors). Distributed shell sync vs a\n\
@@ -102,12 +88,12 @@ fn main() {
         let cfg = cpu.then_some(CpuSyncConfig {
             service_cycles: 200,
         });
-        run(pipelines, cfg, trace)
+        run(pipelines, cfg)
     });
     let mut rows = Vec::new();
     for (i, &pipelines) in counts.iter().enumerate() {
-        let (d_cycles, msgs, _, _) = &results[2 * i];
-        let (c_cycles, _, cpu_load, _) = &results[2 * i + 1];
+        let (d_cycles, msgs, _) = &results[2 * i];
+        let (c_cycles, _, cpu_load) = &results[2 * i + 1];
         rows.push(vec![
             format!("{pipelines} ({} coprocs)", pipelines * 3),
             format!("{}", msgs),
@@ -129,11 +115,6 @@ fn main() {
         &rows,
     );
     println!("{t}");
-    for (.., a) in &results {
-        if let Some(a) = a {
-            print!("{a}");
-        }
-    }
     println!(
         "\nExpected shape: distributed sync keeps wall-clock flat as pipelines\n\
          are added (they are independent); the CPU-centric baseline saturates\n\

@@ -7,12 +7,11 @@
 //! We run the encode+decode mix (the multi-tasking workload) under
 //! (a) best-guess vs naive round-robin selection and (b) a budget sweep,
 //! reporting throughput, aborted steps, and the task-switch rate. Each
-//! section's design points run in parallel across host cores; pass
-//! `--trace` for per-point denial/sync annotations.
+//! section's design points run in parallel across host cores.
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin sweep_scheduler [--trace]`
+//! Usage: `cargo run -p eclipse-bench --release --bin sweep_scheduler`
 
-use eclipse_bench::{par_sweep, save_result, table, trace_annotation, trace_flag, StreamSpec};
+use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
 use eclipse_coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
 use eclipse_coprocs::mcme::McMeCoproc;
@@ -25,10 +24,9 @@ struct Outcome {
     switches: u64,
     aborted: u64,
     decisions: u64,
-    annotation: Option<String>,
 }
 
-fn run(policy: eclipse_shell::SchedPolicy, budget: u64, trace: bool) -> Outcome {
+fn run(policy: eclipse_shell::SchedPolicy, budget: u64) -> Outcome {
     let spec = StreamSpec {
         frames: 6,
         gop: GopConfig { n: 6, m: 3 },
@@ -54,7 +52,6 @@ fn run(policy: eclipse_shell::SchedPolicy, budget: u64, trace: bool) -> Outcome 
         EncodeAppConfig::default(),
     );
     let mut sys = b.build();
-    let sink = trace.then(|| sys.sys.enable_tracing(1 << 16));
     let summary = sys.run(100_000_000_000);
     assert_eq!(
         summary.outcome,
@@ -71,15 +68,11 @@ fn run(policy: eclipse_shell::SchedPolicy, budget: u64, trace: bool) -> Outcome 
         .flat_map(|s| s.tasks())
         .map(|t| t.stats.aborted_steps)
         .sum();
-    let annotation = sink
-        .as_ref()
-        .map(|s| trace_annotation(&format!("{policy:?}/budget-{budget}"), &summary, Some(s)));
     Outcome {
         cycles: summary.cycles,
         switches,
         aborted,
         decisions,
-        annotation,
     }
 }
 
@@ -134,7 +127,6 @@ fn qos(budget_a: u64, budget_b: u64) -> (u64, u64) {
 
 fn main() {
     use eclipse_shell::SchedPolicy::*;
-    let trace = trace_flag();
     let f = Frequency::COPROC_150MHZ;
 
     println!("Scheduler policy ablation (encode + decode mix, budget 2000):\n");
@@ -142,7 +134,7 @@ fn main() {
         ("best guess (paper)", BestGuess),
         ("naive round-robin", NaiveRoundRobin),
     ];
-    let policy_results = par_sweep(&policies, |&(_, policy)| run(policy, 2000, trace));
+    let policy_results = par_sweep(&policies, |&(_, policy)| run(policy, 2000));
     let rows: Vec<Vec<String>> = policies
         .iter()
         .zip(&policy_results)
@@ -169,15 +161,10 @@ fn main() {
         &rows,
     );
     println!("{t1}");
-    for o in &policy_results {
-        if let Some(a) = &o.annotation {
-            print!("{a}");
-        }
-    }
 
     println!("Budget sweep (best guess; paper range 1000-10000 cycles):\n");
     let budgets = [250u64, 1000, 2000, 5000, 10_000, 40_000];
-    let budget_results = par_sweep(&budgets, |&budget| run(BestGuess, budget, trace));
+    let budget_results = par_sweep(&budgets, |&budget| run(BestGuess, budget));
     let rows: Vec<Vec<String>> = budgets
         .iter()
         .zip(&budget_results)
@@ -200,11 +187,6 @@ fn main() {
         &rows,
     );
     println!("{t2}");
-    for o in &budget_results {
-        if let Some(a) = &o.annotation {
-            print!("{a}");
-        }
-    }
 
     println!("QoS via budgets (dual decode; budgets programmed over the PI bus):\n");
     let pairs = [(2000u64, 2000u64), (6000, 1000), (1000, 6000)];

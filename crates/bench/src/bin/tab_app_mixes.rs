@@ -8,12 +8,11 @@
 //! SD/HD; absolute resolution does not change who shares which
 //! coprocessor) and report completion, per-unit utilization, and the
 //! achieved macroblock throughput against the real-time requirement.
-//! Mixes run in parallel across host cores; pass `--trace` for per-point
-//! denial/sync annotations.
+//! Mixes run in parallel across host cores.
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin tab_app_mixes [--trace]`
+//! Usage: `cargo run -p eclipse-bench --release --bin tab_app_mixes`
 
-use eclipse_bench::{par_sweep, save_result, table, trace_annotation, trace_flag, StreamSpec};
+use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
 use eclipse_coprocs::apps::{AudioAppConfig, AvProgramConfig, DecodeAppConfig, EncodeAppConfig};
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
 use eclipse_core::{EclipseConfig, RunOutcome};
@@ -25,10 +24,9 @@ struct MixResult {
     cycles: u64,
     mbs: u64,
     util: Vec<(String, f64)>,
-    annotation: Option<String>,
 }
 
-fn run_mix(label: &str, decodes: u32, encodes: u32, av_programs: u32, trace: bool) -> MixResult {
+fn run_mix(label: &str, decodes: u32, encodes: u32, av_programs: u32) -> MixResult {
     let spec = StreamSpec {
         frames: 9,
         gop: GopConfig { n: 9, m: 3 },
@@ -82,7 +80,6 @@ fn run_mix(label: &str, decodes: u32, encodes: u32, av_programs: u32, trace: boo
         let _ = AudioAppConfig::default();
     }
     let mut sys = b.build();
-    let sink = trace.then(|| sys.sys.enable_tracing(1 << 16));
     let summary = sys.run(50_000_000_000);
     assert_eq!(
         summary.outcome,
@@ -102,14 +99,10 @@ fn run_mix(label: &str, decodes: u32, encodes: u32, av_programs: u32, trace: boo
         cycles: summary.cycles,
         mbs,
         util,
-        annotation: sink
-            .as_ref()
-            .map(|s| trace_annotation(label, &summary, Some(s))),
     }
 }
 
 fn main() {
-    let trace = trace_flag();
     println!("Application mixes on the shared coprocessors (paper §6).\n");
     let points: [(&str, u32, u32, u32); 8] = [
         ("1x decode", 1, 0, 0),
@@ -121,9 +114,7 @@ fn main() {
         ("A/V program (demux+audio)", 0, 0, 1),
         ("A/V program + decode", 1, 0, 1),
     ];
-    let mixes = par_sweep(&points, |&(label, d, e, av)| {
-        run_mix(label, d, e, av, trace)
-    });
+    let mixes = par_sweep(&points, |&(label, d, e, av)| run_mix(label, d, e, av));
 
     let mut rows = Vec::new();
     for m in &mixes {
@@ -155,11 +146,6 @@ fn main() {
         &rows,
     );
     println!("{t}");
-    for m in &mixes {
-        if let Some(a) = &m.annotation {
-            print!("{a}");
-        }
-    }
     println!(
         "\nReading: every mix completes on the same four coprocessors + DSP —\n\
          the multi-tasking flexibility the paper claims. Throughput degrades\n\

@@ -1,5 +1,4 @@
-//! Parallel design-point execution and per-point tracing annotations for
-//! the sweep binaries.
+//! Parallel design-point execution for the sweep binaries.
 //!
 //! Every design point of a sweep is an independent simulation — separate
 //! `EclipseSystem`, separate RNG state, separate stats — so points can run
@@ -8,51 +7,20 @@
 //! index): results come back in the input order regardless of which thread
 //! finished first, so sweep tables are byte-stable across thread counts.
 //!
-//! Pass `--threads N` to any sweep binary (or set `ECLIPSE_SWEEP_THREADS`;
-//! the flag wins) to override the default of one thread per available
-//! core — useful for timing comparisons and for debugging a single point.
+//! Set `ECLIPSE_SWEEP_THREADS=N` to override the default of one thread
+//! per available core — useful for timing comparisons and for debugging
+//! a single point.
 
-use eclipse_core::RunSummary;
-use eclipse_sim::SharedTraceSink;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The `--threads N` (or `--threads=N`) command-line override shared by
-/// every sweep binary. `None` when the flag is absent; panics on a
-/// malformed count so a typo'd benchmark invocation fails loudly instead
-/// of silently running at a different width.
-pub fn threads_flag() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let v = args.next().expect("--threads requires a thread count");
-            return Some(
-                v.trim()
-                    .parse()
-                    .expect("--threads count must be a positive integer"),
-            );
-        }
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return Some(
-                v.trim()
-                    .parse()
-                    .expect("--threads count must be a positive integer"),
-            );
-        }
-    }
-    None
-}
-
 /// Number of worker threads for a sweep over `points` design points:
-/// the `--threads` flag if present, else `ECLIPSE_SWEEP_THREADS` if set,
-/// else one per available core — never more than there are points.
+/// `ECLIPSE_SWEEP_THREADS` if set, else one per available core — never
+/// more than there are points.
 pub fn sweep_threads(points: usize) -> usize {
-    let budget = threads_flag()
-        .or_else(|| {
-            std::env::var("ECLIPSE_SWEEP_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-        })
+    let budget = std::env::var("ECLIPSE_SWEEP_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -96,74 +64,6 @@ pub fn par_sweep<T: Sync, R: Send>(points: &[T], run: impl Fn(&T) -> R + Sync) -
         .collect()
 }
 
-/// True when `--trace` was passed on the command line: sweep binaries then
-/// install a structured trace sink per design point and print a per-point
-/// annotation (see [`trace_annotation`]). Off by default — tracing costs
-/// host time and the annotations are noise in the standard tables.
-pub fn trace_flag() -> bool {
-    std::env::args().any(|a| a == "--trace")
-}
-
-/// Render the per-design-point tracing annotation: `GetSpace` denial
-/// rates, sync-message latency, and (when a sink was installed) the
-/// structured-trace event mix.
-pub fn trace_annotation(
-    label: &str,
-    summary: &RunSummary,
-    sink: Option<&SharedTraceSink>,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    writeln!(out, "  [trace] {label}:").unwrap();
-    let mut denials: Vec<_> = summary
-        .denial_rates
-        .iter()
-        .filter(|(_, rate)| *rate > 0.0)
-        .collect();
-    denials.sort_by(|a, b| b.1.total_cmp(&a.1));
-    if denials.is_empty() {
-        writeln!(out, "    getspace denials: none").unwrap();
-    } else {
-        for (row, rate) in denials.iter().take(4) {
-            writeln!(out, "    getspace denial {row}: {:.1}%", rate * 100.0).unwrap();
-        }
-        if denials.len() > 4 {
-            writeln!(out, "    ... {} more rows with denials", denials.len() - 4).unwrap();
-        }
-    }
-    let stat = summary.sync_latency.stat();
-    if stat.count() > 0 {
-        writeln!(
-            out,
-            "    sync latency: n={} mean={:.1} p90<={} max={:.0} cycles",
-            stat.count(),
-            stat.mean(),
-            summary.sync_latency.quantile_upper_bound(0.9),
-            stat.max()
-        )
-        .unwrap();
-    }
-    if let Some(sink) = sink {
-        let sink = sink.borrow();
-        let counts = sink.counts_by_kind();
-        if !counts.is_empty() {
-            let mix: Vec<String> = counts
-                .iter()
-                .map(|(kind, n)| format!("{kind}={n}"))
-                .collect();
-            writeln!(
-                out,
-                "    events: {} (emitted={} dropped={})",
-                mix.join(" "),
-                sink.emitted(),
-                sink.dropped()
-            )
-            .unwrap();
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,13 +97,5 @@ mod tests {
         assert!(sweep_threads(0) >= 1);
         assert_eq!(sweep_threads(1), 1);
         assert!(sweep_threads(1000) >= 1);
-    }
-
-    #[test]
-    fn threads_flag_absent_in_test_harness() {
-        // The test binary was not launched with `--threads`, so the flag
-        // parser must report absence (and thus fall through to the env /
-        // core-count path) rather than misreading unrelated arguments.
-        assert_eq!(threads_flag(), None);
     }
 }

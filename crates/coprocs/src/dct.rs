@@ -21,8 +21,8 @@ use eclipse_shell::{PortId, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::DctCost;
-use crate::io::{StepReader, StepWriter};
-use crate::records::{self, cblk_from_body, cblk_to_bytes, TAG_EOS, TAG_MB, TAG_PIC};
+use crate::io::{Head, StepReader, StepWriter};
+use crate::records::{self, cblk_from_bytes, cblk_to_bytes};
 
 /// `task_info` value selecting the inverse DCT.
 pub const INFO_IDCT: u32 = 0;
@@ -127,10 +127,6 @@ impl Coprocessor for DctCoproc {
         self
     }
 
-    fn error_counters(&self) -> (u64, u64) {
-        (self.tasks.values().map(|t| t.errors_recovered).sum(), 0)
-    }
-
     fn task_error_counters(&self, task: TaskIdx) -> (u64, u64) {
         self.tasks
             .get(&task)
@@ -153,31 +149,11 @@ impl Coprocessor for DctCoproc {
         const IN: PortId = 0;
         const OUT: PortId = 1;
         let t = self.tasks.get_mut(&task).expect("unconfigured DCT task");
-        let mut r = StepReader::new(IN);
         let mut w = StepWriter::new(OUT);
-
-        let tag = match r.peek_tag(ctx) {
-            None => return StepResult::Blocked,
-            Some(tag) => tag,
-        };
-        match tag {
-            TAG_EOS => {
-                let mut b = [0u8; 1];
-                r.read(ctx, &mut b);
-                w.stage(&[TAG_EOS]);
-                if !w.reserve(ctx) {
-                    return StepResult::Blocked;
-                }
-                w.commit(ctx);
-                r.commit(ctx);
-                StepResult::Finished
-            }
-            TAG_PIC => {
+        let mut r = match StepReader::new(IN).head(ctx, &mut t.errors_recovered) {
+            Head::Mb(r) => r,
+            Head::Pic(r, body, _) => {
                 // Pass picture headers through (framed streams only).
-                let body = match r.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => b,
-                };
                 w.stage(&body);
                 if !w.reserve(ctx) {
                     return StepResult::Blocked;
@@ -185,61 +161,51 @@ impl Coprocessor for DctCoproc {
                 w.commit(ctx);
                 r.commit(ctx);
                 ctx.compute(4);
-                StepResult::Done
+                return StepResult::Done;
             }
-            TAG_MB => {
-                // On framed streams a TAG_MB may be an 11-byte MB header
-                // (when no blocks are pending) or a 129-byte block record.
-                let is_header = t.framing == Framing::Framed && t.blocks_left == 0;
-                if is_header {
-                    let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
-                        None => return StepResult::Blocked,
-                        Some(b) => b,
-                    };
-                    let cbp = hdr[2];
-                    w.stage(&hdr);
-                    if !w.reserve(ctx) {
-                        return StepResult::Blocked;
-                    }
-                    w.commit(ctx);
-                    r.commit(ctx);
-                    ctx.compute(4);
-                    t.blocks_left = cbp.count_ones() as u8;
-                    return StepResult::Done;
-                }
-                let rec = match r.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => b,
-                };
-                let block = cblk_from_body(&rec[1..]).unwrap_or([0i16; 64]);
-                let transformed = if info == INFO_FDCT {
-                    fdct2d(&block)
-                } else {
-                    idct2d(&block)
-                };
-                w.stage(&cblk_to_bytes(&transformed));
-                if !w.reserve(ctx) {
-                    return StepResult::Blocked;
-                }
-                w.commit(ctx);
-                r.commit(ctx);
-                ctx.compute(self.cost.per_block);
-                t.blocks_done += 1;
-                if t.framing == Framing::Framed {
-                    t.blocks_left = t.blocks_left.saturating_sub(1);
-                }
-                StepResult::Done
+            Head::Eos(r) => return r.finish(ctx, &[OUT]),
+            Head::Return(res) => return res,
+        };
+        // On framed streams a TAG_MB may be an 11-byte MB header
+        // (when no blocks are pending) or a 129-byte block record.
+        let is_header = t.framing == Framing::Framed && t.blocks_left == 0;
+        if is_header {
+            let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
+                None => return StepResult::Blocked,
+                Some(b) => b,
+            };
+            let cbp = hdr[2];
+            w.stage(&hdr);
+            if !w.reserve(ctx) {
+                return StepResult::Blocked;
             }
-            _ => {
-                // Unknown tag (bit-flipped in SRAM): skip one byte and
-                // rescan for the next plausible record boundary.
-                let mut b = [0u8; 1];
-                r.read(ctx, &mut b);
-                r.commit(ctx);
-                ctx.compute(1);
-                t.errors_recovered += 1;
-                StepResult::Done
-            }
+            w.commit(ctx);
+            r.commit(ctx);
+            ctx.compute(4);
+            t.blocks_left = cbp.count_ones() as u8;
+            return StepResult::Done;
         }
+        let rec = match r.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
+            None => return StepResult::Blocked,
+            Some(b) => b,
+        };
+        let block = cblk_from_bytes(&rec);
+        let transformed = if info == INFO_FDCT {
+            fdct2d(&block)
+        } else {
+            idct2d(&block)
+        };
+        w.stage(&cblk_to_bytes(&transformed));
+        if !w.reserve(ctx) {
+            return StepResult::Blocked;
+        }
+        w.commit(ctx);
+        r.commit(ctx);
+        ctx.compute(self.cost.per_block);
+        t.blocks_done += 1;
+        if t.framing == Framing::Framed {
+            t.blocks_left = t.blocks_left.saturating_sub(1);
+        }
+        StepResult::Done
     }
 }

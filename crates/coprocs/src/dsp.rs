@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::bits::BitWriter;
 use eclipse_media::frame::Frame;
+use eclipse_media::motion::PredictionMode;
 use eclipse_media::scan::RunLevel;
 use eclipse_media::stream::{
     write_end, write_mb_header, write_picture_header, write_sequence_header, GopConfig, MbHeader,
@@ -34,10 +35,9 @@ use eclipse_shell::{PortId, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::DspCost;
-use crate::io::{StepReader, StepWriter};
+use crate::io::{Head, StepReader, StepWriter};
 use crate::records::{
-    self, decode_mode, mbmv_from_body, pix_from_bytes, pix_to_bytes, PicRec, TAG_EOS, TAG_MB,
-    TAG_PIC,
+    self, decode_mode, mbmv_from_bytes, pix_from_bytes, pix_to_bytes, PicRec, TAG_EOS, TAG_MB,
 };
 
 /// Chunk size of the VLE's byte output records.
@@ -600,19 +600,6 @@ impl Coprocessor for DspCoproc {
         self
     }
 
-    fn error_counters(&self) -> (u64, u64) {
-        self.tasks
-            .values()
-            .map(|t| match t {
-                SwTask::Display(t) => (t.errors_recovered, t.frames_concealed),
-                SwTask::Monitor(t) => (t.errors_recovered, 0),
-                SwTask::Demux(t) => (t.errors_recovered, 0),
-                SwTask::PcmSink(t) => (t.errors_recovered, 0),
-                _ => (0, 0),
-            })
-            .fold((0, 0), |(e, c), (te, tc)| (e + te, c + tc))
-    }
-
     fn task_error_counters(&self, task: TaskIdx) -> (u64, u64) {
         match self.tasks.get(&task) {
             Some(SwTask::Display(t)) => (t.errors_recovered, t.frames_concealed),
@@ -692,11 +679,6 @@ fn step_monitor(t: &mut MonitorTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
     if t.done {
         return StepResult::Finished;
     }
-    let mut r = StepReader::new(IN);
-    let tag = match r.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
     let fnv = |mut h: u64, bytes: &[u8]| -> u64 {
         for &b in bytes {
             h ^= b as u64;
@@ -704,48 +686,32 @@ fn step_monitor(t: &mut MonitorTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
         }
         h
     };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            t.done = true;
-            StepResult::Finished
-        }
-        TAG_PIC => {
-            let body = match r.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
+    let mut r = match StepReader::new(IN).head(ctx, &mut t.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Pic(r, body, _) => {
             r.commit(ctx);
             t.checksum = fnv(t.checksum, &body);
             t.records += 1;
             ctx.compute(cost.per_record);
-            StepResult::Done
+            return StepResult::Done;
         }
-        TAG_MB => {
-            if !r.need(ctx, 1 + records::PIX_REC_BYTES) {
-                return StepResult::Blocked;
-            }
-            let mut buf = [0u8; 1 + records::PIX_REC_BYTES as usize];
-            r.read(ctx, &mut buf);
-            r.commit(ctx);
-            t.checksum = fnv(t.checksum, &buf);
-            t.records += 1;
-            ctx.compute(cost.per_record + buf.len() as u64 / 4);
-            StepResult::Done
+        Head::Eos(r) => {
+            let res = r.finish(ctx, &[]);
+            t.done = true;
+            return res;
         }
-        _ => {
-            // Unknown tag (bit-flipped in SRAM): skip one byte and
-            // rescan for the next plausible record boundary.
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            ctx.compute(1);
-            t.errors_recovered += 1;
-            StepResult::Done
-        }
+        Head::Return(res) => return res,
+    };
+    if !r.need(ctx, 1 + records::PIX_REC_BYTES) {
+        return StepResult::Blocked;
     }
+    let mut buf = [0u8; 1 + records::PIX_REC_BYTES as usize];
+    r.read(ctx, &mut buf);
+    r.commit(ctx);
+    t.checksum = fnv(t.checksum, &buf);
+    t.records += 1;
+    ctx.compute(cost.per_record + buf.len() as u64 / 4);
+    StepResult::Done
 }
 
 /// One transport packet per processing step: read it from off-chip
@@ -887,20 +853,17 @@ fn step_pcm_sink(t: &mut PcmSinkTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> 
     if t.done {
         return StepResult::Finished;
     }
+    // PCM streams carry no picture headers: `head` would take a `PIC`
+    // tag as one, where here it is damage like any other.
     let mut r = StepReader::new(IN);
-    let tag = match r.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
+    match r.peek_tag(ctx) {
+        None => StepResult::Blocked,
+        Some(TAG_EOS) => {
+            let res = r.finish(ctx, &[]);
             t.done = true;
-            StepResult::Finished
+            res
         }
-        TAG_MB => {
+        Some(TAG_MB) => {
             let need = 1 + 2 * BLOCK_SAMPLES as u32;
             if !r.need(ctx, need) {
                 return StepResult::Blocked;
@@ -916,15 +879,7 @@ fn step_pcm_sink(t: &mut PcmSinkTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> 
             ctx.compute(cost.per_record + payload.len() as u64 * cost.per_byte);
             StepResult::Done
         }
-        _ => {
-            // Unknown tag: skip one byte and rescan.
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            ctx.compute(1);
-            t.errors_recovered += 1;
-            StepResult::Done
-        }
+        Some(_) => r.skip(ctx, &mut t.errors_recovered),
     }
 }
 
@@ -964,31 +919,13 @@ fn conceal_missing_frames(t: &mut DisplayTask) {
 
 fn step_display(t: &mut DisplayTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResult {
     const IN: PortId = 0;
-    let mut r = StepReader::new(IN);
-    let tag = match r.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            if t.conceal_missing {
-                conceal_missing_frames(t);
-            }
-            StepResult::Finished
-        }
-        TAG_PIC => {
-            let body = match r.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
+    let mut r = match StepReader::new(IN).head(ctx, &mut t.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Pic(r, _, pic) => {
             // Bound the geometry (a corrupt record could name a frame
             // too large to allocate); drop bad PIC records and let the
             // MB-without-PIC path below swallow their macroblocks.
-            let pic = PicRec::from_body(&body[1..])
-                .filter(|p| p.mb_count() > 0 && p.mb_cols <= 256 && p.mb_rows <= 256);
+            let pic = pic.filter(|p| p.mb_count() > 0 && p.mb_cols <= 256 && p.mb_rows <= 256);
             r.commit(ctx);
             ctx.compute(cost.per_record);
             let Some(pic) = pic else {
@@ -1005,46 +942,43 @@ fn step_display(t: &mut DisplayTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
                 t.frames.resize(pic.temporal_ref as usize + 1, None);
             }
             t.cur = Some((pic, frame, 0));
-            StepResult::Done
+            return StepResult::Done;
         }
-        TAG_MB => {
-            if !r.need(ctx, 1 + records::PIX_REC_BYTES) {
-                return StepResult::Blocked;
+        Head::Eos(r) => {
+            let res = r.finish(ctx, &[]);
+            if t.conceal_missing {
+                conceal_missing_frames(t);
             }
-            let mut tagb = [0u8; 1];
-            r.read(ctx, &mut tagb);
-            let mut pix = [0u8; records::PIX_REC_BYTES as usize];
-            r.read(ctx, &mut pix);
-            r.commit(ctx);
-            ctx.compute(cost.per_record + records::PIX_REC_BYTES as u64 * cost.per_byte);
-            let Some((pic, _, _)) = t.cur.as_ref() else {
-                // MB with no live picture (its PIC record was damaged
-                // and dropped): the bytes are consumed, nothing shown.
-                t.errors_recovered += 1;
-                return StepResult::Done;
-            };
-            let pic = *pic;
-            let blocks = pix_from_bytes(&pix).unwrap_or([[0i16; 64]; 6]);
-            let (_, frame, mb_idx) = t.cur.as_mut().unwrap();
-            let (mbx, mby) = (*mb_idx % pic.mb_cols as u32, *mb_idx / pic.mb_cols as u32);
-            frame.set_macroblock(mbx as usize, mby as usize, &blocks);
-            *mb_idx += 1;
-            if *mb_idx == pic.mb_count() {
-                let (pic, frame, _) = t.cur.take().unwrap();
-                t.frames[pic.temporal_ref as usize] = Some(frame);
-            }
-            StepResult::Done
+            return res;
         }
-        _ => {
-            // Unknown tag: skip one byte and rescan.
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            ctx.compute(1);
-            t.errors_recovered += 1;
-            StepResult::Done
-        }
+        Head::Return(res) => return res,
+    };
+    if !r.need(ctx, 1 + records::PIX_REC_BYTES) {
+        return StepResult::Blocked;
     }
+    let mut tagb = [0u8; 1];
+    r.read(ctx, &mut tagb);
+    let mut pix = [0u8; records::PIX_REC_BYTES as usize];
+    r.read(ctx, &mut pix);
+    r.commit(ctx);
+    ctx.compute(cost.per_record + records::PIX_REC_BYTES as u64 * cost.per_byte);
+    let Some((pic, _, _)) = t.cur.as_ref() else {
+        // MB with no live picture (its PIC record was damaged
+        // and dropped): the bytes are consumed, nothing shown.
+        t.errors_recovered += 1;
+        return StepResult::Done;
+    };
+    let pic = *pic;
+    let blocks = pix_from_bytes(&pix);
+    let (_, frame, mb_idx) = t.cur.as_mut().unwrap();
+    let (mbx, mby) = (*mb_idx % pic.mb_cols as u32, *mb_idx / pic.mb_cols as u32);
+    frame.set_macroblock(mbx as usize, mby as usize, &blocks);
+    *mb_idx += 1;
+    if *mb_idx == pic.mb_count() {
+        let (pic, frame, _) = t.cur.take().unwrap();
+        t.frames[pic.temporal_ref as usize] = Some(frame);
+    }
+    StepResult::Done
 }
 
 fn step_source(t: &mut SourceTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResult {
@@ -1127,107 +1061,125 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
         return StepResult::Finished;
     }
 
-    // Consume one token record.
-    let mut r = StepReader::new(IN);
-    let tag = match r.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
+    // Consume one token record. The VLE's checkpointed state has no error
+    // counter, so the records it recovers from go uncounted.
+    let mut r = match StepReader::new(IN).head(ctx, &mut 0) {
+        Head::Mb(r) => r,
+        Head::Pic(r, _, pic) => {
             r.commit(ctx);
+            // A damaged picture header is dropped.
+            if let Some(pic) = pic {
+                write_picture_header(
+                    &mut t.writer,
+                    &PictureHeader {
+                        ptype: pic.ptype,
+                        temporal_ref: pic.temporal_ref,
+                        qscale: pic.qscale,
+                    },
+                );
+                t.writer.drain_complete_into(&mut t.pending);
+            }
+            ctx.compute(cost.per_record * 2);
+            return StepResult::Done;
+        }
+        Head::Eos(r) => {
+            r.finish(ctx, &[]);
             write_end(&mut t.writer);
             t.writer.byte_align();
             t.writer.drain_complete_into(&mut t.pending);
             t.eos_seen = true;
             ctx.compute(cost.per_record);
-            StepResult::Done
+            return StepResult::Done;
         }
-        TAG_PIC => {
-            let body = match r.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
+        Head::Return(res) => return res,
+    };
+    let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
+        None => return StepResult::Blocked,
+        Some(b) => b,
+    };
+    let (mode_code, cbp, fwd, bwd) = mbmv_from_bytes(&hdr);
+    // Damage: the two spare pattern bits are dropped, and a bad
+    // mode code is coded intra.
+    let cbp = cbp & 0b11_1111;
+    let (mode, intra) = match decode_mode(mode_code, fwd, bwd) {
+        Some(mode) => (mode, mode_code == records::mode::INTRA),
+        None => (Some(PredictionMode::Intra), true),
+    };
+    // Parse per-block symbol payloads: block `i` has the DC
+    // difference `dc_diffs[i]` and the symbols
+    // `t.symbols[ends[i - 1]..ends[i]]`. More than 64 symbols is
+    // a damaged count: that block and the rest of the macroblock
+    // are coded empty, as the RLSQ decode zeroes them, instead of
+    // waiting for bytes that may exceed the stream buffer.
+    t.symbols.clear();
+    let mut dc_diffs = [None; 6];
+    let mut ends = [0usize; 6];
+    let mut blocks = 0;
+    let mut corrupt = false;
+    for blk in 0..6 {
+        if cbp & (1 << (5 - blk)) == 0 {
+            continue;
+        }
+        if corrupt {
+            dc_diffs[blocks] = intra.then_some(0);
+            ends[blocks] = t.symbols.len();
+            blocks += 1;
+            continue;
+        }
+        if intra {
+            let b = match r.take::<2>(ctx) {
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
-            r.commit(ctx);
-            write_picture_header(
-                &mut t.writer,
-                &PictureHeader {
-                    ptype: pic.ptype,
-                    temporal_ref: pic.temporal_ref,
-                    qscale: pic.qscale,
-                },
-            );
-            t.writer.drain_complete_into(&mut t.pending);
-            ctx.compute(cost.per_record * 2);
-            let _ = t.cfg; // sequence header already emitted at configure
-            StepResult::Done
+            dc_diffs[blocks] = Some(i16::from_le_bytes(b));
         }
-        TAG_MB => {
-            let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap();
-            let mode = decode_mode(mode_code, fwd, bwd).expect("bad mode code");
-            let intra = mode_code == records::mode::INTRA;
-            // Parse per-block symbol payloads: block `i` has the DC
-            // difference `dc_diffs[i]` and the symbols
-            // `t.symbols[ends[i - 1]..ends[i]]`. A block may claim more
-            // than 64 symbols only after an SRAM fault; each is still
-            // encoded.
-            t.symbols.clear();
-            let mut dc_diffs = [None; 6];
-            let mut ends = [0usize; 6];
-            let mut blocks = 0;
-            for blk in 0..6 {
-                if cbp & (1 << (5 - blk)) == 0 {
-                    continue;
-                }
-                if intra {
-                    let b = match r.take::<2>(ctx) {
-                        None => return StepResult::Blocked,
-                        Some(b) => b,
-                    };
-                    dc_diffs[blocks] = Some(i16::from_le_bytes(b));
-                }
-                let nsym = match r.take::<2>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => u16::from_le_bytes(b) as u32,
-                };
-                if !r.need(ctx, nsym * 3) {
-                    return StepResult::Blocked;
-                }
-                for _ in 0..nsym {
-                    let mut sb = [0u8; 3];
-                    r.read(ctx, &mut sb);
-                    t.symbols.push(RunLevel {
-                        run: sb[0],
-                        level: i16::from_le_bytes([sb[1], sb[2]]),
-                    });
-                }
-                ends[blocks] = t.symbols.len();
-                blocks += 1;
-            }
-            r.commit(ctx);
-            // Serialize into the bit syntax.
-            write_mb_header(&mut t.writer, &MbHeader { mode, cbp });
-            let mut start = 0;
-            for (dc_diff, &end) in dc_diffs.iter().zip(&ends).take(blocks) {
-                if let Some(diff) = dc_diff {
-                    put_sev(&mut t.writer, *diff as i32);
-                }
-                put_block(&mut t.writer, &t.symbols[start..end]);
-                start = end;
-            }
-            t.writer.drain_complete_into(&mut t.pending);
-            ctx.compute(cost.per_record + t.symbols.len() as u64 * 8);
-            StepResult::Done
+        let nsym = match r.take::<2>(ctx) {
+            None => return StepResult::Blocked,
+            Some(b) => u16::from_le_bytes(b) as u32,
+        };
+        if nsym > 64 {
+            corrupt = true;
+            ends[blocks] = t.symbols.len();
+            blocks += 1;
+            continue;
         }
-        other => panic!("vle: unexpected tag {other:#x}"),
+        if !r.need(ctx, nsym * 3) {
+            return StepResult::Blocked;
+        }
+        let start = t.symbols.len();
+        for _ in 0..nsym {
+            let mut sb = [0u8; 3];
+            r.read(ctx, &mut sb);
+            t.symbols.push(RunLevel {
+                run: sb[0],
+                level: i16::from_le_bytes([sb[1], sb[2]]),
+            });
+        }
+        // So is a symbol the code cannot carry.
+        if t.symbols[start..]
+            .iter()
+            .any(|s| s.level == 0 || s.run > 63)
+        {
+            t.symbols.truncate(start);
+            corrupt = true;
+        }
+        ends[blocks] = t.symbols.len();
+        blocks += 1;
     }
+    r.commit(ctx);
+    // Serialize into the bit syntax.
+    write_mb_header(&mut t.writer, &MbHeader { mode, cbp });
+    let mut start = 0;
+    for (dc_diff, &end) in dc_diffs.iter().zip(&ends).take(blocks) {
+        if let Some(diff) = dc_diff {
+            put_sev(&mut t.writer, *diff as i32);
+        }
+        put_block(&mut t.writer, &t.symbols[start..end]);
+        start = end;
+    }
+    t.writer.drain_complete_into(&mut t.pending);
+    ctx.compute(cost.per_record + t.symbols.len() as u64 * 8);
+    StepResult::Done
 }
 
 fn step_sink(t: &mut SinkTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResult {

@@ -36,10 +36,9 @@ use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::McCost;
 use crate::framestore::{FrameStore, PlaneSel};
-use crate::io::{StepReader, StepWriter};
+use crate::io::{Head, StepReader, StepWriter};
 use crate::records::{
-    self, cblk_from_body, cblk_to_bytes, mbmv_from_body, mbmv_to_bytes, PicRec, TAG_EOS, TAG_MB,
-    TAG_PIC,
+    self, cblk_from_bytes, cblk_to_bytes, mbmv_from_bytes, mbmv_to_bytes, PicRec, TAG_EOS, TAG_MB,
 };
 
 /// Per-task configuration: the frame-store arena this task works in.
@@ -153,12 +152,9 @@ impl McTask {
     fn rebuild_frame_store(&mut self) -> Result<(), SnapError> {
         let side_ok =
             |s: u32| s != 0 && s.is_multiple_of(16) && s <= SequenceHeader::MAX_DIM as u32;
-        let pic_ok = self.pic.is_none_or(|p| {
-            p.mb_count() != 0
-                && p.mb_cols as u32 <= self.cfg.width / 16
-                && p.mb_rows as u32 <= self.cfg.height / 16
-                && self.mb_index <= p.mb_count()
-        });
+        let pic_ok = self
+            .pic
+            .is_none_or(|p| self.fits(&p) && self.mb_index <= p.mb_count());
         if !side_ok(self.cfg.width) || !side_ok(self.cfg.height) || !pic_ok {
             return Err(SnapError::Corrupt("mc task picture"));
         }
@@ -167,6 +163,15 @@ impl McTask {
         }
         self.fs = FrameStore::new(self.cfg.width, self.cfg.height);
         Ok(())
+    }
+
+    /// Is `pic` a nonempty picture within the configured frame? A
+    /// damaged header that is not would break macroblock indexing and
+    /// the frame-store accesses.
+    fn fits(&self, pic: &PicRec) -> bool {
+        pic.mb_count() > 0
+            && pic.mb_cols as u32 <= self.cfg.width.div_ceil(16)
+            && pic.mb_rows as u32 <= self.cfg.height.div_ceil(16)
     }
 
     /// Arena slots the task's state refers to: one past the highest.
@@ -365,13 +370,9 @@ fn predict(
 
 fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
     use mc_port::*;
-    let mut r_mv = StepReader::new(IN_MV);
-    let tag = match r_mv.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
+    let mut r_mv = match StepReader::new(IN_MV).head(ctx, &mut t.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Eos(mut r_mv) => {
             // Drain the residual stream's EOS as well. A damaged stream
             // can leave stray residual records behind; eat them one byte
             // per step until the residual EOS lines up, so the graph
@@ -380,18 +381,10 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             match r_res.peek_tag(ctx) {
                 None => return StepResult::Blocked,
                 Some(TAG_EOS) => {}
-                Some(_) => {
-                    let mut b = [0u8; 1];
-                    r_res.read(ctx, &mut b);
-                    r_res.commit(ctx);
-                    ctx.compute(1);
-                    t.errors_recovered += 1;
-                    return StepResult::Done;
-                }
+                Some(_) => return r_res.skip(ctx, &mut t.errors_recovered),
             }
             let mut b = [0u8; 1];
             r_mv.read(ctx, &mut b);
-            let mut b = [0u8; 1];
             r_res.read(ctx, &mut b);
             let mut w = StepWriter::new(OUT_PIX);
             w.stage(&[TAG_EOS]);
@@ -401,23 +394,12 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             w.commit(ctx);
             r_mv.commit(ctx);
             r_res.commit(ctx);
-            StepResult::Finished
+            return StepResult::Finished;
         }
-        TAG_PIC => {
-            let body = match r_mv.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            // Validate against the configured geometry: a corrupt PIC
-            // record (bad type byte, zero or oversized dimensions) would
-            // break MB indexing and the frame-store writes. Drop it; the
-            // picture's MBs are swallowed by the MB-without-PIC path.
-            let pic = PicRec::from_body(&body[1..]).filter(|p| {
-                p.mb_count() > 0
-                    && p.mb_cols as u32 <= t.cfg.width.div_ceil(16)
-                    && p.mb_rows as u32 <= t.cfg.height.div_ceil(16)
-            });
-            let Some(pic) = pic else {
+        Head::Pic(r_mv, body, pic) => {
+            // A damaged or misfit header is dropped; the picture's MBs
+            // are swallowed by the MB-without-PIC path.
+            let Some(pic) = pic.filter(|p| t.fits(p)) else {
                 r_mv.commit(ctx);
                 ctx.compute(1);
                 t.errors_recovered += 1;
@@ -441,130 +423,105 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             t.pic = Some(pic);
             t.mb_index = 0;
             t.pic_start = ctx.now();
-            StepResult::Done
+            return StepResult::Done;
         }
-        TAG_MB => {
-            let hdr = match r_mv.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap_or((
-                records::mode::INTRA,
-                hdr[2],
-                MotionVector::default(),
-                MotionVector::default(),
-            ));
-            let Some(pic) = t.pic else {
-                // MB with no live picture (its PIC record was damaged and
-                // dropped): consume the header and the residual blocks
-                // its cbp claims so both streams stay record-aligned,
-                // and emit nothing.
-                let mut r_res = StepReader::new(IN_RESID);
-                for blk in 0..6 {
-                    if cbp & (1 << (5 - blk)) == 0 {
-                        continue;
-                    }
-                    if r_res
-                        .take::<{ records::CBLK_REC_BYTES as usize }>(ctx)
-                        .is_none()
-                    {
-                        return StepResult::Blocked;
-                    }
-                }
-                r_mv.commit(ctx);
-                r_res.commit(ctx);
-                ctx.compute(1);
-                t.errors_recovered += 1;
-                return StepResult::Done;
-            };
-            // Collect the residual blocks for the coded blocks.
-            let mut r_res = StepReader::new(IN_RESID);
-            let mut residuals = [[0i16; 64]; 6];
-            let mut bad_residual = false;
-            for (blk, res) in residuals.iter_mut().enumerate() {
-                if cbp & (1 << (5 - blk)) == 0 {
-                    continue;
-                }
-                let rec = match r_res.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => b,
-                };
-                if rec[0] == TAG_MB {
-                    *res = cblk_from_body(&rec[1..]).unwrap_or([0i16; 64]);
-                } else {
-                    // Desynced residual record: substitute zeros (the
-                    // bytes are consumed either way).
-                    bad_residual = true;
-                }
-            }
-            let (mbx, mby) = (
-                t.mb_index % pic.mb_cols as u32,
-                t.mb_index / pic.mb_cols as u32,
-            );
-            let (pred, fetch_bytes, fallback) = predict(ctx, t, mode_code, fwd, bwd, mbx, mby);
-            let mut recon = [[0i16; 64]; 6];
-            let mut coded_blocks = 0u64;
-            for blk in 0..6 {
-                if cbp & (1 << (5 - blk)) != 0 {
-                    coded_blocks += 1;
-                    for i in 0..64 {
-                        recon[blk][i] =
-                            pred[blk][i].saturating_add(residuals[blk][i]).clamp(0, 255);
-                    }
-                } else {
-                    for i in 0..64 {
-                        recon[blk][i] = pred[blk][i].clamp(0, 255);
-                    }
-                }
-            }
-            // Reserve the output before the irreversible frame-store
-            // writes (abort discipline).
-            let mut w = StepWriter::new(OUT_PIX);
-            w.stage(&[TAG_MB]);
-            w.stage(&records::pix_to_bytes(&recon));
-            if !w.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            let base = t.cfg.arena_base + t.write_slot * t.fs.slot_bytes();
-            t.fs.write_mb(ctx, base, mbx, mby, &recon);
-            w.commit(ctx);
-            r_mv.commit(ctx);
-            r_res.commit(ctx);
-            ctx.compute(cost.per_mb + coded_blocks * cost.per_block_add);
-            t.ref_bytes_fetched += fetch_bytes;
-            t.mbs_done += 1;
-            if fallback {
-                t.mbs_concealed += 1;
-            }
-            if bad_residual {
-                t.errors_recovered += 1;
-            }
-            t.mb_index += 1;
-            if t.mb_index == pic.mb_count() {
-                if pic.ptype != PictureType::B {
-                    t.slots.complete_anchor(t.write_slot);
-                }
-                t.pic_spans.push(records::PicSpan {
-                    temporal_ref: pic.temporal_ref,
-                    ptype: pic.ptype,
-                    start: t.pic_start,
-                    end: ctx.now(),
-                });
-                t.pic = None;
-            }
-            StepResult::Done
+        Head::Return(res) => return res,
+    };
+    let hdr = match r_mv.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
+        None => return StepResult::Blocked,
+        Some(b) => b,
+    };
+    let (mode_code, cbp, fwd, bwd) = mbmv_from_bytes(&hdr);
+    let Some(pic) = t.pic else {
+        // MB with no live picture (its PIC record was damaged and
+        // dropped): consume the header and the residual blocks
+        // its cbp claims so both streams stay record-aligned,
+        // and emit nothing.
+        let mut r_res = StepReader::new(IN_RESID);
+        if !r_res.skip_blocks(ctx, cbp) {
+            return StepResult::Blocked;
         }
-        _ => {
-            // Unknown tag (bit-flipped in SRAM): skip one byte and
-            // rescan for the next plausible record boundary.
-            let mut b = [0u8; 1];
-            r_mv.read(ctx, &mut b);
-            r_mv.commit(ctx);
-            ctx.compute(1);
-            t.errors_recovered += 1;
-            StepResult::Done
+        r_mv.commit(ctx);
+        r_res.commit(ctx);
+        ctx.compute(1);
+        t.errors_recovered += 1;
+        return StepResult::Done;
+    };
+    // Collect the residual blocks for the coded blocks.
+    let mut r_res = StepReader::new(IN_RESID);
+    let mut residuals = [[0i16; 64]; 6];
+    let mut bad_residual = false;
+    for (blk, res) in residuals.iter_mut().enumerate() {
+        if cbp & (1 << (5 - blk)) == 0 {
+            continue;
+        }
+        let rec = match r_res.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
+            None => return StepResult::Blocked,
+            Some(b) => b,
+        };
+        if rec[0] == TAG_MB {
+            *res = cblk_from_bytes(&rec);
+        } else {
+            // Desynced residual record: substitute zeros (the
+            // bytes are consumed either way).
+            bad_residual = true;
         }
     }
+    let (mbx, mby) = (
+        t.mb_index % pic.mb_cols as u32,
+        t.mb_index / pic.mb_cols as u32,
+    );
+    let (pred, fetch_bytes, fallback) = predict(ctx, t, mode_code, fwd, bwd, mbx, mby);
+    let mut recon = [[0i16; 64]; 6];
+    let mut coded_blocks = 0u64;
+    for blk in 0..6 {
+        if cbp & (1 << (5 - blk)) != 0 {
+            coded_blocks += 1;
+            for i in 0..64 {
+                recon[blk][i] = pred[blk][i].saturating_add(residuals[blk][i]).clamp(0, 255);
+            }
+        } else {
+            for i in 0..64 {
+                recon[blk][i] = pred[blk][i].clamp(0, 255);
+            }
+        }
+    }
+    // Reserve the output before the irreversible frame-store
+    // writes (abort discipline).
+    let mut w = StepWriter::new(OUT_PIX);
+    w.stage(&[TAG_MB]);
+    w.stage(&records::pix_to_bytes(&recon));
+    if !w.reserve(ctx) {
+        return StepResult::Blocked;
+    }
+    let base = t.cfg.arena_base + t.write_slot * t.fs.slot_bytes();
+    t.fs.write_mb(ctx, base, mbx, mby, &recon);
+    w.commit(ctx);
+    r_mv.commit(ctx);
+    r_res.commit(ctx);
+    ctx.compute(cost.per_mb + coded_blocks * cost.per_block_add);
+    t.ref_bytes_fetched += fetch_bytes;
+    t.mbs_done += 1;
+    if fallback {
+        t.mbs_concealed += 1;
+    }
+    if bad_residual {
+        t.errors_recovered += 1;
+    }
+    t.mb_index += 1;
+    if t.mb_index == pic.mb_count() {
+        if pic.ptype != PictureType::B {
+            t.slots.complete_anchor(t.write_slot);
+        }
+        t.pic_spans.push(records::PicSpan {
+            temporal_ref: pic.temporal_ref,
+            ptype: pic.ptype,
+            start: t.pic_start,
+            end: ctx.now(),
+        });
+        t.pic = None;
+    }
+    StepResult::Done
 }
 
 // ---- encode-side ME --------------------------------------------------------
@@ -779,33 +736,17 @@ fn intra_activity(src: &[[i16; 64]; 6]) -> u32 {
 
 fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
     use me_port::*;
-    let mut r_src = StepReader::new(IN_SRC);
-    let tag = match r_src.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r_src.read(ctx, &mut b);
-            let mut w_dec = StepWriter::new(OUT_MBDEC);
-            let mut w_res = StepWriter::new(OUT_RESID);
-            w_dec.stage(&[TAG_EOS]);
-            w_res.stage(&[TAG_EOS]);
-            if !w_dec.reserve(ctx) || !w_res.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w_dec.commit(ctx);
-            w_res.commit(ctx);
-            r_src.commit(ctx);
-            StepResult::Finished
-        }
-        TAG_PIC => {
-            let body = match r_src.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
+    let mut r_src = match StepReader::new(IN_SRC).head(ctx, &mut t.inner.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Pic(r_src, body, pic) => {
+            // A damaged or misfit header is dropped; the MB path below
+            // drops the picture's macroblocks.
+            let Some(pic) = pic.filter(|p| t.inner.fits(p)) else {
+                r_src.commit(ctx);
+                ctx.compute(8);
+                t.inner.errors_recovered += 1;
+                return StepResult::Done;
             };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
             // Frame-level dependency: every previously emitted anchor must
             // be reconstructed before a picture that references them.
             if pic.ptype != PictureType::I {
@@ -834,156 +775,144 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             t.inner.pic = Some(pic);
             t.inner.mb_index = 0;
             t.mv_pred = Default::default();
-            StepResult::Done
+            return StepResult::Done;
         }
-        TAG_MB => {
-            let pic = t.inner.pic.expect("MB before PIC on source stream");
-            if !r_src.need(ctx, 1 + records::PIX_REC_BYTES) {
-                return StepResult::Blocked;
-            }
-            let mut tagb = [0u8; 1];
-            r_src.read(ctx, &mut tagb);
-            let mut pix = [0u8; records::PIX_REC_BYTES as usize];
-            r_src.read(ctx, &mut pix);
-            let src = records::pix_from_bytes(&pix).unwrap();
-            let luma = luma_rows(&pix);
-            let (mbx, mby) = (
-                t.inner.mb_index % pic.mb_cols as u32,
-                t.inner.mb_index / pic.mb_cols as u32,
-            );
-            let range = t.inner.cfg.search_range;
-
-            // Mode decision.
-            use eclipse_media::motion::PredictionMode as Pm;
-            let mut fetch_bytes = 0u64;
-            let (mode, pred): (Pm, [[i16; 64]; 6]) = match pic.ptype {
-                PictureType::I => (Pm::Intra, [[0i16; 64]; 6]),
-                PictureType::P => {
-                    let slot = t
-                        .inner
-                        .slots
-                        .last_anchor
-                        .expect("P picture without reference");
-                    fetch_window(ctx, &t.inner, &mut t.win, slot, mbx, mby, range as i32);
-                    fetch_bytes += (t.win.w * t.win.h) as u64;
-                    let cands = [MotionVector::default(), t.mv_pred.0];
-                    let (mv, sad, evals) =
-                        motion::search(range, &cands, |mv| window_sad(&luma, &t.win, mbx, mby, mv));
-                    t.mv_pred.0 = mv;
-                    t.sad_evals += evals as u64;
-                    ctx.compute(evals as u64 * cost.per_sad);
-                    if sad < intra_activity(&src) {
-                        (
-                            Pm::Forward(mv),
-                            fetch_pred(
-                                ctx,
-                                &t.inner.fs,
-                                t.inner.cfg.arena_base,
-                                slot,
-                                mbx,
-                                mby,
-                                mv,
-                            ),
-                        )
-                    } else {
-                        (Pm::Intra, [[0i16; 64]; 6])
-                    }
-                }
-                PictureType::B => {
-                    let fslot = t
-                        .inner
-                        .slots
-                        .prev_anchor
-                        .expect("B picture without past anchor");
-                    let bslot = t
-                        .inner
-                        .slots
-                        .last_anchor
-                        .expect("B picture without future anchor");
-                    // Each window is searched as soon as it is fetched
-                    // (the search makes no off-chip or shell access), so
-                    // one scratch window serves both directions.
-                    let fcands = [MotionVector::default(), t.mv_pred.0];
-                    let bcands = [MotionVector::default(), t.mv_pred.1];
-                    fetch_window(ctx, &t.inner, &mut t.win, fslot, mbx, mby, range as i32);
-                    fetch_bytes += (t.win.w * t.win.h) as u64;
-                    let (fmv, fsad, fe) = motion::search(range, &fcands, |mv| {
-                        window_sad(&luma, &t.win, mbx, mby, mv)
-                    });
-                    fetch_window(ctx, &t.inner, &mut t.win, bslot, mbx, mby, range as i32);
-                    fetch_bytes += (t.win.w * t.win.h) as u64;
-                    let (bmv, bsad, be) = motion::search(range, &bcands, |mv| {
-                        window_sad(&luma, &t.win, mbx, mby, mv)
-                    });
-                    t.mv_pred = (fmv, bmv);
-                    t.sad_evals += (fe + be) as u64;
-                    ctx.compute((fe + be) as u64 * cost.per_sad);
-                    let arena = t.inner.cfg.arena_base;
-                    let fp = fetch_pred(ctx, &t.inner.fs, arena, fslot, mbx, mby, fmv);
-                    let bp = fetch_pred(ctx, &t.inner.fs, arena, bslot, mbx, mby, bmv);
-                    let mut bi = [[0i16; 64]; 6];
-                    for blk in 0..6 {
-                        for i in 0..64 {
-                            bi[blk][i] = (fp[blk][i] + bp[blk][i] + 1) >> 1;
-                        }
-                    }
-                    let bi_sad = {
-                        let mut sad = 0u32;
-                        for blk in 0..4 {
-                            for i in 0..64 {
-                                sad += (src[blk][i] - bi[blk][i]).unsigned_abs() as u32;
-                            }
-                        }
-                        sad
-                    };
-                    let best = fsad.min(bsad).min(bi_sad);
-                    if best >= intra_activity(&src) {
-                        (Pm::Intra, [[0i16; 64]; 6])
-                    } else if bi_sad == best {
-                        (Pm::Bidirectional(fmv, bmv), bi)
-                    } else if fsad == best {
-                        (Pm::Forward(fmv), fp)
-                    } else {
-                        (Pm::Backward(bmv), bp)
-                    }
-                }
-            };
-
-            // Emit the decision and the six residual blocks.
-            let (mode_code, fwd, bwd) = records::encode_mode(Some(mode));
-            let mut w_dec = StepWriter::new(OUT_MBDEC);
-            let mut w_res = StepWriter::new(OUT_RESID);
-            w_dec.stage(&mbmv_to_bytes(mode_code, 0b111111, fwd, bwd));
-            for blk in 0..6 {
-                let mut residual = [0i16; 64];
-                for i in 0..64 {
-                    residual[i] = src[blk][i] - pred[blk][i];
-                }
-                w_res.stage(&cblk_to_bytes(&residual));
-            }
-            if !w_dec.reserve(ctx) || !w_res.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w_dec.commit(ctx);
-            w_res.commit(ctx);
-            r_src.commit(ctx);
-            ctx.compute(cost.per_mb);
-            t.inner.ref_bytes_fetched += fetch_bytes;
-            t.inner.mbs_done += 1;
-            t.inner.mb_index += 1;
-            if t.inner.mb_index == pic.mb_count() {
-                if pic.ptype != PictureType::B {
-                    // Track the rotation; the slot contents are written by
-                    // the recon task.
-                    let slot = t.inner.slots.next_anchor_slot(2);
-                    t.inner.slots.complete_anchor(slot);
-                }
-                t.inner.pic = None;
-            }
-            StepResult::Done
-        }
-        other => panic!("me: unexpected tag {other:#x} on source stream"),
+        Head::Eos(r) => return r.finish(ctx, &[OUT_MBDEC, OUT_RESID]),
+        Head::Return(res) => return res,
+    };
+    if !r_src.need(ctx, 1 + records::PIX_REC_BYTES) {
+        return StepResult::Blocked;
     }
+    let mut tagb = [0u8; 1];
+    r_src.read(ctx, &mut tagb);
+    let mut pix = [0u8; records::PIX_REC_BYTES as usize];
+    r_src.read(ctx, &mut pix);
+    let Some(pic) = t.inner.pic else {
+        // No picture (its header was lost): drop the macroblock.
+        r_src.commit(ctx);
+        ctx.compute(1);
+        t.inner.errors_recovered += 1;
+        return StepResult::Done;
+    };
+    let src = records::pix_from_bytes(&pix);
+    let luma = luma_rows(&pix);
+    let (mbx, mby) = (
+        t.inner.mb_index % pic.mb_cols as u32,
+        t.inner.mb_index / pic.mb_cols as u32,
+    );
+    let range = t.inner.cfg.search_range;
+
+    // Mode decision.
+    use eclipse_media::motion::PredictionMode as Pm;
+    let mut fetch_bytes = 0u64;
+    let mut no_anchor = false;
+    let (prev, last) = (t.inner.slots.prev_anchor, t.inner.slots.last_anchor);
+    let (mode, pred): (Pm, [[i16; 64]; 6]) = match (pic.ptype, prev, last) {
+        (PictureType::P, _, Some(slot)) => {
+            fetch_window(ctx, &t.inner, &mut t.win, slot, mbx, mby, range as i32);
+            fetch_bytes += (t.win.w * t.win.h) as u64;
+            let cands = [MotionVector::default(), t.mv_pred.0];
+            let (mv, sad, evals) =
+                motion::search(range, &cands, |mv| window_sad(&luma, &t.win, mbx, mby, mv));
+            t.mv_pred.0 = mv;
+            t.sad_evals += evals as u64;
+            ctx.compute(evals as u64 * cost.per_sad);
+            if sad < intra_activity(&src) {
+                (
+                    Pm::Forward(mv),
+                    fetch_pred(ctx, &t.inner.fs, t.inner.cfg.arena_base, slot, mbx, mby, mv),
+                )
+            } else {
+                (Pm::Intra, [[0i16; 64]; 6])
+            }
+        }
+        (PictureType::B, Some(fslot), Some(bslot)) => {
+            // Each window is searched as soon as it is fetched
+            // (the search makes no off-chip or shell access), so
+            // one scratch window serves both directions.
+            let fcands = [MotionVector::default(), t.mv_pred.0];
+            let bcands = [MotionVector::default(), t.mv_pred.1];
+            fetch_window(ctx, &t.inner, &mut t.win, fslot, mbx, mby, range as i32);
+            fetch_bytes += (t.win.w * t.win.h) as u64;
+            let (fmv, fsad, fe) =
+                motion::search(range, &fcands, |mv| window_sad(&luma, &t.win, mbx, mby, mv));
+            fetch_window(ctx, &t.inner, &mut t.win, bslot, mbx, mby, range as i32);
+            fetch_bytes += (t.win.w * t.win.h) as u64;
+            let (bmv, bsad, be) =
+                motion::search(range, &bcands, |mv| window_sad(&luma, &t.win, mbx, mby, mv));
+            t.mv_pred = (fmv, bmv);
+            t.sad_evals += (fe + be) as u64;
+            ctx.compute((fe + be) as u64 * cost.per_sad);
+            let arena = t.inner.cfg.arena_base;
+            let fp = fetch_pred(ctx, &t.inner.fs, arena, fslot, mbx, mby, fmv);
+            let bp = fetch_pred(ctx, &t.inner.fs, arena, bslot, mbx, mby, bmv);
+            let mut bi = [[0i16; 64]; 6];
+            for blk in 0..6 {
+                for i in 0..64 {
+                    bi[blk][i] = (fp[blk][i] + bp[blk][i] + 1) >> 1;
+                }
+            }
+            let bi_sad = {
+                let mut sad = 0u32;
+                for blk in 0..4 {
+                    for i in 0..64 {
+                        sad += (src[blk][i] - bi[blk][i]).unsigned_abs() as u32;
+                    }
+                }
+                sad
+            };
+            let best = fsad.min(bsad).min(bi_sad);
+            if best >= intra_activity(&src) {
+                (Pm::Intra, [[0i16; 64]; 6])
+            } else if bi_sad == best {
+                (Pm::Bidirectional(fmv, bmv), bi)
+            } else if fsad == best {
+                (Pm::Forward(fmv), fp)
+            } else {
+                (Pm::Backward(bmv), bp)
+            }
+        }
+        // I pictures, and P or B pictures whose anchors were lost
+        // upstream.
+        (ptype, ..) => {
+            no_anchor = ptype != PictureType::I;
+            (Pm::Intra, [[0i16; 64]; 6])
+        }
+    };
+
+    // Emit the decision and the six residual blocks.
+    let (mode_code, fwd, bwd) = records::encode_mode(Some(mode));
+    let mut w_dec = StepWriter::new(OUT_MBDEC);
+    let mut w_res = StepWriter::new(OUT_RESID);
+    w_dec.stage(&mbmv_to_bytes(mode_code, 0b111111, fwd, bwd));
+    for blk in 0..6 {
+        let mut residual = [0i16; 64];
+        for i in 0..64 {
+            residual[i] = src[blk][i] - pred[blk][i];
+        }
+        w_res.stage(&cblk_to_bytes(&residual));
+    }
+    if !w_dec.reserve(ctx) || !w_res.reserve(ctx) {
+        return StepResult::Blocked;
+    }
+    w_dec.commit(ctx);
+    w_res.commit(ctx);
+    r_src.commit(ctx);
+    ctx.compute(cost.per_mb);
+    t.inner.ref_bytes_fetched += fetch_bytes;
+    t.inner.mbs_done += 1;
+    t.inner.errors_recovered += no_anchor as u64;
+    t.inner.mb_index += 1;
+    if t.inner.mb_index == pic.mb_count() {
+        if pic.ptype != PictureType::B {
+            // Track the rotation; the slot contents are written by
+            // the recon task.
+            let slot = t.inner.slots.next_anchor_slot(2);
+            t.inner.slots.complete_anchor(slot);
+        }
+        t.inner.pic = None;
+    }
+    StepResult::Done
 }
 
 // ---- encode-side RECON -----------------------------------------------------
@@ -998,26 +927,17 @@ mod recon_port {
 
 fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
     use recon_port::*;
-    let mut r = StepReader::new(IN_RESID);
-    let tag = match r.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            StepResult::Finished
-        }
-        TAG_PIC => {
-            let body = match r.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
+    let mut r = match StepReader::new(IN_RESID).head(ctx, &mut t.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Pic(r, _, pic) => {
             r.commit(ctx);
             ctx.compute(8);
+            // A damaged or misfit header is dropped; the MB path below
+            // drops the picture's macroblocks.
+            let Some(pic) = pic.filter(|p| t.fits(p)) else {
+                t.errors_recovered += 1;
+                return StepResult::Done;
+            };
             t.write_slot = if pic.ptype == PictureType::B {
                 u32::MAX
             } else {
@@ -1025,76 +945,85 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
             };
             t.pic = Some(pic);
             t.mb_index = 0;
-            StepResult::Done
+            return StepResult::Done;
         }
-        TAG_MB => {
-            let pic = t.pic.expect("MB before PIC on recon stream");
-            let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap();
-            let mut residuals = [[0i16; 64]; 6];
-            for (blk, res) in residuals.iter_mut().enumerate() {
-                if cbp & (1 << (5 - blk)) == 0 {
-                    continue;
-                }
-                let rec = match r.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => b,
-                };
-                *res = cblk_from_body(&rec[1..]).unwrap();
-            }
-            let is_b = pic.ptype == PictureType::B;
-            let last_mb = t.mb_index + 1 == pic.mb_count();
-            if !is_b {
-                // Reconstruct into the anchor slot.
-                let (mbx, mby) = (
-                    t.mb_index % pic.mb_cols as u32,
-                    t.mb_index / pic.mb_cols as u32,
-                );
-                let (pred, fetch_bytes, _) = predict(ctx, t, mode_code, fwd, bwd, mbx, mby);
-                let mut recon = [[0i16; 64]; 6];
-                for blk in 0..6 {
-                    for i in 0..64 {
-                        let resid = if cbp & (1 << (5 - blk)) != 0 {
-                            residuals[blk][i]
-                        } else {
-                            0
-                        };
-                        recon[blk][i] = pred[blk][i].saturating_add(resid).clamp(0, 255);
-                    }
-                }
-                // Reserve feedback room before irreversible writes.
-                let mut w = StepWriter::new(OUT_FEEDBACK);
-                if last_mb {
-                    w.stage(&[pic.temporal_ref as u8]);
-                }
-                if !w.reserve(ctx) {
-                    return StepResult::Blocked;
-                }
-                let base = t.cfg.arena_base + t.write_slot * t.fs.slot_bytes();
-                t.fs.write_mb(ctx, base, mbx, mby, &recon);
-                w.commit(ctx);
-                t.ref_bytes_fetched += fetch_bytes;
-                ctx.compute(cost.per_mb + cbp.count_ones() as u64 * cost.per_block_add);
-            } else {
-                // B pictures are never referenced: drain without work.
-                ctx.compute(4);
-            }
-            r.commit(ctx);
-            t.mbs_done += 1;
-            t.mb_index += 1;
-            if last_mb {
-                if !is_b {
-                    t.slots.complete_anchor(t.write_slot);
-                }
-                t.pic = None;
-            }
-            StepResult::Done
+        Head::Eos(r) => return r.finish(ctx, &[]),
+        Head::Return(res) => return res,
+    };
+    let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
+        None => return StepResult::Blocked,
+        Some(b) => b,
+    };
+    let (mode_code, cbp, fwd, bwd) = mbmv_from_bytes(&hdr);
+    let Some(pic) = t.pic else {
+        // No picture (its header was lost): consume the
+        // macroblock and reconstruct nothing.
+        if !r.skip_blocks(ctx, cbp) {
+            return StepResult::Blocked;
         }
-        other => panic!("recon: unexpected tag {other:#x}"),
+        r.commit(ctx);
+        ctx.compute(1);
+        t.errors_recovered += 1;
+        return StepResult::Done;
+    };
+    let mut residuals = [[0i16; 64]; 6];
+    for (blk, res) in residuals.iter_mut().enumerate() {
+        if cbp & (1 << (5 - blk)) == 0 {
+            continue;
+        }
+        let rec = match r.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
+            None => return StepResult::Blocked,
+            Some(b) => b,
+        };
+        *res = cblk_from_bytes(&rec);
     }
+    let is_b = pic.ptype == PictureType::B;
+    let last_mb = t.mb_index + 1 == pic.mb_count();
+    if !is_b {
+        // Reconstruct into the anchor slot.
+        let (mbx, mby) = (
+            t.mb_index % pic.mb_cols as u32,
+            t.mb_index / pic.mb_cols as u32,
+        );
+        let (pred, fetch_bytes, _) = predict(ctx, t, mode_code, fwd, bwd, mbx, mby);
+        let mut recon = [[0i16; 64]; 6];
+        for blk in 0..6 {
+            for i in 0..64 {
+                let resid = if cbp & (1 << (5 - blk)) != 0 {
+                    residuals[blk][i]
+                } else {
+                    0
+                };
+                recon[blk][i] = pred[blk][i].saturating_add(resid).clamp(0, 255);
+            }
+        }
+        // Reserve feedback room before irreversible writes.
+        let mut w = StepWriter::new(OUT_FEEDBACK);
+        if last_mb {
+            w.stage(&[pic.temporal_ref as u8]);
+        }
+        if !w.reserve(ctx) {
+            return StepResult::Blocked;
+        }
+        let base = t.cfg.arena_base + t.write_slot * t.fs.slot_bytes();
+        t.fs.write_mb(ctx, base, mbx, mby, &recon);
+        w.commit(ctx);
+        t.ref_bytes_fetched += fetch_bytes;
+        ctx.compute(cost.per_mb + cbp.count_ones() as u64 * cost.per_block_add);
+    } else {
+        // B pictures are never referenced: drain without work.
+        ctx.compute(4);
+    }
+    r.commit(ctx);
+    t.mbs_done += 1;
+    t.mb_index += 1;
+    if last_mb {
+        if !is_b {
+            t.slots.complete_anchor(t.write_slot);
+        }
+        t.pic = None;
+    }
+    StepResult::Done
 }
 
 impl Coprocessor for McMeCoproc {
@@ -1157,20 +1086,6 @@ impl Coprocessor for McMeCoproc {
     }
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-
-    fn error_counters(&self) -> (u64, u64) {
-        let mut errors = 0;
-        let mut concealed = 0;
-        for kind in self.tasks.values() {
-            let t = match kind {
-                TaskKind::Mc(t) | TaskKind::Recon(t) => t,
-                TaskKind::Me(t) => &t.inner,
-            };
-            errors += t.errors_recovered;
-            concealed += t.mbs_concealed;
-        }
-        (errors, concealed)
     }
 
     fn task_error_counters(&self, task: TaskIdx) -> (u64, u64) {
@@ -1328,8 +1243,8 @@ mod tests {
     /// `luma_rows` reads the four luma blocks of a PIX record as rows.
     #[test]
     fn luma_rows_follow_the_block_layout() {
-        let pix: Vec<u8> = (0..records::PIX_REC_BYTES).map(|i| i as u8).collect();
-        let blocks = records::pix_from_bytes(&pix).unwrap();
+        let pix: [u8; records::PIX_REC_BYTES as usize] = std::array::from_fn(|i| i as u8);
+        let blocks = records::pix_from_bytes(&pix);
         let rows = luma_rows(&pix);
         for y in 0..16 {
             for x in 0..16 {

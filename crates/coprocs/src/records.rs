@@ -196,20 +196,17 @@ pub fn mbmv_to_bytes(
     b
 }
 
-/// Deserialize the 10 bytes after the tag of an `MBMV` record.
-pub fn mbmv_from_body(b: &[u8]) -> Option<(u8, u8, MotionVector, MotionVector)> {
-    if b.len() < 10 {
-        return None;
-    }
+/// Deserialize an `MBMV` record (its tag is not checked).
+pub fn mbmv_from_bytes(b: &[u8; MBMV_REC_BYTES as usize]) -> (u8, u8, MotionVector, MotionVector) {
     let fwd = MotionVector {
-        dx: i16::from_le_bytes([b[2], b[3]]),
-        dy: i16::from_le_bytes([b[4], b[5]]),
+        dx: i16::from_le_bytes([b[3], b[4]]),
+        dy: i16::from_le_bytes([b[5], b[6]]),
     };
     let bwd = MotionVector {
-        dx: i16::from_le_bytes([b[6], b[7]]),
-        dy: i16::from_le_bytes([b[8], b[9]]),
+        dx: i16::from_le_bytes([b[7], b[8]]),
+        dy: i16::from_le_bytes([b[9], b[10]]),
     };
-    Some((b[0], b[1], fwd, bwd))
+    (b[1], b[2], fwd, bwd)
 }
 
 /// Serialize a 64-coefficient block record (tag + 128 bytes).
@@ -222,16 +219,13 @@ pub fn cblk_to_bytes(block: &[i16; 64]) -> [u8; CBLK_REC_BYTES as usize] {
     b
 }
 
-/// Deserialize the 128 bytes after the tag of a block record.
-pub fn cblk_from_body(b: &[u8]) -> Option<[i16; 64]> {
-    if b.len() < 128 {
-        return None;
-    }
+/// Deserialize a block record (its tag is not checked).
+pub fn cblk_from_bytes(b: &[u8; CBLK_REC_BYTES as usize]) -> [i16; 64] {
     let mut out = [0i16; 64];
-    for (i, v) in out.iter_mut().enumerate() {
-        *v = i16::from_le_bytes([b[2 * i], b[2 * i + 1]]);
+    for (v, pair) in out.iter_mut().zip(b[1..].chunks_exact(2)) {
+        *v = i16::from_le_bytes([pair[0], pair[1]]);
     }
-    Some(out)
+    out
 }
 
 /// Serialize a reconstructed macroblock (6 × 64 samples, clamped).
@@ -246,17 +240,14 @@ pub fn pix_to_bytes(blocks: &[[i16; 64]; 6]) -> [u8; PIX_REC_BYTES as usize] {
 }
 
 /// Deserialize a reconstructed macroblock.
-pub fn pix_from_bytes(b: &[u8]) -> Option<[[i16; 64]; 6]> {
-    if b.len() < PIX_REC_BYTES as usize {
-        return None;
-    }
+pub fn pix_from_bytes(b: &[u8; PIX_REC_BYTES as usize]) -> [[i16; 64]; 6] {
     let mut out = [[0i16; 64]; 6];
-    for (blk, block) in out.iter_mut().enumerate() {
-        for (i, v) in block.iter_mut().enumerate() {
-            *v = b[blk * 64 + i] as i16;
+    for (block, samples) in out.iter_mut().zip(b.chunks_exact(64)) {
+        for (v, &s) in block.iter_mut().zip(samples) {
+            *v = s as i16;
         }
     }
-    Some(out)
+    out
 }
 
 #[cfg(test)]
@@ -283,7 +274,7 @@ mod tests {
         let f = MotionVector { dx: -17, dy: 30 };
         let b = MotionVector { dx: 5, dy: -5 };
         let bytes = mbmv_to_bytes(mode::BI, 0b101010, f, b);
-        let (m, cbp, f2, b2) = mbmv_from_body(&bytes[1..]).unwrap();
+        let (m, cbp, f2, b2) = mbmv_from_bytes(&bytes);
         assert_eq!((m, cbp, f2, b2), (mode::BI, 0b101010, f, b));
     }
 
@@ -295,7 +286,7 @@ mod tests {
         }
         let bytes = cblk_to_bytes(&blk);
         assert_eq!(bytes[0], TAG_MB);
-        assert_eq!(cblk_from_body(&bytes[1..]).unwrap(), blk);
+        assert_eq!(cblk_from_bytes(&bytes), blk);
     }
 
     #[test]
@@ -305,7 +296,7 @@ mod tests {
         blocks[0][1] = 300;
         blocks[5][63] = 200;
         let bytes = pix_to_bytes(&blocks);
-        let back = pix_from_bytes(&bytes).unwrap();
+        let back = pix_from_bytes(&bytes);
         assert_eq!(back[0][0], 0);
         assert_eq!(back[0][1], 255);
         assert_eq!(back[5][63], 200);
@@ -331,9 +322,8 @@ mod tests {
 
     #[test]
     fn truncated_bodies_return_none() {
+        // The other records are fixed-size arrays: only a picture header
+        // is parsed from a slice.
         assert!(PicRec::from_body(&[0; 7]).is_none());
-        assert!(mbmv_from_body(&[0; 9]).is_none());
-        assert!(cblk_from_body(&[0; 127]).is_none());
-        assert!(pix_from_bytes(&[0; 100]).is_none());
     }
 }

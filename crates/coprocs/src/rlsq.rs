@@ -29,8 +29,8 @@ use eclipse_shell::{PortId, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cost::RlsqCost;
-use crate::io::{StepReader, StepWriter};
-use crate::records::{self, cblk_from_body, cblk_to_bytes, PicRec, TAG_EOS, TAG_MB, TAG_PIC};
+use crate::io::{Head, StepReader, StepWriter};
+use crate::records::{self, cblk_from_bytes, cblk_to_bytes, PicRec, TAG_MB};
 
 /// Which RLSQ function a task performs (from the task's function name).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -142,10 +142,6 @@ impl Coprocessor for RlsqCoproc {
         self
     }
 
-    fn error_counters(&self) -> (u64, u64) {
-        (self.tasks.values().map(|t| t.errors_recovered).sum(), 0)
-    }
-
     fn task_error_counters(&self, task: TaskIdx) -> (u64, u64) {
         self.tasks
             .get(&task)
@@ -180,150 +176,119 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
     const IN: PortId = 0;
     const OUT: PortId = 1; // port numbering: inputs first, then outputs
 
-    let mut r = StepReader::new(IN);
-    let tag = match r.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut buf = [0u8; 1];
-            r.read(ctx, &mut buf);
-            let mut w = StepWriter::new(OUT);
-            w.stage(&[TAG_EOS]);
-            if !w.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w.commit(ctx);
+    let mut r = match StepReader::new(IN).head(ctx, &mut t.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Pic(r, _, pic) => {
+            ctx.compute(8);
             r.commit(ctx);
-            StepResult::Finished
-        }
-        TAG_PIC => {
-            let body = match r.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            match PicRec::from_body(&body[1..]) {
+            match pic {
                 Some(pic) => t.pic = Some(pic),
                 // Damaged picture record (an upstream SRAM fault): keep
                 // the previous picture context and move on.
                 None => t.errors_recovered += 1,
             }
-            ctx.compute(8);
-            r.commit(ctx);
-            StepResult::Done
+            return StepResult::Done;
         }
-        TAG_MB => {
-            // A damaged stream can deliver an MB record before any valid
-            // PIC record; dequantize with a default scale instead of
-            // crashing (the output is concealment fodder anyway).
-            let (qscale, mut errs) = match t.pic {
-                Some(pic) => (pic.qscale, 0u64),
-                None => (8, 1),
-            };
-            let hdr = match r.take::<{ records::MB_REC_BYTES as usize }>(ctx) {
+        Head::Eos(r) => return r.finish(ctx, &[OUT]),
+        Head::Return(res) => return res,
+    };
+    // A damaged stream can deliver an MB record before any valid
+    // PIC record; dequantize with a default scale instead of
+    // crashing (the output is concealment fodder anyway).
+    let (qscale, mut errs) = match t.pic {
+        Some(pic) => (pic.qscale, 0u64),
+        None => (8, 1),
+    };
+    let hdr = match r.take::<{ records::MB_REC_BYTES as usize }>(ctx) {
+        None => return StepResult::Blocked,
+        Some(b) => b,
+    };
+    let (mode_code, cbp) = (hdr[1], hdr[2]);
+    let intra = mode_code == records::mode::INTRA;
+    let mut w = StepWriter::new(OUT);
+    let mut cycles = cost.per_mb;
+    let mut coefs: u64 = 0;
+    let mut blocks: u64 = 0;
+    let mut corrupt = false;
+    let mut symbols = [RunLevel::default(); 64];
+    for blk in 0..6 {
+        if cbp & (1 << (5 - blk)) == 0 {
+            continue;
+        }
+        if corrupt {
+            // Zero-substitute the rest so the CBLK count still
+            // matches this record's coded-block pattern.
+            w.stage(&cblk_to_bytes(&[0i16; 64]));
+            blocks += 1;
+            continue;
+        }
+        // Parse one block: [dc if intra] nsym, then symbols.
+        let dc = if intra {
+            let b = match r.take::<2>(ctx) {
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let (mode_code, cbp) = (hdr[1], hdr[2]);
-            let intra = mode_code == records::mode::INTRA;
-            let mut w = StepWriter::new(OUT);
-            let mut cycles = cost.per_mb;
-            let mut coefs: u64 = 0;
-            let mut blocks: u64 = 0;
-            let mut corrupt = false;
-            let mut symbols = [RunLevel::default(); 64];
-            for blk in 0..6 {
-                if cbp & (1 << (5 - blk)) == 0 {
-                    continue;
-                }
-                if corrupt {
-                    // Zero-substitute the rest so the CBLK count still
-                    // matches this record's coded-block pattern.
-                    w.stage(&cblk_to_bytes(&[0i16; 64]));
-                    blocks += 1;
-                    continue;
-                }
-                // Parse one block: [dc if intra] nsym, then symbols.
-                let dc = if intra {
-                    let b = match r.take::<2>(ctx) {
-                        None => return StepResult::Blocked,
-                        Some(b) => b,
-                    };
-                    Some(i16::from_le_bytes(b))
-                } else {
-                    None
-                };
-                let nsym = match r.take::<2>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => u16::from_le_bytes(b) as u32,
-                };
-                // At most 64 symbols fit in an 8x8 block; a larger count
-                // is a corrupted length field, and waiting for that many
-                // bytes could exceed the buffer and deadlock the graph.
-                if nsym > 64 {
-                    errs += 1;
-                    corrupt = true;
-                    w.stage(&cblk_to_bytes(&[0i16; 64]));
-                    blocks += 1;
-                    continue;
-                }
-                if !r.need(ctx, nsym * 3) {
-                    return StepResult::Blocked;
-                }
-                let symbols = &mut symbols[..nsym as usize];
-                for s in symbols.iter_mut() {
-                    let mut sb = [0u8; 3];
-                    r.read(ctx, &mut sb);
-                    *s = RunLevel {
-                        run: sb[0],
-                        level: i16::from_le_bytes([sb[1], sb[2]]),
-                    };
-                }
-                let mut levels = match rle_decode(symbols) {
-                    Ok(levels) => levels,
-                    Err(_) => {
-                        // Run/level data overflows the block: zero it.
-                        errs += 1;
-                        [0i16; 64]
-                    }
-                };
-                if let Some(dc) = dc {
-                    levels[0] = dc;
-                }
-                let dequant = if intra {
-                    dequant_intra(&levels, qscale)
-                } else {
-                    dequant_inter(&levels, qscale)
-                };
-                w.stage(&cblk_to_bytes(&dequant));
-                cycles += cost.per_block + (nsym as u64 + intra as u64) * cost.per_coef;
-                coefs += nsym as u64 + intra as u64;
-                blocks += 1;
-            }
-            if !w.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w.commit(ctx);
-            r.commit(ctx);
-            ctx.compute(cycles);
-            t.coefs_processed += coefs;
-            t.blocks_processed += blocks;
-            t.errors_recovered += errs;
-            StepResult::Done
+            Some(i16::from_le_bytes(b))
+        } else {
+            None
+        };
+        let nsym = match r.take::<2>(ctx) {
+            None => return StepResult::Blocked,
+            Some(b) => u16::from_le_bytes(b) as u32,
+        };
+        // At most 64 symbols fit in an 8x8 block; a larger count
+        // is a corrupted length field, and waiting for that many
+        // bytes could exceed the buffer and deadlock the graph.
+        if nsym > 64 {
+            errs += 1;
+            corrupt = true;
+            w.stage(&cblk_to_bytes(&[0i16; 64]));
+            blocks += 1;
+            continue;
         }
-        other => {
-            // Unknown tag (bit-flipped in SRAM): skip one byte and rescan
-            // for the next plausible record boundary.
-            let _ = other;
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            ctx.compute(1);
-            t.errors_recovered += 1;
-            StepResult::Done
+        if !r.need(ctx, nsym * 3) {
+            return StepResult::Blocked;
         }
+        let symbols = &mut symbols[..nsym as usize];
+        for s in symbols.iter_mut() {
+            let mut sb = [0u8; 3];
+            r.read(ctx, &mut sb);
+            *s = RunLevel {
+                run: sb[0],
+                level: i16::from_le_bytes([sb[1], sb[2]]),
+            };
+        }
+        let mut levels = match rle_decode(symbols) {
+            Ok(levels) => levels,
+            Err(_) => {
+                // Run/level data overflows the block: zero it.
+                errs += 1;
+                [0i16; 64]
+            }
+        };
+        if let Some(dc) = dc {
+            levels[0] = dc;
+        }
+        let dequant = if intra {
+            dequant_intra(&levels, qscale)
+        } else {
+            dequant_inter(&levels, qscale)
+        };
+        w.stage(&cblk_to_bytes(&dequant));
+        cycles += cost.per_block + (nsym as u64 + intra as u64) * cost.per_coef;
+        coefs += nsym as u64 + intra as u64;
+        blocks += 1;
     }
+    if !w.reserve(ctx) {
+        return StepResult::Blocked;
+    }
+    w.commit(ctx);
+    r.commit(ctx);
+    ctx.compute(cycles);
+    t.coefs_processed += coefs;
+    t.blocks_processed += blocks;
+    t.errors_recovered += errs;
+    StepResult::Done
 }
 
 /// Encode direction (`qrl`): consumes the forked mb-decision stream
@@ -336,34 +301,11 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
     const OUT_TOKEN: PortId = 2;
     const OUT_LEVELS: PortId = 3;
 
-    let mut r_mb = StepReader::new(IN_MB);
-    let tag = match r_mb.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r_mb.read(ctx, &mut b);
-            let mut w_tok = StepWriter::new(OUT_TOKEN);
-            let mut w_lvl = StepWriter::new(OUT_LEVELS);
-            w_tok.stage(&[TAG_EOS]);
-            w_lvl.stage(&[TAG_EOS]);
-            if !w_tok.reserve(ctx) || !w_lvl.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w_tok.commit(ctx);
-            w_lvl.commit(ctx);
-            r_mb.commit(ctx);
-            StepResult::Finished
-        }
-        TAG_PIC => {
-            let body = match r_mb.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
-            // Forward the picture header on both outputs.
+    let mut r_mb = match StepReader::new(IN_MB).head(ctx, &mut t.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Pic(r, body, pic) => {
+            // Forward the picture header on both outputs; a damaged one
+            // passes through and leaves the picture context as it was.
             let mut w_tok = StepWriter::new(OUT_TOKEN);
             let mut w_lvl = StepWriter::new(OUT_LEVELS);
             w_tok.stage(&body);
@@ -373,139 +315,143 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
             }
             w_tok.commit(ctx);
             w_lvl.commit(ctx);
-            r_mb.commit(ctx);
+            r.commit(ctx);
             ctx.compute(8);
-            t.pic = Some(pic);
-            t.dc_pred = [128; 3];
-            StepResult::Done
+            match pic {
+                Some(pic) => {
+                    t.pic = Some(pic);
+                    t.dc_pred = [128; 3];
+                }
+                None => t.errors_recovered += 1,
+            }
+            return StepResult::Done;
         }
-        TAG_MB => {
-            let pic = t.pic.expect("MB before PIC on mb stream");
-            let hdr = match r_mb.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let mode_code = hdr[1];
-            let intra = mode_code == records::mode::INTRA;
-            // The ME stage sends all 6 FDCT blocks for every macroblock;
-            // quantization decides the final cbp.
-            let mut r_coef = StepReader::new(IN_COEF);
-            let mut level_blocks = [[0i16; 64]; 6];
-            // Per coded block: the intra DC difference and the symbols
-            // `symbols[blk][..nsym[blk]]`.
-            let mut symbols = [[RunLevel::default(); 64]; 6];
-            let mut nsym = [0usize; 6];
-            let mut dc_diffs = [None; 6];
-            let mut cbp: u8 = 0;
-            let mut cycles = cost.per_mb;
-            let mut dc_pred = t.dc_pred;
-            for (blk, lv_out) in level_blocks.iter_mut().enumerate() {
-                let rec = match r_coef.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => b,
-                };
-                assert_eq!(rec[0], TAG_MB, "qrl expects coefficient blocks");
-                let coefs = cblk_from_body(&rec[1..]).unwrap();
-                let levels = if intra {
-                    quant_intra(&coefs, pic.qscale)
-                } else {
-                    quant_inter(&coefs, pic.qscale)
-                };
-                let coded = if intra {
-                    true
-                } else {
-                    levels.iter().any(|&l| l != 0)
-                };
-                if coded {
-                    cbp |= 1 << (5 - blk);
-                    let mut ac = levels;
-                    if intra {
-                        let comp = match blk {
-                            0..=3 => 0,
-                            4 => 1,
-                            _ => 2,
-                        };
-                        let dc = levels[0];
-                        dc_diffs[blk] = Some(dc - dc_pred[comp]);
-                        dc_pred[comp] = dc;
-                        ac[0] = 0;
-                    }
-                    nsym[blk] = rle_encode_into(&ac, &mut symbols[blk]);
-                    let coefs = nsym[blk] as u64 + intra as u64;
-                    cycles += cost.per_block + coefs * cost.per_coef;
-                    t.coefs_processed += coefs;
-                    *lv_out = levels;
-                }
-            }
-            let coded_blocks = (0..6).filter(|&blk| cbp & (1 << (5 - blk)) != 0);
-            // Token record for the VLE: MBMV header (mode/mv/cbp now
-            // final) followed by per-block symbol data.
-            let mut w_tok = StepWriter::new(OUT_TOKEN);
-            let mut mv_hdr = hdr;
-            mv_hdr[2] = cbp;
-            w_tok.stage(&mv_hdr);
-            for blk in coded_blocks.clone() {
-                if let Some(diff) = dc_diffs[blk] {
-                    w_tok.stage(&diff.to_le_bytes());
-                }
-                w_tok.stage(&(nsym[blk] as u16).to_le_bytes());
-                for s in &symbols[blk][..nsym[blk]] {
-                    let [lo, hi] = s.level.to_le_bytes();
-                    w_tok.stage(&[s.run, lo, hi]);
-                }
-            }
-            // Level blocks for the reconstruction loop: MB header (with
-            // final cbp) + the coded level blocks.
-            let mut w_lvl = StepWriter::new(OUT_LEVELS);
-            w_lvl.stage(&mv_hdr);
-            for blk in coded_blocks {
-                w_lvl.stage(&cblk_to_bytes(&level_blocks[blk]));
-            }
-            if !w_tok.reserve(ctx) || !w_lvl.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w_tok.commit(ctx);
-            w_lvl.commit(ctx);
-            r_mb.commit(ctx);
-            r_coef.commit(ctx);
-            ctx.compute(cycles);
-            t.dc_pred = dc_pred;
-            t.blocks_processed += cbp.count_ones() as u64;
-            StepResult::Done
+        Head::Eos(r) => return r.finish(ctx, &[OUT_TOKEN, OUT_LEVELS]),
+        Head::Return(res) => return res,
+    };
+    let hdr = match r_mb.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
+        None => return StepResult::Blocked,
+        Some(b) => b,
+    };
+    let mode_code = hdr[1];
+    let intra = mode_code == records::mode::INTRA;
+    // The ME stage sends all 6 FDCT blocks for every macroblock;
+    // quantization decides the final cbp.
+    let mut r_coef = StepReader::new(IN_COEF);
+    let Some(pic) = t.pic else {
+        // No valid picture header yet (lost upstream): consume the
+        // macroblock and its blocks so both inputs stay aligned,
+        // and emit nothing.
+        if !r_coef.skip_blocks(ctx, 0b11_1111) {
+            return StepResult::Blocked;
         }
-        other => panic!("qrl: unexpected tag {other:#x}"),
+        r_mb.commit(ctx);
+        r_coef.commit(ctx);
+        ctx.compute(1);
+        t.errors_recovered += 1;
+        return StepResult::Done;
+    };
+    let mut errs = 0;
+    let mut level_blocks = [[0i16; 64]; 6];
+    // Per coded block: the intra DC difference and the symbols
+    // `symbols[blk][..nsym[blk]]`.
+    let mut symbols = [[RunLevel::default(); 64]; 6];
+    let mut nsym = [0usize; 6];
+    let mut dc_diffs = [None; 6];
+    let mut cbp: u8 = 0;
+    let mut cycles = cost.per_mb;
+    let mut dc_pred = t.dc_pred;
+    for (blk, lv_out) in level_blocks.iter_mut().enumerate() {
+        let rec = match r_coef.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
+            None => return StepResult::Blocked,
+            Some(b) => b,
+        };
+        // A damaged block record quantizes as a zero block.
+        let coefs = if rec[0] == TAG_MB {
+            cblk_from_bytes(&rec)
+        } else {
+            errs += 1;
+            [0i16; 64]
+        };
+        let levels = if intra {
+            quant_intra(&coefs, pic.qscale)
+        } else {
+            quant_inter(&coefs, pic.qscale)
+        };
+        let coded = if intra {
+            true
+        } else {
+            levels.iter().any(|&l| l != 0)
+        };
+        if coded {
+            cbp |= 1 << (5 - blk);
+            let mut ac = levels;
+            if intra {
+                let comp = match blk {
+                    0..=3 => 0,
+                    4 => 1,
+                    _ => 2,
+                };
+                let dc = levels[0];
+                dc_diffs[blk] = Some(dc - dc_pred[comp]);
+                dc_pred[comp] = dc;
+                ac[0] = 0;
+            }
+            nsym[blk] = rle_encode_into(&ac, &mut symbols[blk]);
+            let coefs = nsym[blk] as u64 + intra as u64;
+            cycles += cost.per_block + coefs * cost.per_coef;
+            t.coefs_processed += coefs;
+            *lv_out = levels;
+        }
     }
+    let coded_blocks = (0..6).filter(|&blk| cbp & (1 << (5 - blk)) != 0);
+    // Token record for the VLE: MBMV header (mode/mv/cbp now
+    // final) followed by per-block symbol data.
+    let mut w_tok = StepWriter::new(OUT_TOKEN);
+    let mut mv_hdr = hdr;
+    mv_hdr[2] = cbp;
+    w_tok.stage(&mv_hdr);
+    for blk in coded_blocks.clone() {
+        if let Some(diff) = dc_diffs[blk] {
+            w_tok.stage(&diff.to_le_bytes());
+        }
+        w_tok.stage(&(nsym[blk] as u16).to_le_bytes());
+        for s in &symbols[blk][..nsym[blk]] {
+            let [lo, hi] = s.level.to_le_bytes();
+            w_tok.stage(&[s.run, lo, hi]);
+        }
+    }
+    // Level blocks for the reconstruction loop: MB header (with
+    // final cbp) + the coded level blocks.
+    let mut w_lvl = StepWriter::new(OUT_LEVELS);
+    w_lvl.stage(&mv_hdr);
+    for blk in coded_blocks {
+        w_lvl.stage(&cblk_to_bytes(&level_blocks[blk]));
+    }
+    if !w_tok.reserve(ctx) || !w_lvl.reserve(ctx) {
+        return StepResult::Blocked;
+    }
+    w_tok.commit(ctx);
+    w_lvl.commit(ctx);
+    r_mb.commit(ctx);
+    r_coef.commit(ctx);
+    ctx.compute(cycles);
+    t.dc_pred = dc_pred;
+    t.blocks_processed += cbp.count_ones() as u64;
+    t.errors_recovered += errs;
+    StepResult::Done
 }
 
 /// Encode reconstruction loop: inverse-quantize the level blocks.
 fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResult {
     const IN: PortId = 0;
     const OUT: PortId = 1;
-    let mut r = StepReader::new(IN);
-    let tag = match r.peek_tag(ctx) {
-        None => return StepResult::Blocked,
-        Some(tag) => tag,
-    };
-    match tag {
-        TAG_EOS => {
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            let mut w = StepWriter::new(OUT);
-            w.stage(&[TAG_EOS]);
-            if !w.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w.commit(ctx);
-            r.commit(ctx);
-            StepResult::Finished
-        }
-        TAG_PIC => {
-            let body = match r.take::<{ records::PIC_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
-            // Forward downstream (the IDCT/RECON need picture context).
+    let mut r = match StepReader::new(IN).head(ctx, &mut t.errors_recovered) {
+        Head::Mb(r) => r,
+        Head::Pic(r, body, pic) => {
+            // Forward downstream (the IDCT/RECON need picture context); a
+            // damaged header passes through and leaves the context as it
+            // was.
             let mut w = StepWriter::new(OUT);
             w.stage(&body);
             if !w.reserve(ctx) {
@@ -514,49 +460,60 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
             w.commit(ctx);
             r.commit(ctx);
             ctx.compute(8);
-            t.pic = Some(pic);
-            StepResult::Done
-        }
-        TAG_MB => {
-            let pic = t.pic.expect("MB before PIC on levels stream");
-            let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
-                None => return StepResult::Blocked,
-                Some(b) => b,
-            };
-            let mode_code = hdr[1];
-            let cbp = hdr[2];
-            let intra = mode_code == records::mode::INTRA;
-            let mut w = StepWriter::new(OUT);
-            w.stage(&hdr);
-            let mut cycles = cost.per_mb;
-            for blk in 0..6 {
-                if cbp & (1 << (5 - blk)) == 0 {
-                    continue;
-                }
-                let rec = match r.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
-                    None => return StepResult::Blocked,
-                    Some(b) => b,
-                };
-                let levels = cblk_from_body(&rec[1..]).unwrap();
-                let coefs = if intra {
-                    dequant_intra(&levels, pic.qscale)
-                } else {
-                    dequant_inter(&levels, pic.qscale)
-                };
-                w.stage(&cblk_to_bytes(&coefs));
-                let nz = levels.iter().filter(|&&l| l != 0).count() as u64;
-                cycles += cost.per_block + nz * cost.per_coef;
-                t.coefs_processed += nz;
-                t.blocks_processed += 1;
+            match pic {
+                Some(pic) => t.pic = Some(pic),
+                None => t.errors_recovered += 1,
             }
-            if !w.reserve(ctx) {
-                return StepResult::Blocked;
-            }
-            w.commit(ctx);
-            r.commit(ctx);
-            ctx.compute(cycles);
-            StepResult::Done
+            return StepResult::Done;
         }
-        other => panic!("iq: unexpected tag {other:#x}"),
+        Head::Eos(r) => return r.finish(ctx, &[OUT]),
+        Head::Return(res) => return res,
+    };
+    let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
+        None => return StepResult::Blocked,
+        Some(b) => b,
+    };
+    let (mode_code, cbp) = (hdr[1], hdr[2]);
+    let Some(pic) = t.pic else {
+        // No valid picture header yet (lost upstream): consume the
+        // macroblock and emit nothing.
+        if !r.skip_blocks(ctx, cbp) {
+            return StepResult::Blocked;
+        }
+        r.commit(ctx);
+        ctx.compute(1);
+        t.errors_recovered += 1;
+        return StepResult::Done;
+    };
+    let intra = mode_code == records::mode::INTRA;
+    let mut w = StepWriter::new(OUT);
+    w.stage(&hdr);
+    let mut cycles = cost.per_mb;
+    for blk in 0..6 {
+        if cbp & (1 << (5 - blk)) == 0 {
+            continue;
+        }
+        let rec = match r.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
+            None => return StepResult::Blocked,
+            Some(b) => b,
+        };
+        let levels = cblk_from_bytes(&rec);
+        let coefs = if intra {
+            dequant_intra(&levels, pic.qscale)
+        } else {
+            dequant_inter(&levels, pic.qscale)
+        };
+        w.stage(&cblk_to_bytes(&coefs));
+        let nz = levels.iter().filter(|&&l| l != 0).count() as u64;
+        cycles += cost.per_block + nz * cost.per_coef;
+        t.coefs_processed += nz;
+        t.blocks_processed += 1;
     }
+    if !w.reserve(ctx) {
+        return StepResult::Blocked;
+    }
+    w.commit(ctx);
+    r.commit(ctx);
+    ctx.compute(cycles);
+    StepResult::Done
 }

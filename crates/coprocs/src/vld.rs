@@ -387,12 +387,6 @@ impl Coprocessor for VldCoproc {
         self
     }
 
-    fn error_counters(&self) -> (u64, u64) {
-        self.tasks.values().fold((0, 0), |(e, c), t| {
-            (e + t.errors_recovered, c + t.mbs_concealed)
-        })
-    }
-
     fn task_error_counters(&self, task: TaskIdx) -> (u64, u64) {
         self.tasks
             .get(&task)

@@ -290,17 +290,11 @@ pub trait Coprocessor {
     /// model inside a built system.
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
-    /// Graceful-degradation counters, summed over this coprocessor's
-    /// tasks: `(decode/parse errors recovered from, macroblocks
-    /// concealed)`. Zero for models that never degrade.
-    fn error_counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Per-task graceful-degradation counters (same meaning as
-    /// [`Coprocessor::error_counters`], but for one shell task slot).
-    /// The supervisor uses this to attribute media damage to the owning
-    /// application. Zero for models without per-task error state.
+    /// Graceful-degradation counters of one shell task slot: `(decode
+    /// or parse errors recovered from, macroblocks concealed)`. The run
+    /// summary sums them over every slot, and the supervisor over an
+    /// application's tasks to attribute media damage to it. Zero for
+    /// models that never degrade.
     fn task_error_counters(&self, _task: TaskIdx) -> (u64, u64) {
         (0, 0)
     }

@@ -1,7 +1,7 @@
 //! End-of-run accounting: [`RunOutcome`], [`RunSummary`], and the
 //! close-out pass that derives them from the system state.
 
-use eclipse_shell::SyncFabricStats;
+use eclipse_shell::{SyncFabricStats, TaskIdx};
 use eclipse_sim::stats::{Histogram, Utilization};
 use eclipse_sim::trace::TraceEventKind;
 use eclipse_sim::{Cycle, FaultStats};
@@ -124,10 +124,12 @@ impl EclipseSystem {
             runs as f64 / calls as f64
         };
         let (mut media_errors, mut concealed_mbs) = (0u64, 0u64);
-        for c in &self.coprocs {
-            let (e, m) = c.error_counters();
-            media_errors += e;
-            concealed_mbs += m;
+        for (c, shell) in self.coprocs.iter().zip(&self.shells) {
+            for task in 0..shell.tasks().len() {
+                let (e, m) = c.task_error_counters(TaskIdx(task as u8));
+                media_errors += e;
+                concealed_mbs += m;
+            }
         }
         RunSummary {
             outcome,
