@@ -193,8 +193,7 @@ fn main() {
         let sram_bytes: u64 = fabric.ports().iter().map(|p| p.stats.bytes).sum();
         // Only a mesh charges wire energy per hop; the other banked
         // fabrics have no links, so their byte·hops are zero anyway.
-        let byte_hops = fabric
-            .as_any()
+        let byte_hops = (fabric as &dyn std::any::Any)
             .downcast_ref::<BankedFabric>()
             .map_or(0, BankedFabric::byte_hops);
         let counts = TransportCounts {

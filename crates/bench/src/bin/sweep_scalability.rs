@@ -7,7 +7,9 @@
 //! Scales the number of concurrently active pipelines (each pipeline is a
 //! source→filter→sink chain on three dedicated coprocessors) and compares
 //! Eclipse's distributed shell-to-shell synchronization against the
-//! CPU-centric baseline where every `putspace` interrupts a central CPU.
+//! CPU-centric baseline where every `putspace` interrupts a central CPU
+//! (`SyncFabricConfig::Cpu`, the sync network that serializes every
+//! message through one CPU's interrupt service).
 //! The (pipeline-count × sync-mode) grid runs in parallel across host
 //! cores.
 //!
@@ -15,22 +17,20 @@
 
 use eclipse_bench::synthetic::PipeCoproc;
 use eclipse_bench::{par_sweep, save_result, table};
-use eclipse_core::system::CpuSyncConfig;
 use eclipse_core::{EclipseConfig, RunOutcome, SystemBuilder};
 use eclipse_kpn::GraphBuilder;
+use eclipse_shell::SyncFabricConfig;
 
 const PACKETS: u32 = 400;
 const PACKET_BYTES: u32 = 64;
 
-fn run(pipelines: usize, cpu_sync: Option<CpuSyncConfig>) -> (u64, u64, f64) {
+fn run(pipelines: usize, sync: SyncFabricConfig) -> (u64, u64, f64) {
     // SRAM must hold 2 buffers per pipeline.
     let sram = (pipelines as u32 * 2 * 256 + 1024)
         .next_power_of_two()
         .max(32 * 1024);
     let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
-    if let Some(c) = cpu_sync {
-        b.with_cpu_sync(c);
-    }
+    b.with_sync_fabric(sync);
     let mut g = GraphBuilder::new("scale");
     for p in 0..pipelines {
         let a = g.stream(format!("a{p}"), 256);
@@ -85,10 +85,14 @@ fn main() {
         .flat_map(|&p| [(p, false), (p, true)])
         .collect();
     let results = par_sweep(&points, |&(pipelines, cpu)| {
-        let cfg = cpu.then_some(CpuSyncConfig {
-            service_cycles: 200,
-        });
-        run(pipelines, cfg)
+        let sync = if cpu {
+            SyncFabricConfig::Cpu {
+                service_cycles: 200,
+            }
+        } else {
+            SyncFabricConfig::Direct
+        };
+        run(pipelines, sync)
     });
     let mut rows = Vec::new();
     for (i, &pipelines) in counts.iter().enumerate() {

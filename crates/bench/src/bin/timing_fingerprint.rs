@@ -4,7 +4,9 @@
 //! counters) for the Figure-10 QCIF decode and one design point per sweep
 //! binary. Host-performance work (calendar structure, cache fast paths)
 //! must leave this output **byte-identical** — run it before and after an
-//! optimization and diff `results/timing_fingerprint.txt`.
+//! optimization and diff `results/timing_fingerprint.txt`. The closing
+//! `state_hash` line hashes the checkpoint state section, so a change of
+//! its layout (a `SNAP_VERSION` bump) moves that line and no other.
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin timing_fingerprint`
 
@@ -12,11 +14,10 @@ use eclipse_bench::synthetic::{open_gate_system, PipeCoproc};
 use eclipse_bench::{save_result, StreamSpec};
 use eclipse_coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
 use eclipse_coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder};
-use eclipse_core::system::CpuSyncConfig;
 use eclipse_core::{EclipseConfig, RunSummary, SystemBuilder};
 use eclipse_kpn::GraphBuilder;
 use eclipse_media::stream::GopConfig;
-use eclipse_shell::CacheConfig;
+use eclipse_shell::{CacheConfig, SyncFabricConfig};
 use std::fmt::Write as _;
 
 fn digest(out: &mut String, label: &str, s: &RunSummary) {
@@ -120,14 +121,18 @@ fn main() {
         digest(&mut out, "sweep_coupling/0.7x", &s);
     }
 
-    // sweep_scalability point: 4 pipelines, distributed and CPU-centric.
-    for (label, cpu) in [
-        ("sweep_scalability/4pipes-distributed", None),
+    // sweep_scalability point: 4 pipelines on the direct and the CPU
+    // sync fabric.
+    for (label, sync) in [
+        (
+            "sweep_scalability/4pipes-distributed",
+            SyncFabricConfig::Direct,
+        ),
         (
             "sweep_scalability/4pipes-cpu",
-            Some(CpuSyncConfig {
+            SyncFabricConfig::Cpu {
                 service_cycles: 200,
-            }),
+            },
         ),
     ] {
         let pipelines = 4usize;
@@ -135,9 +140,7 @@ fn main() {
             .next_power_of_two()
             .max(32 * 1024);
         let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
-        if let Some(c) = cpu {
-            b.with_cpu_sync(c);
-        }
+        b.with_sync_fabric(sync);
         let mut g = GraphBuilder::new("scale");
         for p in 0..pipelines {
             let a = g.stream(format!("a{p}"), 256);

@@ -134,6 +134,8 @@ struct VleTask {
     writer: BitWriter,
     pending: Vec<u8>,
     eos_seen: bool,
+    /// Damaged token records coded around instead of crashing.
+    errors_recovered: u64,
     /// Host-side scratch reused by every step (no simulated state): the
     /// run/level symbols of the macroblock being parsed.
     symbols: Vec<RunLevel>,
@@ -230,7 +232,8 @@ eclipse_sim::snap_fields!(VleTask {
     cfg,
     writer,
     pending,
-    eos_seen
+    eos_seen,
+    errors_recovered
 });
 eclipse_sim::snap_fields!(SinkTask {
     bytes: blob(|_| crate::MAX_STREAM_BYTES),
@@ -499,6 +502,7 @@ impl Coprocessor for DspCoproc {
                         writer,
                         pending: Vec::new(),
                         eos_seen: false,
+                        errors_recovered: 0,
                         symbols: Vec::with_capacity(6 * 64),
                     }),
                 );
@@ -603,6 +607,7 @@ impl Coprocessor for DspCoproc {
     fn task_error_counters(&self, task: TaskIdx) -> (u64, u64) {
         match self.tasks.get(&task) {
             Some(SwTask::Display(t)) => (t.errors_recovered, t.frames_concealed),
+            Some(SwTask::Vle(t)) => (t.errors_recovered, 0),
             Some(SwTask::Monitor(t)) => (t.errors_recovered, 0),
             Some(SwTask::Demux(t)) => (t.errors_recovered, 0),
             Some(SwTask::PcmSink(t)) => (t.errors_recovered, 0),
@@ -1061,13 +1066,13 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
         return StepResult::Finished;
     }
 
-    // Consume one token record. The VLE's checkpointed state has no error
-    // counter, so the records it recovers from go uncounted.
-    let mut r = match StepReader::new(IN).head(ctx, &mut 0) {
+    // Consume one token record.
+    let mut r = match StepReader::new(IN).head(ctx, &mut t.errors_recovered) {
         Head::Mb(r) => r,
         Head::Pic(r, _, pic) => {
             r.commit(ctx);
-            // A damaged picture header is dropped.
+            // A damaged picture header is dropped and counted.
+            t.errors_recovered += u64::from(pic.is_none());
             if let Some(pic) = pic {
                 write_picture_header(
                     &mut t.writer,
@@ -1098,12 +1103,16 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
         Some(b) => b,
     };
     let (mode_code, cbp, fwd, bwd) = mbmv_from_bytes(&hdr);
-    // Damage: the two spare pattern bits are dropped, and a bad
-    // mode code is coded intra.
+    // Damage, counted once the step commits: the two spare pattern bits
+    // are dropped, and a bad mode code is coded intra.
+    let mut errs = u64::from(cbp > 0b11_1111);
     let cbp = cbp & 0b11_1111;
     let (mode, intra) = match decode_mode(mode_code, fwd, bwd) {
         Some(mode) => (mode, mode_code == records::mode::INTRA),
-        None => (Some(PredictionMode::Intra), true),
+        None => {
+            errs += 1;
+            (Some(PredictionMode::Intra), true)
+        }
     };
     // Parse per-block symbol payloads: block `i` has the DC
     // difference `dc_diffs[i]` and the symbols
@@ -1138,6 +1147,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             Some(b) => u16::from_le_bytes(b) as u32,
         };
         if nsym > 64 {
+            errs += 1;
             corrupt = true;
             ends[blocks] = t.symbols.len();
             blocks += 1;
@@ -1160,6 +1170,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             .iter()
             .any(|s| s.level == 0 || s.run > 63)
         {
+            errs += 1;
             t.symbols.truncate(start);
             corrupt = true;
         }
@@ -1167,6 +1178,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
         blocks += 1;
     }
     r.commit(ctx);
+    t.errors_recovered += errs;
     // Serialize into the bit syntax.
     write_mb_header(&mut t.writer, &MbHeader { mode, cbp });
     let mut start = 0;

@@ -53,9 +53,6 @@ struct RlsqTask {
     pic: Option<PicRec>,
     /// Encode-side DC predictors (the encoder's QRL owns DC prediction).
     dc_pred: [i16; 3],
-    /// Statistics.
-    coefs_processed: u64,
-    blocks_processed: u64,
     /// Decode-path records that arrived damaged (SRAM faults upstream)
     /// and were skipped or zero-substituted instead of crashing.
     errors_recovered: u64,
@@ -65,8 +62,6 @@ eclipse_sim::snap_fields!(RlsqTask {
     function,
     pic,
     dc_pred,
-    coefs_processed,
-    blocks_processed,
     errors_recovered,
 });
 
@@ -87,11 +82,6 @@ impl RlsqCoproc {
             cost,
             tasks: BTreeMap::new(),
         }
-    }
-
-    /// Coefficients processed by a task (workload statistics).
-    pub fn coefs_processed(&self, task: TaskIdx) -> u64 {
-        self.tasks.get(&task).map_or(0, |t| t.coefs_processed)
     }
 }
 
@@ -121,8 +111,6 @@ impl Coprocessor for RlsqCoproc {
                 function,
                 pic: None,
                 dc_pred: [128; 3],
-                coefs_processed: 0,
-                blocks_processed: 0,
                 errors_recovered: 0,
             },
         );
@@ -207,8 +195,6 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
     let intra = mode_code == records::mode::INTRA;
     let mut w = StepWriter::new(OUT);
     let mut cycles = cost.per_mb;
-    let mut coefs: u64 = 0;
-    let mut blocks: u64 = 0;
     let mut corrupt = false;
     let mut symbols = [RunLevel::default(); 64];
     for blk in 0..6 {
@@ -219,7 +205,6 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
             // Zero-substitute the rest so the CBLK count still
             // matches this record's coded-block pattern.
             w.stage(&cblk_to_bytes(&[0i16; 64]));
-            blocks += 1;
             continue;
         }
         // Parse one block: [dc if intra] nsym, then symbols.
@@ -243,7 +228,6 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
             errs += 1;
             corrupt = true;
             w.stage(&cblk_to_bytes(&[0i16; 64]));
-            blocks += 1;
             continue;
         }
         if !r.need(ctx, nsym * 3) {
@@ -276,8 +260,6 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
         };
         w.stage(&cblk_to_bytes(&dequant));
         cycles += cost.per_block + (nsym as u64 + intra as u64) * cost.per_coef;
-        coefs += nsym as u64 + intra as u64;
-        blocks += 1;
     }
     if !w.reserve(ctx) {
         return StepResult::Blocked;
@@ -285,8 +267,6 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
     w.commit(ctx);
     r.commit(ctx);
     ctx.compute(cycles);
-    t.coefs_processed += coefs;
-    t.blocks_processed += blocks;
     t.errors_recovered += errs;
     StepResult::Done
 }
@@ -398,9 +378,7 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
                 ac[0] = 0;
             }
             nsym[blk] = rle_encode_into(&ac, &mut symbols[blk]);
-            let coefs = nsym[blk] as u64 + intra as u64;
-            cycles += cost.per_block + coefs * cost.per_coef;
-            t.coefs_processed += coefs;
+            cycles += cost.per_block + (nsym[blk] as u64 + intra as u64) * cost.per_coef;
             *lv_out = levels;
         }
     }
@@ -437,7 +415,6 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
     r_coef.commit(ctx);
     ctx.compute(cycles);
     t.dc_pred = dc_pred;
-    t.blocks_processed += cbp.count_ones() as u64;
     t.errors_recovered += errs;
     StepResult::Done
 }
@@ -506,8 +483,6 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
         w.stage(&cblk_to_bytes(&coefs));
         let nz = levels.iter().filter(|&&l| l != 0).count() as u64;
         cycles += cost.per_block + nz * cost.per_coef;
-        t.coefs_processed += nz;
-        t.blocks_processed += 1;
     }
     if !w.reserve(ctx) {
         return StepResult::Blocked;

@@ -4,6 +4,7 @@
 //! after live reconfiguration has reshaped the tables relative to the
 //! fresh build receiving the checkpoint.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 
 use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig, EncodeAppConfig};
@@ -340,22 +341,15 @@ fn mesh_checkpoint_restores_in_flight_routes() {
                 "{label}: decode must still be mid-flight while scanning"
             );
             let now = original.sys.now();
-            let data_busy = original
-                .sys
-                .data_fabric()
-                .as_any()
+            let data_busy = (original.sys.data_fabric() as &dyn Any)
                 .downcast_ref::<BankedFabric>()
                 .expect("mesh data fabric selected")
                 .in_flight(now);
-            let sync_busy = match original
-                .sys
-                .sync_fabric()
-                .as_any()
-                .downcast_ref::<MeshSyncFabric>()
-            {
-                Some(m) => m.links_in_flight(now),
-                None => true, // direct sync holds no route state
-            };
+            let sync_busy =
+                match (original.sys.sync_fabric() as &dyn Any).downcast_ref::<MeshSyncFabric>() {
+                    Some(m) => m.links_in_flight(now),
+                    None => true, // direct sync holds no route state
+                };
             if data_busy && sync_busy {
                 break true;
             }

@@ -9,8 +9,8 @@
 //!   is woken by the next incoming `putspace` message (coprocessors are
 //!   fully autonomous — no CPU involvement, paper Section 2.3).
 //! * **Sync** — a `putspace` message arrives at its destination shell
-//!   after the synchronization network has routed it (and, in the
-//!   CPU-centric baseline of experiment E10, after being serialized
+//!   after the synchronization network has routed it (in the CPU-centric
+//!   baseline of experiment E10, that network serializes every message
 //!   through the CPU).
 //! * **Sample** — the periodic measurement process reads the shell
 //!   counters into the trace log (paper Section 5.4).
@@ -65,16 +65,6 @@ use crate::mapping::Placement;
 use crate::trace::TraceLog;
 
 use lifecycle::AppRecord;
-
-/// CPU-centric synchronization baseline (experiment E10): every
-/// `putspace` message interrupts the CPU, which forwards it after a
-/// service time. The paper argues this does not scale; the experiment
-/// measures why.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuSyncConfig {
-    /// CPU cycles to service one synchronization interrupt.
-    pub service_cycles: u64,
-}
 
 #[derive(Clone, Copy, Default)]
 pub(crate) enum Event {
@@ -236,16 +226,10 @@ pub struct EclipseSystem {
     /// Label ids `sys_trace` emits under; derived, never serialized.
     sys_labels: run_loop::SysLabels,
     sync_latency: Histogram,
-    cpu_sync: Option<CpuSyncConfig>,
-    cpu_next_free: Cycle,
-    cpu_sync_busy: Cycle,
     sync_messages: u64,
-    pi_accesses: u64,
-    /// Earliest cycle the PI control bus accepts the next register
-    /// access (configuration traffic serializes here).
-    pi_next_free: Cycle,
-    /// Total cycles the PI bus spent carrying register accesses.
-    pi_busy_cycles: u64,
+    /// The PI control bus: one register access is one beat of
+    /// `pi_access_cycles`, and configuration traffic serializes here.
+    pi_bus: Bus,
     /// Deterministic fault injector (None = no injection; the run loop
     /// then draws no RNG values and timing is bit-identical).
     fault: Option<FaultInjector>,
@@ -307,13 +291,12 @@ impl EclipseSystem {
     /// Serialize `accesses` register accesses onto the PI control bus,
     /// starting no earlier than the current cycle. Returns the cycle the
     /// last access completes (configuration takes effect then).
-    pub(crate) fn charge_pi(&mut self, accesses: u64) -> Cycle {
-        self.pi_accesses += accesses;
-        let cost = accesses * self.cfg.pi_access_cycles;
-        let start = self.cal.now().max(self.pi_next_free);
-        self.pi_next_free = start + cost;
-        self.pi_busy_cycles += cost;
-        self.pi_next_free
+    pub(crate) fn charge_pi(&mut self, accesses: u32) -> Cycle {
+        let now = self.cal.now();
+        if accesses == 0 {
+            return now.max(self.pi_bus.busy_until());
+        }
+        self.pi_bus.request(now, accesses).done
     }
 
     /// CPU read of a memory-mapped shell register over the PI control bus
@@ -334,13 +317,13 @@ impl EclipseSystem {
 
     /// Total PI-bus accesses performed so far.
     pub fn pi_accesses(&self) -> u64 {
-        self.pi_accesses
+        self.pi_bus.stats().bytes
     }
 
     /// Total cycles the PI bus spent carrying register accesses
     /// (measurement reads plus reconfiguration writes).
     pub fn pi_busy_cycles(&self) -> u64 {
-        self.pi_busy_cycles
+        self.pi_bus.stats().busy_cycles
     }
 
     /// Shell display names, aligned with [`EclipseSystem::shells`].

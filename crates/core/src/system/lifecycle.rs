@@ -23,10 +23,10 @@ use super::EclipseSystem;
 
 /// PI register writes to program one stream-table row (buffer base,
 /// size, remote access point, initial space).
-const ROW_CFG_WRITES: u64 = 4;
+const ROW_CFG_WRITES: u32 = 4;
 /// PI register writes to program one task-table entry (task info,
 /// budget, space hints, enable).
-const TASK_CFG_WRITES: u64 = 4;
+const TASK_CFG_WRITES: u32 = 4;
 
 /// Lifecycle state of a mapped application (run-time reconfiguration).
 ///
@@ -272,7 +272,7 @@ impl EclipseSystem {
         // The CPU programs the new rows and tasks over the PI bus; the
         // app only starts once its configuration has landed.
         let config_done = self
-            .charge_pi(rows.len() as u64 * ROW_CFG_WRITES + tasks.len() as u64 * TASK_CFG_WRITES);
+            .charge_pi(rows.len() as u32 * ROW_CFG_WRITES + tasks.len() as u32 * TASK_CFG_WRITES);
         // Idle shells have no pending Step event to discover the new
         // work — wake every shell that received a task.
         let mut touched: Vec<usize> = tasks.iter().map(|&(s, _)| s).collect();
@@ -311,7 +311,7 @@ impl EclipseSystem {
                 op: "pause",
             });
         }
-        self.charge_pi(tasks.len() as u64);
+        self.charge_pi(tasks.len() as u32);
         for (s, t) in tasks {
             self.shells[s].set_task_enabled(t, false);
         }
@@ -346,7 +346,7 @@ impl EclipseSystem {
             }
             AppState::Paused => {}
         }
-        let config_done = self.charge_pi(tasks.len() as u64);
+        let config_done = self.charge_pi(tasks.len() as u32);
         let mut touched = Vec::new();
         for (s, t) in tasks {
             self.shells[s].set_task_enabled(t, true);
@@ -387,7 +387,7 @@ impl EclipseSystem {
             });
         }
         let pi_before = self.pi_busy_cycles();
-        self.charge_pi(tasks.len() as u64);
+        self.charge_pi(tasks.len() as u32);
         let config_cycles = self.pi_busy_cycles() - pi_before;
         for (s, t) in tasks {
             self.shells[s].set_task_enabled(t, false);
@@ -449,7 +449,7 @@ impl EclipseSystem {
             Some(_) => {}
         }
         let rec = self.apps.remove(name).expect("checked above");
-        self.charge_pi(rec.tasks.len() as u64 + rec.rows.len() as u64);
+        self.charge_pi(rec.tasks.len() as u32 + rec.rows.len() as u32);
         // Per-shell budget the departing app gives back.
         let mut freed: HashMap<usize, u64> = HashMap::new();
         for &(s, t) in &rec.tasks {

@@ -374,22 +374,11 @@ impl EclipseSystem {
                     // The fabric decides when the message reaches its
                     // destination (with the default direct network:
                     // `depart + sync_latency`, exactly the pre-fabric
-                    // model). The CPU-centric baseline routes the message
-                    // to the CPU first, serializes through its service
-                    // loop, then pays the network latency once more for
-                    // the forwarded message.
-                    let routed =
+                    // model).
+                    let arrive =
                         self.sync
-                            .route(depart, msg.src.shell, msg.dst.shell, sync_latency);
-                    let arrive = match self.cpu_sync {
-                        None => routed,
-                        Some(cpu) => {
-                            let start = routed.max(self.cpu_next_free);
-                            self.cpu_next_free = start + cpu.service_cycles;
-                            self.cpu_sync_busy += cpu.service_cycles;
-                            start + cpu.service_cycles + sync_latency
-                        }
-                    } + extra_delay;
+                            .route(depart, msg.src.shell, msg.dst.shell, sync_latency)
+                            + extra_delay;
                     if self.credit_check {
                         *self.in_flight.entry((msg.dst, msg.src)).or_insert(0) += msg.bytes as u64;
                     }

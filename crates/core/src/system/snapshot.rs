@@ -52,7 +52,11 @@ pub const SNAP_MAGIC: &[u8; 8] = b"ECLSNAP1";
 /// v3: per-shell fault-injector RNG lanes, integer sync-latency
 /// histogram accumulators (ISSUE 9). Calendar events still serialize as
 /// `(time, event)` pairs — content keys are recomputed on load.
-pub const SNAP_VERSION: u32 = 3;
+/// v4: the PI control bus, the CPU sync baseline's service queue and
+/// the DRAM data pins serialize as [`eclipse_mem::Bus`] state; the RLSQ
+/// drops its two unread work counters; the VLE task gains its error
+/// counter.
+pub const SNAP_VERSION: u32 = 4;
 
 eclipse_sim::snap_enum!(Event {
     Step(shell) = 0,
@@ -95,17 +99,16 @@ impl Snapshot for PendingSyncs {
 
 impl EclipseSystem {
     /// FNV digest of the build-time configuration: template parameters,
-    /// coprocessor roster, fabric backends, and the CPU-sync baseline
-    /// flag. Two systems with equal digests were built through the same
-    /// construction path and can exchange checkpoints.
+    /// coprocessor roster and fabric backends. Two systems with equal
+    /// digests were built through the same construction path and can
+    /// exchange checkpoints.
     pub fn config_digest(&self) -> u64 {
         let desc = format!(
-            "{:?}|coprocs={:?}|data={}|sync={}|cpu={:?}",
+            "{:?}|coprocs={:?}|data={}|sync={}",
             self.cfg,
             self.shell_names,
             self.mem.fabric.kind(),
             self.sync.kind(),
-            self.cpu_sync,
         );
         fnv1a_64(desc.as_bytes())
     }
@@ -206,12 +209,8 @@ impl EclipseSystem {
         self.utilization[..].save(w);
         self.trace.save(w);
         self.sync_latency.save(w);
-        w.u64(self.cpu_next_free);
-        w.u64(self.cpu_sync_busy);
         w.u64(self.sync_messages);
-        w.u64(self.pi_accesses);
-        w.u64(self.pi_next_free);
-        w.u64(self.pi_busy_cycles);
+        self.pi_bus.save(w);
         self.fault.save(w);
         self.watchdog_cycles.save(w);
         w.u64(self.last_progress);
@@ -266,12 +265,8 @@ impl EclipseSystem {
         self.utilization[..].load(r)?;
         self.trace.load(r)?;
         self.sync_latency.load(r)?;
-        self.cpu_next_free = r.u64()?;
-        self.cpu_sync_busy = r.u64()?;
         self.sync_messages = r.u64()?;
-        self.pi_accesses = r.u64()?;
-        self.pi_next_free = r.u64()?;
-        self.pi_busy_cycles = r.u64()?;
+        self.pi_bus.load(r)?;
         self.fault.load(r)?;
         self.watchdog_cycles.load(r)?;
         self.last_progress = r.u64()?;

@@ -1,7 +1,9 @@
 //! End-of-run accounting: [`RunOutcome`], [`RunSummary`], and the
 //! close-out pass that derives them from the system state.
 
-use eclipse_shell::{SyncFabricStats, TaskIdx};
+use std::any::Any;
+
+use eclipse_shell::{CpuSyncFabric, SyncFabricStats, TaskIdx};
 use eclipse_sim::stats::{Histogram, Utilization};
 use eclipse_sim::trace::TraceEventKind;
 use eclipse_sim::{Cycle, FaultStats};
@@ -35,7 +37,8 @@ pub struct RunSummary {
     pub utilization: Vec<Utilization>,
     /// Total `putspace` messages delivered.
     pub sync_messages: u64,
-    /// CPU busy cycles spent forwarding sync messages (CPU-centric
+    /// CPU busy cycles spent forwarding sync messages (the
+    /// [`SyncFabricConfig::Cpu`](eclipse_shell::SyncFabricConfig::Cpu)
     /// baseline only; 0 with distributed sync).
     pub cpu_sync_busy: Cycle,
     /// Per-stream `GetSpace` denial rate: `(row label, denied / calls)`
@@ -136,7 +139,9 @@ impl EclipseSystem {
             cycles: end,
             utilization: self.utilization.clone(),
             sync_messages: self.sync_messages,
-            cpu_sync_busy: self.cpu_sync_busy,
+            cpu_sync_busy: (self.sync.as_ref() as &dyn Any)
+                .downcast_ref::<CpuSyncFabric>()
+                .map_or(0, |f| f.cpu().stats().busy_cycles),
             denial_rates,
             sched_occupancy,
             sync_latency: self.sync_latency.clone(),

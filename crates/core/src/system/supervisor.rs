@@ -775,13 +775,13 @@ impl Supervisor {
         trigger: RecoveryTrigger,
     ) {
         let start = sys.cal.now();
-        let pi0 = sys.pi_busy_cycles;
+        let pi0 = sys.pi_busy_cycles();
         let mon = self.monitors.entry(victim.to_string()).or_default();
         let attempt = mon.retries;
         mon.retries += 1;
         let backoff = self.cfg.retry_backoff << attempt;
 
-        sys.charge_pi(wedged.len() as u64);
+        sys.charge_pi(wedged.len() as u32);
         for &(s, t, _) in wedged {
             sys.shells[s].set_task_enabled(t, false);
         }
@@ -789,7 +789,7 @@ impl Supervisor {
         // window (and the watchdog a fresh clock).
         sys.last_progress = start;
         let _ = sys.run_until(start + backoff);
-        let config_done = sys.charge_pi(wedged.len() as u64);
+        let config_done = sys.charge_pi(wedged.len() as u32);
         let mut touched: Vec<usize> = wedged.iter().map(|&(s, _, _)| s).collect();
         touched.sort_unstable();
         touched.dedup();
@@ -807,7 +807,7 @@ impl Supervisor {
                 backoff,
             },
             trigger,
-            pi_cycles: sys.pi_busy_cycles - pi0,
+            pi_cycles: sys.pi_busy_cycles() - pi0,
             latency: now.saturating_sub(start),
             apps: vec![victim.to_string()],
         });
@@ -834,11 +834,11 @@ impl Supervisor {
         self.next_check = sys.cal.now() + self.cfg.check_interval;
         self.next_ckpt = sys.cal.now() + self.cfg.checkpoint_interval;
         self.ckpt_hold_until = self.ckpt_hold_until.max(wedged_at);
-        let pi0 = sys.pi_busy_cycles;
-        let writes: u64 = sys
+        let pi0 = sys.pi_busy_cycles();
+        let writes: u32 = sys
             .apps
             .values()
-            .map(|rec| rec.tasks.len() as u64 * 4 + rec.rows.len() as u64 * 4)
+            .map(|rec| rec.tasks.len() as u32 * 4 + rec.rows.len() as u32 * 4)
             .sum();
         sys.charge_pi(writes);
         let mon = self.monitors.entry(victim.to_string()).or_default();
@@ -850,7 +850,7 @@ impl Supervisor {
                 dropped_cycles: wedged_at.saturating_sub(to_cycle),
             },
             trigger,
-            pi_cycles: sys.pi_busy_cycles - pi0,
+            pi_cycles: sys.pi_busy_cycles() - pi0,
             latency: 0,
             apps: vec![victim.to_string()],
         });
@@ -868,7 +868,7 @@ impl Supervisor {
             return false;
         };
         let start = sys.cal.now();
-        let pi0 = sys.pi_busy_cycles;
+        let pi0 = sys.pi_busy_cycles();
         let mut accepted = 0u32;
         for (s, t) in tasks {
             if sys.coprocs[s].set_conceal_only(t, true) {
@@ -878,7 +878,7 @@ impl Supervisor {
         if accepted == 0 {
             return false;
         }
-        sys.charge_pi(accepted as u64);
+        sys.charge_pi(accepted);
         let mon = self.monitors.entry(app.to_string()).or_default();
         mon.degraded = true;
         mon.health = Some(AppHealth::Degraded);
@@ -887,7 +887,7 @@ impl Supervisor {
             cycle: start,
             action: RecoveryAction::Degrade { tasks: accepted },
             trigger,
-            pi_cycles: sys.pi_busy_cycles - pi0,
+            pi_cycles: sys.pi_busy_cycles() - pi0,
             latency: 0,
             apps: vec![app.to_string()],
         });
@@ -923,7 +923,7 @@ impl Supervisor {
         trigger: RecoveryTrigger,
     ) {
         let start = sys.cal.now();
-        let pi0 = sys.pi_busy_cycles;
+        let pi0 = sys.pi_busy_cycles();
         match sys.drain_app(evictee, self.cfg.evict_drain_wait) {
             Ok(report) => {
                 sys.unmap_app(evictee).expect("drained app unmaps");
@@ -939,7 +939,7 @@ impl Supervisor {
                         drain_wait: report.wait_cycles,
                     },
                     trigger,
-                    pi_cycles: sys.pi_busy_cycles - pi0,
+                    pi_cycles: sys.pi_busy_cycles() - pi0,
                     latency: sys.cal.now().saturating_sub(start),
                     apps,
                 });
@@ -954,7 +954,7 @@ impl Supervisor {
     /// Rung 4: pause the app for good; everything else keeps serving.
     fn quarantine_app(&mut self, sys: &mut EclipseSystem, app: &str, trigger: RecoveryTrigger) {
         let start = sys.cal.now();
-        let pi0 = sys.pi_busy_cycles;
+        let pi0 = sys.pi_busy_cycles();
         let _ = sys.pause_app(app);
         let mon = self.monitors.entry(app.to_string()).or_default();
         mon.health = Some(AppHealth::Quarantined);
@@ -963,7 +963,7 @@ impl Supervisor {
             cycle: start,
             action: RecoveryAction::Quarantine,
             trigger,
-            pi_cycles: sys.pi_busy_cycles - pi0,
+            pi_cycles: sys.pi_busy_cycles() - pi0,
             latency: sys.cal.now().saturating_sub(start),
             apps: vec![app.to_string()],
         });

@@ -1,13 +1,15 @@
+use std::any::Any;
+
 use eclipse_kpn::GraphBuilder;
 use eclipse_mem::{BusConfig, DataFabricConfig};
-use eclipse_shell::{PortId, SyncFabricConfig, TaskIdx};
+use eclipse_shell::{CpuSyncFabric, PortId, SyncFabricConfig, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use eclipse_sim::FaultPlan;
 
 use crate::config::EclipseConfig;
 use crate::coproc::{Coprocessor, StepCtx, StepResult};
 
-use super::{AppState, CpuSyncConfig, EclipseSystem, RunOutcome, RunSummary, SystemBuilder};
+use super::{AppState, EclipseSystem, RunOutcome, RunSummary, SystemBuilder};
 
 /// A trivial producer coprocessor: emits `total` bytes in fixed-size
 /// packets, then finishes.
@@ -247,43 +249,57 @@ fn utilization_accounts_all_time() {
     }
 }
 
+const CPU_SYNC: SyncFabricConfig = SyncFabricConfig::Cpu {
+    service_cycles: 200,
+};
+
 #[test]
 fn cpu_sync_baseline_is_slower_and_busies_cpu() {
-    let build = |cpu: Option<CpuSyncConfig>| {
-        let mut g = GraphBuilder::new("pipe");
-        let s = g.stream("s", 128);
-        g.task("p", "gen", 0, &[], &[s]);
-        g.task("c", "collect", 0, &[s], &[]);
-        let graph = g.build().unwrap();
-        let mut b = SystemBuilder::new(EclipseConfig::default());
-        b.add_coprocessor(Box::new(TestProducer {
-            total: 4096,
-            packet: 64,
-            sent: 0,
-            fill: 1,
-        }));
-        b.add_coprocessor(Box::new(TestConsumer {
-            total: 4096,
-            packet: 64,
-            received: 0,
-            fill: 1,
-            errors: 0,
-        }));
-        if let Some(c) = cpu {
-            b.with_cpu_sync(c);
-        }
-        b.map_app(&graph).unwrap();
-        let mut sys = b.build();
-        sys.run(10_000_000)
+    let build = |sync: SyncFabricConfig| {
+        let (mut b, _) = pipeline_builder(128, 4096, 64);
+        b.with_sync_fabric(sync);
+        b.build().run(10_000_000)
     };
-    let distributed = build(None);
-    let centralized = build(Some(CpuSyncConfig {
-        service_cycles: 200,
-    }));
+    let distributed = build(SyncFabricConfig::Direct);
+    let centralized = build(CPU_SYNC);
     assert_eq!(centralized.outcome, RunOutcome::AllFinished);
     assert!(centralized.cycles > distributed.cycles);
     assert!(centralized.cpu_sync_busy > 0);
     assert_eq!(distributed.cpu_sync_busy, 0);
+}
+
+#[test]
+fn cpu_sync_fork_matches_the_uninterrupted_run() {
+    let build = || {
+        let (mut b, _) = pipeline_builder(256, 16_384, 64);
+        b.with_sync_fabric(CPU_SYNC);
+        b.build()
+    };
+    let mut reference = build();
+    let sum_ref = reference.run(10_000_000);
+    assert_eq!(sum_ref.outcome, RunOutcome::AllFinished);
+
+    // Save at the first stop where a message waits behind the one the
+    // CPU is servicing.
+    let mut first = build();
+    let mut stop = 0;
+    loop {
+        stop += 97;
+        assert!(first.run_until(stop).is_none(), "the CPU never backs up");
+        let cpu = (first.sync_fabric() as &dyn Any)
+            .downcast_ref::<CpuSyncFabric>()
+            .unwrap()
+            .cpu();
+        if cpu.busy_until() > first.now() + 200 {
+            break;
+        }
+    }
+    let mut forked = build();
+    forked.restore(&first.save()).unwrap();
+    let sum_fork = forked.run(10_000_000);
+    assert_eq!(sum_fork.cycles, sum_ref.cycles);
+    assert_eq!(sum_fork.cpu_sync_busy, sum_ref.cpu_sync_busy);
+    assert_eq!(forked.state_hash(), reference.state_hash());
 }
 
 #[test]
@@ -706,13 +722,15 @@ fn restore_rejects_foreign_and_corrupt_checkpoints() {
     garbled[0] ^= 0xFF;
     assert_eq!(sys.restore(&garbled), Err(SnapError::Magic));
 
-    // Unsupported version.
+    // Unsupported version, and the previous one.
     let mut versioned = bytes.clone();
     versioned[8] = 0xEE;
     assert!(matches!(
         sys.restore(&versioned),
         Err(SnapError::Version(_))
     ));
+    versioned[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(sys.restore(&versioned), Err(SnapError::Version(3)));
 
     // Truncation anywhere inside the state section surfaces as a typed
     // error, never a panic.

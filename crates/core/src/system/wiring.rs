@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use eclipse_kpn::graph::AppGraph;
 use eclipse_mem::alloc::AllocError;
-use eclipse_mem::{BufferAllocator, Bus, DataFabricConfig, Dram, FabricTopology};
+use eclipse_mem::{BufferAllocator, Bus, BusConfig, DataFabricConfig, Dram, FabricTopology};
 use eclipse_shell::stream_table::RowIdx;
 use eclipse_shell::task_table::TaskIdx;
 use eclipse_shell::{MemSys, Shell, ShellConfig, ShellId, SyncFabricConfig};
@@ -22,7 +22,7 @@ use crate::mapping::{
 use crate::trace::TraceLog;
 
 use super::lifecycle::AppRecord;
-use super::{AppState, CpuSyncConfig, EclipseSystem, PendingSyncs};
+use super::{AppState, EclipseSystem, PendingSyncs};
 
 /// Overflow-checked bump allocation: round `next` up to `align`, advance
 /// past `size` bytes, and check against a `capacity` ceiling. Returns
@@ -138,7 +138,6 @@ pub struct SystemBuilder {
     row_labels: Vec<Vec<String>>,
     alloc: BufferAllocator,
     dram_next: u32,
-    cpu_sync: Option<CpuSyncConfig>,
     apps: HashMap<String, AppRecord>,
     data_fabric: Option<DataFabricConfig>,
     sync_fabric: SyncFabricConfig,
@@ -156,7 +155,6 @@ impl SystemBuilder {
             shell_names: Vec::new(),
             row_labels: Vec::new(),
             dram_next: 0,
-            cpu_sync: None,
             apps: HashMap::new(),
             data_fabric: None,
             sync_fabric: SyncFabricConfig::Direct,
@@ -186,12 +184,6 @@ impl SystemBuilder {
         idx
     }
 
-    /// Enable the CPU-centric synchronization baseline (experiment E10).
-    pub fn with_cpu_sync(&mut self, cfg: CpuSyncConfig) -> &mut Self {
-        self.cpu_sync = Some(cfg);
-        self
-    }
-
     /// Select the shell↔SRAM data-transport fabric. The default is the
     /// paper instance's shared read/write bus pair built from
     /// `cfg.read_bus` / `cfg.write_bus` (timing-identical to the
@@ -203,7 +195,9 @@ impl SystemBuilder {
     }
 
     /// Select the `putspace` synchronization network. The default is the
-    /// flat-latency direct network of the paper instance.
+    /// flat-latency direct network of the paper instance;
+    /// [`SyncFabricConfig::Cpu`] is the CPU-centric baseline of
+    /// experiment E10.
     pub fn with_sync_fabric(&mut self, fabric: SyncFabricConfig) -> &mut Self {
         self.sync_fabric = fabric;
         self
@@ -342,13 +336,15 @@ impl SystemBuilder {
             sys_trace: None,
             sys_labels: Default::default(),
             sync_latency: Histogram::new(24),
-            cpu_sync: self.cpu_sync,
-            cpu_next_free: 0,
-            cpu_sync_busy: 0,
             sync_messages: 0,
-            pi_accesses: 0,
-            pi_next_free: 0,
-            pi_busy_cycles: 0,
+            pi_bus: Bus::new(
+                "pi",
+                BusConfig {
+                    width_bytes: 1,
+                    latency: 0,
+                    cycles_per_beat: self.cfg.pi_access_cycles,
+                },
+            ),
             fault: None,
             watchdog_cycles: None,
             last_progress: 0,

@@ -164,24 +164,6 @@ impl Bus {
         }
         Transfer { start, done, wait }
     }
-
-    /// Fraction of `[0, now]` during which the bus carried data.
-    pub fn utilization(&self, now: Cycle) -> f64 {
-        if now == 0 {
-            0.0
-        } else {
-            (self.stats.busy_cycles as f64 / now as f64).min(1.0)
-        }
-    }
-
-    /// Achieved bandwidth in bytes per cycle over `[0, now]`.
-    pub fn bandwidth(&self, now: Cycle) -> f64 {
-        if now == 0 {
-            0.0
-        } else {
-            self.stats.bytes as f64 / now as f64
-        }
-    }
 }
 
 eclipse_sim::snap_fields!(Bus { next_free, stats });
@@ -243,15 +225,6 @@ mod tests {
         let t = b.request(50, 16); // long after: no wait
         assert_eq!(t.start, 50);
         assert_eq!(t.wait, 0);
-    }
-
-    #[test]
-    fn utilization_and_bandwidth() {
-        let mut b = bus();
-        b.request(0, 160); // 10 beats busy
-        assert!((b.utilization(100) - 0.1).abs() < 1e-12);
-        assert!((b.bandwidth(100) - 1.6).abs() < 1e-12);
-        assert_eq!(b.utilization(0), 0.0);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! The model is a banked DRAM with open-row (page-mode) behavior: an
 //! access to the currently open row of a bank pays `row_hit_latency`,
 //! anything else pays `row_miss_latency` (precharge + activate). Transfer
-//! time afterwards is `beats * cycles_per_beat` on the DRAM data pins.
-//! Requests are serialized in arrival order, like [`crate::bus::Bus`].
+//! time afterwards is `beats * cycles_per_beat` on the DRAM data pins:
+//! an in-order [`Bus`] of latency 0, whose transfers complete the row
+//! latency later.
 
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
-use eclipse_sim::stats::RunningStat;
 use eclipse_sim::Cycle;
 
-use crate::bus::Transfer;
+use crate::bus::{Bus, BusConfig, Transfer};
 
 /// Static DRAM parameters.
 #[derive(Debug, Clone, Copy)]
@@ -54,21 +54,13 @@ impl Default for DramConfig {
     }
 }
 
-/// Cumulative DRAM statistics.
+/// Cumulative row-buffer statistics.
 #[derive(Debug, Clone, Default)]
 pub struct DramStats {
-    /// Total transactions served.
-    pub transactions: u64,
-    /// Total payload bytes moved.
-    pub bytes: u64,
     /// Transactions that hit an open row.
     pub row_hits: u64,
     /// Transactions that had to open a row.
     pub row_misses: u64,
-    /// Cycles the data pins were busy.
-    pub busy_cycles: Cycle,
-    /// Arbitration + queueing wait per transaction.
-    pub wait: RunningStat,
 }
 
 /// Granule of the written-page map.
@@ -96,7 +88,8 @@ pub struct Dram {
     /// a fresh build's untouched pages are never even read.
     written: Vec<u64>,
     open_rows: Vec<Option<u32>>,
-    next_free: Cycle,
+    /// The data pins.
+    pins: Bus,
     stats: DramStats,
 }
 
@@ -108,7 +101,14 @@ impl Dram {
             data: vec![0; cfg.size as usize],
             written: vec![0; (cfg.size as usize).div_ceil(PAGE_BYTES).div_ceil(64)],
             open_rows: vec![None; cfg.banks as usize],
-            next_free: 0,
+            pins: Bus::new(
+                "dram",
+                BusConfig {
+                    width_bytes: cfg.width_bytes,
+                    latency: 0,
+                    cycles_per_beat: cfg.cycles_per_beat,
+                },
+            ),
             stats: DramStats::default(),
         }
     }
@@ -118,7 +118,7 @@ impl Dram {
         &self.cfg
     }
 
-    /// Cumulative statistics.
+    /// Cumulative row-buffer statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
     }
@@ -139,7 +139,6 @@ impl Dram {
     /// [`Dram::read`]/[`Dram::write`] for data.
     #[inline]
     pub fn access(&mut self, now: Cycle, addr: u32, bytes: u32) -> Transfer {
-        debug_assert!(bytes > 0);
         let bank = self.bank_of(addr);
         let row = self.row_of(addr);
         let hit = self.open_rows[bank] == Some(row);
@@ -151,17 +150,11 @@ impl Dram {
             self.stats.row_misses += 1;
             self.cfg.row_miss_latency
         };
-        let beats = (bytes as u64).div_ceil(self.cfg.width_bytes as u64);
-        let occupancy = beats * self.cfg.cycles_per_beat;
-        let start = now.max(self.next_free);
-        let done = start + latency + occupancy;
-        self.next_free = start + occupancy;
-        let wait = start - now;
-        self.stats.transactions += 1;
-        self.stats.bytes += bytes as u64;
-        self.stats.busy_cycles += occupancy;
-        self.stats.wait.record(wait as f64);
-        Transfer { start, done, wait }
+        let t = self.pins.request(now, bytes);
+        Transfer {
+            done: t.done + latency,
+            ..t
+        }
     }
 
     /// Read `buf.len()` bytes at `addr` (functional half).
@@ -182,25 +175,11 @@ impl Dram {
     fn is_written(&self, page: usize) -> bool {
         self.written[page / 64] >> (page % 64) & 1 == 1
     }
-
-    /// Row-hit fraction over all transactions so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.stats.row_hits + self.stats.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.stats.row_hits as f64 / total as f64
-        }
-    }
 }
 
 eclipse_sim::snap_fields!(DramStats {
-    transactions,
-    bytes,
     row_hits,
-    row_misses,
-    busy_cycles,
-    wait,
+    row_misses
 });
 
 impl Snapshot for Dram {
@@ -208,7 +187,7 @@ impl Snapshot for Dram {
         w.blob_paged(&self.data, PAGE_BYTES, |page| self.is_written(page));
         w.usize(self.open_rows.len());
         self.open_rows[..].save(w);
-        w.u64(self.next_free);
+        self.pins.save(w);
         self.stats.save(w);
     }
 
@@ -228,7 +207,7 @@ impl Snapshot for Dram {
         })?;
         r.expect_len(self.open_rows.len(), "dram bank count")?;
         self.open_rows[..].load(r)?;
-        self.next_free = r.u64()?;
+        self.pins.load(r)?;
         self.stats.load(r)
     }
 }
@@ -355,11 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_reported() {
+    fn row_hits_and_misses_are_counted() {
         let mut d = dram();
         d.access(0, 0, 8);
         d.access(0, 8, 8);
         d.access(0, 16, 8);
-        assert!((d.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!((d.stats().row_hits, d.stats().row_misses), (2, 1));
     }
 }

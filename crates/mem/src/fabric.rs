@@ -179,8 +179,11 @@ impl FabricPort<'_> {
 
 /// A data-transport fabric: arbitrates shell↔SRAM transfers and accounts
 /// their timing. Implementations must be deterministic — identical
-/// request sequences must produce identical [`Transfer`]s.
-pub trait DataFabric: std::fmt::Debug {
+/// request sequences must produce identical [`Transfer`]s. Reports
+/// that need a concrete backend's own counters (e.g. the mesh's
+/// per-link byte·hops) downcast through the [`Any`](std::any::Any)
+/// supertrait.
+pub trait DataFabric: std::any::Any + std::fmt::Debug {
     /// Short backend name for reports ("shared-bus", "multibank", ...).
     fn kind(&self) -> &'static str;
 
@@ -230,10 +233,6 @@ pub trait DataFabric: std::fmt::Debug {
     fn load_state(&mut self, _r: &mut SnapReader) -> Result<(), SnapError> {
         Ok(())
     }
-
-    /// Downcast support (reports that need a concrete backend's own
-    /// counters, e.g. the mesh's per-link byte·hops).
-    fn as_any(&self) -> &dyn std::any::Any;
 }
 
 /// Fabric selection, resolved to a backend at system build time. Every
@@ -507,10 +506,6 @@ impl DataFabric for SharedBusFabric {
 
     fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         self.load(r)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -874,10 +869,6 @@ impl DataFabric for BankedFabric {
         }
         self.contended = r.u64()?;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

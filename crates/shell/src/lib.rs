@@ -43,7 +43,8 @@ pub use shell::{
 };
 pub use stream_table::{AccessPoint, PortDir, RowIdx, StreamRowConfig, StreamRowStats};
 pub use sync_fabric::{
-    DirectSyncFabric, MeshSyncFabric, RingSyncFabric, SyncFabric, SyncFabricConfig, SyncFabricStats,
+    CpuSyncFabric, DirectSyncFabric, MeshSyncFabric, RingSyncFabric, SyncFabric, SyncFabricConfig,
+    SyncFabricStats,
 };
 pub use task_table::{TaskConfig, TaskIdx, TaskStats};
 

@@ -12,9 +12,14 @@
 //! shells both costs more and *contends* — visible in the fabric stats
 //! and the `SyncHop` trace events.
 //!
+//! [`CpuSyncFabric`] is the CPU-centric baseline the paper argues
+//! against (experiment E10): every message is serviced in order by one
+//! CPU before it is forwarded.
+//!
 //! A sync fabric only computes *arrival times*; message payload,
 //! generation stamping, and delivery stay in the run loop.
 
+use eclipse_mem::{Bus, BusConfig};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
 use eclipse_sim::trace::{SharedTraceSink, TraceEventKind, TraceHandle};
 use eclipse_sim::Cycle;
@@ -36,8 +41,9 @@ pub struct SyncFabricStats {
 
 /// A `putspace` message network: computes when a message departing at
 /// `depart` arrives at the destination shell. Implementations must be
-/// deterministic.
-pub trait SyncFabric: std::fmt::Debug {
+/// deterministic. Tests and benches inspect a concrete backend by
+/// downcasting through the [`Any`](std::any::Any) supertrait.
+pub trait SyncFabric: std::any::Any + std::fmt::Debug {
     /// Short backend name for reports ("direct", "ring", ...).
     fn kind(&self) -> &'static str;
 
@@ -49,11 +55,9 @@ pub trait SyncFabric: std::fmt::Debug {
     /// Cumulative routing statistics.
     fn stats(&self) -> SyncFabricStats;
 
-    /// Connect the fabric to a shared event-trace sink.
-    fn attach_trace(&mut self, sink: &SharedTraceSink);
-
-    /// Downcast support for backend-specific inspection (tests, benches).
-    fn as_any(&self) -> &dyn std::any::Any;
+    /// Connect the fabric to a shared event-trace sink; the default is a
+    /// no-op for networks that emit no events.
+    fn attach_trace(&mut self, _sink: &SharedTraceSink) {}
 
     /// The checkpoint hook: save the network's dynamic state (link
     /// clocks, statistics). Stateful backends forward it, and
@@ -112,6 +116,15 @@ pub enum SyncFabricConfig {
         /// Coalescing window for credit piggy-backing (0 disables it).
         piggyback_window: u64,
     },
+    /// The CPU-centric baseline of experiment E10: every message
+    /// interrupts one CPU, which services the interrupts in arrival order
+    /// and forwards each message. A message pays the direct latency to
+    /// the CPU, its queueing and `service_cycles` there, and the direct
+    /// latency again.
+    Cpu {
+        /// CPU cycles to service one synchronization interrupt.
+        service_cycles: u64,
+    },
 }
 
 impl SyncFabricConfig {
@@ -136,6 +149,9 @@ impl SyncFabricConfig {
                 link_occupancy,
                 piggyback_window,
             )),
+            SyncFabricConfig::Cpu { service_cycles } => {
+                Box::new(CpuSyncFabric::new(service_cycles))
+            }
         }
     }
 }
@@ -171,10 +187,62 @@ impl SyncFabric for DirectSyncFabric {
         self.stats
     }
 
-    fn attach_trace(&mut self, _sink: &SharedTraceSink) {}
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.save(w);
+    }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.load(r)
+    }
+}
+
+/// The CPU-centric baseline ([`SyncFabricConfig::Cpu`]): a direct hop
+/// to the CPU, an in-order service queue there, and the forwarded hop.
+#[derive(Debug)]
+pub struct CpuSyncFabric {
+    direct: DirectSyncFabric,
+    /// The CPU's interrupt service: one message is one beat of
+    /// `service_cycles`.
+    cpu: Bus,
+}
+
+eclipse_sim::snap_fields!(CpuSyncFabric { direct, cpu });
+
+impl CpuSyncFabric {
+    /// A new idle CPU spending `service_cycles` on each message.
+    pub fn new(service_cycles: u64) -> Self {
+        CpuSyncFabric {
+            direct: DirectSyncFabric::new(),
+            cpu: Bus::new(
+                "cpu",
+                BusConfig {
+                    width_bytes: 1,
+                    latency: 0,
+                    cycles_per_beat: service_cycles,
+                },
+            ),
+        }
+    }
+
+    /// The CPU's service queue; its `busy_cycles` is the CPU time spent
+    /// forwarding messages.
+    pub fn cpu(&self) -> &Bus {
+        &self.cpu
+    }
+}
+
+impl SyncFabric for CpuSyncFabric {
+    fn kind(&self) -> &'static str {
+        "cpu"
+    }
+
+    fn route(&mut self, depart: Cycle, src: ShellId, dst: ShellId, base_latency: u64) -> Cycle {
+        let routed = self.direct.route(depart, src, dst, base_latency);
+        self.cpu.request(routed, 1).done + base_latency
+    }
+
+    fn stats(&self) -> SyncFabricStats {
+        self.direct.stats
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -268,10 +336,6 @@ impl SyncFabric for RingSyncFabric {
 
     fn attach_trace(&mut self, sink: &SharedTraceSink) {
         self.trace = Some(TraceHandle::new(sink, "fabric/ring"));
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -428,10 +492,6 @@ impl SyncFabric for MeshSyncFabric {
         self.trace = Some(TraceHandle::new(sink, "fabric/mesh-sync"));
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         self.save(w);
     }
@@ -452,6 +512,20 @@ mod tests {
         assert_eq!(f.route(0, ShellId(2), ShellId(2), 4), 4);
         assert_eq!(f.stats().messages, 2);
         assert_eq!(f.stats().contended, 0);
+    }
+
+    #[test]
+    fn cpu_serializes_messages_behind_its_service() {
+        let mut f = CpuSyncFabric::new(200);
+        // Direct hop to the CPU (4), service (200), forwarded hop (4).
+        assert_eq!(f.route(0, ShellId(0), ShellId(1), 4), 208);
+        // Reaches the CPU at 4 while it is busy until 204: queues.
+        assert_eq!(f.route(0, ShellId(2), ShellId(3), 4), 408);
+        // Long after: no queueing.
+        assert_eq!(f.route(1000, ShellId(1), ShellId(1), 4), 1208);
+        assert_eq!(f.cpu().stats().busy_cycles, 600);
+        assert_eq!(f.stats().messages, 3);
+        assert_eq!(f.stats().hops, 2);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Checkpoint bytes and state hashes, pinned by FNV-1a hash at mid-run
 //! for every configuration that serializes a distinct part of the
 //! system: the encode-side coprocessor tasks (ME, RLSQ encode, the DSP's
-//! software source and VLE), each non-default fabric, an armed fault
-//! injector, a live-mapped application, the trace-sink section and the
-//! synthetic pipeline. Any change to the checkpoint codec that moves a
-//! byte fails here by name.
+//! software source and VLE), each non-default fabric, the CPU sync
+//! baseline, an armed fault injector, a live-mapped application, the
+//! trace-sink section and the synthetic pipeline. Any change to the
+//! checkpoint codec that moves a byte fails here by name.
 
 use eclipse_bench::synthetic::open_gate_system;
 use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig, EncodeAppConfig};
@@ -101,6 +101,11 @@ fn checkpoint_bytes_are_pinned() {
             piggyback_window: 4,
         });
     });
+    let mut cpu = decode(|b| {
+        b.with_sync_fabric(SyncFabricConfig::Cpu {
+            service_cycles: 200,
+        });
+    });
     let mut faults = decode(|_| {});
     faults.sys.inject_faults(FaultPlan {
         seed: 7,
@@ -126,19 +131,21 @@ fn checkpoint_bytes_are_pinned() {
         pin("timeshift", &mut timeshift.sys, 28_000),
         pin("private-port", &mut private.sys, 9_000),
         pin("mesh", &mut mesh.sys, 9_000),
+        pin("cpu sync", &mut cpu.sys, 9_000),
         pin("faults", &mut faults.sys, 9_000),
         pin("live audio", &mut audio.sys, 9_000),
         pin("traced", &mut traced.sys, 9_000),
         pin("pipeline", &mut pipeline, 3_000),
     ];
     let want = [
-        (0x4d1b_78f9_a862_7be5, 0xf986_73b9_75c3_0047),
-        (0xd541_9d44_1fb7_9249, 0xc73b_5531_756e_ad14),
-        (0x4bc1_ebdb_7a00_ffae, 0x580b_88bb_b83d_1460),
-        (0x1cf4_c829_edf0_74c4, 0xe4e2_1f70_4c71_d8ec),
-        (0xf26a_d8ca_ea70_ba99, 0xdbb6_207d_f826_4b43),
-        (0x8910_fe7f_0f1c_7f7a, 0xf230_17e2_cdc3_e8a7),
-        (0xae22_f221_cd38_e700, 0x4aff_b286_5662_2a3f),
+        (0xa334_3d9c_e77d_79e0, 0x5f61_eac0_382a_76e4),
+        (0x3302_6aa7_eada_6545, 0x43e2_7670_10e1_71ce),
+        (0x21f4_4ac5_f7d6_537f, 0x9d60_8a65_f791_f286),
+        (0x1890_b356_a5e0_08d8, 0xb954_7363_db88_c9dd),
+        (0xcca0_8805_b286_c9d7, 0xc17f_1878_450f_0cb1),
+        (0x165a_0773_4dcc_db3c, 0xdb5a_a73b_d686_9fa0),
+        (0x7934_f9b7_622b_2627, 0x4742_02b6_1b3c_b4c6),
+        (0x946d_16d7_724a_f509, 0x7985_40c8_ff1b_0bbf),
     ];
     assert_eq!(got, want);
 }

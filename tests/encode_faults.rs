@@ -12,6 +12,7 @@ use eclipse_media::encoder::{Encoder, EncoderConfig};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::stream::GopConfig;
 use eclipse_media::Frame;
+use eclipse_shell::TaskIdx;
 use eclipse_sim::FaultPlan;
 
 const GOP: GopConfig = GopConfig { n: 3, m: 1 };
@@ -31,7 +32,8 @@ fn qcif_frames() -> Vec<Frame> {
 
 /// A 3-frame QCIF encode, beside a decode of the same frames when
 /// `timeshift`, run with `sram_flip_rate` under fault seed `seed`.
-fn run(seed: u64, sram_flip_rate: f64, timeshift: bool) -> RunOutcome {
+/// Returns the outcome and the errors the VLE task recovered from.
+fn run(seed: u64, sram_flip_rate: f64, timeshift: bool) -> (RunOutcome, u64) {
     let frames = qcif_frames();
     let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
     if timeshift {
@@ -60,12 +62,22 @@ fn run(seed: u64, sram_flip_rate: f64, timeshift: bool) -> RunOutcome {
         ..FaultPlan::with_seed(seed)
     });
     sys.sys.set_watchdog(5_000_000);
-    sys.run(2_000_000_000).outcome
+    let outcome = sys.run(2_000_000_000).outcome;
+    let dsp = sys.coprocs.dsp;
+    let vle = sys.sys.shells()[dsp]
+        .tasks()
+        .iter()
+        .position(|t| t.cfg.name == "enc0.vle")
+        .expect("the encode maps a VLE task");
+    let (vle_errors, _) = sys.sys.coproc(dsp).task_error_counters(TaskIdx(vle as u8));
+    (outcome, vle_errors)
 }
 
-/// Run and require a clean end or a diagnosed wedge.
-fn check(seed: u64, sram_flip_rate: f64, timeshift: bool) {
-    match run(seed, sram_flip_rate, timeshift) {
+/// Run and require a clean end or a diagnosed wedge; returns the VLE's
+/// recovered errors.
+fn check(seed: u64, sram_flip_rate: f64, timeshift: bool) -> u64 {
+    let (outcome, vle_errors) = run(seed, sram_flip_rate, timeshift);
+    match outcome {
         RunOutcome::AllFinished => {}
         RunOutcome::Deadlock(stuck) => assert!(
             !stuck.is_empty(),
@@ -75,6 +87,7 @@ fn check(seed: u64, sram_flip_rate: f64, timeshift: bool) {
             panic!("seed {seed} rate {sram_flip_rate}: ran to the cycle limit")
         }
     }
+    vle_errors
 }
 
 #[test]
@@ -109,7 +122,10 @@ fn seed_4_qrl_damaged_coefficient_block() {
 
 #[test]
 fn seed_8_vle_bad_mode_code() {
-    check(8, 0.003, false);
+    assert!(
+        check(8, 0.003, false) >= 1,
+        "the VLE must count the bad mode code it coded intra"
+    );
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! full — if one of these breaks, an experiment's shape broke.
 
 use eclipse::core::model::{estimate_instance, WorkloadModel};
-use eclipse::core::system::CpuSyncConfig;
 use eclipse::core::{EclipseConfig, RunOutcome, SystemBuilder};
 use eclipse::kpn::GraphBuilder;
+use eclipse::shell::SyncFabricConfig;
 use eclipse_bench::synthetic::PipeCoproc;
 use eclipse_bench::StreamSpec;
 
@@ -73,11 +73,9 @@ fn section2_load_irregularity_reaches_order_10x() {
 /// shells do.
 #[test]
 fn section5_distributed_sync_scales_cpu_centric_does_not() {
-    let run = |pipelines: usize, cpu: Option<CpuSyncConfig>| -> u64 {
+    let run = |pipelines: usize, sync: SyncFabricConfig| -> u64 {
         let mut b = SystemBuilder::new(EclipseConfig::default());
-        if let Some(c) = cpu {
-            b.with_cpu_sync(c);
-        }
+        b.with_sync_fabric(sync);
         let mut g = GraphBuilder::new("scale");
         for p in 0..pipelines {
             let s = g.stream(format!("s{p}"), 256);
@@ -92,13 +90,13 @@ fn section5_distributed_sync_scales_cpu_centric_does_not() {
         assert_eq!(summary.outcome, RunOutcome::AllFinished);
         summary.cycles
     };
-    let d1 = run(1, None);
-    let d6 = run(6, None);
+    let d1 = run(1, SyncFabricConfig::Direct);
+    let d6 = run(6, SyncFabricConfig::Direct);
     // Distributed: independent pipelines stay (nearly) constant-time.
     assert!(d6 < d1 * 2, "distributed sync must scale: {d1} -> {d6}");
-    let cpu = Some(CpuSyncConfig {
+    let cpu = SyncFabricConfig::Cpu {
         service_cycles: 200,
-    });
+    };
     let c1 = run(1, cpu);
     let c6 = run(6, cpu);
     // Centralized: wall-clock grows roughly with the pipeline count.
