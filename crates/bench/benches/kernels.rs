@@ -1,7 +1,8 @@
 //! Microbenchmarks of the functional kernels the coprocessors execute:
 //! DCT, quantization, run-length coding, VLC, motion search and the
 //! half-pel block kernel, the full software codec, and a shell
-//! GetSpace/PutSpace round trip. These keep
+//! GetSpace/PutSpace round trip; and of the input path every experiment
+//! starts from: the synthetic source and the bit writer. These keep
 //! the *simulator host speed* honest — the cycle model is separate.
 //!
 //! Runs as a plain `harness = false` binary (`cargo bench --bench
@@ -58,6 +59,36 @@ fn symbols_of(levels: &[i16; 64]) -> Vec<RunLevel> {
     out[..n].to_vec()
 }
 
+/// One QCIF frame of the experiments' synthetic scene.
+fn bench_source() {
+    let src = SyntheticSource::new(SourceConfig {
+        width: 176,
+        height: 144,
+        complexity: 0.5,
+        motion: 2.0,
+        seed: 0xEC11,
+    });
+    bench("source/qcif_frame", || src.frame(black_box(7)));
+}
+
+/// 1,024 fields of 1 to 24 bits into a fresh writer: VLC code words,
+/// escapes and header fields.
+fn bench_bits() {
+    let fields: Vec<(u32, u8)> = (0..1024u32)
+        .map(|i| {
+            let n = (i * 7 % 24 + 1) as u8;
+            (i.wrapping_mul(0x9E37_79B9) >> (32 - n as u32), n)
+        })
+        .collect();
+    bench("bits/put_bits", || {
+        let mut w = BitWriter::new();
+        for &(v, n) in black_box(&fields) {
+            w.put_bits(v, n);
+        }
+        w.finish()
+    });
+}
+
 fn bench_vlc() {
     let symbols = symbols_of(&quant_intra(&fdct2d(&test_block()), 6));
     bench("vlc/encode_block", || {
@@ -97,11 +128,17 @@ fn bench_motion() {
         )
     });
     // The block kernel's two paths: an interior macroblock with a
-    // diagonal half-pel vector, and the corner macroblock with a vector
-    // pointing out of the frame (every sample clamped).
+    // diagonal half-pel vector; a left-edge macroblock whose vector
+    // reaches 3.5 columns past the edge (the common out-of-grid case of
+    // a search); and the corner macroblock with a vector pointing out of
+    // the frame (every sample clamped).
     let diag = MotionVector { dx: 3, dy: -5 };
     bench("motion/sad_16x16_interior", || {
         sad_16x16(black_box(&f1), black_box(&f0), 5, 4, diag)
+    });
+    let border = MotionVector { dx: -7, dy: 3 };
+    bench("motion/sad_16x16_border", || {
+        sad_16x16(black_box(&f1), black_box(&f0), 0, 4, border)
     });
     bench("motion/sad_16x16_edge", || {
         sad_16x16(black_box(&f1), black_box(&f0), 0, 0, diag)
@@ -191,6 +228,8 @@ fn bench_shell() {
 }
 
 fn main() {
+    bench_source();
+    bench_bits();
     bench_dct();
     bench_quant_rle();
     bench_vlc();

@@ -184,22 +184,34 @@ impl Coprocessor for PipeCoproc {
 /// grant floor (DESIGN.md §16). The `open_gate` point of the timing
 /// fingerprint.
 pub fn open_gate_system(packets: u32, compute: u64) -> eclipse_core::EclipseSystem {
+    let port = eclipse_core::EclipseConfig::default().read_bus;
+    two_pipe_system(
+        eclipse_mem::DataFabricConfig::PrivatePort {
+            grant_cycles: 2,
+            port,
+        },
+        eclipse_shell::SyncFabricConfig::Direct,
+        packets,
+        compute,
+    )
+}
+
+/// The two pipes of [`open_gate_system`] on any data and sync fabric:
+/// apps `app0` and `app1`, each a source (`compute + p` cycles per
+/// packet) feeding a sink through a 256-byte stream, `packets` packets
+/// of 64 bytes.
+pub fn two_pipe_system(
+    data: eclipse_mem::DataFabricConfig,
+    sync: eclipse_shell::SyncFabricConfig,
+    packets: u32,
+    compute: u64,
+) -> eclipse_core::EclipseSystem {
     use eclipse_core::{EclipseConfig, SystemBuilder};
     use eclipse_kpn::GraphBuilder;
-    use eclipse_mem::{BusConfig, DataFabricConfig};
-    use eclipse_shell::SyncFabricConfig;
 
-    let cfg = EclipseConfig::default();
-    let mut b = SystemBuilder::new(cfg);
-    b.with_data_fabric(DataFabricConfig::PrivatePort {
-        grant_cycles: 2,
-        port: BusConfig {
-            width_bytes: cfg.read_bus.width_bytes,
-            latency: cfg.read_bus.latency,
-            cycles_per_beat: cfg.read_bus.cycles_per_beat,
-        },
-    });
-    b.with_sync_fabric(SyncFabricConfig::Direct);
+    let mut b = SystemBuilder::new(EclipseConfig::default());
+    b.with_data_fabric(data);
+    b.with_sync_fabric(sync);
     for p in 0..2 {
         b.add_coprocessor(Box::new(PipeCoproc::source(
             format!("src{p}"),

@@ -37,20 +37,35 @@ impl BitWriter {
     }
 
     /// Write the low `n` bits of `v`, MSB first. `n` must be <= 32.
+    ///
+    /// The leading bits fill the partial last byte, whole bytes follow,
+    /// and the trailing bits start a new partial byte; bits of `v` above
+    /// the low `n` are ignored.
+    #[inline]
     pub fn put_bits(&mut self, v: u32, n: u8) {
         debug_assert!(n <= 32);
         debug_assert!(
             n == 32 || v < (1u64 << n) as u32,
             "value {v} does not fit in {n} bits"
         );
-        for i in (0..n).rev() {
-            let bit = (v >> i) & 1;
-            if self.bit_pos == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.len() - 1;
-            self.bytes[last] |= (bit as u8) << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
+        // Bits of `v` still to write: its low `left`.
+        let mut left = n as u32;
+        if self.bit_pos != 0 && left > 0 {
+            let room = 8 - self.bit_pos as u32;
+            let take = room.min(left);
+            left -= take;
+            let bits = (v >> left) as u8 & ((1u8 << take) - 1);
+            let last = self.bytes.last_mut().expect("a partial byte exists");
+            *last |= bits << (room - take);
+            self.bit_pos = (self.bit_pos + take as u8) % 8;
+        }
+        while left >= 8 {
+            left -= 8;
+            self.bytes.push((v >> left) as u8);
+        }
+        if left > 0 {
+            self.bytes.push((v << (8 - left)) as u8);
+            self.bit_pos = left as u8;
         }
     }
 
@@ -314,39 +329,11 @@ mod tests {
 }
 
 /// The reader is checked bit for bit against a bitwise one, at every
-/// position of short streams: tails, byte edges and the end; a draining
-/// writer against one that never drains.
+/// position of short streams: tails, byte edges and the end.
 #[cfg(test)]
 mod equivalence {
     use super::*;
     use eclipse_sim::rng::SplitMix64;
-
-    /// Fields of every width 0..=32, with drains at random points: the
-    /// drained bytes followed by what the writer keeps are the bytes of a
-    /// writer that never drained, and the bit position is the same.
-    #[test]
-    fn draining_keeps_the_stream_and_the_position() {
-        let mut rng = SplitMix64::new(0xB17E);
-        let (mut w, mut whole) = (BitWriter::new(), BitWriter::new());
-        let mut drained = Vec::new();
-        for step in 0..2_000 {
-            let n = (step % 33) as u8;
-            let r = rng.next_u64();
-            let v = if n == 32 {
-                r as u32
-            } else {
-                r as u32 & ((1u32 << n) - 1)
-            };
-            w.put_bits(v, n);
-            whole.put_bits(v, n);
-            if r >> 61 == 0 {
-                w.drain_complete_into(&mut drained);
-                assert!(w.bytes.len() <= 1 && (w.bit_pos != 0) == (w.bytes.len() == 1));
-            }
-            let kept = [&drained[..], &w.bytes[..]].concat();
-            assert_eq!((kept, w.bit_pos), (whole.bytes.clone(), whole.bit_pos));
-        }
-    }
 
     /// Bit `pos` of `data` MSB first, zero past the end.
     fn bit(data: &[u8], pos: usize) -> u32 {
@@ -393,7 +380,75 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The writer as it was first written, one bit per loop turn: the
+    /// oracle of [`BitWriter::put_bits`].
+    #[derive(Default)]
+    struct BitwiseWriter {
+        bytes: Vec<u8>,
+        bit_pos: u8,
+    }
+
+    impl BitwiseWriter {
+        fn put_bits(&mut self, v: u32, n: u8) {
+            for i in (0..n).rev() {
+                let bit = (v >> i) & 1;
+                if self.bit_pos == 0 {
+                    self.bytes.push(0);
+                }
+                let last = self.bytes.len() - 1;
+                self.bytes[last] |= (bit as u8) << (7 - self.bit_pos);
+                self.bit_pos = (self.bit_pos + 1) % 8;
+            }
+        }
+
+        fn byte_align(&mut self) {
+            if self.bit_pos != 0 {
+                self.put_bits(0, 8 - self.bit_pos);
+            }
+        }
+    }
+
     proptest! {
+        /// Fields of every width 0..=32 mixed with `byte_align`,
+        /// `put_bytes` (after an align) and the VLE's incremental drain,
+        /// which keeps only a partial byte: after every operation, the
+        /// drained bytes followed by the kept ones are the oracle's
+        /// bytes, and the bit position and length agree.
+        #[test]
+        fn put_bits_matches_the_bitwise_writer(
+            ops in proptest::collection::vec((0u8..12, 0u32..=u32::MAX, 0u8..=32), 0..200),
+        ) {
+            let (mut w, mut oracle) = (BitWriter::new(), BitwiseWriter::default());
+            let mut drained = Vec::new();
+            for (op, v, n) in ops {
+                match op {
+                    0..=7 => {
+                        let v = if n == 32 { v } else { v & ((1u32 << n) - 1) };
+                        w.put_bits(v, n);
+                        oracle.put_bits(v, n);
+                    }
+                    8 => {
+                        w.byte_align();
+                        oracle.byte_align();
+                    }
+                    9 => {
+                        let data = &v.to_be_bytes()[..n as usize % 5];
+                        w.byte_align();
+                        w.put_bytes(data);
+                        oracle.byte_align();
+                        oracle.bytes.extend_from_slice(data);
+                    }
+                    _ => {
+                        w.drain_complete_into(&mut drained);
+                        prop_assert!(w.bytes.len() == (w.bit_pos != 0) as usize);
+                    }
+                }
+                let kept = [&drained[..], &w.bytes[..]].concat();
+                prop_assert_eq!((kept, w.bit_pos), (oracle.bytes.clone(), oracle.bit_pos));
+                prop_assert_eq!(drained.len() * 8 + w.bit_len(), oracle.bytes.len() * 8 - (8 - oracle.bit_pos as usize) % 8);
+            }
+        }
+
         /// Any sequence of (value, width) writes reads back identically.
         #[test]
         fn arbitrary_field_round_trip(fields in proptest::collection::vec((0u32..=u32::MAX, 1u8..=32), 0..100)) {

@@ -170,7 +170,9 @@ impl<'a> SampleGrid<'a> {
     /// once into a patch, and `f` reads the block from the patch at the
     /// block's phase `(x2 & 1, y2 & 1)`, where it is interior — the values
     /// `sample_half` gives, with each sample clamped once instead of per
-    /// tap.
+    /// tap. Each patch row is the row's edge sample repeated over the
+    /// columns left of the grid, the span of the grid the patch covers,
+    /// and the other edge sample over the columns right of it.
     fn clamped_patch<R>(
         &self,
         x2: i32,
@@ -181,13 +183,20 @@ impl<'a> SampleGrid<'a> {
     ) -> R {
         let (xi, yi) = (x2 >> 1, y2 >> 1);
         let (pw, ph) = (w + (x2 & 1) as usize, h + (y2 & 1) as usize);
+        // Patch columns left of the grid, right of it, and between.
+        let left = (-xi).clamp(0, pw as i32) as usize;
+        let right = (xi + pw as i32 - self.width as i32).clamp(0, pw as i32) as usize;
+        let span = pw - left - right;
+        let x0 = (xi.max(0) as usize).min(self.width);
         let mut patch = [0u8; 17 * 17];
         for (r, dst) in patch.chunks_exact_mut(pw).take(ph).enumerate() {
             let sy = (yi + r as i32).clamp(0, self.height as i32 - 1) as usize;
             let src = &self.data[sy * self.width..][..self.width];
-            for (c, d) in dst.iter_mut().enumerate() {
-                *d = src[(xi + c as i32).clamp(0, self.width as i32 - 1) as usize];
-            }
+            let (head, rest) = dst.split_at_mut(left);
+            let (mid, tail) = rest.split_at_mut(span);
+            head.fill(src[0]);
+            mid.copy_from_slice(&src[x0..x0 + span]);
+            tail.fill(src[self.width - 1]);
         }
         f(SampleGrid::new(&patch[..pw * ph], pw, ph))
     }
@@ -821,6 +830,44 @@ mod proptests {
                         );
                         prop_assert_eq!(got, row_sad(&grid, &src, x2, y2), "row-based, mv {:?}", mv);
                     }
+                }
+            }
+        }
+
+        /// Blocks outside grids of 1 to 40 samples a side, from just
+        /// across an edge to far beyond it, at each of the four half-pel
+        /// phases: `sad_16x16` and `half_rows` equal the samples clamped
+        /// one at a time (`sample_half`).
+        #[test]
+        fn out_of_grid_blocks_match_per_sample_clamping(
+            (gw, gh) in (1usize..=40, 1usize..=40),
+            seed in any::<u64>(),
+        ) {
+            let mut next = rng(seed);
+            let data: Vec<u8> = (0..gw * gh).map(|_| next() as u8).collect();
+            let grid = SampleGrid::new(&data, gw, gh);
+            let src: [[u8; 16]; 16] = std::array::from_fn(|_| std::array::from_fn(|_| next() as u8));
+            // A full-pel origin from 40 samples left of (above) the grid
+            // to 24 right of (below) it.
+            let mut origin = |n: usize| (next() % (n as u64 + 64)) as i32 - 40;
+            for _ in 0..8 {
+                let (xi, yi) = (origin(gw), origin(gh));
+                for (hx, hy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                    let (x2, y2) = (2 * xi + hx, 2 * yi + hy);
+                    if grid.contains(x2, y2, 16, 16) {
+                        continue;
+                    }
+                    let at = |c: usize, r: usize| grid.sample_half(x2 + 2 * c as i32, y2 + 2 * r as i32);
+                    let want: u32 = (0..16)
+                        .flat_map(|r| (0..16).map(move |c| (r, c)))
+                        .map(|(r, c)| (src[r][c] as i32 - at(c, r) as i32).unsigned_abs())
+                        .sum();
+                    prop_assert_eq!(grid.sad_16x16(&src, x2, y2), want, "{}x{} at ({}, {})", gw, gh, x2, y2);
+                    let mut rows_ok = true;
+                    grid.half_rows(x2, y2, 16, 16, |r, row| {
+                        rows_ok &= row.iter().enumerate().all(|(c, &v)| v == at(c, r));
+                    });
+                    prop_assert!(rows_ok, "half_rows {}x{} at ({}, {})", gw, gh, x2, y2);
                 }
             }
         }

@@ -52,16 +52,17 @@ pub struct SyntheticSource {
     objects: Vec<MovingRect>,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A textured rectangle on a linear trajectory. Its texture rides with
+/// it, so its samples are fixed at construction: `tile` holds its luma
+/// samples in rows of `w`.
+#[derive(Debug, Clone)]
 struct MovingRect {
     x0: f64,
     y0: f64,
     w: usize,
-    h: usize,
     vx: f64,
     vy: f64,
-    luma: u8,
-    texture: u8,
+    tile: Vec<u8>,
 }
 
 fn hash64(mut x: u64) -> u64 {
@@ -92,15 +93,30 @@ impl SyntheticSource {
                 } else {
                     (vx, vy)
                 };
+                let w = 8 + (h1 >> 32) as usize % (cfg.width / 6).max(8);
+                let h = 8 + (h2 >> 32) as usize % (cfg.height / 6).max(8);
+                let luma = 60 + ((h3 >> 16) % 150) as i32;
+                let texture = (cfg.complexity * 40.0) as u8 + ((h3 >> 24) % 20) as u8;
+                let tile = (0..h)
+                    .flat_map(|dy| (0..w).map(move |dx| (dx, dy)))
+                    .map(|(dx, dy)| {
+                        let tex = if texture > 0 {
+                            (hash64((dx as u64) << 32 | dy as u64 | (i as u64) << 48)
+                                % (texture as u64 * 2 + 1)) as i32
+                                - texture as i32
+                        } else {
+                            0
+                        };
+                        (luma + tex).clamp(0, 255) as u8
+                    })
+                    .collect();
                 MovingRect {
                     x0: (h1 % cfg.width as u64) as f64,
                     y0: (h2 % cfg.height as u64) as f64,
-                    w: 8 + (h1 >> 32) as usize % (cfg.width / 6).max(8),
-                    h: 8 + (h2 >> 32) as usize % (cfg.height / 6).max(8),
+                    w,
                     vx,
                     vy,
-                    luma: 60 + ((h3 >> 16) % 150) as u8,
-                    texture: (cfg.complexity * 40.0) as u8 + ((h3 >> 24) % 20) as u8,
+                    tile,
                 }
             })
             .collect();
@@ -115,7 +131,8 @@ impl SyntheticSource {
     /// Generate display-order frame `index`.
     pub fn frame(&self, index: u16) -> Frame {
         let cfg = &self.cfg;
-        let mut f = Frame::new(cfg.width, cfg.height);
+        let (width, height) = (cfg.width, cfg.height);
+        let mut f = Frame::new(width, height);
         let t = index as f64;
 
         // Background motion is a full-pel pan (real cameras pan; full-pel
@@ -127,52 +144,57 @@ impl SyntheticSource {
         // Layer 1 + 2: panning gradient background with scene-attached
         // detail texture (texture rides on the background so inter
         // pictures predict it; every I picture pays its full coefficient
-        // price — the classic I >> P > B coefficient ordering).
+        // price — the classic I >> P > B coefficient ordering). The
+        // gradient is a sine of the scene column plus a cosine of the
+        // scene row, so each is taken once per column and once per row.
         let amp = (cfg.complexity * 24.0) as i64;
-        for y in 0..cfg.height {
-            for x in 0..cfg.width {
-                let sx = x as i64 + pan_x; // scene coordinates
-                let sy = y as i64 + pan_y;
-                let mut v = 90.0 + 50.0 * ((sx as f64 * 0.05).sin() + (sy as f64 * 0.04).cos());
+        let col_sin: Vec<f64> = (0..width)
+            .map(|x| ((x as i64 + pan_x) as f64 * 0.05).sin())
+            .collect();
+        for (y, row) in f.y.data.chunks_exact_mut(width).enumerate() {
+            let sy = y as i64 + pan_y; // scene coordinates
+            let row_cos = (sy as f64 * 0.04).cos();
+            for (x, (out, &s)) in row.iter_mut().zip(&col_sin).enumerate() {
+                let mut v = 90.0 + 50.0 * (s + row_cos);
                 if amp > 0 {
+                    let sx = x as i64 + pan_x;
                     let h = hash64(cfg.seed ^ ((sy as u64) << 24) ^ sx as u64);
                     v += (h % (2 * amp as u64 + 1)) as f64 - amp as f64;
                 }
-                f.y.set(x, y, v.clamp(0.0, 255.0) as u8);
+                *out = v.clamp(0.0, 255.0) as u8;
             }
         }
 
         // Layer 3: independently moving textured rectangles (their own
         // velocities defeat the background vector, creating the mixed
-        // residual load of real scenes).
-        for (oi, o) in self.objects.iter().enumerate() {
-            let ox = (o.x0 + o.vx * t).rem_euclid(cfg.width as f64) as usize;
-            let oy = (o.y0 + o.vy * t).rem_euclid(cfg.height as f64) as usize;
-            for dy in 0..o.h {
-                for dx in 0..o.w {
-                    let x = (ox + dx) % cfg.width;
-                    let y = (oy + dy) % cfg.height;
-                    let tex = if o.texture > 0 {
-                        (hash64((dx as u64) << 32 | dy as u64 | (oi as u64) << 48)
-                            % (o.texture as u64 * 2 + 1)) as i32
-                            - o.texture as i32
-                    } else {
-                        0
-                    };
-                    let v = (o.luma as i32 + tex).clamp(0, 255) as u8;
-                    f.y.set(x, y, v);
-                }
+        // residual load of real scenes), wrapping at the frame edges.
+        // An object is narrower and shorter than the frame, so each of
+        // its rows lands as at most two spans.
+        for o in &self.objects {
+            let ox = (o.x0 + o.vx * t).rem_euclid(width as f64) as usize % width;
+            let oy = (o.y0 + o.vy * t).rem_euclid(height as f64) as usize;
+            let head = o.w.min(width - ox);
+            for (dy, src) in o.tile.chunks_exact(o.w).enumerate() {
+                let row = &mut f.y.data[(oy + dy) % height * width..][..width];
+                row[ox..ox + head].copy_from_slice(&src[..head]);
+                row[..o.w - head].copy_from_slice(&src[head..]);
             }
         }
 
-        // Chroma: slow large-scale color wash (half resolution).
-        for y in 0..cfg.height / 2 {
-            for x in 0..cfg.width / 2 {
-                let u = 128.0 + 30.0 * ((x as f64 * 0.08 + t * 0.1).sin());
-                let v = 128.0 + 30.0 * ((y as f64 * 0.06 - t * 0.08).cos());
-                f.u.set(x, y, u.clamp(0.0, 255.0) as u8);
-                f.v.set(x, y, v.clamp(0.0, 255.0) as u8);
-            }
+        // Chroma: slow large-scale color wash (half resolution); U varies
+        // along rows only and V down columns only.
+        let cw = width / 2;
+        let u_row: Vec<u8> = (0..cw)
+            .map(|x| (128.0 + 30.0 * ((x as f64 * 0.08 + t * 0.1).sin())).clamp(0.0, 255.0) as u8)
+            .collect();
+        for (y, (u, v)) in
+            f.u.data
+                .chunks_exact_mut(cw)
+                .zip(f.v.data.chunks_exact_mut(cw))
+                .enumerate()
+        {
+            u.copy_from_slice(&u_row);
+            v.fill((128.0 + 30.0 * ((y as f64 * 0.06 - t * 0.08).cos())).clamp(0.0, 255.0) as u8);
         }
         f
     }
@@ -265,5 +287,185 @@ mod tests {
         let f = s.frame(0);
         assert_eq!((f.width, f.height), (128, 96));
         assert_eq!(f.u.width, 64);
+    }
+}
+
+/// The generator against its former per-pixel form, and pinned frame
+/// hashes over the configurations the experiments and their edges use.
+#[cfg(test)]
+mod exactness {
+    use super::*;
+    use eclipse_sim::snapshot::fnv1a_64;
+
+    /// The generator as it was written first: one `sin` and one `cos`
+    /// per luma pixel, one per chroma sample, and every object texel
+    /// hashed per frame. Kept as the oracle of [`SyntheticSource::frame`].
+    fn frame_per_pixel(src: &SyntheticSource, index: u16) -> Frame {
+        let cfg = &src.cfg;
+        // (x0, y0, w, h, vx, vy, luma, texture) of each object.
+        let objects: Vec<_> = (0..src.objects.len())
+            .map(|i| {
+                let h1 = hash64(cfg.seed ^ (i as u64 * 0x1234_5678_9ABC));
+                let h2 = hash64(h1);
+                let h3 = hash64(h2);
+                let vx = cfg.motion * (((h3 % 200) as f64 / 100.0) - 1.0);
+                let vy = cfg.motion * ((((h3 >> 8) % 200) as f64 / 100.0) - 1.0);
+                let (vx, vy) = if i % 2 == 0 {
+                    (vx.round(), vy.round())
+                } else {
+                    (vx, vy)
+                };
+                (
+                    (h1 % cfg.width as u64) as f64,
+                    (h2 % cfg.height as u64) as f64,
+                    8 + (h1 >> 32) as usize % (cfg.width / 6).max(8),
+                    8 + (h2 >> 32) as usize % (cfg.height / 6).max(8),
+                    vx,
+                    vy,
+                    60 + ((h3 >> 16) % 150) as u8,
+                    (cfg.complexity * 40.0) as u8 + ((h3 >> 24) % 20) as u8,
+                )
+            })
+            .collect();
+        let mut f = Frame::new(cfg.width, cfg.height);
+        let t = index as f64;
+        let pan_x = (t * cfg.motion).round() as i64;
+        let pan_y = (t * cfg.motion * 0.5).round() as i64;
+        let amp = (cfg.complexity * 24.0) as i64;
+        for y in 0..cfg.height {
+            for x in 0..cfg.width {
+                let sx = x as i64 + pan_x;
+                let sy = y as i64 + pan_y;
+                let mut v = 90.0 + 50.0 * ((sx as f64 * 0.05).sin() + (sy as f64 * 0.04).cos());
+                if amp > 0 {
+                    let h = hash64(cfg.seed ^ ((sy as u64) << 24) ^ sx as u64);
+                    v += (h % (2 * amp as u64 + 1)) as f64 - amp as f64;
+                }
+                f.y.set(x, y, v.clamp(0.0, 255.0) as u8);
+            }
+        }
+        for (oi, &(x0, y0, w, h, vx, vy, luma, texture)) in objects.iter().enumerate() {
+            let ox = (x0 + vx * t).rem_euclid(cfg.width as f64) as usize;
+            let oy = (y0 + vy * t).rem_euclid(cfg.height as f64) as usize;
+            for dy in 0..h {
+                for dx in 0..w {
+                    let x = (ox + dx) % cfg.width;
+                    let y = (oy + dy) % cfg.height;
+                    let tex = if texture > 0 {
+                        (hash64((dx as u64) << 32 | dy as u64 | (oi as u64) << 48)
+                            % (texture as u64 * 2 + 1)) as i32
+                            - texture as i32
+                    } else {
+                        0
+                    };
+                    f.y.set(x, y, (luma as i32 + tex).clamp(0, 255) as u8);
+                }
+            }
+        }
+        for y in 0..cfg.height / 2 {
+            for x in 0..cfg.width / 2 {
+                let u = 128.0 + 30.0 * ((x as f64 * 0.08 + t * 0.1).sin());
+                let v = 128.0 + 30.0 * ((y as f64 * 0.06 - t * 0.08).cos());
+                f.u.set(x, y, u.clamp(0.0, 255.0) as u8);
+                f.v.set(x, y, v.clamp(0.0, 255.0) as u8);
+            }
+        }
+        f
+    }
+
+    /// The QCIF and tiny experiment streams, a flat scene with no noise
+    /// and no texture, and a fast textured scene whose objects wrap both
+    /// frame edges; with each one's frame count.
+    fn configs() -> [(SourceConfig, u16); 4] {
+        let qcif = SourceConfig {
+            width: 176,
+            height: 144,
+            complexity: 0.5,
+            motion: 2.0,
+            seed: 0xEC11,
+        };
+        [
+            (qcif, 15),
+            (
+                SourceConfig {
+                    width: 64,
+                    height: 48,
+                    ..qcif
+                },
+                8,
+            ),
+            (
+                SourceConfig {
+                    complexity: 0.0,
+                    ..qcif
+                },
+                6,
+            ),
+            (
+                SourceConfig {
+                    width: 96,
+                    height: 64,
+                    complexity: 1.0,
+                    motion: 7.5,
+                    seed: 3,
+                },
+                24,
+            ),
+        ]
+    }
+
+    fn hash(frames: &[Frame]) -> u64 {
+        let mut bytes = Vec::new();
+        for f in frames {
+            for p in [&f.y, &f.u, &f.v] {
+                bytes.extend_from_slice(&p.data);
+            }
+        }
+        fnv1a_64(&bytes)
+    }
+
+    /// The frame hashes of the per-pixel generator, taken before the
+    /// separable one replaced it.
+    #[test]
+    fn frames_are_pinned() {
+        let hashes = configs().map(|(cfg, n)| hash(&SyntheticSource::new(cfg).frames(n)));
+        assert_eq!(
+            hashes,
+            [
+                0xae79_f675_49a6_06b8,
+                0x6c4e_2c33_871f_6cd4,
+                0x193d_a22a_4008_903a,
+                0xbc03_2130_c206_c708,
+            ]
+        );
+    }
+
+    /// Frame by frame, the generator equals the per-pixel oracle.
+    #[test]
+    fn frames_match_the_per_pixel_generator() {
+        for (cfg, n) in configs() {
+            let src = SyntheticSource::new(cfg);
+            for i in 0..n {
+                assert_eq!(src.frame(i), frame_per_pixel(&src, i), "{cfg:?} frame {i}");
+            }
+        }
+    }
+
+    /// The fast scene's objects cross both the right and the bottom edge,
+    /// so the pins cover rows and tiles that wrap.
+    #[test]
+    fn fast_scene_wraps_both_edges() {
+        let (cfg, n) = configs()[3];
+        let src = SyntheticSource::new(cfg);
+        let (mut wraps_x, mut wraps_y) = (false, false);
+        for o in &src.objects {
+            for t in (0..n).map(f64::from) {
+                let ox = (o.x0 + o.vx * t).rem_euclid(cfg.width as f64) as usize;
+                let oy = (o.y0 + o.vy * t).rem_euclid(cfg.height as f64) as usize;
+                wraps_x |= ox + o.w > cfg.width;
+                wraps_y |= oy + o.tile.len() / o.w > cfg.height;
+            }
+        }
+        assert!(wraps_x && wraps_y);
     }
 }

@@ -164,9 +164,17 @@ impl Bus {
         }
         Transfer { start, done, wait }
     }
+
+    fn check_clock(&mut self) -> Result<(), eclipse_sim::SnapError> {
+        eclipse_sim::check_horizon([&self.next_free], "bus clock past the horizon")
+    }
 }
 
-eclipse_sim::snap_fields!(Bus { next_free, stats });
+eclipse_sim::snap_fields!(
+    /// The arbitration clock, then the statistics; loading refuses a
+    /// clock at or past the horizon.
+    Bus { next_free, stats } then Bus::check_clock
+);
 
 #[cfg(test)]
 mod tests {

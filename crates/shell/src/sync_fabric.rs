@@ -265,10 +265,11 @@ pub struct RingSyncFabric {
     trace: Option<TraceHandle>,
 }
 
-eclipse_sim::snap_fields!(RingSyncFabric {
-    link_free: fixed,
-    stats
-});
+eclipse_sim::snap_fields!(
+    /// The link clocks, then the statistics; loading refuses a clock at
+    /// or past the horizon.
+    RingSyncFabric { link_free: fixed, stats } then RingSyncFabric::check_clocks
+);
 
 impl RingSyncFabric {
     /// A new idle ring connecting `n_shells` shells.
@@ -287,6 +288,10 @@ impl RingSyncFabric {
     pub fn hops(&self, src: ShellId, dst: ShellId) -> u64 {
         let n = self.link_free.len() as u64;
         (u64::from(dst.0) + n - u64::from(src.0)) % n
+    }
+
+    fn check_clocks(&mut self) -> Result<(), SnapError> {
+        eclipse_sim::check_horizon(&self.link_free, "sync link clock past the horizon")
     }
 }
 
@@ -378,12 +383,16 @@ pub struct MeshSyncFabric {
     trace: Option<TraceHandle>,
 }
 
-eclipse_sim::snap_fields!(MeshSyncFabric {
-    link_free: fixed,
-    last_grant: each,
-    stats,
-    piggybacked,
-});
+eclipse_sim::snap_fields!(
+    /// The link clocks, the last grants, then the counters; loading
+    /// refuses a link clock at or past the horizon.
+    MeshSyncFabric {
+        link_free: fixed,
+        last_grant: each,
+        stats,
+        piggybacked,
+    } then MeshSyncFabric::check_clocks
+);
 
 impl MeshSyncFabric {
     /// A new idle `cols × rows` mesh.
@@ -429,6 +438,10 @@ impl MeshSyncFabric {
     /// with sync flits genuinely in flight.
     pub fn links_in_flight(&self, now: Cycle) -> bool {
         self.link_free.iter().any(|&f| f > now)
+    }
+
+    fn check_clocks(&mut self) -> Result<(), SnapError> {
+        eclipse_sim::check_horizon(&self.link_free, "sync link clock past the horizon")
     }
 }
 

@@ -41,5 +41,5 @@ pub use calendar::{BaselineCalendar, Calendar};
 pub use fault::{corrupt_bytes, FaultInjector, FaultPlan, FaultStats, SyncAction};
 pub use snapshot::{fnv1a_64, FnvState, SnapError, SnapReader, SnapWriter, Snapshot};
 pub use stats::{Histogram, HistogramStat, RunningStat};
-pub use time::{Clock, Cycle, Frequency};
+pub use time::{check_horizon, Clock, Cycle, Frequency, CLOCK_HORIZON};
 pub use trace::{SharedTraceSink, TraceEvent, TraceEventKind, TraceHandle, TraceSink};

@@ -6,11 +6,33 @@
 //! faster clock domains (like the SRAM) are expressed as integer
 //! multipliers of the base clock.
 
+use crate::snapshot::SnapError;
+
 /// A point in simulated time, in base-clock cycles.
 ///
 /// 64 bits of cycles at 150 MHz covers ~3900 years of simulated time, so
-/// overflow is not a practical concern and arithmetic is unchecked.
+/// overflow is not a practical concern and arithmetic is unchecked. A
+/// checkpoint cannot bring a clock near the end of the range either: its
+/// arbiter clocks are checked against [`CLOCK_HORIZON`] on load.
 pub type Cycle = u64;
+
+/// The cycle no arbiter clock reaches: 2^62 cycles, about 975 years at
+/// 150 MHz. An arbiter (a bus, a fabric port, a sync link) adds
+/// occupancy and latency to its clock without checking; a restored clock
+/// below the horizon leaves that sum far from overflow.
+pub const CLOCK_HORIZON: Cycle = 1 << 62;
+
+/// `Err(SnapError::Corrupt(what))` when a restored arbiter clock is at
+/// or past [`CLOCK_HORIZON`].
+pub fn check_horizon<'a>(
+    clocks: impl IntoIterator<Item = &'a Cycle>,
+    what: &'static str,
+) -> Result<(), SnapError> {
+    if clocks.into_iter().any(|&c| c >= CLOCK_HORIZON) {
+        return Err(SnapError::Corrupt(what));
+    }
+    Ok(())
+}
 
 /// A clock frequency in Hz.
 ///

@@ -6,11 +6,16 @@
 //! The system is the two-app synthetic pipeline. Shell 0 (`src0`) holds
 //! one producer row and one task, so the fields of its tables sit at
 //! offsets the checkpoint layout fixes; the tests find them by walking
-//! the encoding, not by hard-coded positions.
+//! the encoding, not by hard-coded positions. The arbiter clocks are
+//! found by the encoding of the component that holds them, on the same
+//! pipeline built with each data and sync fabric.
 
-use eclipse_bench::synthetic::open_gate_system;
-use eclipse_core::EclipseSystem;
-use eclipse_sim::snapshot::{SnapError, SnapReader};
+use eclipse_bench::synthetic::{open_gate_system, two_pipe_system};
+use eclipse_core::{EclipseConfig, EclipseSystem};
+use eclipse_mem::{Bus, BusConfig, DataFabricConfig};
+use eclipse_shell::SyncFabricConfig;
+use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
+use eclipse_sim::CLOCK_HORIZON;
 
 /// A huge element count: no allocation may be sized by it.
 const HUGE: u64 = 1 << 40;
@@ -253,4 +258,184 @@ fn trace_sampling_state_is_corrupt() {
             );
         }
     }
+}
+
+/// The two-app pipeline of `system` on the given data and sync fabrics.
+fn pipeline(data: DataFabricConfig, sync: SyncFabricConfig) -> EclipseSystem {
+    two_pipe_system(data, sync, 64, 90)
+}
+
+/// The paper's shared read/write bus pair.
+fn shared_bus() -> DataFabricConfig {
+    let cfg = EclipseConfig::default();
+    DataFabricConfig::SharedBus {
+        read: cfg.read_bus,
+        write: cfg.write_bus,
+    }
+}
+
+/// The bytes `save` writes.
+fn encoded(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    save(&mut w);
+    w.into_bytes()
+}
+
+/// The encoded size of a bus.
+fn bus_len() -> isize {
+    encoded(|w| Bus::new("any", BusConfig::default()).save(w)).len() as isize
+}
+
+/// Run `build()` to cycle 2,000; `locate` names a byte sequence that
+/// occurs exactly once in the checkpoint saved next, and the offset of
+/// an arbiter clock from its start. Patched to one cycle short of the
+/// horizon, the checkpoint restores; at the horizon, or near the end of
+/// the range where the next grant overflows, it is corrupt.
+fn assert_clock_bounded(
+    build: impl Fn() -> EclipseSystem,
+    locate: impl Fn(&mut EclipseSystem) -> (Vec<u8>, isize),
+) {
+    let mut sys = build();
+    assert!(sys.run_until(2_000).is_none(), "pipeline ended early");
+    let (needle, offset) = locate(&mut sys);
+    let good = sys.save();
+    let mut found = good.windows(needle.len()).enumerate();
+    let at = found
+        .find(|(_, w)| *w == needle)
+        .expect("the section is in the checkpoint")
+        .0;
+    assert!(found.all(|(_, w)| w != needle), "the section occurs once");
+    let at = at
+        .checked_add_signed(offset)
+        .expect("the clock is in the checkpoint");
+    for clock in [CLOCK_HORIZON - 1, CLOCK_HORIZON, u64::MAX - 5] {
+        let mut bytes = good.clone();
+        bytes[at..at + 8].copy_from_slice(&clock.to_le_bytes());
+        let got = build().restore(&bytes);
+        if clock < CLOCK_HORIZON {
+            assert_eq!(got, Ok(()), "clock {clock}");
+        } else {
+            assert!(
+                matches!(got, Err(SnapError::Corrupt(_))),
+                "clock {clock}: {got:?}"
+            );
+        }
+    }
+}
+
+/// The data fabric's section of the checkpoint.
+fn data_fabric(sys: &EclipseSystem) -> Vec<u8> {
+    encoded(|w| sys.data_fabric().save_state(w))
+}
+
+/// The sync fabric's section of the checkpoint.
+fn sync_fabric(sys: &EclipseSystem) -> Vec<u8> {
+    encoded(|w| sys.sync_fabric().save_state(w))
+}
+
+#[test]
+fn pi_bus_clock_past_the_horizon_is_corrupt() {
+    // Three register reads give the PI bus counters no other section
+    // holds: its clock sits two fields before its byte count.
+    assert_clock_bounded(system, |sys| {
+        for _ in 0..3 {
+            sys.pi_read(0, 0);
+        }
+        let mut counters = sys.pi_accesses().to_le_bytes().to_vec();
+        counters.extend(sys.pi_busy_cycles().to_le_bytes());
+        (counters, -16)
+    });
+}
+
+#[test]
+fn system_bus_clock_past_the_horizon_is_corrupt() {
+    // The pipeline leaves the system bus idle; the DRAM before it makes
+    // the section unique.
+    assert_clock_bounded(system, |sys| {
+        let dram = encoded(|w| sys.dram().save(w));
+        let at = dram.len() as isize;
+        ([dram, encoded(|w| sys.system_bus().save(w))].concat(), at)
+    });
+}
+
+#[test]
+fn dram_pin_clock_past_the_horizon_is_corrupt() {
+    // The pins, then the two row-buffer counters, end the DRAM section.
+    assert_clock_bounded(system, |sys| {
+        let dram = encoded(|w| sys.dram().save(w));
+        let at = dram.len() as isize - 16 - bus_len();
+        (dram, at)
+    });
+}
+
+#[test]
+fn shared_bus_port_clocks_past_the_horizon_are_corrupt() {
+    // The read bus, then the write bus.
+    for port in 0..2 {
+        assert_clock_bounded(
+            || pipeline(shared_bus(), SyncFabricConfig::Direct),
+            |sys| (data_fabric(sys), port * bus_len()),
+        );
+    }
+}
+
+#[test]
+fn bank_port_clock_past_the_horizon_is_corrupt() {
+    let banked = || {
+        let bank = BusConfig::default();
+        let fabric = DataFabricConfig::MultiBank {
+            banks: 4,
+            interleave_bytes: 64,
+            bank,
+        };
+        pipeline(fabric, SyncFabricConfig::Direct)
+    };
+    // The bank count, then bank 1.
+    assert_clock_bounded(banked, |sys| (data_fabric(sys), 8 + bus_len()));
+}
+
+#[test]
+fn private_port_clock_past_the_horizon_is_corrupt() {
+    // `system` runs on private ports: the pair count, then `p0.rd` and
+    // `p0.wr`.
+    assert_clock_bounded(system, |sys| (data_fabric(sys), 8 + bus_len()));
+}
+
+#[test]
+fn cpu_sync_queue_clock_past_the_horizon_is_corrupt() {
+    // The direct hop's counters, then the CPU's queue.
+    let cpu = SyncFabricConfig::Cpu {
+        service_cycles: 200,
+    };
+    assert_clock_bounded(
+        || pipeline(shared_bus(), cpu),
+        |sys| {
+            let section = sync_fabric(sys);
+            let at = section.len() as isize - bus_len();
+            (section, at)
+        },
+    );
+}
+
+#[test]
+fn ring_link_clock_past_the_horizon_is_corrupt() {
+    let ring = SyncFabricConfig::Ring {
+        hop_latency: 2,
+        link_occupancy: 4,
+    };
+    // The link count, then link 0 (shell 0 to shell 1, `s0`'s credits).
+    assert_clock_bounded(|| pipeline(shared_bus(), ring), |sys| (sync_fabric(sys), 8));
+}
+
+#[test]
+fn mesh_link_clock_past_the_horizon_is_corrupt() {
+    let mesh = SyncFabricConfig::Mesh {
+        cols: 2,
+        rows: 2,
+        hop_latency: 2,
+        link_occupancy: 4,
+        piggyback_window: 0,
+    };
+    // The link count, then link 0.
+    assert_clock_bounded(|| pipeline(shared_bus(), mesh), |sys| (sync_fabric(sys), 8));
 }

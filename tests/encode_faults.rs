@@ -145,3 +145,22 @@ fn timeshift_fault_sweep() {
         }
     }
 }
+
+/// The long sweep, past the ranges above: the encode graph over seeds
+/// 32..232 at three rates and the time-shift graph over seeds 8..108 at
+/// two. About 5 s in a release build; CI's release step runs it with
+/// `--include-ignored`.
+#[test]
+#[ignore = "long; run in release with --include-ignored"]
+fn long_fault_sweep() {
+    for rate in [0.001, 0.003, 0.01] {
+        for seed in 32..232 {
+            check(seed, rate, false);
+        }
+    }
+    for rate in [0.001, 0.003] {
+        for seed in 8..108 {
+            check(seed, rate, true);
+        }
+    }
+}
