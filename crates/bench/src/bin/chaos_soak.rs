@@ -33,7 +33,7 @@
 //! state still changed. The traced tail is saved as
 //! `results/replay_trace.csv` for inspection.
 
-use eclipse_bench::{print_peak_rss, save_result, stream_result, table, StreamSpec};
+use eclipse_bench::{outcome_cell, print_peak_rss, save_result, stream_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_core::{EclipseConfig, QosContract, RunOutcome, Supervisor, SupervisorConfig};
 use eclipse_media::stream::GopConfig;
@@ -80,14 +80,6 @@ fn injected(class: &str, f: &FaultStats) -> u64 {
         "sram_flip" => f.sram_flips,
         "stall" => f.coproc_stalls,
         _ => f.total(),
-    }
-}
-
-fn outcome_cell(o: &RunOutcome) -> String {
-    match o {
-        RunOutcome::AllFinished => "finished".into(),
-        RunOutcome::Deadlock(tasks) => format!("deadlock({} diagnosed)", tasks.len()),
-        RunOutcome::MaxCycles => "max_cycles".into(),
     }
 }
 

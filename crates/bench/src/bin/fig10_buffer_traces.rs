@@ -5,11 +5,11 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin fig10_buffer_traces`
 
-use eclipse_bench::{save_result, table, StreamSpec};
+use eclipse_bench::{run_finished, save_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_coprocs::mcme::McMeCoproc;
 use eclipse_coprocs::records::PicSpan;
-use eclipse_core::{EclipseConfig, RunOutcome, TraceLog};
+use eclipse_core::{EclipseConfig, TraceLog};
 use eclipse_media::stream::PictureType;
 use eclipse_viz::{render_stacked, ChartConfig};
 
@@ -49,13 +49,7 @@ fn main() {
     );
 
     let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
-    let summary = dec.system.run(2_000_000_000);
-    assert_eq!(
-        summary.outcome,
-        RunOutcome::AllFinished,
-        "decode must complete: {:?}",
-        summary.outcome
-    );
+    let summary = run_finished(&mut dec.system.sys, 2_000_000_000, "QCIF decode");
     println!(
         "simulated {} cycles ({:.1} ms at 150 MHz), {} sync messages\n",
         summary.cycles,

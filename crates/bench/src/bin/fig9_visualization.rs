@@ -5,17 +5,16 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin fig9_visualization`
 
-use eclipse_bench::{save_result, table, StreamSpec};
+use eclipse_bench::{run_finished, save_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
-use eclipse_core::{EclipseConfig, RunOutcome};
+use eclipse_core::EclipseConfig;
 use eclipse_viz::{render_series, utilization_bars, ChartConfig, UtilizationRow};
 
 fn main() {
     let spec = StreamSpec::qcif();
     let (bitstream, _) = spec.encode();
     let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
-    let summary = dec.system.run(2_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let summary = run_finished(&mut dec.system.sys, 2_000_000_000, "QCIF decode");
 
     // ---- architecture view: coprocessor utilization --------------------
     println!("=== architecture view: coprocessor utilization ===\n");

@@ -16,17 +16,18 @@
 //! (`eclipse_core::model`): bank access + wire transport (global-bus
 //! pJ/B on flat fabrics, per-link-hop pJ/B on the mesh) + sync routing.
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin mapping_search [--quick]`
+//! Usage: `cargo run -p eclipse-bench --release --bin mapping_search`
 
+use eclipse_bench::points::{mesh, mesh_sync, multibank, private_port, shared_bus};
 use eclipse_bench::synthetic::PipeCoproc;
-use eclipse_bench::{par_sweep, save_result, table};
+use eclipse_bench::{par_sweep, run_finished, save_result, table, Counters};
 use eclipse_core::model::{transport_energy_per_mb_pj, TransportCounts};
 use eclipse_core::{
-    EclipseConfig, FirstFitPlacement, Placement, RunOutcome, SystemBuilder, TopologyAwarePlacement,
+    EclipseConfig, FirstFitPlacement, Placement, SystemBuilder, TopologyAwarePlacement,
 };
 use eclipse_kpn::GraphBuilder;
-use eclipse_mem::{BankedFabric, BusConfig, DataFabricConfig};
-use eclipse_shell::SyncFabricConfig;
+use eclipse_mem::{BankedFabric, DataFabricConfig};
+use eclipse_shell::SyncFabricConfig::{self, Direct};
 use std::fmt::Write as _;
 
 /// Pipelines in the bundle (each: source → work → sink).
@@ -35,6 +36,8 @@ const PIPES: usize = 4;
 const SRC_POOL: usize = 2;
 const WORK_POOL: usize = 4;
 const SINK_POOL: usize = 2;
+/// Packets each pipeline moves.
+const PACKETS: u32 = 400;
 
 struct Cell {
     topo_label: &'static str,
@@ -44,69 +47,22 @@ struct Cell {
     first_fit: bool,
 }
 
-fn topologies(cfg: &EclipseConfig) -> Vec<(&'static str, DataFabricConfig, SyncFabricConfig)> {
-    let bank = BusConfig {
-        width_bytes: cfg.read_bus.width_bytes,
-        latency: cfg.read_bus.latency,
-        cycles_per_beat: cfg.read_bus.cycles_per_beat,
-    };
-    let mesh = |cols, rows| DataFabricConfig::Mesh {
-        cols,
-        rows,
-        interleave_bytes: 64,
-        link_grant: 2,
-        hop_cycles: 1,
-        port: bank,
-    };
-    vec![
-        (
-            "shared-bus",
-            DataFabricConfig::SharedBus {
-                read: cfg.read_bus,
-                write: cfg.write_bus,
-            },
-            SyncFabricConfig::Direct,
-        ),
-        (
-            "4-bank",
-            DataFabricConfig::MultiBank {
-                banks: 4,
-                interleave_bytes: 64,
-                bank,
-            },
-            SyncFabricConfig::Direct,
-        ),
-        (
-            "private g=2",
-            DataFabricConfig::PrivatePort {
-                grant_cycles: 2,
-                port: bank,
-            },
-            SyncFabricConfig::Direct,
-        ),
-        ("mesh 2x2", mesh(2, 2), SyncFabricConfig::Direct),
-        (
-            "mesh 4x2 + mesh-sync",
-            mesh(4, 2),
-            SyncFabricConfig::Mesh {
-                cols: 4,
-                rows: 2,
-                hop_latency: 2,
-                link_occupancy: 1,
-                piggyback_window: 4,
-            },
-        ),
+fn topologies() -> [(&'static str, DataFabricConfig, SyncFabricConfig); 5] {
+    [
+        ("shared-bus", shared_bus(), Direct),
+        ("4-bank", multibank(4), Direct),
+        ("private g=2", private_port(2), Direct),
+        ("mesh 2x2", mesh(2, 2), Direct),
+        ("mesh 4x2 + mesh-sync", mesh(4, 2), mesh_sync(4, 2)),
     ]
 }
 
 fn build_pool_system(
-    cfg: EclipseConfig,
     data: DataFabricConfig,
     sync: SyncFabricConfig,
     placement: Box<dyn Placement>,
-    packets: u32,
 ) -> eclipse_core::EclipseSystem {
-    let mut b = SystemBuilder::new(cfg);
+    let mut b = SystemBuilder::new(EclipseConfig::default());
     b.with_data_fabric(data);
     b.with_sync_fabric(sync);
     b.with_placement(placement);
@@ -118,7 +74,7 @@ fn build_pool_system(
         b.add_coprocessor(Box::new(PipeCoproc::worker(
             format!("srcw{i}"),
             "stage-src",
-            packets,
+            PACKETS,
             64,
             60,
             "source",
@@ -128,7 +84,7 @@ fn build_pool_system(
         b.add_coprocessor(Box::new(PipeCoproc::worker(
             format!("workw{i}"),
             "stage-work",
-            packets,
+            PACKETS,
             64,
             90,
             "filter",
@@ -138,7 +94,7 @@ fn build_pool_system(
         b.add_coprocessor(Box::new(PipeCoproc::worker(
             format!("sinkw{i}"),
             "stage-sink",
-            packets,
+            PACKETS,
             64,
             40,
             "sink",
@@ -157,12 +113,8 @@ fn build_pool_system(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let packets: u32 = if quick { 64 } else { 400 };
-    let cfg = EclipseConfig::default();
-
     let mut cells = Vec::new();
-    for (topo_label, data, sync) in topologies(&cfg) {
+    for (topo_label, data, sync) in topologies() {
         for (placement_label, first_fit) in [("first-fit", true), ("topology-aware", false)] {
             cells.push(Cell {
                 topo_label,
@@ -180,17 +132,11 @@ fn main() {
         } else {
             Box::new(TopologyAwarePlacement::default())
         };
-        let mut sys = build_pool_system(cfg, c.data, c.sync, placement, packets);
-        let summary = sys.run(20_000_000_000);
-        assert_eq!(
-            summary.outcome,
-            RunOutcome::AllFinished,
-            "{} / {} did not finish",
-            c.topo_label,
-            c.placement_label
-        );
+        let mut sys = build_pool_system(c.data, c.sync, placement);
+        let label = format!("{} / {}", c.topo_label, c.placement_label);
+        let summary = run_finished(&mut sys, 20_000_000_000, label);
+        let sram_bytes = Counters::of(&sys).port_bytes;
         let fabric = sys.data_fabric();
-        let sram_bytes: u64 = fabric.ports().iter().map(|p| p.stats.bytes).sum();
         // Only a mesh charges wire energy per hop; the other banked
         // fabrics have no links, so their byte·hops are zero anyway.
         let byte_hops = (fabric as &dyn std::any::Any)
@@ -205,7 +151,7 @@ fn main() {
         };
         // One packet = one macroblock-equivalent work unit; count the
         // packets the sinks actually consumed.
-        let work_units = (PIPES as u64) * packets as u64;
+        let work_units = (PIPES as u64) * PACKETS as u64;
         let pj_per_mb = transport_energy_per_mb_pj(&counts, work_units);
         (summary.cycles, pj_per_mb)
     });
@@ -227,7 +173,7 @@ fn main() {
     let mut out = String::new();
     writeln!(
         out,
-        "Placement search ({PIPES} pipelines x {packets} packets, pools {SRC_POOL}/{WORK_POOL}/{SINK_POOL})\n"
+        "Placement search ({PIPES} pipelines x {PACKETS} packets, pools {SRC_POOL}/{WORK_POOL}/{SINK_POOL})\n"
     )
     .unwrap();
     out.push_str(&t);
@@ -271,7 +217,5 @@ fn main() {
         wins >= 1,
         "expected the fabric-aware placer to beat first-fit on at least one topology"
     );
-    if !quick {
-        save_result("mapping_search.txt", &out);
-    }
+    save_result("mapping_search.txt", &out);
 }

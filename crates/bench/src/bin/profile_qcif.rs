@@ -2,8 +2,9 @@
 //!
 //! Usage: `gprofng collect app target/release/profile_qcif 20`
 
+use eclipse_bench::run_finished;
 use eclipse_coprocs::instance::build_decode_system;
-use eclipse_core::{EclipseConfig, RunOutcome};
+use eclipse_core::EclipseConfig;
 
 fn main() {
     let n: usize = std::env::args()
@@ -16,8 +17,7 @@ fn main() {
     let mut cycles = 0;
     for _ in 0..n {
         let mut dec = build_decode_system(EclipseConfig::default(), bitstream.clone());
-        let summary = dec.system.run(20_000_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished);
+        let summary = run_finished(&mut dec.system.sys, 20_000_000_000, "QCIF decode");
         cycles = std::hint::black_box(summary.cycles);
     }
     println!(

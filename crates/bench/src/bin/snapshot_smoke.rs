@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use eclipse_bench::{save_result, StreamSpec};
+use eclipse_bench::{run_finished, save_result, StreamSpec};
 use eclipse_coprocs::instance::{build_decode_system, DecodeSystem};
 use eclipse_core::{EclipseConfig, RunOutcome};
 use eclipse_sim::snapshot::fnv1a_64;
@@ -75,9 +75,7 @@ fn main() {
     // and the checkpoint cycle land mid-run regardless of workload.
     let total = {
         let mut dec = build();
-        let s = dec.system.run(20_000_000_000);
-        assert_eq!(s.outcome, RunOutcome::AllFinished, "workload must finish");
-        s.cycles
+        run_finished(&mut dec.system.sys, 20_000_000_000, label).cycles
     };
     let stride = (total / 16).max(1);
     let mid = total / 2 / stride * stride;

@@ -7,9 +7,9 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin sweep_bus`
 
-use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
+use eclipse_bench::{par_sweep, run_finished, save_result, table, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
-use eclipse_core::{EclipseConfig, RunOutcome};
+use eclipse_core::EclipseConfig;
 
 fn main() {
     let spec = StreamSpec::qcif();
@@ -20,8 +20,11 @@ fn main() {
     let width_results = par_sweep(&widths, |&width| {
         let cfg = EclipseConfig::default().with_bus_width(width);
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let summary = dec.system.run(20_000_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished);
+        let summary = run_finished(
+            &mut dec.system.sys,
+            20_000_000_000,
+            format!("width {width}"),
+        );
         let fabric = dec.system.sys.data_fabric();
         let read = fabric.port("read").expect("shared-bus read port");
         let write = fabric.port("write").expect("shared-bus write port");
@@ -55,8 +58,11 @@ fn main() {
         cfg.read_bus.latency = latency;
         cfg.write_bus.latency = latency;
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let summary = dec.system.run(20_000_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished);
+        let summary = run_finished(
+            &mut dec.system.sys,
+            20_000_000_000,
+            format!("latency {latency}"),
+        );
         vec![
             format!("{latency} cycles"),
             format!("{}", summary.cycles),

@@ -7,9 +7,9 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin sweep_cache`
 
-use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
+use eclipse_bench::{par_sweep, run_finished, save_result, table, Counters, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
-use eclipse_core::{EclipseConfig, RunOutcome};
+use eclipse_core::EclipseConfig;
 use eclipse_shell::CacheConfig;
 
 struct PointResult {
@@ -38,42 +38,14 @@ fn main() {
     let results = par_sweep(&points, |&(label, cache)| {
         let cfg = EclipseConfig::default().with_cache(cache);
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let summary = dec.system.run(20_000_000_000);
-        assert_eq!(
-            summary.outcome,
-            RunOutcome::AllFinished,
-            "{label}: {:?}",
-            summary.outcome
-        );
-        // Aggregate cache stats over all shells.
-        let (mut hits, mut misses, mut prefetches, mut stalls) = (0u64, 0u64, 0u64, 0u64);
-        for shell in dec.system.sys.shells() {
-            for c in shell.caches() {
-                hits += c.stats.hits;
-                misses += c.stats.misses;
-                prefetches += c.stats.prefetches;
-                stalls += c.stats.stall_cycles;
-            }
-        }
-        let bus_txn: u64 = dec
-            .system
-            .sys
-            .data_fabric()
-            .ports()
-            .iter()
-            .map(|p| p.stats.transactions)
-            .sum();
-        let hit_rate = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
+        let summary = run_finished(&mut dec.system.sys, 20_000_000_000, label);
+        let c = Counters::of(&dec.system.sys);
         PointResult {
             cycles: summary.cycles,
-            hit_rate,
-            prefetches,
-            stalls,
-            bus_txn,
+            hit_rate: c.hit_rate(),
+            prefetches: c.prefetches,
+            stalls: c.stall_cycles,
+            bus_txn: c.port_transactions,
         }
     });
 

@@ -12,10 +12,9 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin sweep_coupling`
 
-use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
+use eclipse_bench::points::coupling_decode;
+use eclipse_bench::{par_sweep, run_finished, save_result, table, Counters, StreamSpec};
 use eclipse_coprocs::apps::DecodeAppConfig;
-use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
-use eclipse_core::{EclipseConfig, RunOutcome};
 
 fn main() {
     let spec = StreamSpec::qcif();
@@ -24,42 +23,17 @@ fn main() {
     println!("Buffer-size (coupling) sweep for the decode application:\n");
     let factors = [0.01, 0.4, 0.7, 1.0, 2.0, 4.0];
     let results = par_sweep(&factors, |&factor| {
-        let bufs = DecodeAppConfig::default().scaled(factor);
         // Larger sweeps need more SRAM than the paper's 32 kB — that is
         // exactly the trade-off this experiment quantifies.
-        let sram = (bufs.total() + 8 * 1024).next_power_of_two().max(32 * 1024);
-        let mut b = MpegBuilder::new(
-            EclipseConfig::default().with_sram_size(sram),
-            InstanceCosts::default(),
-        );
-        b.add_decode("dec0", bitstream.clone(), bufs);
-        let mut sys = b.build();
-        let summary = sys.run(50_000_000_000);
-        assert_eq!(
-            summary.outcome,
-            RunOutcome::AllFinished,
-            "factor {factor}: {:?}",
-            summary.outcome
-        );
-        let aborted: u64 = sys
-            .sys
-            .shells()
-            .iter()
-            .flat_map(|s| s.tasks())
-            .map(|t| t.stats.aborted_steps)
-            .sum();
-        let denials: u64 = sys
-            .sys
-            .shells()
-            .iter()
-            .flat_map(|s| s.tasks())
-            .map(|t| t.stats.denials)
-            .sum();
+        let bufs = DecodeAppConfig::default().scaled(factor);
+        let mut sys = coupling_decode(bitstream.clone(), bufs);
+        let summary = run_finished(&mut sys.sys, 50_000_000_000, format!("factor {factor}"));
+        let c = Counters::of(&sys.sys);
         (
             summary.cycles,
             bufs.total(),
-            denials,
-            aborted,
+            c.denials,
+            c.aborted_steps,
             summary.sync_messages,
         )
     });

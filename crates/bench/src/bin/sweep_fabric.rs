@@ -18,153 +18,48 @@
 //! much arbitration headroom do SRAM banks buy, and what does a real
 //! sync topology cost?
 //!
-//! Usage: `cargo run -p eclipse-bench --release --bin sweep_fabric [--quick]`
+//! Usage: `cargo run -p eclipse-bench --release --bin sweep_fabric`
 
-use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
+use eclipse_bench::points::{mesh, mesh_sync, multibank, private_port, shared_bus, RING};
+use eclipse_bench::{par_sweep, run_finished, save_result, table, Counters, StreamSpec};
 use eclipse_coprocs::apps::DecodeAppConfig;
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
-use eclipse_core::{EclipseConfig, RunOutcome};
-use eclipse_media::stream::GopConfig;
-use eclipse_mem::{BusConfig, DataFabricConfig};
-use eclipse_shell::SyncFabricConfig;
+use eclipse_core::EclipseConfig;
+use eclipse_mem::DataFabricConfig;
+use eclipse_shell::SyncFabricConfig::{self, Direct};
 use std::fmt::Write as _;
 
-struct Point {
-    label: &'static str,
-    data: DataFabricConfig,
-    sync: SyncFabricConfig,
-}
-
-fn points(cfg: &EclipseConfig) -> Vec<Point> {
-    let bank = BusConfig {
-        width_bytes: cfg.read_bus.width_bytes,
-        latency: cfg.read_bus.latency,
-        cycles_per_beat: cfg.read_bus.cycles_per_beat,
-    };
-    let shared = DataFabricConfig::SharedBus {
-        read: cfg.read_bus,
-        write: cfg.write_bus,
-    };
-    let multibank = |banks| DataFabricConfig::MultiBank {
-        banks,
-        interleave_bytes: 64,
-        bank,
-    };
-    let private = |grant| DataFabricConfig::PrivatePort {
-        grant_cycles: grant,
-        port: bank,
-    };
-    let ring = SyncFabricConfig::Ring {
-        hop_latency: 2,
-        link_occupancy: 1,
-    };
-    let mesh = |cols, rows| DataFabricConfig::Mesh {
-        cols,
-        rows,
-        interleave_bytes: 64,
-        link_grant: 2,
-        hop_cycles: 1,
-        port: bank,
-    };
-    let mesh_sync = SyncFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        hop_latency: 2,
-        link_occupancy: 1,
-        piggyback_window: 4,
-    };
-    vec![
-        Point {
-            label: "shared-bus + direct",
-            data: shared,
-            sync: SyncFabricConfig::Direct,
-        },
-        Point {
-            label: "2-bank + direct",
-            data: multibank(2),
-            sync: SyncFabricConfig::Direct,
-        },
-        Point {
-            label: "4-bank + direct",
-            data: multibank(4),
-            sync: SyncFabricConfig::Direct,
-        },
-        Point {
-            label: "8-bank + direct",
-            data: multibank(8),
-            sync: SyncFabricConfig::Direct,
-        },
-        Point {
-            label: "private g=2 + direct",
-            data: private(2),
-            sync: SyncFabricConfig::Direct,
-        },
-        Point {
-            label: "private g=8 + direct",
-            data: private(8),
-            sync: SyncFabricConfig::Direct,
-        },
-        Point {
-            label: "shared-bus + ring",
-            data: shared,
-            sync: ring,
-        },
-        Point {
-            label: "4-bank + ring",
-            data: multibank(4),
-            sync: ring,
-        },
-        Point {
-            label: "private g=2 + ring",
-            data: private(2),
-            sync: ring,
-        },
-        Point {
-            label: "mesh 2x2 + direct",
-            data: mesh(2, 2),
-            sync: SyncFabricConfig::Direct,
-        },
-        Point {
-            label: "mesh 2x2 + mesh-sync",
-            data: mesh(2, 2),
-            sync: mesh_sync,
-        },
-        Point {
-            label: "mesh 4x2 + direct",
-            data: mesh(4, 2),
-            sync: SyncFabricConfig::Direct,
-        },
+/// The fabric pairs, labelled; the first is the committed baseline.
+fn points() -> [(&'static str, DataFabricConfig, SyncFabricConfig); 12] {
+    [
+        ("shared-bus + direct", shared_bus(), Direct),
+        ("2-bank + direct", multibank(2), Direct),
+        ("4-bank + direct", multibank(4), Direct),
+        ("8-bank + direct", multibank(8), Direct),
+        ("private g=2 + direct", private_port(2), Direct),
+        ("private g=8 + direct", private_port(8), Direct),
+        ("shared-bus + ring", shared_bus(), RING),
+        ("4-bank + ring", multibank(4), RING),
+        ("private g=2 + ring", private_port(2), RING),
+        ("mesh 2x2 + direct", mesh(2, 2), Direct),
+        ("mesh 2x2 + mesh-sync", mesh(2, 2), mesh_sync(2, 2)),
+        ("mesh 4x2 + direct", mesh(4, 2), Direct),
     ]
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let spec = if quick {
-        StreamSpec {
-            frames: 3,
-            gop: GopConfig { n: 3, m: 1 },
-            ..StreamSpec::qcif()
-        }
-    } else {
-        StreamSpec::qcif()
-    };
+    let spec = StreamSpec::qcif();
     let (bitstream, _) = spec.encode();
     let cfg = EclipseConfig::default();
 
-    let pts = points(&cfg);
-    let results = par_sweep(&pts, |p| {
+    let pts = points();
+    let results = par_sweep(&pts, |&(label, data, sync)| {
         let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
-        b.with_data_fabric(p.data);
-        b.with_sync_fabric(p.sync);
+        b.with_data_fabric(data);
+        b.with_sync_fabric(sync);
         b.add_decode("dec0", bitstream.clone(), DecodeAppConfig::default());
         let mut sys = b.build();
-        let summary = sys.run(20_000_000_000);
-        assert_eq!(
-            summary.outcome,
-            RunOutcome::AllFinished,
-            "{} did not finish",
-            p.label
-        );
+        let summary = run_finished(&mut sys.sys, 20_000_000_000, label);
         let frames = sys
             .display_frames("dec0")
             .map(|f| f.len())
@@ -175,21 +70,18 @@ fn main() {
             .iter()
             .map(|&(_, r)| r)
             .fold(0.0f64, f64::max);
-        let (contended, port_count, fly_stats) = {
-            let fabric = sys.sys.data_fabric();
-            let busy: u64 = fabric.ports().iter().map(|p| p.stats.busy_cycles).sum();
-            (fabric.contended_requests(), fabric.ports().len(), busy)
-        };
+        let c = Counters::of(&sys.sys);
+        let contended = sys.sys.data_fabric().contended_requests();
         let sync = sys.sys.sync_fabric().stats();
         let row = vec![
-            p.label.to_string(),
+            label.to_string(),
             format!("{}", summary.cycles),
             format!("{cycles_per_frame}"),
             format!("{:.3}", worst_denial),
             format!("{contended}"),
             format!(
                 "{:.1}%",
-                100.0 * fly_stats as f64 / (summary.cycles * port_count as u64).max(1) as f64
+                100.0 * c.port_busy_cycles as f64 / (summary.cycles * c.ports).max(1) as f64
             ),
             format!("{}", sync.hops),
             format!("{}", sync.wait_cycles),
@@ -223,17 +115,14 @@ fn main() {
     .unwrap();
     out.push_str(&t);
     writeln!(out, "\nrelative to shared-bus + direct baseline:").unwrap();
-    for ((cycles, row), p) in results.iter().zip(&pts) {
+    for ((cycles, _), (label, ..)) in results.iter().zip(&pts) {
         writeln!(
             out,
             "  {:<22} {:+.2}%",
-            p.label,
+            label,
             100.0 * (*cycles as f64 - baseline as f64) / baseline as f64
         )
         .unwrap();
-        let _ = row;
     }
-    if !quick {
-        save_result("sweep_fabric.txt", &out);
-    }
+    save_result("sweep_fabric.txt", &out);
 }

@@ -15,14 +15,13 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin sweep_reconfig [--quick]`
 
-use eclipse_bench::{save_result, table, StreamSpec};
+use eclipse_bench::{run_finished, save_result, table, Counters, StreamSpec};
 use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig};
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder, MpegSystem};
 use eclipse_core::{EclipseConfig, RunOutcome};
 use eclipse_media::audio;
 
-fn build_video(spec: &StreamSpec, bitstream: Vec<u8>) -> MpegSystem {
-    let _ = spec;
+fn build_video(bitstream: Vec<u8>) -> MpegSystem {
     let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
     b.add_decode("vid", bitstream, DecodeAppConfig::default());
     b.build()
@@ -56,15 +55,14 @@ fn main() {
     // Both arms of the sweep fork from one warm checkpoint taken 5k
     // cycles in, so they share a bit-identical prefix instead of each
     // re-simulating the warm-up from scratch.
-    let mut proto = build_video(&spec, bitstream.clone());
+    let mut proto = build_video(bitstream.clone());
     assert_eq!(proto.sys.run_until(5_000), None, "video must still be live");
     let warm = proto.sys.save();
 
     // Churn-free solo reference, forked from the warm checkpoint.
-    let mut solo = build_video(&spec, bitstream.clone());
+    let mut solo = build_video(bitstream.clone());
     solo.sys.restore(&warm).expect("fork solo arm");
-    let solo_summary = solo.run(20_000_000_000);
-    assert_eq!(solo_summary.outcome, RunOutcome::AllFinished);
+    run_finished(&mut solo.sys, 20_000_000_000, "solo decode");
     let reference = solo.display_frames("vid").expect("solo decode output");
     let solo_cycles = solo.sys.now();
 
@@ -72,7 +70,7 @@ fn main() {
     // drain → unmap cycles while the video streams on.
     let churn_cycles = if quick { 2 } else { 4 };
     let blocks = if quick { 4 } else { 16 };
-    let mut sys = build_video(&spec, bitstream);
+    let mut sys = build_video(bitstream);
     sys.sys.restore(&warm).expect("fork churn arm");
     let base_in_use = sys.sys.sram_allocator().in_use();
 
@@ -117,19 +115,13 @@ fn main() {
         ]);
     }
 
-    let summary = sys.run(20_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    run_finished(&mut sys.sys, 20_000_000_000, "churn decode");
     assert_eq!(
         sys.display_frames("vid").expect("churn decode output"),
         reference,
         "co-resident video decode must be bit-identical to solo"
     );
-    let stale: u64 = sys
-        .sys
-        .shells()
-        .iter()
-        .map(|s| s.stats.stale_syncs_rejected)
-        .sum();
+    let stale = Counters::of(&sys.sys).stale_syncs;
 
     let t = table(
         &[

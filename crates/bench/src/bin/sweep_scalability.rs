@@ -15,61 +15,12 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin sweep_scalability`
 
-use eclipse_bench::synthetic::PipeCoproc;
-use eclipse_bench::{par_sweep, save_result, table};
-use eclipse_core::{EclipseConfig, RunOutcome, SystemBuilder};
-use eclipse_kpn::GraphBuilder;
+use eclipse_bench::points::{shared_bus, CPU_SYNC};
+use eclipse_bench::synthetic::PipeBundle;
+use eclipse_bench::{par_sweep, run_finished, save_result, table};
 use eclipse_shell::SyncFabricConfig;
 
-const PACKETS: u32 = 400;
-const PACKET_BYTES: u32 = 64;
-
-fn run(pipelines: usize, sync: SyncFabricConfig) -> (u64, u64, f64) {
-    // SRAM must hold 2 buffers per pipeline.
-    let sram = (pipelines as u32 * 2 * 256 + 1024)
-        .next_power_of_two()
-        .max(32 * 1024);
-    let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
-    b.with_sync_fabric(sync);
-    let mut g = GraphBuilder::new("scale");
-    for p in 0..pipelines {
-        let a = g.stream(format!("a{p}"), 256);
-        let bstream = g.stream(format!("b{p}"), 256);
-        g.task(format!("src{p}"), format!("src{p}"), 0, &[], &[a]);
-        g.task(format!("mid{p}"), format!("mid{p}"), 0, &[a], &[bstream]);
-        g.task(format!("dst{p}"), format!("dst{p}"), 0, &[bstream], &[]);
-        b.add_coprocessor(Box::new(PipeCoproc::source(
-            format!("src{p}"),
-            PACKETS,
-            PACKET_BYTES,
-            60,
-        )));
-        b.add_coprocessor(Box::new(PipeCoproc::filter(
-            format!("mid{p}"),
-            PACKETS,
-            PACKET_BYTES,
-            90,
-        )));
-        b.add_coprocessor(Box::new(PipeCoproc::sink(
-            format!("dst{p}"),
-            PACKETS,
-            PACKET_BYTES,
-            40,
-        )));
-    }
-    let graph = g.build().unwrap();
-    b.map_app(&graph).unwrap();
-    let mut sys = b.build();
-    let summary = sys.run(1_000_000_000);
-    assert_eq!(
-        summary.outcome,
-        RunOutcome::AllFinished,
-        "{pipelines} pipelines: {:?}",
-        summary.outcome
-    );
-    let cpu_load = summary.cpu_sync_busy as f64 / summary.cycles as f64;
-    (summary.cycles, summary.sync_messages, cpu_load)
-}
+const PACKETS: u32 = PipeBundle::scalability(1).packets;
 
 fn main() {
     println!(
@@ -86,13 +37,14 @@ fn main() {
         .collect();
     let results = par_sweep(&points, |&(pipelines, cpu)| {
         let sync = if cpu {
-            SyncFabricConfig::Cpu {
-                service_cycles: 200,
-            }
+            CPU_SYNC
         } else {
             SyncFabricConfig::Direct
         };
-        run(pipelines, sync)
+        let mut sys = PipeBundle::scalability(pipelines).system(shared_bus(), sync);
+        let summary = run_finished(&mut sys, 1_000_000_000, format!("{pipelines} pipelines"));
+        let cpu_load = summary.cpu_sync_busy as f64 / summary.cycles as f64;
+        (summary.cycles, summary.sync_messages, cpu_load)
     });
     let mut rows = Vec::new();
     for (i, &pipelines) in counts.iter().enumerate() {

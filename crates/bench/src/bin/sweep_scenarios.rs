@@ -23,7 +23,7 @@
 //! unsupervised baseline, and every calibrated single-fault `av`
 //! scenario recovers (at least one ladder report, run completes).
 
-use eclipse_bench::{print_peak_rss, save_result, table, StreamSpec};
+use eclipse_bench::{outcome_cell, print_peak_rss, save_result, table, StreamSpec};
 use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig};
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder, MpegSystem};
 use eclipse_core::{
@@ -193,14 +193,6 @@ fn supervisor_for(case: &FaultCase, arrival: &str) -> Supervisor {
         sup.set_contract(app, contract);
     }
     sup
-}
-
-fn outcome_cell(o: &RunOutcome) -> String {
-    match o {
-        RunOutcome::AllFinished => "finished".into(),
-        RunOutcome::Deadlock(tasks) => format!("deadlock({} diagnosed)", tasks.len()),
-        RunOutcome::MaxCycles => "max_cycles".into(),
-    }
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {

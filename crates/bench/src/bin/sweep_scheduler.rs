@@ -11,69 +11,24 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin sweep_scheduler`
 
-use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
-use eclipse_coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
+use eclipse_bench::points::scheduler_mix;
+use eclipse_bench::{par_sweep, run_finished, save_result, table, Counters, StreamSpec};
+use eclipse_coprocs::apps::DecodeAppConfig;
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
 use eclipse_coprocs::mcme::McMeCoproc;
-use eclipse_core::{EclipseConfig, RunOutcome};
-use eclipse_media::stream::GopConfig;
+use eclipse_core::EclipseConfig;
+use eclipse_shell::SchedPolicy;
 use eclipse_sim::Frequency;
 
-struct Outcome {
-    cycles: u64,
-    switches: u64,
-    aborted: u64,
-    decisions: u64,
-}
-
-fn run(policy: eclipse_shell::SchedPolicy, budget: u64) -> Outcome {
-    let spec = StreamSpec {
-        frames: 6,
-        gop: GopConfig { n: 6, m: 3 },
-        ..StreamSpec::qcif()
-    };
-    let (bitstream, _) = spec.encode();
-    let mut cfg = EclipseConfig::default();
-    cfg.shell.policy = policy;
-    cfg.default_budget = budget;
-    let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
-    b.add_decode("dec0", bitstream, DecodeAppConfig::default());
-    let frames = StreamSpec {
-        seed: spec.seed + 9,
-        ..spec
-    }
-    .source_frames();
-    b.add_encode(
-        "enc0",
-        frames,
-        spec.gop,
-        spec.qscale,
-        8,
-        EncodeAppConfig::default(),
+/// The mix's cycles and counter totals.
+fn run(policy: SchedPolicy, budget: u64) -> (u64, Counters) {
+    let mut sys = scheduler_mix(policy, budget);
+    let summary = run_finished(
+        &mut sys.sys,
+        100_000_000_000,
+        format!("{policy:?}/{budget}"),
     );
-    let mut sys = b.build();
-    let summary = sys.run(100_000_000_000);
-    assert_eq!(
-        summary.outcome,
-        RunOutcome::AllFinished,
-        "{policy:?}/{budget}: {:?}",
-        summary.outcome
-    );
-    let switches: u64 = sys.sys.shells().iter().map(|s| s.sched().switches).sum();
-    let decisions: u64 = sys.sys.shells().iter().map(|s| s.sched().decisions).sum();
-    let aborted: u64 = sys
-        .sys
-        .shells()
-        .iter()
-        .flat_map(|s| s.tasks())
-        .map(|t| t.stats.aborted_steps)
-        .sum();
-    Outcome {
-        cycles: summary.cycles,
-        switches,
-        aborted,
-        decisions,
-    }
+    (summary.cycles, Counters::of(&sys.sys))
 }
 
 /// Dual decode with asymmetric budgets programmed over the PI bus: the
@@ -81,11 +36,7 @@ fn run(policy: eclipse_shell::SchedPolicy, budget: u64) -> Outcome {
 /// stream earlier at the expense of the other.
 fn qos(budget_a: u64, budget_b: u64) -> (u64, u64) {
     use eclipse_shell::regs;
-    let spec = StreamSpec {
-        frames: 6,
-        gop: GopConfig { n: 6, m: 3 },
-        ..StreamSpec::qcif()
-    };
+    let spec = StreamSpec::mix();
     let (bs_a, _) = spec.encode();
     let (bs_b, _) = StreamSpec {
         seed: spec.seed + 5,
@@ -107,8 +58,11 @@ fn qos(budget_a: u64, budget_b: u64) -> (u64, u64) {
             sys.sys.pi_write(shell, addr, budget as u32);
         }
     }
-    let summary = sys.run(100_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    run_finished(
+        &mut sys.sys,
+        100_000_000_000,
+        format!("qos {budget_a}/{budget_b}"),
+    );
     // Per-stream finish time: the MC task's last picture span.
     let mcme = sys
         .sys
@@ -126,7 +80,7 @@ fn qos(budget_a: u64, budget_b: u64) -> (u64, u64) {
 }
 
 fn main() {
-    use eclipse_shell::SchedPolicy::*;
+    use SchedPolicy::*;
     let f = Frequency::COPROC_150MHZ;
 
     println!("Scheduler policy ablation (encode + decode mix, budget 2000):\n");
@@ -138,14 +92,14 @@ fn main() {
     let rows: Vec<Vec<String>> = policies
         .iter()
         .zip(&policy_results)
-        .map(|((label, _), o)| {
+        .map(|((label, _), (cycles, c))| {
             vec![
                 label.to_string(),
-                format!("{}", o.cycles),
-                format!("{}", o.aborted),
-                format!("{}", o.switches),
-                format!("{:.0} kHz", f.rate(o.switches, o.cycles) / 1e3),
-                format!("{}", o.decisions),
+                format!("{cycles}"),
+                format!("{}", c.aborted_steps),
+                format!("{}", c.switches),
+                format!("{:.0} kHz", f.rate(c.switches, *cycles) / 1e3),
+                format!("{}", c.decisions),
             ]
         })
         .collect();
@@ -168,12 +122,12 @@ fn main() {
     let rows: Vec<Vec<String>> = budgets
         .iter()
         .zip(&budget_results)
-        .map(|(budget, o)| {
+        .map(|(budget, (cycles, c))| {
             vec![
                 format!("{budget}"),
-                format!("{}", o.cycles),
-                format!("{}", o.switches),
-                format!("{:.0} kHz", f.rate(o.switches, o.cycles) / 1e3),
+                format!("{cycles}"),
+                format!("{}", c.switches),
+                format!("{:.0} kHz", f.rate(c.switches, *cycles) / 1e3),
             ]
         })
         .collect();

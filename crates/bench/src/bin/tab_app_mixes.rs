@@ -12,10 +12,10 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin tab_app_mixes`
 
-use eclipse_bench::{par_sweep, save_result, table, StreamSpec};
+use eclipse_bench::{par_sweep, run_finished, save_result, table, StreamSpec};
 use eclipse_coprocs::apps::{AudioAppConfig, AvProgramConfig, DecodeAppConfig, EncodeAppConfig};
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
-use eclipse_core::{EclipseConfig, RunOutcome};
+use eclipse_core::EclipseConfig;
 use eclipse_media::audio;
 use eclipse_media::stream::GopConfig;
 
@@ -80,13 +80,7 @@ fn run_mix(label: &str, decodes: u32, encodes: u32, av_programs: u32) -> MixResu
         let _ = AudioAppConfig::default();
     }
     let mut sys = b.build();
-    let summary = sys.run(50_000_000_000);
-    assert_eq!(
-        summary.outcome,
-        RunOutcome::AllFinished,
-        "{label}: {:?}",
-        summary.outcome
-    );
+    let summary = run_finished(&mut sys.sys, 50_000_000_000, label);
     let util = sys
         .sys
         .shell_names()

@@ -17,7 +17,7 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin tab_coherency`
 
-use eclipse_bench::{save_result, table, StreamSpec};
+use eclipse_bench::{run_finished, save_result, table, Counters, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
 use eclipse_core::{EclipseConfig, RunOutcome};
 use eclipse_media::Decoder;
@@ -30,27 +30,18 @@ fn main() {
 
     // ---- healthy run: coherency-action accounting ----------------------
     let mut dec = build_decode_system(EclipseConfig::default(), bitstream.clone());
-    let summary = dec.system.run(20_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let summary = run_finished(&mut dec.system.sys, 20_000_000_000, "healthy decode");
     let frames = dec.system.display_frames("dec0").unwrap();
     let healthy_exact = frames.iter().zip(&reference.frames).all(|(a, b)| a == b);
 
-    let (mut invalidations, mut writebacks, mut ports) = (0u64, 0u64, 0u64);
-    for shell in dec.system.sys.shells() {
-        for c in shell.caches() {
-            invalidations += c.stats.invalidations;
-            writebacks += c.stats.writebacks;
-            ports += 1;
-        }
-    }
-    let data_bytes: u64 = dec
-        .system
-        .sys
-        .shells()
-        .iter()
-        .map(|s| s.stats.bytes_read + s.stats.bytes_written)
-        .sum();
-    let snoop_lookups = writebacks * (ports - 1);
+    let Counters {
+        invalidations,
+        writebacks,
+        caches,
+        stream_bytes: data_bytes,
+        ..
+    } = Counters::of(&dec.system.sys);
+    let snoop_lookups = writebacks * (caches - 1);
 
     let t1 = table(
         &["quantity", "per run", "per macroblock"],

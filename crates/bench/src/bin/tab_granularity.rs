@@ -18,10 +18,10 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin tab_granularity`
 
-use eclipse_bench::{save_result, table, StreamSpec};
+use eclipse_bench::{run_finished, save_result, table, StreamSpec};
 use eclipse_coprocs::apps::{decoder_graph, DecodeAppConfig};
 use eclipse_coprocs::cost::DctCost;
-use eclipse_coprocs::instance::{build_decode_system, DecodeSystem, InstanceCosts, MpegBuilder};
+use eclipse_coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder};
 use eclipse_coprocs::mcme::{arena_bytes, McMeCoproc, McTaskConfig, DECODE_SLOTS};
 use eclipse_coprocs::{
     dct::DctCoproc,
@@ -29,7 +29,7 @@ use eclipse_coprocs::{
     rlsq::RlsqCoproc,
     vld::{VldCoproc, VldTaskConfig},
 };
-use eclipse_core::{Coprocessor, EclipseConfig, RunOutcome, StepCtx, StepResult, SystemBuilder};
+use eclipse_core::{Coprocessor, EclipseConfig, StepCtx, StepResult, SystemBuilder};
 use eclipse_shell::TaskIdx;
 
 /// All of the instance's coprocessors fused behind one shell: every task
@@ -128,14 +128,7 @@ fn run_unified(bitstream: Vec<u8>) -> u64 {
         .unwrap();
     let mut sys = b.build();
     sys.dram_mut().write(bs_addr, &bitstream);
-    let summary = sys.run(50_000_000_000);
-    assert_eq!(
-        summary.outcome,
-        RunOutcome::AllFinished,
-        "unified: {:?}",
-        summary.outcome
-    );
-    summary.cycles
+    run_finished(&mut sys, 50_000_000_000, "unified").cycles
 }
 
 fn run_eclipse(bitstream: Vec<u8>, dct: DctCost) -> u64 {
@@ -145,10 +138,7 @@ fn run_eclipse(bitstream: Vec<u8>, dct: DctCost) -> u64 {
     };
     let mut b = MpegBuilder::new(EclipseConfig::default(), costs);
     b.add_decode("dec0", bitstream, DecodeAppConfig::default());
-    let mut sys = b.build();
-    let summary = sys.run(50_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
-    summary.cycles
+    run_finished(&mut b.build().sys, 50_000_000_000, "eclipse").cycles
 }
 
 fn main() {
@@ -170,17 +160,12 @@ fn main() {
         let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
         b.add_decode("a", bitstream.clone(), DecodeAppConfig::default());
         b.add_decode("b", bitstream2, DecodeAppConfig::default());
-        let mut sys = b.build();
-        let summary = sys.run(50_000_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished);
-        summary.cycles
+        run_finished(&mut b.build().sys, 50_000_000_000, "dual").cycles
     };
     // Single-instance sanity point for the dual comparison.
     let single = {
-        let mut dec: DecodeSystem = build_decode_system(EclipseConfig::default(), bitstream);
-        let s = dec.system.run(50_000_000_000);
-        assert_eq!(s.outcome, RunOutcome::AllFinished);
-        s.cycles
+        let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
+        run_finished(&mut dec.system.sys, 50_000_000_000, "single").cycles
     };
 
     let t = table(

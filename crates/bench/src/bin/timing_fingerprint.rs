@@ -10,14 +10,13 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin timing_fingerprint`
 
-use eclipse_bench::synthetic::{open_gate_system, PipeCoproc};
-use eclipse_bench::{save_result, StreamSpec};
-use eclipse_coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
-use eclipse_coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder};
-use eclipse_core::{EclipseConfig, RunSummary, SystemBuilder};
-use eclipse_kpn::GraphBuilder;
-use eclipse_media::stream::GopConfig;
-use eclipse_shell::{CacheConfig, SyncFabricConfig};
+use eclipse_bench::points::{coupling_decode, scheduler_mix, shared_bus, CPU_SYNC};
+use eclipse_bench::synthetic::{open_gate_system, PipeBundle};
+use eclipse_bench::{save_result, Counters, StreamSpec};
+use eclipse_coprocs::apps::DecodeAppConfig;
+use eclipse_coprocs::instance::build_decode_system;
+use eclipse_core::{EclipseConfig, RunSummary};
+use eclipse_shell::{CacheConfig, SchedPolicy, SyncFabricConfig};
 use std::fmt::Write as _;
 
 fn digest(out: &mut String, label: &str, s: &RunSummary) {
@@ -60,21 +59,12 @@ fn main() {
         let mut dec = build_decode_system(EclipseConfig::default(), bitstream.clone());
         let s = dec.system.sys.run(20_000_000_000);
         digest(&mut out, "qcif_decode/default", &s);
-        let (mut hits, mut misses, mut pf, mut wb, mut inv, mut stall) = (0, 0, 0, 0, 0, 0u64);
-        for shell in dec.system.sys.shells() {
-            for c in shell.caches() {
-                hits += c.stats.hits;
-                misses += c.stats.misses;
-                pf += c.stats.prefetches;
-                wb += c.stats.writebacks;
-                inv += c.stats.invalidations;
-                stall += c.stats.stall_cycles;
-            }
-        }
+        let c = Counters::of(&dec.system.sys);
         writeln!(
             out,
-            "cache: hits={hits} misses={misses} prefetches={pf} writebacks={wb} \
-             invalidations={inv} stall_cycles={stall}"
+            "cache: hits={} misses={} prefetches={} writebacks={} invalidations={} \
+             stall_cycles={}",
+            c.hits, c.misses, c.prefetches, c.writebacks, c.invalidations, c.stall_cycles
         )
         .unwrap();
         for port in dec.system.sys.data_fabric().ports() {
@@ -109,14 +99,7 @@ fn main() {
 
     // sweep_coupling point: 0.7x buffers.
     {
-        let bufs = DecodeAppConfig::default().scaled(0.7);
-        let sram = (bufs.total() + 8 * 1024).next_power_of_two().max(32 * 1024);
-        let mut b = MpegBuilder::new(
-            EclipseConfig::default().with_sram_size(sram),
-            InstanceCosts::default(),
-        );
-        b.add_decode("dec0", bitstream.clone(), bufs);
-        let mut sys = b.build();
+        let mut sys = coupling_decode(bitstream.clone(), DecodeAppConfig::default().scaled(0.7));
         let s = sys.sys.run(50_000_000_000);
         digest(&mut out, "sweep_coupling/0.7x", &s);
     }
@@ -128,64 +111,16 @@ fn main() {
             "sweep_scalability/4pipes-distributed",
             SyncFabricConfig::Direct,
         ),
-        (
-            "sweep_scalability/4pipes-cpu",
-            SyncFabricConfig::Cpu {
-                service_cycles: 200,
-            },
-        ),
+        ("sweep_scalability/4pipes-cpu", CPU_SYNC),
     ] {
-        let pipelines = 4usize;
-        let sram = (pipelines as u32 * 2 * 256 + 1024)
-            .next_power_of_two()
-            .max(32 * 1024);
-        let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
-        b.with_sync_fabric(sync);
-        let mut g = GraphBuilder::new("scale");
-        for p in 0..pipelines {
-            let a = g.stream(format!("a{p}"), 256);
-            let bs = g.stream(format!("b{p}"), 256);
-            g.task(format!("src{p}"), format!("src{p}"), 0, &[], &[a]);
-            g.task(format!("mid{p}"), format!("mid{p}"), 0, &[a], &[bs]);
-            g.task(format!("dst{p}"), format!("dst{p}"), 0, &[bs], &[]);
-            b.add_coprocessor(Box::new(PipeCoproc::source(format!("src{p}"), 400, 64, 60)));
-            b.add_coprocessor(Box::new(PipeCoproc::filter(format!("mid{p}"), 400, 64, 90)));
-            b.add_coprocessor(Box::new(PipeCoproc::sink(format!("dst{p}"), 400, 64, 40)));
-        }
-        let graph = g.build().unwrap();
-        b.map_app(&graph).unwrap();
-        let mut sys = b.build();
+        let mut sys = PipeBundle::scalability(4).system(shared_bus(), sync);
         let s = sys.run(1_000_000_000);
         digest(&mut out, label, &s);
     }
 
     // sweep_scheduler point: best-guess policy, budget 2000, encode+decode.
     {
-        let spec = StreamSpec {
-            frames: 6,
-            gop: GopConfig { n: 6, m: 3 },
-            ..StreamSpec::qcif()
-        };
-        let (mix_bs, _) = spec.encode();
-        let mut cfg = EclipseConfig::default();
-        cfg.shell.policy = eclipse_shell::SchedPolicy::BestGuess;
-        cfg.default_budget = 2000;
-        let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
-        b.add_decode("dec0", mix_bs, DecodeAppConfig::default());
-        let frames = StreamSpec {
-            seed: spec.seed + 9,
-            ..spec
-        }
-        .source_frames();
-        b.add_encode(
-            "enc0",
-            frames,
-            spec.gop,
-            spec.qscale,
-            8,
-            EncodeAppConfig::default(),
-        );
-        let mut sys = b.build();
+        let mut sys = scheduler_mix(SchedPolicy::BestGuess, 2000);
         let s = sys.sys.run(100_000_000_000);
         digest(&mut out, "sweep_scheduler/bestguess-2000", &s);
     }

@@ -4,9 +4,9 @@
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin trace_decode`
 
-use eclipse_bench::{print_peak_rss, save_result, stream_result, StreamSpec};
+use eclipse_bench::{print_peak_rss, run_finished, save_result, stream_result, StreamSpec};
 use eclipse_coprocs::instance::build_decode_system;
-use eclipse_core::{EclipseConfig, RunOutcome};
+use eclipse_core::EclipseConfig;
 use eclipse_viz::report::trace_event_summary;
 
 fn main() {
@@ -22,13 +22,7 @@ fn main() {
 
     let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
     let sink = dec.system.sys.enable_tracing(2_000_000);
-    let summary = dec.system.run(2_000_000_000);
-    assert_eq!(
-        summary.outcome,
-        RunOutcome::AllFinished,
-        "decode must complete: {:?}",
-        summary.outcome
-    );
+    let summary = run_finished(&mut dec.system.sys, 2_000_000_000, "traced QCIF decode");
 
     let sink = sink.borrow();
     let mut report = String::new();

@@ -32,13 +32,24 @@
 //! | `trace_decode` | structured event trace of the QCIF decode |
 //! | `profile_qcif` | QCIF decode loop for host profilers |
 //!
-//! This library holds the shared workload generators and reporting
-//! helpers those binaries use.
+//! This library holds what those binaries share:
+//!
+//! | module | what it holds |
+//! |---|---|
+//! | this one | [`StreamSpec`] and the table and `results/` writers |
+//! | [`points`] | the design points that two or more binaries or tests build |
+//! | [`run`] | the one run check, the outcome cell, the counter rollup |
+//! | [`sweep`] | the parallel design-point executor |
+//! | [`synthetic`] | the synthetic pipeline coprocessors and their systems |
+//! | [`microbench`] | the wall-clock harness of the `kernels` benches |
 
 pub mod microbench;
+pub mod points;
+pub mod run;
 pub mod sweep;
 pub mod synthetic;
 
+pub use run::{outcome_cell, run_finished, Counters};
 pub use sweep::{par_sweep, sweep_threads};
 
 use eclipse_media::encoder::{EncodeStats, Encoder, EncoderConfig};
@@ -93,6 +104,16 @@ impl StreamSpec {
             width: 64,
             height: 48,
             frames: 8,
+            ..Self::qcif()
+        }
+    }
+
+    /// The scheduler's encode+decode mix and QoS stream: 6 QCIF frames,
+    /// GOP n=6 m=3.
+    pub fn mix() -> Self {
+        StreamSpec {
+            frames: 6,
+            gop: GopConfig { n: 6, m: 3 },
             ..Self::qcif()
         }
     }

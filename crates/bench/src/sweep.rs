@@ -18,15 +18,20 @@ use std::sync::Mutex;
 /// `ECLIPSE_SWEEP_THREADS` if set, else one per available core — never
 /// more than there are points.
 pub fn sweep_threads(points: usize) -> usize {
-    let budget = std::env::var("ECLIPSE_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    budget.clamp(1, points.max(1))
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    threads_for(
+        std::env::var("ECLIPSE_SWEEP_THREADS").ok().as_deref(),
+        cores,
+        points,
+    )
+}
+
+/// [`sweep_threads`] given the variable's value: a count that parses,
+/// else `cores`, clamped to at least one and at most `points`.
+fn threads_for(var: Option<&str>, cores: usize, points: usize) -> usize {
+    var.and_then(|v| v.trim().parse().ok())
+        .unwrap_or(cores)
+        .clamp(1, points.max(1))
 }
 
 /// Run `run` over every design point, in parallel across host cores.
@@ -92,10 +97,15 @@ mod tests {
 
     #[test]
     fn sweep_threads_respects_override() {
-        // Can't set the env var here without racing other tests; just
-        // check the bounds logic.
-        assert!(sweep_threads(0) >= 1);
-        assert_eq!(sweep_threads(1), 1);
-        assert!(sweep_threads(1000) >= 1);
+        assert_eq!(threads_for(Some("1"), 8, 100), 1);
+        assert_eq!(threads_for(Some("0"), 8, 100), 1);
+        assert_eq!(threads_for(Some(" 3 "), 8, 100), 3);
+        assert_eq!(threads_for(Some("many"), 8, 100), 8);
+        assert_eq!(threads_for(Some(""), 8, 100), 8);
+        assert_eq!(threads_for(None, 8, 100), 8);
+        // Never more threads than points, and at least one.
+        assert_eq!(threads_for(Some("16"), 8, 5), 5);
+        assert_eq!(threads_for(None, 8, 5), 5);
+        assert_eq!(threads_for(None, 8, 0), 1);
     }
 }

@@ -184,12 +184,8 @@ impl Coprocessor for PipeCoproc {
 /// grant floor (DESIGN.md §16). The `open_gate` point of the timing
 /// fingerprint.
 pub fn open_gate_system(packets: u32, compute: u64) -> eclipse_core::EclipseSystem {
-    let port = eclipse_core::EclipseConfig::default().read_bus;
     two_pipe_system(
-        eclipse_mem::DataFabricConfig::PrivatePort {
-            grant_cycles: 2,
-            port,
-        },
+        crate::points::private_port(2),
         eclipse_shell::SyncFabricConfig::Direct,
         packets,
         compute,
@@ -236,33 +232,96 @@ pub fn two_pipe_system(
     b.build()
 }
 
+/// A bundle of independent three-stage pipelines as one app `scale`:
+/// pipeline `p` is a source `src{p}` (60 cycles per packet) feeding a
+/// filter `mid{p}` (90) feeding a sink `dst{p}` (40), each on its own
+/// coprocessor, through streams `a{p}` and `b{p}`. The SRAM is sized to
+/// hold every buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct PipeBundle {
+    /// Independent pipelines.
+    pub pipelines: usize,
+    /// Bytes of each stream buffer.
+    pub buffer: u32,
+    /// Packets each stage moves.
+    pub packets: u32,
+    /// Payload bytes per packet.
+    pub packet_bytes: u32,
+}
+
+impl PipeBundle {
+    /// The synchronization-scalability bundle: `pipelines` pipelines of
+    /// 400 packets of 64 bytes through 256-byte buffers.
+    pub const fn scalability(pipelines: usize) -> Self {
+        PipeBundle {
+            pipelines,
+            buffer: 256,
+            packets: 400,
+            packet_bytes: 64,
+        }
+    }
+
+    /// Build the bundle on the `data` and `sync` fabrics.
+    pub fn system(
+        &self,
+        data: eclipse_mem::DataFabricConfig,
+        sync: eclipse_shell::SyncFabricConfig,
+    ) -> eclipse_core::EclipseSystem {
+        use eclipse_core::{EclipseConfig, SystemBuilder};
+        use eclipse_kpn::GraphBuilder;
+
+        let sram = (self.pipelines as u32 * 2 * self.buffer + 1024)
+            .next_power_of_two()
+            .max(32 * 1024);
+        let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
+        b.with_data_fabric(data);
+        b.with_sync_fabric(sync);
+        let mut g = GraphBuilder::new("scale");
+        let (n, bytes) = (self.packets, self.packet_bytes);
+        for p in 0..self.pipelines {
+            let a = g.stream(format!("a{p}"), self.buffer);
+            let bs = g.stream(format!("b{p}"), self.buffer);
+            g.task(format!("src{p}"), format!("src{p}"), 0, &[], &[a]);
+            g.task(format!("mid{p}"), format!("mid{p}"), 0, &[a], &[bs]);
+            g.task(format!("dst{p}"), format!("dst{p}"), 0, &[bs], &[]);
+            b.add_coprocessor(Box::new(PipeCoproc::source(
+                format!("src{p}"),
+                n,
+                bytes,
+                60,
+            )));
+            b.add_coprocessor(Box::new(PipeCoproc::filter(
+                format!("mid{p}"),
+                n,
+                bytes,
+                90,
+            )));
+            b.add_coprocessor(Box::new(PipeCoproc::sink(format!("dst{p}"), n, bytes, 40)));
+        }
+        b.map_app(&g.build().unwrap()).unwrap();
+        b.build()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eclipse_core::{EclipseConfig, RunOutcome, SystemBuilder};
-    use eclipse_kpn::GraphBuilder;
+    use crate::points::shared_bus;
+    use crate::run_finished;
+    use eclipse_shell::SyncFabricConfig;
 
     #[test]
     fn three_stage_pipeline_completes() {
-        let mut g = GraphBuilder::new("pipe");
-        let a = g.stream("a", 256);
-        let b = g.stream("b", 256);
-        g.task("src", "s", 0, &[], &[a]);
-        g.task("mid", "f", 0, &[a], &[b]);
-        g.task("dst", "k", 0, &[b], &[]);
-        let graph = g.build().unwrap();
-        let mut builder = SystemBuilder::new(EclipseConfig::default());
-        builder.add_coprocessor(Box::new(PipeCoproc::source("s", 100, 64, 50)));
-        builder.add_coprocessor(Box::new(PipeCoproc::filter("f", 100, 64, 80)));
-        builder.add_coprocessor(Box::new(PipeCoproc::sink("k", 100, 64, 30)));
-        builder.map_app(&graph).unwrap();
-        let mut sys = builder.build();
-        let summary = sys.run(10_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished);
-        // Throughput is set by the slowest stage (~80 cycles/packet plus
+        let bundle = PipeBundle {
+            packets: 100,
+            ..PipeBundle::scalability(1)
+        };
+        let mut sys = bundle.system(shared_bus(), SyncFabricConfig::Direct);
+        let summary = run_finished(&mut sys, 10_000_000, "one pipeline");
+        // Throughput is set by the slowest stage (~90 cycles/packet plus
         // overheads), not the sum of stages.
         assert!(
-            summary.cycles < 100 * (50 + 80 + 30 + 200),
+            summary.cycles < 100 * (60 + 90 + 40 + 200),
             "pipeline must overlap stages: {}",
             summary.cycles
         );

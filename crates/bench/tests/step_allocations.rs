@@ -9,11 +9,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use eclipse_bench::synthetic::PipeCoproc;
-use eclipse_bench::StreamSpec;
+use eclipse_bench::{run_finished, StreamSpec};
 use eclipse_coprocs::apps::EncodeAppConfig;
 use eclipse_coprocs::build_decode_system;
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
-use eclipse_core::{EclipseConfig, EclipseSystem, RunOutcome, SystemBuilder};
+use eclipse_core::{EclipseConfig, EclipseSystem, SystemBuilder};
 use eclipse_kpn::GraphBuilder;
 use eclipse_media::stream::GopConfig;
 
@@ -87,8 +87,7 @@ fn pipeline(packets: u32) -> EclipseSystem {
 /// `(allocations, cycles)` of one run.
 fn run_allocations(packets: u32) -> (u64, u64) {
     let mut sys = pipeline(packets);
-    let (n, summary) = allocations_in(|| sys.run(u64::MAX));
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let (n, summary) = allocations_in(|| run_finished(&mut sys, u64::MAX, "pipeline"));
     (n, summary.cycles)
 }
 
@@ -126,8 +125,7 @@ const QCIF_BOUND: u64 = 1_000;
 fn qcif_decode_steps_allocate_nothing() {
     let (bitstream, _) = StreamSpec::qcif().encode();
     let mut sys = build_decode_system(EclipseConfig::default(), bitstream).system;
-    let (n, summary) = allocations_in(|| sys.run(u64::MAX));
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let (n, _) = allocations_in(|| run_finished(&mut sys.sys, u64::MAX, "QCIF decode"));
     println!("qcif decode: {n} allocations per run");
     assert!(n <= QCIF_BOUND, "{n} allocations (bound {QCIF_BOUND})");
 }
@@ -159,8 +157,7 @@ fn encode_steps_allocate_nothing() {
         EncodeAppConfig::default(),
     );
     let mut sys = b.build();
-    let (n, summary) = allocations_in(|| sys.run(u64::MAX));
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let (n, _) = allocations_in(|| run_finished(&mut sys.sys, u64::MAX, "QCIF encode"));
     assert!(!sys.encoded_bytes("enc0").unwrap().is_empty());
     println!("qcif encode: {n} allocations per run");
     assert!(n <= ENCODE_BOUND, "{n} allocations (bound {ENCODE_BOUND})");

@@ -514,9 +514,3 @@ pub fn try_build_decode_system(
         seq,
     })
 }
-
-/// Build the full Figure-8 instance with an arbitrary app mix — alias of
-/// [`MpegBuilder::new`] kept for discoverability.
-pub fn build_mpeg_instance(cfg: EclipseConfig, costs: InstanceCosts) -> MpegBuilder {
-    MpegBuilder::new(cfg, costs)
-}

@@ -53,4 +53,4 @@ pub use apps::{
     audio_graph, av_program_graph, decoder_graph, decoder_graph_with_tap, encoder_graph,
     AudioAppConfig, AvProgramConfig, DecodeAppConfig, EncodeAppConfig,
 };
-pub use instance::{build_decode_system, build_mpeg_instance, DecodeSystem};
+pub use instance::{build_decode_system, DecodeSystem};

@@ -258,14 +258,26 @@ fn cpu_sync_baseline_is_slower_and_busies_cpu() {
     let build = |sync: SyncFabricConfig| {
         let (mut b, _) = pipeline_builder(128, 4096, 64);
         b.with_sync_fabric(sync);
-        b.build().run(10_000_000)
+        let mut sys = b.build();
+        let summary = sys.run(10_000_000);
+        (sys, summary)
     };
-    let distributed = build(SyncFabricConfig::Direct);
-    let centralized = build(CPU_SYNC);
+    let (_, distributed) = build(SyncFabricConfig::Direct);
+    let (sys, centralized) = build(CPU_SYNC);
     assert_eq!(centralized.outcome, RunOutcome::AllFinished);
     assert!(centralized.cycles > distributed.cycles);
     assert!(centralized.cpu_sync_busy > 0);
     assert_eq!(distributed.cpu_sync_busy, 0);
+    // The summary's sync wait includes the messages' queueing at the CPU.
+    let cpu_wait = (sys.sync_fabric() as &dyn Any)
+        .downcast_ref::<CpuSyncFabric>()
+        .unwrap()
+        .cpu()
+        .stats()
+        .wait
+        .sum() as u64;
+    assert!(cpu_wait > 0, "messages queue at the CPU");
+    assert_eq!(centralized.sync_fabric.wait_cycles, cpu_wait);
 }
 
 #[test]

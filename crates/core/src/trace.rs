@@ -109,13 +109,6 @@ impl TraceLog {
         self.series.iter().find(|s| s.name == name)
     }
 
-    /// All series whose name starts with `prefix`.
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceSeries> {
-        self.series
-            .iter()
-            .filter(move |s| s.name.starts_with(prefix))
-    }
-
     /// Export the log as CSV (`series,cycle,value` rows).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("series,cycle,value\n");
@@ -147,15 +140,6 @@ mod tests {
         assert_eq!(a.last(), 2.0);
         assert_eq!(a.max(), 2.0);
         assert_eq!(a.mean(), 1.5);
-    }
-
-    #[test]
-    fn prefix_filter() {
-        let mut log = TraceLog::new();
-        log.record("buffer/coef", 0, 1.0);
-        log.record("buffer/mv", 0, 1.0);
-        log.record("shell/dct", 0, 1.0);
-        assert_eq!(log.with_prefix("buffer/").count(), 2);
     }
 
     #[test]

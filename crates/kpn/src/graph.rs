@@ -125,11 +125,6 @@ impl AppGraph {
             .map(|i| StreamId(i as u32))
     }
 
-    /// Total buffer bytes required by all streams.
-    pub fn total_buffer_bytes(&self) -> u64 {
-        self.streams.iter().map(|s| s.buffer_size as u64).sum()
-    }
-
     /// Iterator over `(TaskId, &TaskDecl)`.
     pub fn task_ids(&self) -> impl Iterator<Item = (TaskId, &TaskDecl)> {
         self.tasks
@@ -283,7 +278,6 @@ mod tests {
             vec![(g.task_by_name("mid").unwrap(), 0)]
         );
         assert_eq!(g.task(g.task_by_name("mid").unwrap()).task_info, 7);
-        assert_eq!(g.total_buffer_bytes(), 192);
     }
 
     #[test]

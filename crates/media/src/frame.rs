@@ -208,11 +208,6 @@ impl Frame {
             10.0 * (255.0f64 * 255.0 / mse).log10()
         }
     }
-
-    /// Serialized byte size of one frame in 4:2:0 (for bandwidth math).
-    pub fn byte_size(&self) -> usize {
-        self.width * self.height * 3 / 2
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +222,6 @@ mod tests {
         assert_eq!(f.mb_cols(), 4);
         assert_eq!(f.mb_rows(), 3);
         assert_eq!(f.mb_count(), 12);
-        assert_eq!(f.byte_size(), 64 * 48 * 3 / 2);
     }
 
     #[test]

@@ -170,13 +170,6 @@ fn sat12(v: i32) -> i16 {
     v.clamp(-2048, 2047) as i16
 }
 
-/// Count of non-zero quantized levels — the data-dependent quantity that
-/// drives VLD/RLSQ workload (many for I blocks, few for well-predicted
-/// inter blocks).
-pub fn nonzero_count(levels: &Block) -> usize {
-    levels.iter().filter(|&&l| l != 0).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +198,8 @@ mod tests {
         let b = test_block();
         let fine = quant_intra(&b, 2);
         let coarse = quant_intra(&b, 30);
-        assert!(nonzero_count(&coarse) < nonzero_count(&fine));
+        let nonzero = |levels: &Block| levels.iter().filter(|&&l| l != 0).count();
+        assert!(nonzero(&coarse) < nonzero(&fine));
     }
 
     #[test]

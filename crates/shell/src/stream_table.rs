@@ -237,13 +237,6 @@ impl StreamRow {
             .set(now, self.effective_space() as f64);
     }
 
-    /// Absolute SRAM address of `offset` bytes ahead of the access point.
-    #[inline]
-    pub fn addr_at(&self, offset: u32) -> u32 {
-        self.buffer
-            .abs(self.buffer.wrap_add(self.access_point, offset))
-    }
-
     /// Reject a loaded row that breaks an invariant the primitives rely
     /// on: a nonzero buffer, one space counter per remote (exactly one
     /// remote for a consumer), and an access point, space values and
@@ -383,16 +376,6 @@ mod tests {
         );
         p.deliver_putspace(ap(1, 1), 48, 3);
         assert_eq!(p.effective_space(), 48);
-    }
-
-    #[test]
-    fn addr_at_applies_cyclic_addressing() {
-        let mut c = consumer(32);
-        c.deliver_putspace(ap(0, 0), 32, 0);
-        c.get_space(32, 0).unwrap();
-        c.put_space(30, 1);
-        // access point at 30; offset 4 wraps to 2.
-        assert_eq!(c.addr_at(4), 0x100 + 2);
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub struct SyncFabricStats {
     pub messages: u64,
     /// Links traversed in total (0 for shell-local messages).
     pub hops: u64,
-    /// Messages that queued behind at least one busy link.
+    /// Messages that queued behind at least one busy link. The CPU
+    /// baseline leaves out the messages that queued at the CPU.
     pub contended: u64,
     /// Total cycles messages spent queued behind busy links.
     pub wait_cycles: u64,
@@ -241,8 +242,14 @@ impl SyncFabric for CpuSyncFabric {
         self.cpu.request(routed, 1).done + base_latency
     }
 
+    /// The direct hop's counters, plus the cycles messages queued at the
+    /// CPU in `wait_cycles`. `contended` stays the direct hop's (zero):
+    /// the CPU's queue keeps no count of the messages that waited.
     fn stats(&self) -> SyncFabricStats {
-        self.direct.stats
+        SyncFabricStats {
+            wait_cycles: self.direct.stats.wait_cycles + self.cpu.stats().wait.sum() as u64,
+            ..self.direct.stats
+        }
     }
 
     fn save_state(&self, w: &mut SnapWriter) {

@@ -86,23 +86,6 @@ impl Xoshiro256StarStar {
         debug_assert!(bound > 0);
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-
-    /// A uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_i32(&mut self, lo: i32, hi: i32) -> i32 {
-        debug_assert!(lo <= hi);
-        let span = (hi as i64 - lo as i64 + 1) as u64;
-        lo + self.below(span) as i32
-    }
-
-    /// An approximately normal deviate (mean 0, unit variance) via the sum
-    /// of 12 uniforms — cheap and plenty for workload roughening.
-    pub fn normal_approx(&mut self) -> f64 {
-        let mut acc = 0.0;
-        for _ in 0..12 {
-            acc += self.next_f64();
-        }
-        acc - 6.0
-    }
 }
 
 #[cfg(test)]
@@ -154,34 +137,5 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all buckets should be hit");
-    }
-
-    #[test]
-    fn range_i32_inclusive_bounds() {
-        let mut r = Xoshiro256StarStar::new(5);
-        let (mut saw_lo, mut saw_hi) = (false, false);
-        for _ in 0..20_000 {
-            let v = r.range_i32(-3, 3);
-            assert!((-3..=3).contains(&v));
-            saw_lo |= v == -3;
-            saw_hi |= v == 3;
-        }
-        assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
-    fn normal_approx_has_sane_moments() {
-        let mut r = Xoshiro256StarStar::new(11);
-        let n = 50_000;
-        let (mut sum, mut sq) = (0.0, 0.0);
-        for _ in 0..n {
-            let x = r.normal_approx();
-            sum += x;
-            sq += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 }

@@ -6,6 +6,7 @@
 //! trace-sink section and the synthetic pipeline. Any change to the
 //! checkpoint codec that moves a byte fails here by name.
 
+use eclipse_bench::points::{mesh, private_port, CPU_SYNC};
 use eclipse_bench::synthetic::open_gate_system;
 use eclipse_coprocs::apps::{AudioAppConfig, DecodeAppConfig, EncodeAppConfig};
 use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder, MpegSystem};
@@ -14,7 +15,6 @@ use eclipse_media::encoder::{Encoder, EncoderConfig};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::stream::GopConfig;
 use eclipse_media::{audio, Frame};
-use eclipse_mem::{BusConfig, DataFabricConfig};
 use eclipse_shell::SyncFabricConfig;
 use eclipse_sim::snapshot::fnv1a_64;
 use eclipse_sim::FaultPlan;
@@ -40,15 +40,6 @@ fn bitstream() -> Vec<u8> {
     })
     .encode(&frames(31, 3))
     .0
-}
-
-fn port() -> BusConfig {
-    let cfg = EclipseConfig::default();
-    BusConfig {
-        width_bytes: cfg.read_bus.width_bytes,
-        latency: cfg.read_bus.latency,
-        cycles_per_beat: cfg.read_bus.cycles_per_beat,
-    }
 }
 
 /// A one-decode instance, shaped by `setup` before it is built.
@@ -79,32 +70,20 @@ fn checkpoint_bytes_are_pinned() {
         );
     });
     let mut private = decode(|b| {
-        b.with_data_fabric(DataFabricConfig::PrivatePort {
-            grant_cycles: 2,
-            port: port(),
-        });
+        b.with_data_fabric(private_port(2));
     });
     let mut mesh = decode(|b| {
-        b.with_data_fabric(DataFabricConfig::Mesh {
-            cols: 2,
-            rows: 2,
-            interleave_bytes: 64,
-            link_grant: 2,
-            hop_cycles: 1,
-            port: port(),
-        })
-        .with_sync_fabric(SyncFabricConfig::Mesh {
-            cols: 2,
-            rows: 2,
-            hop_latency: 2,
-            link_occupancy: 6,
-            piggyback_window: 4,
-        });
+        b.with_data_fabric(mesh(2, 2))
+            .with_sync_fabric(SyncFabricConfig::Mesh {
+                cols: 2,
+                rows: 2,
+                hop_latency: 2,
+                link_occupancy: 6,
+                piggyback_window: 4,
+            });
     });
     let mut cpu = decode(|b| {
-        b.with_sync_fabric(SyncFabricConfig::Cpu {
-            service_cycles: 200,
-        });
+        b.with_sync_fabric(CPU_SYNC);
     });
     let mut faults = decode(|_| {});
     faults.sys.inject_faults(FaultPlan {

@@ -10,8 +10,9 @@
 //! found by the encoding of the component that holds them, on the same
 //! pipeline built with each data and sync fabric.
 
+use eclipse_bench::points::{multibank, shared_bus, CPU_SYNC};
 use eclipse_bench::synthetic::{open_gate_system, two_pipe_system};
-use eclipse_core::{EclipseConfig, EclipseSystem};
+use eclipse_core::EclipseSystem;
 use eclipse_mem::{Bus, BusConfig, DataFabricConfig};
 use eclipse_shell::SyncFabricConfig;
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -265,15 +266,6 @@ fn pipeline(data: DataFabricConfig, sync: SyncFabricConfig) -> EclipseSystem {
     two_pipe_system(data, sync, 64, 90)
 }
 
-/// The paper's shared read/write bus pair.
-fn shared_bus() -> DataFabricConfig {
-    let cfg = EclipseConfig::default();
-    DataFabricConfig::SharedBus {
-        read: cfg.read_bus,
-        write: cfg.write_bus,
-    }
-}
-
 /// The bytes `save` writes.
 fn encoded(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
     let mut w = SnapWriter::new();
@@ -381,15 +373,7 @@ fn shared_bus_port_clocks_past_the_horizon_are_corrupt() {
 
 #[test]
 fn bank_port_clock_past_the_horizon_is_corrupt() {
-    let banked = || {
-        let bank = BusConfig::default();
-        let fabric = DataFabricConfig::MultiBank {
-            banks: 4,
-            interleave_bytes: 64,
-            bank,
-        };
-        pipeline(fabric, SyncFabricConfig::Direct)
-    };
+    let banked = || pipeline(multibank(4), SyncFabricConfig::Direct);
     // The bank count, then bank 1.
     assert_clock_bounded(banked, |sys| (data_fabric(sys), 8 + bus_len()));
 }
@@ -404,11 +388,8 @@ fn private_port_clock_past_the_horizon_is_corrupt() {
 #[test]
 fn cpu_sync_queue_clock_past_the_horizon_is_corrupt() {
     // The direct hop's counters, then the CPU's queue.
-    let cpu = SyncFabricConfig::Cpu {
-        service_cycles: 200,
-    };
     assert_clock_bounded(
-        || pipeline(shared_bus(), cpu),
+        || pipeline(shared_bus(), CPU_SYNC),
         |sys| {
             let section = sync_fabric(sys);
             let at = section.len() as isize - bus_len();

@@ -23,33 +23,27 @@
 
 use eclipse::coprocs::apps::DecodeAppConfig;
 use eclipse::coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder};
-use eclipse::core::{EclipseConfig, RunOutcome, RunSummary, SystemBuilder};
-use eclipse::kpn::GraphBuilder;
-use eclipse::media::encoder::{Encoder, EncoderConfig};
-use eclipse::media::source::{SourceConfig, SyntheticSource};
+use eclipse::core::{EclipseConfig, RunOutcome, RunSummary};
 use eclipse::media::stream::GopConfig;
-use eclipse::mem::{BusConfig, DataFabricConfig};
-use eclipse::shell::SyncFabricConfig;
-use eclipse_bench::synthetic::PipeCoproc;
+use eclipse::mem::DataFabricConfig;
+use eclipse::shell::SyncFabricConfig::{self, Direct};
+use eclipse_bench::points::{mesh, mesh_sync, multibank, private_port, shared_bus, RING};
+use eclipse_bench::synthetic::PipeBundle;
+use eclipse_bench::{run_finished, Counters, StreamSpec};
 use proptest::prelude::*;
 
 fn small_stream() -> Vec<u8> {
-    let src = SyntheticSource::new(SourceConfig {
+    StreamSpec {
         width: 64,
         height: 48,
-        complexity: 0.4,
-        motion: 2.0,
-        seed: 0xFAB41C,
-    });
-    let enc = Encoder::new(EncoderConfig {
-        width: 64,
-        height: 48,
-        qscale: 6,
+        frames: 7,
         gop: GopConfig { n: 6, m: 3 },
-        search_range: 15,
-    });
-    let (bytes, _) = enc.encode(&src.frames(7));
-    bytes
+        complexity: 0.4,
+        seed: 0xFAB41C,
+        ..StreamSpec::qcif()
+    }
+    .encode()
+    .0
 }
 
 /// Selecting the default fabrics by hand is byte-identical in time to
@@ -61,19 +55,14 @@ fn explicit_default_fabrics_reproduce_implicit_timing() {
     let cfg = EclipseConfig::default();
 
     let mut implicit = build_decode_system(cfg, bitstream.clone());
-    let a = implicit.system.run(20_000_000_000);
+    let a = run_finished(&mut implicit.system.sys, 20_000_000_000, "implicit fabrics");
 
     let mut eb = MpegBuilder::new(cfg, InstanceCosts::default());
-    eb.with_data_fabric(DataFabricConfig::SharedBus {
-        read: cfg.read_bus,
-        write: cfg.write_bus,
-    });
-    eb.with_sync_fabric(SyncFabricConfig::Direct);
+    eb.with_data_fabric(shared_bus());
+    eb.with_sync_fabric(Direct);
     eb.add_decode("dec0", bitstream, DecodeAppConfig::default());
-    let mut explicit = eb.build();
-    let b = explicit.run(20_000_000_000);
+    let b = eb.build().run(20_000_000_000);
 
-    assert_eq!(a.outcome, RunOutcome::AllFinished);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
@@ -86,15 +75,13 @@ fn explicit_default_fabrics_reproduce_implicit_timing() {
 fn private_port_is_a_one_node_mesh() {
     let bitstream = small_stream();
     let cfg = EclipseConfig::default();
-    let port = cfg.read_bus;
     for g in [1, 2, 8] {
         let run = |fabric| {
             let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
             b.with_data_fabric(fabric);
             b.add_decode("dec0", bitstream.clone(), DecodeAppConfig::default());
             let mut m = b.build();
-            let summary = m.run(20_000_000_000);
-            assert_eq!(summary.outcome, RunOutcome::AllFinished, "g={g}");
+            let summary = run_finished(&mut m.sys, 20_000_000_000, format!("g={g}"));
             let f = m.sys.data_fabric();
             let ports: Vec<String> = f
                 .ports()
@@ -103,17 +90,14 @@ fn private_port_is_a_one_node_mesh() {
                 .collect();
             (summary, ports, f.contended_requests())
         };
-        let (a, a_ports, a_contended) = run(DataFabricConfig::PrivatePort {
-            grant_cycles: g,
-            port,
-        });
+        let (a, a_ports, a_contended) = run(private_port(g));
         let (b, b_ports, b_contended) = run(DataFabricConfig::Mesh {
             cols: 1,
             rows: 1,
             interleave_bytes: 64,
             link_grant: g,
             hop_cycles: 3,
-            port,
+            port: cfg.read_bus,
         });
         assert_eq!(a.cycles, b.cycles, "g={g}: cycles");
         assert_eq!(
@@ -130,106 +114,29 @@ fn private_port_is_a_one_node_mesh() {
     }
 }
 
-/// One pipeline shape, run through a given fabric pair with the credit
+/// One pipeline bundle, run through a given fabric pair with the credit
 /// checker armed; returns the summary plus total bytes the data fabric
 /// carried.
 fn run_combo(
-    pipelines: usize,
-    buffer: u32,
-    packets: u32,
-    packet_bytes: u32,
+    bundle: PipeBundle,
     data: DataFabricConfig,
     sync: SyncFabricConfig,
 ) -> (RunSummary, u64) {
-    let sram = (pipelines as u32 * 2 * buffer + 1024)
-        .next_power_of_two()
-        .max(32 * 1024);
-    let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
-    b.with_data_fabric(data);
-    b.with_sync_fabric(sync);
-    let mut g = GraphBuilder::new("fuzz");
-    for p in 0..pipelines {
-        let a = g.stream(format!("a{p}"), buffer);
-        let bs = g.stream(format!("b{p}"), buffer);
-        g.task(format!("src{p}"), format!("src{p}"), 0, &[], &[a]);
-        g.task(format!("mid{p}"), format!("mid{p}"), 0, &[a], &[bs]);
-        g.task(format!("dst{p}"), format!("dst{p}"), 0, &[bs], &[]);
-        b.add_coprocessor(Box::new(PipeCoproc::source(
-            format!("src{p}"),
-            packets,
-            packet_bytes,
-            60,
-        )));
-        b.add_coprocessor(Box::new(PipeCoproc::filter(
-            format!("mid{p}"),
-            packets,
-            packet_bytes,
-            90,
-        )));
-        b.add_coprocessor(Box::new(PipeCoproc::sink(
-            format!("dst{p}"),
-            packets,
-            packet_bytes,
-            40,
-        )));
-    }
-    let graph = g.build().unwrap();
-    b.map_app(&graph).unwrap();
-    let mut sys = b.build();
+    let mut sys = bundle.system(data, sync);
     sys.enable_credit_check();
     let summary = sys.run(10_000_000_000);
-    let bytes: u64 = sys
-        .data_fabric()
-        .ports()
-        .iter()
-        .map(|p| p.stats.bytes)
-        .sum();
-    (summary, bytes)
+    (summary, Counters::of(&sys).port_bytes)
 }
 
-fn fabric_combos(cfg: &EclipseConfig) -> Vec<(String, DataFabricConfig, SyncFabricConfig)> {
-    let bank = BusConfig {
-        width_bytes: cfg.read_bus.width_bytes,
-        latency: cfg.read_bus.latency,
-        cycles_per_beat: cfg.read_bus.cycles_per_beat,
-    };
-    let shared = DataFabricConfig::SharedBus {
-        read: cfg.read_bus,
-        write: cfg.write_bus,
-    };
-    let ring = SyncFabricConfig::Ring {
-        hop_latency: 2,
-        link_occupancy: 1,
-    };
+fn fabric_combos() -> Vec<(String, DataFabricConfig, SyncFabricConfig)> {
     let mut combos = Vec::new();
     for (dl, data) in [
-        ("shared", shared),
-        (
-            "bank2",
-            DataFabricConfig::MultiBank {
-                banks: 2,
-                interleave_bytes: 64,
-                bank,
-            },
-        ),
-        (
-            "bank4",
-            DataFabricConfig::MultiBank {
-                banks: 4,
-                interleave_bytes: 64,
-                bank,
-            },
-        ),
-        (
-            "bank8",
-            DataFabricConfig::MultiBank {
-                banks: 8,
-                interleave_bytes: 64,
-                bank,
-            },
-        ),
+        ("shared", shared_bus()),
+        ("bank2", multibank(2)),
+        ("bank4", multibank(4)),
+        ("bank8", multibank(8)),
     ] {
-        for (sl, sync) in [("direct", SyncFabricConfig::Direct), ("ring", ring)] {
+        for (sl, sync) in [("direct", Direct), ("ring", RING)] {
             combos.push((format!("{dl}+{sl}"), data, sync));
         }
     }
@@ -237,24 +144,9 @@ fn fabric_combos(cfg: &EclipseConfig) -> Vec<(String, DataFabricConfig, SyncFabr
     // network with credit piggy-backing must conserve exactly like the
     // flat fabrics — hops shift timing and add link counters, never
     // payload.
-    let mesh = DataFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        interleave_bytes: 64,
-        link_grant: 2,
-        hop_cycles: 1,
-        port: bank,
-    };
-    let mesh_sync = SyncFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        hop_latency: 2,
-        link_occupancy: 1,
-        piggyback_window: 4,
-    };
-    combos.push(("mesh+direct".into(), mesh, SyncFabricConfig::Direct));
-    combos.push(("mesh+ring".into(), mesh, ring));
-    combos.push(("mesh+mesh-sync".into(), mesh, mesh_sync));
+    combos.push(("mesh+direct".into(), mesh(2, 2), Direct));
+    combos.push(("mesh+ring".into(), mesh(2, 2), RING));
+    combos.push(("mesh+mesh-sync".into(), mesh(2, 2), mesh_sync(2, 2)));
     combos
 }
 
@@ -274,14 +166,15 @@ proptest! {
         packets in 40u32..160,
         packet_pow in 4u32..=6,     // 16, 32, 64 B packets
     ) {
-        let buffer = 1u32 << buffer_pow;
-        let packet_bytes = 1u32 << packet_pow;
-        let cfg = EclipseConfig::default();
+        let bundle = PipeBundle {
+            pipelines,
+            buffer: 1 << buffer_pow,
+            packets,
+            packet_bytes: 1 << packet_pow,
+        };
         let mut reference: Option<u64> = None;
-        for (label, data, sync) in fabric_combos(&cfg) {
-            let (summary, bytes) = run_combo(
-                pipelines, buffer, packets, packet_bytes, data, sync,
-            );
+        for (label, data, sync) in fabric_combos() {
+            let (summary, bytes) = run_combo(bundle, data, sync);
             prop_assert_eq!(
                 summary.outcome, RunOutcome::AllFinished,
                 "{} did not finish: {:?}", label, summary.outcome

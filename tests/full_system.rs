@@ -4,11 +4,12 @@
 
 use eclipse::coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
 use eclipse::coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder};
-use eclipse::core::{EclipseConfig, RunOutcome};
+use eclipse::core::EclipseConfig;
 use eclipse::media::encoder::{Encoder, EncoderConfig};
 use eclipse::media::source::{SourceConfig, SyntheticSource};
 use eclipse::media::stream::GopConfig;
 use eclipse::media::Decoder;
+use eclipse_bench::run_finished;
 
 fn make_stream(
     w: usize,
@@ -40,8 +41,7 @@ fn facade_decode_is_functionally_transparent() {
     let (bitstream, _) = make_stream(64, 48, 7, 0xFACADE);
     let reference = Decoder::decode(&bitstream).unwrap();
     let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
-    let summary = dec.system.run(2_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    run_finished(&mut dec.system.sys, 2_000_000_000, "facade decode");
     let frames = dec.system.display_frames("dec0").unwrap();
     assert_eq!(frames, reference.frames);
 }
@@ -58,8 +58,7 @@ fn three_concurrent_decodes_are_all_exact() {
         b.add_decode(&format!("s{i}"), bytes.clone(), DecodeAppConfig::default());
     }
     let mut sys = b.build();
-    let summary = sys.run(20_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    run_finished(&mut sys.sys, 20_000_000_000, "three decodes");
     for (i, r) in refs.iter().enumerate() {
         let frames = sys.display_frames(&format!("s{i}")).unwrap();
         assert_eq!(frames, r.frames, "stream {i}");
@@ -86,7 +85,7 @@ fn eclipse_encode_round_trips_through_software_decoder() {
         EncodeAppConfig::default(),
     );
     let mut sys = b.build();
-    assert_eq!(sys.run(20_000_000_000).outcome, RunOutcome::AllFinished);
+    run_finished(&mut sys.sys, 20_000_000_000, "encode");
     let bytes = sys.encoded_bytes("e").unwrap();
     let decoded = Decoder::decode(&bytes).unwrap();
     assert_eq!(decoded.frames.len(), frames.len());
@@ -129,8 +128,7 @@ fn architecture_timing_varies_but_data_never_does() {
         },
     ] {
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let summary = dec.system.run(5_000_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished);
+        let summary = run_finished(&mut dec.system.sys, 5_000_000_000, format!("{cfg:?}"));
         assert_eq!(dec.system.display_frames("dec0").unwrap(), reference.frames);
         cycle_counts.push(summary.cycles);
     }
@@ -153,9 +151,6 @@ fn dsp_cpu_shell_can_be_slower_without_breaking_function() {
     cfg.shell.putspace_cost = 20;
     cfg.shell.gettask_cost = 30;
     let mut dec = build_decode_system(cfg, bitstream);
-    assert_eq!(
-        dec.system.run(5_000_000_000).outcome,
-        RunOutcome::AllFinished
-    );
+    run_finished(&mut dec.system.sys, 5_000_000_000, "slow DSP shell");
     assert_eq!(dec.system.display_frames("dec0").unwrap(), reference.frames);
 }

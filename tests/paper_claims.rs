@@ -6,8 +6,9 @@ use eclipse::core::model::{estimate_instance, WorkloadModel};
 use eclipse::core::{EclipseConfig, RunOutcome, SystemBuilder};
 use eclipse::kpn::GraphBuilder;
 use eclipse::shell::SyncFabricConfig;
+use eclipse_bench::points::{coupling_decode, CPU_SYNC};
 use eclipse_bench::synthetic::PipeCoproc;
-use eclipse_bench::StreamSpec;
+use eclipse_bench::{run_finished, StreamSpec};
 
 /// §6: area < 7 mm², power < 240 mW, ~36 Gops for dual-HD decode.
 #[test]
@@ -85,20 +86,19 @@ fn section5_distributed_sync_scales_cpu_centric_does_not() {
             b.add_coprocessor(Box::new(PipeCoproc::sink(format!("dst{p}"), 100, 64, 60)));
         }
         b.map_app(&g.build().unwrap()).unwrap();
-        let mut sys = b.build();
-        let summary = sys.run(100_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished);
-        summary.cycles
+        run_finished(
+            &mut b.build(),
+            100_000_000,
+            format!("{pipelines} pipelines"),
+        )
+        .cycles
     };
     let d1 = run(1, SyncFabricConfig::Direct);
     let d6 = run(6, SyncFabricConfig::Direct);
     // Distributed: independent pipelines stay (nearly) constant-time.
     assert!(d6 < d1 * 2, "distributed sync must scale: {d1} -> {d6}");
-    let cpu = SyncFabricConfig::Cpu {
-        service_cycles: 200,
-    };
-    let c1 = run(1, cpu);
-    let c6 = run(6, cpu);
+    let c1 = run(1, CPU_SYNC);
+    let c6 = run(6, CPU_SYNC);
     // Centralized: wall-clock grows roughly with the pipeline count.
     assert!(c6 > c1 * 3, "CPU-centric sync must saturate: {c1} -> {c6}");
 }
@@ -108,7 +108,6 @@ fn section5_distributed_sync_scales_cpu_centric_does_not() {
 #[test]
 fn section3_coupling_knee() {
     use eclipse::coprocs::apps::DecodeAppConfig;
-    use eclipse::coprocs::instance::{InstanceCosts, MpegBuilder};
     let spec = StreamSpec {
         frames: 4,
         ..StreamSpec::tiny()
@@ -116,16 +115,8 @@ fn section3_coupling_knee() {
     let (bitstream, _) = spec.encode();
     let run = |factor: f64| -> u64 {
         let bufs = DecodeAppConfig::default().scaled(factor);
-        let sram = (bufs.total() + 8192).next_power_of_two().max(32 * 1024);
-        let mut b = MpegBuilder::new(
-            EclipseConfig::default().with_sram_size(sram),
-            InstanceCosts::default(),
-        );
-        b.add_decode("d", bitstream.clone(), bufs);
-        let mut sys = b.build();
-        let summary = sys.run(10_000_000_000);
-        assert_eq!(summary.outcome, RunOutcome::AllFinished, "factor {factor}");
-        summary.cycles
+        let mut sys = coupling_decode(bitstream.clone(), bufs);
+        run_finished(&mut sys.sys, 10_000_000_000, format!("factor {factor}")).cycles
     };
     let tight = run(0.01);
     let nominal = run(1.0);

@@ -6,11 +6,12 @@
 
 use eclipse::coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder, MpegSystem};
 use eclipse::coprocs::DecodeAppConfig;
-use eclipse::core::{EclipseConfig, RunOutcome, RunSummary};
+use eclipse::core::{EclipseConfig, RunSummary};
 use eclipse::media::encoder::{Encoder, EncoderConfig};
 use eclipse::media::source::{SourceConfig, SyntheticSource};
 use eclipse::media::stream::GopConfig;
 use eclipse::sim::trace::SharedTraceSink;
+use eclipse_bench::run_finished;
 
 fn make_stream(seed: u64) -> Vec<u8> {
     let src = SyntheticSource::new(SourceConfig {
@@ -34,8 +35,7 @@ fn make_stream(seed: u64) -> Vec<u8> {
 fn traced_run(bitstream: Vec<u8>) -> (RunSummary, String, String) {
     let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
     let sink = dec.system.sys.enable_tracing(4_000_000);
-    let summary = dec.system.run(2_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let summary = run_finished(&mut dec.system.sys, 2_000_000_000, "traced decode");
     let sink = sink.borrow();
     assert!(!sink.is_empty(), "traced run must capture events");
     (summary, sink.to_chrome_trace(), sink.to_csv())
@@ -70,8 +70,7 @@ fn disabled_sink_collects_nothing_but_run_is_unchanged() {
     let mut dec = build_decode_system(EclipseConfig::default(), bitstream);
     let sink = dec.system.sys.enable_tracing(4_000_000);
     sink.borrow_mut().set_enabled(false);
-    let summary = dec.system.run(2_000_000_000);
-    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let summary = run_finished(&mut dec.system.sys, 2_000_000_000, "decode, sink disabled");
     assert!(sink.borrow().is_empty(), "disabled sink must stay empty");
     assert_eq!(format!("{untraced:?}"), format!("{summary:?}"));
 }
@@ -115,7 +114,7 @@ fn exported_events(sink: &SharedTraceSink) -> Vec<(String, String)> {
 
 /// Run to completion and return the exported events.
 fn finish(sys: &mut MpegSystem, sink: &SharedTraceSink) -> Vec<(String, String)> {
-    assert_eq!(sys.run(2_000_000_000).outcome, RunOutcome::AllFinished);
+    run_finished(&mut sys.sys, 2_000_000_000, "two decodes");
     exported_events(sink)
 }
 
